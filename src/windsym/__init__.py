@@ -4,14 +4,14 @@ prime-power level.
 Subpackages by concern:
 
   residue_p1     P^1(Z/p^n Z) tables, normalization, sigma/tau actions
-  rel_homology   relative homology presentation, Smith form, cusp classes
+  rel_homology   relative homology presentation, Smith certificate, cusp classes
   hecke_symbols  T_r{0,oo} images, Sigma_r, independence rank tests
   winding_paths  obstruction-avoiding chain walks, inverse-pair search
   qexp_hecke     operator calculus on truncated q-expansions
   bounds_cli     closed-form bounds, constants consistency, CLI
 """
 
-from .residue_p1 import P1Point, P1Table, PrimePower, build_p1_table, normalize
+from .residue_p1 import P1Point, P1Table, PrimePower, normalize
 from .rel_homology import (
     Cusp,
     FieldSpec,

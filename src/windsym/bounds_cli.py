@@ -48,12 +48,11 @@ from .qexp_hecke import (
 )
 from .rel_homology import (
     FieldSpec,
-    SmithCapExceeded,
     build_presentation,
     invariant_generators,
     smith_invariants,
 )
-from .residue_p1 import PrimePower, build_p1_table
+from .residue_p1 import P1Table, PrimePower
 from .winding_paths import (
     CHAIN_A,
     CHAIN_B,
@@ -267,7 +266,7 @@ def _parse_prime_power(value: int) -> PrimePower:
 
 def _cmd_p1(args) -> int:
     pp = PrimePower(args.p, args.n)
-    table = build_p1_table(pp)
+    table = P1Table(pp)
     report = {
         "schema": SCHEMA,
         "p": pp.p,
@@ -304,18 +303,16 @@ def _cmd_p1(args) -> int:
 
 def _cmd_homology(args) -> int:
     pp = PrimePower(args.p, args.n)
-    table = build_p1_table(pp)
     field = FieldSpec.rationals() if args.l is None else FieldSpec.prime_field(args.l)
-    pres = build_presentation(table, field)
-    report = pres.summary()
+    table = P1Table(pp)
+    # one integer presentation serves every field; the record still names
+    # the field asked for, in the key position it has always had
+    report = {"schema": SCHEMA, "p": pp.p, "n": pp.n, "field": field.label,
+              **build_presentation(table).summary()}
     if args.smith:
-        try:
-            inv = smith_invariants(invariant_generators(table))
-            report["smith_invariants"] = inv
-            report["torsion_free"] = all(v == 1 for v in inv)
-        except SmithCapExceeded as exc:
-            report["smith_invariants"] = None
-            report["smith_skipped"] = str(exc)
+        inv = smith_invariants(invariant_generators(table))
+        report["smith_invariants"] = inv
+        report["torsion_free"] = all(v == 1 for v in inv)
     _emit(report, args)
     return 0
 
@@ -357,7 +354,7 @@ def _chain_report(chain, pp, r, d_param):
 
 
 def _walk_both(pp, r):
-    table = build_p1_table(pp)
+    table = P1Table(pp)
     sig = sigma_r_set(r, table)
     chains = [walk_chain_A(r, table, sig)]
     if r % pp.p == 0:
@@ -566,7 +563,7 @@ def cli_main(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, SmithCapExceeded) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 from .arith import is_prime, smallest_prime_excluding
 from .rel_homology import FieldSpec, H1Presentation, build_presentation, reduce_vector
-from .residue_p1 import P1Table, PrimePower, build_p1_table
+from .residue_p1 import P1Table, PrimePower
 
 
 @dataclass
@@ -104,10 +104,18 @@ def sigma_r_set(r: int, table: P1Table) -> SigmaRSet:
     return SigmaRSet(r, frozenset(members), leading)
 
 
-def _coordinate_rank(rows: list[list], char: int) -> int:
-    """Rank of small dense coordinate rows over Q (Fractions) or F_l."""
-    rows = [list(r) for r in rows if any(r)]
+def _coordinate_rank(rows: list[list[int]], char: int) -> int:
+    """Rank of small dense integer coordinate rows over Q (char 0) or F_l.
+
+    Each elimination step replaces a row by pivot * row - entry * pivot_row,
+    taken mod l over F_l.  Over Q this is fraction-free (Bareiss) elimination:
+    dividing by the previous pivot is exact, so entries stay integers of the
+    size of a minor and no division ever rounds.
+    """
+    rows = [[x % char for x in r] if char else list(r) for r in rows]
+    rows = [r for r in rows if any(r)]
     rank = 0
+    prev = 1
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
@@ -115,14 +123,12 @@ def _coordinate_rank(rows: list[list], char: int) -> int:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pr = rows[rank]
+        pv = pr[c]
         for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                if char:
-                    f = rows[i][c] * pow(pr[c], -1, char) % char
-                    rows[i] = [(x - f * y) % char for x, y in zip(rows[i], pr)]
-                else:
-                    f = rows[i][c] / pr[c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+            f = rows[i][c]
+            new = [pv * x - f * y for x, y in zip(rows[i], pr)]
+            rows[i] = [v % char for v in new] if char else [v // prev for v in new]
+        prev = pv
         rank += 1
         if rank == len(rows):
             break
@@ -135,13 +141,17 @@ def hecke_span_rank(
     field: FieldSpec,
     presentation: Optional[H1Presentation] = None,
 ) -> int:
-    """Rank over the field of {T_i{0,oo} : 1 <= i <= imax} in the quotient."""
+    """Rank over the field of {T_i{0,oo} : 1 <= i <= imax} in the quotient.
+
+    The images are reduced once, to integer coordinates; only the rank is
+    taken over the field.
+    """
     if imax < 0:
         raise ValueError("imax must be >= 0")
     if imax == 0:
         return 0
     if presentation is None:
-        presentation = build_presentation(build_p1_table(pp), field)
+        presentation = build_presentation(P1Table(pp))
     rows = [
         reduce_vector(winding_image(i, presentation.table), presentation)
         for i in range(1, imax + 1)

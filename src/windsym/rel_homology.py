@@ -8,33 +8,41 @@ so the relation space is the span of the sigma-invariant and tau-invariant
 submodules.  Those submodules are generated by the orbit sums x + x.sigma and
 x + x.tau + x.tau^2 together with the fixed points themselves (an orbit of
 size one contributes the point, not twice the point, which is why the
-quotient is torsion free; torsion freeness is checked through the Smith form
-rather than assumed).
+quotient is torsion free).
 
-Echelonizing the relations over a coefficient field yields the quotient
-dimension and a total reduction map from raw P^1-vectors to coordinates on
-the surviving basis columns, realizing phi_2 concretely.  Pivoting is by
-lowest column index, which makes the surviving basis, and hence every
-downstream coordinate, reproducible bit for bit.  Among the rows that could
-serve as pivot for a column the sparsest is taken; the pivot column set, and
-therefore the reduction map, is invariant under that choice, and it keeps
-fill-in small enough that levels around 10^4 echelonize in well under a
-second.
+The relations are a graph.  A sigma-fixed point dies.  A sigma 2-orbit
+{x, y} with x < y leaves one generator e_y = -e_x: an edge of a directed
+graph whose vertices are the tau orbits, with its head at the orbit of y and
+its tail at the orbit of x.  The tau relation of an orbit is then that
+vertex's row of the incidence matrix; the graph is the dual graph of the
+Farey triangulation of X_0(p^n).  An incidence matrix has rank
+V - #components over Z and over every field, so
+
+    relation_rank = #sigma orbits + V - #components
+
+and the quotient is free on the edges outside a spanning forest.  The forest
+is grown breadth first from the lowest unvisited vertex, which makes the
+basis, and hence every downstream coordinate, reproducible bit for bit.
+reduce() solves integer vertex potentials pi along the tree so that
+c - delta(pi) vanishes on the tree edges; its values on the other edges are
+the coordinates.  They are integers, valid over Q and, read mod l, over
+every F_l.
+
+Torsion freeness is certified, not assumed: when the sigma rows and the tau
+rows each partition the columns with 0/1 entries, the relation matrix is the
+incidence matrix of a bipartite graph (a node per row, an edge per column),
+which is totally unimodular, so every nonzero Smith invariant is 1.
 
 The cusp half of the module decides Gamma_0(N)-equivalence of cusps and
 applies Hecke correspondences T_r (gcd(r, N) = 1) to cusp classes via the
 matrix set {(r/delta, -beta; 0, delta) : delta | r, 0 <= beta < delta}.
 """
 
-import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .arith import divisors, euler_phi, is_prime
 from .residue_p1 import P1Table
-
-DEFAULT_SMITH_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -111,188 +119,95 @@ def invariant_generators(table: P1Table) -> RelationSpan:
     return RelationSpan(table.size, tuple(sigma_rows), tuple(tau_rows))
 
 
-def _sigma_substitution(sigma_rows) -> dict[int, int | None]:
-    """Pivot data of the sigma rows: column -> None (dies) or column -> c
-    meaning e_col is replaced by -e_c."""
-    subst: dict[int, int | None] = {}
-    for row in sigma_rows:
-        cols = sorted(row)
-        if len(cols) == 1:
-            subst[cols[0]] = None
-        else:
-            subst[cols[0]] = cols[1]
-    return subst
+def _bfs_forest(n_vertices: int, tails: list[int], heads: list[int]) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning forest of the multigraph with edges e from
+    tails[e] to heads[e], rooted at the lowest vertex of each component.
 
-
-def _substituted_tau_rows(tau_rows, subst, char: int) -> list[dict[int, int]]:
-    out = []
-    for row in tau_rows:
-        nr: dict[int, int] = {}
-        for c, v in row.items():
-            if c in subst:
-                t = subst[c]
-                if t is None:
-                    continue
-                nr[t] = nr.get(t, 0) - v
-            else:
-                nr[c] = nr.get(c, 0) + v
-        if char:
-            nr = {c: v % char for c, v in nr.items() if v % char}
-        else:
-            nr = {c: v for c, v in nr.items() if v}
-        if nr:
-            out.append(nr)
-    return out
-
-
-def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    return {c: v // g for c, v in row.items()}
-
-
-def _echelonize(rows: list[dict[int, int]], n_cols: int, char: int):
-    """Leftmost-column echelon form of sparse rows over Q (char 0) or F_l.
-
-    Returns pivots as a list of (column, pivot_value, row_dict) in ascending
-    column order.  Over Q the rows are gcd-normalized integer vectors, which
-    keeps the arithmetic exact without rational overhead.
+    Returns (vertex, parent, edge) for every non-root vertex in visiting
+    order.  The edges listed are the tree edges, and n_vertices minus their
+    number is the number of components.
     """
-    active: dict[int, dict[int, int]] = dict(enumerate(rows))
-    col_rows: dict[int, set[int]] = {}
-    for rid, row in active.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(rid)
-    pivots = []
-    for c in range(n_cols):
-        cands = col_rows.get(c)
-        if not cands:
+    adjacent: list[list[int]] = [[] for _ in range(n_vertices)]
+    for e, (t, h) in enumerate(zip(tails, heads)):
+        adjacent[t].append(e)
+        adjacent[h].append(e)
+    seen = [False] * n_vertices
+    steps = []
+    for root in range(n_vertices):
+        if seen[root]:
             continue
-        piv = min(cands, key=lambda r: (len(active[r]), r))
-        cands.discard(piv)
-        prow = active.pop(piv)
-        for cc in prow:
-            if cc != c:
-                col_rows[cc].discard(piv)
-        pv = prow[c]
-        if char:
-            pv_inv = pow(pv, -1, char)
-        for rid in list(cands):
-            r = active[rid]
-            rc = r[c]
-            newr: dict[int, int] = {}
-            if char:
-                f = rc * pv_inv % char
-                for cc, v in r.items():
-                    newr[cc] = v
-                for cc, v in prow.items():
-                    nv = (newr.get(cc, 0) - f * v) % char
-                    if nv:
-                        newr[cc] = nv
-                    elif cc in newr:
-                        del newr[cc]
-            else:
-                g = gcd(pv, rc)
-                mr, mp = pv // g, rc // g
-                for cc, v in r.items():
-                    newr[cc] = v * mr
-                for cc, v in prow.items():
-                    nv = newr.get(cc, 0) - mp * v
-                    if nv:
-                        newr[cc] = nv
-                    elif cc in newr:
-                        del newr[cc]
-                newr = _normalize_int_row(newr)
-            for cc in r.keys() - newr.keys():
-                col_rows[cc].discard(rid)
-            for cc in newr.keys() - r.keys():
-                col_rows.setdefault(cc, set()).add(rid)
-            if newr:
-                active[rid] = newr
-            else:
-                del active[rid]
-        del col_rows[c]
-        pivots.append((c, pv, prow))
-    return pivots
+        seen[root] = True
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            for e in adjacent[u]:
+                w = heads[e] if tails[e] == u else tails[e]
+                if not seen[w]:
+                    seen[w] = True
+                    steps.append((w, u, e))
+                    queue.append(w)
+    return steps
 
 
 class H1Presentation:
-    """Echelonized presentation of H_1(X_0(p^n), cusps) over a chosen field.
+    """Integer presentation of H_1(X_0(p^n), cusps) on the graph of tau
+    orbits and sigma 2-orbits.
 
-    quotient_dim = |P^1| - rank(relations); reduce() maps any raw P^1-vector
-    to its coordinates on the surviving (non-pivot) columns.  Immutable after
-    construction.
+    quotient_dim = |P^1| - relation_rank is the number of edges outside the
+    spanning forest; reduce() maps any integer P^1-vector to its integer
+    coordinates on those edges.  Immutable after construction.
     """
 
-    def __init__(self, table: P1Table, field: FieldSpec):
+    def __init__(self, table: P1Table):
         self.table = table
-        self.field = field
-        self.p1_size = table.size
-        rel = invariant_generators(table)
-        self._subst = _sigma_substitution(rel.sigma_rows)
-        rows = _substituted_tau_rows(rel.tau_rows, self._subst, field.char)
-        self._pivots = _echelonize(rows, table.size, field.char)
-        pivot_cols = set(self._subst) | {c for c, _, _ in self._pivots}
-        self.relation_rank = len(pivot_cols)
-        self.free_cols: tuple[int, ...] = tuple(
-            c for c in range(table.size) if c not in pivot_cols
-        )
-        self.quotient_dim = len(self.free_cols)
-        self._free_pos = {c: i for i, c in enumerate(self.free_cols)}
-
-    def reduce(self, coeffs: dict[int, int]) -> list:
-        """Coordinates of a P^1-vector in the quotient basis.
-
-        Input is a sparse integer vector; output is a dense coordinate list
-        of Fractions (over Q) or residues (over F_l).
-        """
-        char = self.field.char
-        v: dict[int, object] = {}
-        for c, val in coeffs.items():
-            if not 0 <= c < self.p1_size:
-                raise ValueError(f"index {c} outside P^1 of size {self.p1_size}")
-            t = self._subst.get(c, c)
-            if c in self._subst:
-                if t is None:
-                    continue
-                v[t] = v.get(t, 0) - val
-            else:
-                v[c] = v.get(c, 0) + val
-        if char:
-            v = {c: val % char for c, val in v.items() if val % char}
-            for c, pv, prow in self._pivots:
-                if c not in v:
-                    continue
-                f = v.pop(c) * pow(pv, -1, char) % char
-                if not f:
-                    continue
-                for cc, val in prow.items():
-                    if cc == c:
-                        continue
-                    nv = (v.get(cc, 0) - f * val) % char
-                    if nv:
-                        v[cc] = nv
-                    elif cc in v:
-                        del v[cc]
-            return [v.get(c, 0) for c in self.free_cols]
-        for c, pv, prow in self._pivots:
-            if c not in v:
+        self.p1_size = size = table.size
+        sigma, tau = table.sigma_perm, table.tau_perm
+        vertex = [-1] * size
+        n_vertices = 0
+        for x in range(size):
+            if vertex[x] < 0:
+                vertex[x] = vertex[tau[x]] = vertex[tau[tau[x]]] = n_vertices
+                n_vertices += 1
+        # point -> (edge, sign) with e_y = +edge and e_x = -edge; sign 0 dies
+        self._edge = [0] * size
+        self._sign = [0] * size
+        tails: list[int] = []
+        heads: list[int] = []
+        sigma_orbits = 0
+        for x in range(size):
+            y = sigma[x]
+            if y < x:
                 continue
-            f = Fraction(v.pop(c), pv)
-            if not f:
-                continue
-            for cc, val in prow.items():
-                if cc == c:
-                    continue
-                nv = v.get(cc, 0) - f * val
-                if nv:
-                    v[cc] = nv
-                elif cc in v:
-                    del v[cc]
-        return [Fraction(v.get(c, 0)) for c in self.free_cols]
+            sigma_orbits += 1
+            if y > x:
+                self._edge[x] = self._edge[y] = len(tails)
+                self._sign[x], self._sign[y] = -1, 1
+                tails.append(vertex[x])
+                heads.append(vertex[y])
+        steps = _bfs_forest(n_vertices, tails, heads)
+        in_tree = [False] * len(tails)
+        for _, _, e in steps:
+            in_tree[e] = True
+        self._n_vertices = n_vertices
+        self._n_edges = len(tails)
+        # pi(w) = pi(u) + c(e) when the tree edge e runs u -> w, minus when w -> u
+        self._tree = [(w, u, e, 1 if tails[e] == u else -1) for w, u, e in steps]
+        self._free = [(e, heads[e], tails[e]) for e in range(len(tails)) if not in_tree[e]]
+        self.relation_rank = sigma_orbits + len(steps)
+        self.quotient_dim = len(self._free)
+
+    def reduce(self, coeffs: dict[int, int]) -> list[int]:
+        """Integer coordinates of a sparse integer P^1-vector in the quotient
+        basis, one per edge outside the spanning forest."""
+        c = [0] * self._n_edges
+        for i, val in coeffs.items():
+            if not 0 <= i < self.p1_size:
+                raise ValueError(f"index {i} outside P^1 of size {self.p1_size}")
+            if self._sign[i]:
+                c[self._edge[i]] += self._sign[i] * val
+        pi = [0] * self._n_vertices
+        for w, u, e, s in self._tree:
+            pi[w] = pi[u] + s * c[e]
+        return [c[e] - pi[h] + pi[t] for e, h, t in self._free]
 
     def summary(self) -> dict:
         """JSON-ready record of the presentation's shape."""
@@ -300,18 +215,17 @@ class H1Presentation:
             "schema": 1,
             "p": self.table.pp.p,
             "n": self.table.pp.n,
-            "field": self.field.label,
             "p1_size": self.p1_size,
             "relation_rank": self.relation_rank,
             "quotient_dim": self.quotient_dim,
         }
 
 
-def build_presentation(table: P1Table, field: FieldSpec) -> H1Presentation:
-    return H1Presentation(table, field)
+def build_presentation(table: P1Table) -> H1Presentation:
+    return H1Presentation(table)
 
 
-def reduce_vector(v, pres: H1Presentation) -> list:
+def reduce_vector(v, pres: H1Presentation) -> list[int]:
     """Reduce a SymbolVector (or raw index->coefficient dict) to quotient coordinates."""
     coeffs = getattr(v, "coeffs", v)
     vt = getattr(v, "table", None)
@@ -320,80 +234,30 @@ def reduce_vector(v, pres: H1Presentation) -> list:
     return pres.reduce(coeffs)
 
 
-class SmithCapExceeded(ValueError):
-    pass
+def smith_invariants(rel: RelationSpan) -> list[int]:
+    """Nonzero elementary divisors of the relation matrix, by certificate.
 
-
-def smith_invariants(rel: RelationSpan, cap: int | None = None) -> list[int]:
-    """Nonzero elementary divisors of the relation matrix (dense Smith form).
-
-    Capped by column count (default 5000, override via the SMITH_CAP
-    environment variable or the cap argument); larger levels should skip
-    torsion checks rather than grind through a dense reduction.
+    The sigma rows and the tau rows must each partition the columns with
+    0/1 entries.  Then each column holds one 1 from each family, so the
+    matrix is the incidence matrix of a bipartite graph with a node per row
+    and an edge per column.  Such a matrix is totally unimodular: every
+    nonzero elementary divisor is 1, and there are #rows - #components of
+    them.  Raises ValueError when the pattern does not hold.
     """
-    if cap is None:
-        cap = int(os.environ.get("SMITH_CAP", DEFAULT_SMITH_CAP))
-    if rel.n_cols > cap:
-        raise SmithCapExceeded(f"{rel.n_cols} columns exceeds Smith cap {cap}")
-    mat = [[row.get(c, 0) for c in range(rel.n_cols)] for row in rel.rows]
-    return _smith_diagonal(mat)
-
-
-def _smith_diagonal(a: list[list[int]]) -> list[int]:
-    m = len(a)
-    n = len(a[0]) if m else 0
-    res = []
-    t = 0
-    while True:
-        pi = pj = -1
-        best = 0
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best == 0 or v < best):
-                    best, pi, pj = v, i, j
-        if pi < 0:
-            break
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-            if any(a[t][j] for j in range(t + 1, n)):
-                continue
-            piv = a[t][t]
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if a[i][j] % piv
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
-        res.append(abs(a[t][t]))
-        t += 1
-        if t >= min(m, n):
-            break
-    return res
+    owners = []
+    for family, rows in (("sigma", rel.sigma_rows), ("tau", rel.tau_rows)):
+        owner = [-1] * rel.n_cols
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                if v != 1 or not 0 <= c < rel.n_cols or owner[c] >= 0:
+                    raise ValueError(f"{family} rows do not partition the columns with 0/1 entries")
+                owner[c] = i
+        if -1 in owner:
+            raise ValueError(f"{family} rows miss column {owner.index(-1)}")
+        owners.append(owner)
+    n_sigma = len(rel.sigma_rows)
+    tree = _bfs_forest(n_sigma + len(rel.tau_rows), owners[0], [n_sigma + i for i in owners[1]])
+    return [1] * len(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +359,6 @@ __all__ = [
     "FieldSpec",
     "RelationSpan",
     "H1Presentation",
-    "SmithCapExceeded",
     "Cusp",
     "invariant_generators",
     "build_presentation",

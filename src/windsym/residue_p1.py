@@ -75,8 +75,11 @@ def normalize(c: int, d: int, pp: PrimePower) -> Optional[P1Point]:
 
 
 class P1Table:
-    """Enumerated P^1(Z/p^n Z) with index maps and sigma/tau permutations.
+    """Enumerated P^1(Z/p^n Z) with sigma/tau permutations: p^n + p^{n-1}
+    points in deterministic order.
 
+    Affine points come first, ordered by residue, then the infinite branch
+    ordered by r'.  This ordering fixes every downstream matrix layout.
     Immutable after construction; safe for concurrent reads.
     """
 
@@ -89,9 +92,6 @@ class P1Table:
             [P1Point(KIND_AFFINE, r) for r in range(m)]
             + [P1Point(KIND_INFINITE, r) for r in range(mp)]
         )
-        self.index_of: dict[tuple[int, int], int] = {
-            pt.pair(pp): i for i, pt in enumerate(self.points)
-        }
         self.sigma_perm = [0] * self.size
         self.tau_perm = [0] * self.size
         for i, pt in enumerate(self.points):
@@ -108,28 +108,6 @@ class P1Table:
             return pt.value
         return self.pp.modulus + pt.value
 
-    def point_index(self, pt: P1Point) -> int:
-        if pt.kind == KIND_AFFINE:
-            return pt.value
-        return self.pp.modulus + pt.value
-
-
-def build_p1_table(pp: PrimePower) -> P1Table:
-    """Table with p^n + p^{n-1} points in deterministic order.
-
-    Affine points come first, ordered by residue, then the infinite branch
-    ordered by r'.  This ordering fixes every downstream matrix layout.
-    """
-    return P1Table(pp)
-
-
-def act_sigma(idx: int, table: P1Table) -> int:
-    return table.sigma_perm[idx]
-
-
-def act_tau(idx: int, table: P1Table) -> int:
-    return table.tau_perm[idx]
-
 
 __all__ = [
     "KIND_AFFINE",
@@ -138,7 +116,4 @@ __all__ = [
     "P1Point",
     "P1Table",
     "normalize",
-    "build_p1_table",
-    "act_sigma",
-    "act_tau",
 ]

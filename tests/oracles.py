@@ -3,7 +3,8 @@
 Everything here is deliberately computed by a different route than the
 library code it checks: classical genus/cusp-count formulas, brute-force
 enumerations, pentagonal-number eta expansions, and exhaustive matrix
-searches in Gamma_0(N).
+searches in Gamma_0(N), and the general-purpose sparse echelon and dense
+Smith form that the library's graph presentation replaced.
 """
 
 from fractions import Fraction
@@ -11,12 +12,12 @@ from functools import lru_cache
 from math import gcd
 
 from windsym.arith import divisors, euler_phi, factorize, kronecker
-from windsym.residue_p1 import PrimePower, build_p1_table
+from windsym.residue_p1 import P1Table, PrimePower
 
 
 @lru_cache(maxsize=None)
 def get_table(p: int, n: int):
-    return build_p1_table(PrimePower(p, n))
+    return P1Table(PrimePower(p, n))
 
 
 def cusp_count_x0(n_level: int) -> int:
@@ -155,3 +156,193 @@ def apply_mat_to_cusp(mat, cusp):
 
 def bruteforce_cusp_equivalent(x, y, mats) -> bool:
     return any(apply_mat_to_cusp(m, x) == y for m in mats)
+
+
+# ---------------------------------------------------------------------------
+# Relation matrix by general-purpose elimination
+# ---------------------------------------------------------------------------
+
+
+def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return {c: v // g for c, v in row.items()}
+
+
+def echelonize(rows: list[dict[int, int]], n_cols: int, char: int):
+    """Leftmost-column echelon form of sparse rows over Q (char 0) or F_l.
+
+    Returns pivots as a list of (column, pivot_value, row_dict) in ascending
+    column order.  Over Q the rows are gcd-normalized integer vectors.  Among
+    the rows that could serve as pivot for a column the sparsest is taken.
+    """
+    active: dict[int, dict[int, int]] = dict(enumerate(rows))
+    col_rows: dict[int, set[int]] = {}
+    for rid, row in active.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(rid)
+    pivots = []
+    for c in range(n_cols):
+        cands = col_rows.get(c)
+        if not cands:
+            continue
+        piv = min(cands, key=lambda r: (len(active[r]), r))
+        cands.discard(piv)
+        prow = active.pop(piv)
+        for cc in prow:
+            if cc != c:
+                col_rows[cc].discard(piv)
+        pv = prow[c]
+        if char:
+            pv_inv = pow(pv, -1, char)
+        for rid in list(cands):
+            r = active[rid]
+            rc = r[c]
+            newr: dict[int, int] = {}
+            if char:
+                f = rc * pv_inv % char
+                for cc, v in r.items():
+                    newr[cc] = v
+                for cc, v in prow.items():
+                    nv = (newr.get(cc, 0) - f * v) % char
+                    if nv:
+                        newr[cc] = nv
+                    elif cc in newr:
+                        del newr[cc]
+            else:
+                g = gcd(pv, rc)
+                mr, mp = pv // g, rc // g
+                for cc, v in r.items():
+                    newr[cc] = v * mr
+                for cc, v in prow.items():
+                    nv = newr.get(cc, 0) - mp * v
+                    if nv:
+                        newr[cc] = nv
+                    elif cc in newr:
+                        del newr[cc]
+                newr = _normalize_int_row(newr)
+            for cc in r.keys() - newr.keys():
+                col_rows[cc].discard(rid)
+            for cc in newr.keys() - r.keys():
+                col_rows.setdefault(cc, set()).add(rid)
+            if newr:
+                active[rid] = newr
+            else:
+                del active[rid]
+        del col_rows[c]
+        pivots.append((c, pv, prow))
+    return pivots
+
+
+class EchelonPresentation:
+    """Quotient of Z[P^1] by the relation rows, echelonized over one field.
+
+    The relations are taken as given, with no use of their graph structure:
+    every row is eliminated against lower-column pivots, and reduce() returns
+    Fractions (over Q) or residues (over F_l) on the non-pivot columns.
+    """
+
+    def __init__(self, rel, char: int):
+        self.char = char
+        self._pivots = echelonize(list(rel.rows), rel.n_cols, char)
+        pivot_cols = {c for c, _, _ in self._pivots}
+        self.free_cols = [c for c in range(rel.n_cols) if c not in pivot_cols]
+        self.quotient_dim = len(self.free_cols)
+
+    def reduce(self, coeffs: dict[int, int]) -> list:
+        char = self.char
+        v = {c: Fraction(x) if not char else x % char for c, x in coeffs.items()}
+        for c, pv, prow in self._pivots:
+            if c not in v:
+                continue
+            f = v.pop(c)
+            f = f * pow(pv, -1, char) % char if char else f / pv
+            if not f:
+                continue
+            for cc, val in prow.items():
+                if cc != c:
+                    nv = v.get(cc, 0) - f * val
+                    v[cc] = nv % char if char else nv
+        return [v.get(c, 0) for c in self.free_cols]
+
+
+def prefix_ranks(rows: list[list], char: int) -> list[int]:
+    """Rank of rows[:k] for k = 1..len(rows), by Gaussian elimination over Q
+    (Fractions) or F_l."""
+    basis = []  # (pivot column, row scaled to 1 at the pivot)
+    ranks = []
+    for row in rows:
+        row = [Fraction(x) if not char else x % char for x in row]
+        for c, b in basis:
+            f = row[c]
+            if f:
+                row = [x - f * y for x, y in zip(row, b)]
+                if char:
+                    row = [x % char for x in row]
+        piv = next((c for c, x in enumerate(row) if x), None)
+        if piv is not None:
+            inv = pow(row[piv], -1, char) if char else 1 / row[piv]
+            basis.append((piv, [x * inv % char if char else x * inv for x in row]))
+        ranks.append(len(basis))
+    return ranks
+
+
+def smith_diagonal(a: list[list[int]]) -> list[int]:
+    """Nonzero Smith invariants of a dense integer matrix (modified in place)."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    res = []
+    t = 0
+    while True:
+        pi = pj = -1
+        best = 0
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(a[i][j])
+                if v and (best == 0 or v < best):
+                    best, pi, pj = v, i, j
+        if pi < 0:
+            break
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+            if any(a[i][t] for i in range(t + 1, m)):
+                continue
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= q * row[t]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+            if any(a[t][j] for j in range(t + 1, n)):
+                continue
+            piv = a[t][t]
+            bad = next(
+                (
+                    (i, j)
+                    for i in range(t + 1, m)
+                    for j in range(t + 1, n)
+                    if a[i][j] % piv
+                ),
+                None,
+            )
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
+        res.append(abs(a[t][t]))
+        t += 1
+        if t >= min(m, n):
+            break
+    return res

@@ -36,7 +36,7 @@ from windsym.rel_homology import (
     reduce_vector,
     smith_invariants,
 )
-from windsym.residue_p1 import PrimePower, build_p1_table
+from windsym.residue_p1 import P1Table, PrimePower
 from windsym.winding_paths import (
     CHAIN_A,
     IntervalPair,
@@ -91,7 +91,7 @@ def test_criterion_1_homology_dimension_oracle():
     with criterion(1, "quotient_dim = 2g + c - 1 on eight prime powers", 10.0):
         for value in (2, 3, 11, 13, 25, 27, 32, 49):
             pp = _prime_power(value)
-            pres = build_presentation(build_p1_table(pp), FieldSpec.rationals())
+            pres = build_presentation(P1Table(pp))
             expected = 2 * genus_x0(value) + cusp_count_x0(value) - 1
             assert pres.quotient_dim == expected, (value, pres.quotient_dim, expected)
 
@@ -100,7 +100,7 @@ def test_criterion_2_torsion_freeness():
     with criterion(2, "Smith invariants all equal 1 at 11, 13, 25, 27", 30.0):
         for value in (11, 13, 25, 27):
             pp = _prime_power(value)
-            inv = smith_invariants(invariant_generators(build_p1_table(pp)))
+            inv = smith_invariants(invariant_generators(P1Table(pp)))
             assert inv, value
             assert all(v == 1 for v in inv), (value, inv)
 
@@ -109,14 +109,14 @@ def test_criterion_3_independence_in_guaranteed_regime():
     with criterion(3, "rank of {T_1, T_2}{0,oo} is 2 at level 4201 over F_3, F_5, F_7, Q", 60.0):
         pp = PrimePower(4201, 1)
         assert pp.modulus > 65 * (2 * 1) ** 6  # 4201 > 4160: guaranteed regime
-        table = build_p1_table(pp)
+        table = P1Table(pp)
         fields = [FieldSpec.prime_field(3), FieldSpec.prime_field(5),
                   FieldSpec.prime_field(7), FieldSpec.rationals()]
-        for field in fields:
-            pres = build_presentation(table, field)
-            rows = [reduce_vector(winding_image(i, table), pres) for i in (1, 2)]
-            from windsym.hecke_symbols import _coordinate_rank
+        from windsym.hecke_symbols import _coordinate_rank
 
+        pres = build_presentation(table)
+        rows = [reduce_vector(winding_image(i, table), pres) for i in (1, 2)]
+        for field in fields:
             assert _coordinate_rank(rows, field.char) == 2, field.label
 
 
@@ -124,7 +124,7 @@ def test_criterion_4_path_bounds_grid():
     with criterion(4, "chain interval bounds on {101, 343, 1024, 2048} x r in 1..6", 60.0):
         for value in (101, 343, 1024, 2048):
             pp = _prime_power(value)
-            table = build_p1_table(pp)
+            table = P1Table(pp)
             for r in range(1, 7):
                 d_param = r
                 sig = sigma_r_set(r, table)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -221,10 +225,32 @@ def test_cli_out_file_and_output_dir(tmp_path, monkeypatch, capsys):
     assert data["pass"] is True
 
 
-def test_cli_smith_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("SMITH_CAP", "5")
-    rc, out = run_cli(capsys, "homology", "--p", "11", "--n", "1", "--smith")
+def test_cli_homology_record(capsys):
+    rc, out = run_cli(capsys, "homology", "--p", "11", "--l", "3")
     assert rc == 0
-    rep = json.loads(out)
-    assert rep["smith_invariants"] is None
-    assert "smith_skipped" in rep
+    # values and key order
+    assert list(json.loads(out).items()) == [
+        ("schema", 1),
+        ("p", 11),
+        ("n", 1),
+        ("field", "F3"),
+        ("p1_size", 12),
+        ("relation_rank", 9),
+        ("quotient_dim", 3),
+    ]
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "windsym", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = run("bounds", "--constants")
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["pass"] is True
+    assert ok.stderr == ""
+    assert run("bounds").returncode == 2

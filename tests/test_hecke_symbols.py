@@ -1,6 +1,7 @@
 import pytest
 
 from windsym.hecke_symbols import (
+    _coordinate_rank,
     admissible_pairs,
     check_kamienny_condition3,
     hecke_span_rank,
@@ -97,6 +98,15 @@ def test_hecke_span_rank_examples():
     pp = PrimePower(11, 1)
     assert hecke_span_rank(pp, 0, FieldSpec.rationals()) == 0
     assert hecke_span_rank(pp, 1, FieldSpec.rationals()) == 1
+
+
+def test_coordinate_rank_is_exact():
+    # float division would see the second row as a multiple of the first
+    assert _coordinate_rank([[3, 3 * 2**60 + 1], [1, 2**60]], 0) == 2
+    assert _coordinate_rank([[3, 3 * 2**60], [1, 2**60]], 0) == 1
+    assert _coordinate_rank([[0, 2, 4], [0, 3, 6], [1, 0, 1]], 0) == 2
+    assert _coordinate_rank([[2, 4], [1, 3]], 2) == 1
+    assert _coordinate_rank([[0, 0], [5, 10]], 5) == 0
 
 
 def test_hecke_span_rank_monotone_and_field_bound():

@@ -6,8 +6,7 @@ import pytest
 from windsym.rel_homology import (
     Cusp,
     FieldSpec,
-    SmithCapExceeded,
-    _smith_diagonal,
+    RelationSpan,
     build_presentation,
     cusp_equivalent,
     cusp_representatives,
@@ -16,14 +15,18 @@ from windsym.rel_homology import (
     reduce_vector,
     smith_invariants,
 )
-from windsym.hecke_symbols import winding_image
+from windsym.arith import factorize
+from windsym.hecke_symbols import _coordinate_rank, winding_image
 from oracles import (
+    EchelonPresentation,
     apply_mat_to_cusp,
     bruteforce_cusp_equivalent,
     cusp_count_x0,
     gamma0_matrices,
     genus_x0,
     get_table,
+    prefix_ranks,
+    smith_diagonal,
 )
 
 
@@ -67,46 +70,36 @@ def test_relation_rows_are_invariant_vectors(p, n):
 )
 def test_quotient_dim_examples(p, n, qdim):
     table = get_table(p, n)
-    pres = build_presentation(table, FieldSpec.rationals())
+    pres = build_presentation(table)
     assert pres.quotient_dim == qdim
     assert pres.quotient_dim == 2 * genus_x0(p**n) + cusp_count_x0(p**n) - 1
     assert pres.relation_rank + pres.quotient_dim == pres.p1_size
 
 
-def test_presentation_summary_record():
-    pres = build_presentation(get_table(11, 1), FieldSpec.prime_field(3))
-    assert pres.summary() == {
-        "schema": 1,
-        "p": 11,
-        "n": 1,
-        "field": "F3",
-        "p1_size": 12,
-        "relation_rank": 9,
-        "quotient_dim": 3,
-    }
-
-
 @pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
 def test_reduce_kills_relations_and_is_well_defined(char):
     table = get_table(13, 1)
-    field = FieldSpec(char)
-    pres = build_presentation(table, field)
+    pres = build_presentation(table)
+
+    def coords(vec):  # integer coordinates, read mod char over F_char
+        return [x % char if char else x for x in reduce_vector(vec, pres)]
+
     rel = invariant_generators(table)
     zero = [0] * pres.quotient_dim
     for row in rel.rows:
-        assert [int(x) for x in pres.reduce(row)] == zero
+        assert coords(row) == zero
     v = winding_image(3, table)
-    base = reduce_vector(v, pres)
+    base = coords(v)
     for row in rel.rows[::3]:
         shifted = dict(v.coeffs)
         for c, val in row.items():
             shifted[c] = shifted.get(c, 0) + val
-        assert pres.reduce(shifted) == base
+        assert coords(shifted) == base
 
 
 def test_reduce_linearity_random():
     table = get_table(11, 1)
-    pres = build_presentation(table, FieldSpec.rationals())
+    pres = build_presentation(table)
     rng = random.Random(5)
     for _ in range(25):
         u = {rng.randrange(12): rng.randint(-5, 5) for _ in range(4)}
@@ -119,19 +112,21 @@ def test_reduce_linearity_random():
 
 
 def test_reduce_rejects_out_of_range_indices():
-    pres = build_presentation(get_table(3, 1), FieldSpec.rationals())
+    pres = build_presentation(get_table(3, 1))
     with pytest.raises(ValueError):
         pres.reduce({99: 1})
 
 
 @pytest.mark.parametrize("l", [2, 3, 5, 7])
 def test_prime_field_dims_agree_with_rationals(l):
-    # all Smith invariants are 1 at these levels, so dims must agree
+    # all Smith invariants are 1 at these levels, so the echelon dims over
+    # F_l and Q must agree with each other and with the integer presentation
     for p, n in [(11, 1), (13, 1), (5, 2)]:
         table = get_table(p, n)
-        dq = build_presentation(table, FieldSpec.rationals()).quotient_dim
-        dl = build_presentation(table, FieldSpec.prime_field(l)).quotient_dim
-        assert dq == dl
+        rel = invariant_generators(table)
+        dq = EchelonPresentation(rel, 0).quotient_dim
+        dl = EchelonPresentation(rel, l).quotient_dim
+        assert dq == dl == build_presentation(table).quotient_dim
 
 
 def test_field_spec_validation():
@@ -142,11 +137,11 @@ def test_field_spec_validation():
 
 
 def test_smith_diagonal_known_matrices():
-    assert _smith_diagonal([[1, 0], [0, 1]]) == [1, 1]
-    assert _smith_diagonal([[0, 0], [0, 0]]) == []
+    assert smith_diagonal([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_diagonal([[0, 0], [0, 0]]) == []
     # det = -8, gcd of entries 2: invariants (2, 4)
-    assert _smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
-    assert _smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
+    assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
 
 
 @pytest.mark.parametrize("p, n", [(11, 1), (13, 1)])
@@ -155,11 +150,57 @@ def test_smith_invariants_all_one(p, n):
     assert inv and all(v == 1 for v in inv)
 
 
-def test_smith_cap():
-    rel = invariant_generators(get_table(11, 1))
-    with pytest.raises(SmithCapExceeded):
-        smith_invariants(rel, cap=5)
-    assert smith_invariants(rel, cap=12)
+def test_smith_certificate_rejects_other_patterns():
+    # p = 2: sigma rows {0, 2}, {1}; tau row {0, 1, 2}
+    assert smith_invariants(invariant_generators(get_table(2, 1))) == [1, 1]
+    for sigma_rows, tau_rows in [
+        (({0: 1, 2: 1}, {1: 2}), ({0: 1, 1: 1, 2: 1},)),  # entry 2
+        (({0: 1, 2: 1}, {1: 1}), ({0: 1, 1: 1},)),  # tau rows miss column 2
+        (({0: 1, 2: 1}, {1: 1, 2: 1}), ({0: 1, 1: 1, 2: 1},)),  # column 2 twice
+        (({0: 1, 2: 1}, {1: 1}), ({0: 1, 1: 1, 3: 1},)),  # column out of range
+    ]:
+        with pytest.raises(ValueError):
+            smith_invariants(RelationSpan(3, sigma_rows, tau_rows))
+
+
+def _differential_levels(rng: random.Random) -> list[tuple[int, int]]:
+    """Every prime power up to 100 and a seeded sample of levels between
+    400 and 1000, as (p, n)."""
+    def prime_powers(lo, hi):
+        return [(p, n) for m in range(lo, hi) if len(f := factorize(m)) == 1 for p, n in f.items()]
+
+    return prime_powers(2, 101) + rng.sample(prime_powers(401, 1001), 20)
+
+
+def test_forest_against_echelon_oracle():
+    rng = random.Random(2)
+    levels = _differential_levels(rng)
+    assert len(levels) >= 50
+    assert {(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)} <= set(levels)
+    for p, n in levels:
+        table = get_table(p, n)
+        pres = build_presentation(table)
+        rel = invariant_generators(table)
+        assert pres.relation_rank + pres.quotient_dim == table.size
+        for row in rel.rows:
+            assert not any(pres.reduce(row)), (p, n, row)
+        v = {rng.randrange(table.size): rng.randint(-9, 9) for _ in range(5)}
+        shifted = dict(v)
+        for _ in range(5):
+            row, k = rng.choice(rel.rows), rng.randint(-3, 3)
+            for c, val in row.items():
+                shifted[c] = shifted.get(c, 0) + k * val
+        assert pres.reduce(shifted) == pres.reduce(v), (p, n)
+        images = [winding_image(i, table).coeffs for i in range(1, 7)]
+        rows = [pres.reduce(im) for im in images]
+        for char in (0, 2, 3, 5, 7):
+            oracle = EchelonPresentation(rel, char)
+            assert pres.quotient_dim == oracle.quotient_dim, (p, n, char)
+            ranks = [_coordinate_rank(rows[:k], char) for k in range(1, 7)]
+            assert ranks == prefix_ranks([oracle.reduce(im) for im in images], char), (p, n, char)
+        if table.size <= 400:
+            dense = [[row.get(c, 0) for c in range(rel.n_cols)] for row in rel.rows]
+            assert smith_invariants(rel) == smith_diagonal(dense), (p, n)
 
 
 # -- cusps ------------------------------------------------------------------

@@ -6,10 +6,8 @@ from windsym.residue_p1 import (
     KIND_AFFINE,
     KIND_INFINITE,
     P1Point,
+    P1Table,
     PrimePower,
-    act_sigma,
-    act_tau,
-    build_p1_table,
     normalize,
 )
 from oracles import get_table, p1_size_bruteforce
@@ -63,14 +61,15 @@ def test_normalize_idempotent_random():
 
 def test_sigma_tau_examples():
     table = get_table(11, 1)
+    sig, tau = table.sigma_perm, table.tau_perm
     # (0,1).sigma = (-1,0) = (1,0), the infinite-branch point
-    assert act_sigma(0, table) == 11
+    assert sig[0] == 11
     assert table.points[11] == P1Point(KIND_INFINITE, 0)
     # (3,1).tau sigma = (4,1)
-    assert act_sigma(act_tau(3, table), table) == 4
+    assert sig[tau[3]] == 4
     # tau^3 = identity, sampled
     for idx in range(table.size):
-        assert act_tau(act_tau(act_tau(idx, table), table), table) == idx
+        assert tau[tau[tau[idx]]] == idx
 
 
 @pytest.mark.parametrize(
@@ -92,10 +91,8 @@ def test_action_properties_exhaustive(p, n):
 
 
 def test_index_map_consistency():
-    table = get_table(3, 2)
-    pp = table.pp
+    pp = PrimePower(3, 2)
+    table = P1Table(pp)
     for i, pt in enumerate(table.points):
-        assert table.index_of[pt.pair(pp)] == i
-        assert table.point_index(pt) == i
         assert table.index(*pt.pair(pp)) == i
     assert table.index(3, 3) is None
