@@ -99,7 +99,8 @@ def sigma_r_set(r: int, table: P1Table) -> SigmaRSet:
             if idx is not None:
                 members.add(idx)
     leading = table.index(1, r)
-    assert leading is not None
+    if leading is None:
+        raise RuntimeError(f"(1, {r}) defines no point of P^1")
     members.discard(leading)
     return SigmaRSet(r, frozenset(members), leading)
 

@@ -326,9 +326,8 @@ def cusp_representatives(n_level: int) -> list[Cusp]:
             while gcd(a, c) != 1:
                 a += g
             reps.append(Cusp.of(a, c))
-    assert len(reps) == sum(
-        euler_phi(gcd(c, n_level // c)) for c in divisors(n_level)
-    )
+    if len(reps) != sum(euler_phi(gcd(c, n_level // c)) for c in divisors(n_level)):
+        raise RuntimeError(f"cusp count of X_0({n_level}) disagrees with sum phi(gcd(c, N/c))")
     return reps
 
 

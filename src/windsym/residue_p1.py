@@ -1,26 +1,32 @@
 """The projective line over Z/p^n Z: representatives, normalization, actions.
 
-Points of P^1(Z/p^n Z) are carried as indices into a precomputed table.  The
-representative set is the affine points (r, 1) for r mod p^n followed by the
-infinite branch (1, p*r') for r' mod p^{n-1}, so the table has p^n + p^{n-1}
-entries and the index of an affine point equals its residue.
+Points of P^1(Z/p^n Z) are carried as indices.  The representative set is
+the affine points (r, 1) for r mod p^n followed by the infinite branch
+(1, p*r') for r' mod p^{n-1}, so there are p^n + p^{n-1} indices and the
+index of an affine point equals its residue.
 
 sigma = [[0,1],[-1,0]] and tau = [[0,-1],[1,-1]] act on the right:
 
     (w, t).sigma = (-t, w)        (w, t).tau = (-t, w + t)
 
-so tau.sigma is +1 on affine coordinates and sigma.tau^2 is -1.  Both actions
-are stored as dense index permutations, built once, because downstream walks
-and relation building apply them constantly.
+so tau.sigma is +1 on affine coordinates and sigma.tau^2 is -1.  Each action
+is computed on demand for one index by modular arithmetic, which is all the
+chain walks need.  The dense index permutations, which relation building
+sweeps in full, are built from those on first use.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .arith import is_prime
 
 KIND_AFFINE = "affine"
 KIND_INFINITE = "infinite"
+
+# Largest |P^1| = p^n + p^{n-1} a table may have: at this size the dense
+# permutations are two lists of 10^7 Python ints, roughly 0.8 GB.
+MAX_P1_SIZE = 10**7
 
 
 @dataclass(frozen=True)
@@ -75,29 +81,24 @@ def normalize(c: int, d: int, pp: PrimePower) -> Optional[P1Point]:
 
 
 class P1Table:
-    """Enumerated P^1(Z/p^n Z) with sigma/tau permutations: p^n + p^{n-1}
-    points in deterministic order.
+    """P^1(Z/p^n Z) as p^n + p^{n-1} indices in deterministic order, with
+    the sigma and tau actions on them.
 
     Affine points come first, ordered by residue, then the infinite branch
     ordered by r'.  This ordering fixes every downstream matrix layout.
-    Immutable after construction; safe for concurrent reads.
+    Construction is O(1): pair, index, sigma and tau cost O(1) modular
+    arithmetic each, and the dense permutations sigma_perm and tau_perm are
+    built on first read and cached on the table.  Raises ValueError when
+    |P^1| exceeds MAX_P1_SIZE.
     """
 
     def __init__(self, pp: PrimePower):
         self.pp = pp
-        m = pp.modulus
-        mp = m // pp.p
-        self.size = m + mp
-        self.points: tuple[P1Point, ...] = tuple(
-            [P1Point(KIND_AFFINE, r) for r in range(m)]
-            + [P1Point(KIND_INFINITE, r) for r in range(mp)]
-        )
-        self.sigma_perm = [0] * self.size
-        self.tau_perm = [0] * self.size
-        for i, pt in enumerate(self.points):
-            w, t = pt.pair(pp)
-            self.sigma_perm[i] = self.index(-t, w)
-            self.tau_perm[i] = self.index(-t, w + t)
+        self.size = pp.modulus + pp.modulus // pp.p
+        if self.size > MAX_P1_SIZE:
+            raise ValueError(
+                f"|P^1(Z/{pp.p}^{pp.n} Z)| = {self.size} exceeds the limit {MAX_P1_SIZE}"
+            )
 
     def index(self, c: int, d: int) -> Optional[int]:
         """Index of the class (c : d), or None when the pair defines no point."""
@@ -108,10 +109,36 @@ class P1Table:
             return pt.value
         return self.pp.modulus + pt.value
 
+    def pair(self, i: int) -> tuple[int, int]:
+        """The representative (w, t) of index i."""
+        m = self.pp.modulus
+        if i < m:
+            return (i, 1)
+        return (1, self.pp.p * (i - m))
+
+    def sigma(self, i: int) -> int:
+        """Index of pair(i).sigma = (-t, w)."""
+        w, t = self.pair(i)
+        return self.index(-t, w)
+
+    def tau(self, i: int) -> int:
+        """Index of pair(i).tau = (-t, w + t)."""
+        w, t = self.pair(i)
+        return self.index(-t, w + t)
+
+    @cached_property
+    def sigma_perm(self) -> list[int]:
+        return [self.sigma(i) for i in range(self.size)]
+
+    @cached_property
+    def tau_perm(self) -> list[int]:
+        return [self.tau(i) for i in range(self.size)]
+
 
 __all__ = [
     "KIND_AFFINE",
     "KIND_INFINITE",
+    "MAX_P1_SIZE",
     "PrimePower",
     "P1Point",
     "P1Table",

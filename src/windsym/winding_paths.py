@@ -14,10 +14,12 @@ for the backward chains, the tau image for the forward chain.  Those are
 exactly the vertices whose membership in Sigma_r matters when propagating
 the sigma-invariant and tau-invariant coefficients along the walk, so the
 walk stops at the first of them lying in Sigma_r or equal to the leading
-class (1, r).  The affine residues of main vertices visited with a clean
-intermediate form the chain's interval; in regime (r <= D, the bound
-positive) its length is at least p^n/D - D - 2 for chain A and p^n/D^2 - 2
-for B and B', as exact rational inequalities.
+class (1, r).  Each intermediate is computed on demand by table.sigma or
+table.tau, so a walk costs O(its length) and builds no permutation.  The
+affine residues of main vertices visited with a clean intermediate form the
+chain's interval; in regime (r <= D, the bound positive) its length is at
+least p^n/D - D - 2 for chain A and p^n/D^2 - 2 for B and B', as exact
+rational inequalities.
 
 The inverse-pair search takes two intervals A, B inside {1..p^n - 1} and
 finds y in A, z in B with y*z = -1 mod p^n; the analytic lemma guarantees a
@@ -75,7 +77,7 @@ def _walk(
     skip_start_check: bool,
 ) -> Chain:
     m = table.pp.modulus
-    inter_perm = table.sigma_perm if step == -1 else table.tau_perm
+    inter_of = table.sigma if step == -1 else table.tau
     visited: list[int] = []
     interval: list[int] = []
     a = start_affine
@@ -89,7 +91,7 @@ def _walk(
                 stop_reason, stop_index = reason, idx
                 break
         visited.append(idx)
-        inter = inter_perm[idx]
+        inter = inter_of(idx)
         reason = _classify_stop(inter, sigma_r)
         if reason:
             stop_reason, stop_index = reason, inter

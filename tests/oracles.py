@@ -3,16 +3,26 @@
 Everything here is deliberately computed by a different route than the
 library code it checks: classical genus/cusp-count formulas, brute-force
 enumerations, pentagonal-number eta expansions, and exhaustive matrix
-searches in Gamma_0(N), and the general-purpose sparse echelon and dense
-Smith form that the library's graph presentation replaced.
+searches in Gamma_0(N), the general-purpose sparse echelon and dense
+Smith form that the library's graph presentation replaced, and the eager
+sigma/tau permutations and permutation-driven chain walker that the
+on-demand actions replaced.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from windsym.arith import divisors, euler_phi, factorize, kronecker
-from windsym.residue_p1 import P1Table, PrimePower
+from windsym.arith import divisors, euler_phi, factorize, is_prime, kronecker
+from windsym.residue_p1 import KIND_AFFINE, KIND_INFINITE, P1Point, P1Table, PrimePower
+from windsym.winding_paths import (
+    CHAIN_A,
+    CHAIN_B,
+    STOP_LEADING,
+    STOP_SIGMA_R,
+    STOP_WRAPPED,
+)
 
 
 @lru_cache(maxsize=None)
@@ -346,3 +356,86 @@ def smith_diagonal(a: list[list[int]]) -> list[int]:
         if t >= min(m, n):
             break
     return res
+
+
+# Levels for the differential tests of the on-demand actions and the chain
+# walks: powers of 2, 3, 5 and 7 (elliptic points, infinite branches of
+# every depth) and primes up to about 10^4, a seeded sample among them.
+DIFFERENTIAL_LEVELS = (
+    [(2, n) for n in (1, 2, 3, 5, 8, 11, 13)]
+    + [(3, n) for n in (1, 2, 3, 5, 8)]
+    + [(5, n) for n in (1, 2, 3, 5)]
+    + [(7, n) for n in (1, 2, 3, 4)]
+    + [(p, 1) for p in (11, 13, 101, 211, 1009, 4201, 7919, 9973, 10007)]
+    + [(p, 1) for p in sorted(random.Random(3).sample(
+        [q for q in range(1000, 10000) if is_prime(q)], 6))]
+)
+
+
+@lru_cache(maxsize=None)
+def eager_permutations(p: int, n: int) -> tuple[list[int], list[int]]:
+    """sigma and tau as dense index permutations, by the eager loop over an
+    enumerated point list that P1Table ran at construction before its
+    actions were computed on demand."""
+    pp = PrimePower(p, n)
+    table = get_table(p, n)
+    m = pp.modulus
+    mp = m // pp.p
+    points = tuple(
+        [P1Point(KIND_AFFINE, r) for r in range(m)]
+        + [P1Point(KIND_INFINITE, r) for r in range(mp)]
+    )
+    sigma_perm = [0] * table.size
+    tau_perm = [0] * table.size
+    for i, pt in enumerate(points):
+        w, t = pt.pair(pp)
+        sigma_perm[i] = table.index(-t, w)
+        tau_perm[i] = table.index(-t, w + t)
+    return sigma_perm, tau_perm
+
+
+def walk_oracle(label: str, r: int, pp: PrimePower, sigma_r) -> tuple:
+    """A chain walk read off the eager permutations: (start, visited,
+    interval, stop_reason, stop_index), with the start and direction taken
+    from the chain's definition."""
+    m = pp.modulus
+    sigma_perm, tau_perm = eager_permutations(pp.p, pp.n)
+    if label == CHAIN_A:
+        start, step, skip_start_check = (-r - 1) % m, -1, False
+    elif label == CHAIN_B:
+        start, step, skip_start_check = pow(r, -1, m), -1, True
+    else:
+        start, step, skip_start_check = r * pow(r - 1, -1, m) % m, +1, False
+    inter_perm = sigma_perm if step == -1 else tau_perm
+
+    def classify(idx):
+        if idx in sigma_r.members:
+            return STOP_SIGMA_R
+        if idx == sigma_r.leading_index:
+            return STOP_LEADING
+        return None
+
+    visited: list[int] = []
+    interval: list[int] = []
+    a = start
+    first = True
+    stop_reason, stop_index = STOP_WRAPPED, None
+    for _ in range(m + 1):
+        if not (first and skip_start_check):
+            reason = classify(a)
+            if reason:
+                stop_reason, stop_index = reason, a
+                break
+        visited.append(a)
+        inter = inter_perm[a]
+        reason = classify(inter)
+        if reason:
+            stop_reason, stop_index = reason, inter
+            break
+        visited.append(inter)
+        interval.append(a)
+        a = (a + step) % m
+        first = False
+        if a == start:
+            break
+    return start, visited, interval, stop_reason, stop_index

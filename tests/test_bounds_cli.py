@@ -206,6 +206,9 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
     assert cli_main(["criterion", "--p", "11"]) == 2  # neither --l nor --all-l-up-to
     capsys.readouterr()
+    # |P^1| = 1000003^2 + 1000003 is past MAX_P1_SIZE: refused before any work
+    assert cli_main(["p1", "--p", "1000003", "--n", "2"]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_cli_reruns_byte_identical(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from windsym.hecke_symbols import SigmaRSet, sigma_r_set
-from windsym.residue_p1 import PrimePower
+from windsym.residue_p1 import P1Table, PrimePower
 from windsym.winding_paths import (
     CHAIN_A,
     CHAIN_B,
@@ -20,7 +20,7 @@ from windsym.winding_paths import (
     walk_chain_B,
     walk_chain_B_prime,
 )
-from oracles import get_table
+from oracles import DIFFERENTIAL_LEVELS, get_table, walk_oracle
 
 
 def test_chain_A_start_and_bound_101_r2():
@@ -85,6 +85,29 @@ def test_chain_interval_is_consecutive_and_clean():
                 chain.stop_index in sig.members
                 or chain.stop_index == sig.leading_index
             )
+
+
+@pytest.mark.parametrize("p, n", DIFFERENTIAL_LEVELS)
+def test_walks_match_permutation_oracle(p, n):
+    # r up to 8 covers B' (p | r) at p = 2, 3, 5 and 7
+    table = get_table(p, n)
+    for r in range(1, 9):
+        sig = sigma_r_set(r, table)
+        second = walk_chain_B_prime if r % p == 0 else walk_chain_B
+        for chain in (walk_chain_A(r, table, sig), second(r, table, sig)):
+            got = (chain.start_index, chain.visited, chain.interval,
+                   chain.stop_reason, chain.stop_index)
+            assert got == walk_oracle(chain.label, r, table.pp, sig)
+
+
+def test_walks_build_no_permutation():
+    for p, n, r in [(101, 1, 3), (2, 7, 2)]:
+        table = P1Table(PrimePower(p, n))
+        sig = sigma_r_set(r, table)
+        walk_chain_A(r, table, sig)
+        (walk_chain_B_prime if r % p == 0 else walk_chain_B)(r, table, sig)
+        assert "sigma_perm" not in vars(table)
+        assert "tau_perm" not in vars(table)
 
 
 def test_chain_A_sigma_images_of_mains_are_on_chain():
