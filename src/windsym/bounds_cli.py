@@ -345,7 +345,7 @@ def _chain_report(chain, pp, r, d_param):
         "chain": chain.label,
         "start_index": chain.start_index,
         "interval_len": chain.interval_length,
-        "visited": len(chain.visited),
+        "visited": chain.visited_count,
         "stop_reason": chain.stop_reason,
         "bound": str(bound),
         "bound_applicable": applicable,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import divisors, factorize, is_prime, kronecker, sigma0
+from .arith import divisors, factorize, is_prime, kronecker
 
 # ---------------------------------------------------------------------------
 # Coefficient rings
@@ -1016,9 +1016,7 @@ def oldclass_blocks(
     leads = divisors(rest)
     basis = [d * q**j for d in leads for j in range(m + 1)]
     block = build_Up_matrix(case, a_q, eps_q, lam, m, p=q)
-    count = sigma0(rest)
-    assert count == len(leads)
-    return OldclassBlocks(q, m, co_level, leads, basis, block, count)
+    return OldclassBlocks(q, m, co_level, leads, basis, block, len(leads))
 
 
 __all__ = [

@@ -31,7 +31,12 @@ MAX_P1_SIZE = 10**7
 
 @dataclass(frozen=True)
 class PrimePower:
-    """A verified prime power p^n (n >= 1)."""
+    """A verified prime power p^n (n >= 1).
+
+    p is checked by arith.is_prime, whose verdict is proven only for p below
+    about 3.3e24; above that it rests on an extended Miller-Rabin witness set
+    with no known counterexample.
+    """
 
     p: int
     n: int

@@ -14,12 +14,15 @@ for the backward chains, the tau image for the forward chain.  Those are
 exactly the vertices whose membership in Sigma_r matters when propagating
 the sigma-invariant and tau-invariant coefficients along the walk, so the
 walk stops at the first of them lying in Sigma_r or equal to the leading
-class (1, r).  Each intermediate is computed on demand by table.sigma or
-table.tau, so a walk costs O(its length) and builds no permutation.  The
-affine residues of main vertices visited with a clean intermediate form the
-chain's interval; in regime (r <= D, the bound positive) its length is at
-least p^n/D - D - 2 for chain A and p^n/D^2 - 2 for B and B', as exact
-rational inequalities.
+class (1, r).  That stop is read off Sigma_r rather than found by stepping:
+each obstruction is met as a main vertex at most once, at a step fixed by
+its residue, and as an intermediate at most once, at the step whose main
+vertex is its preimage under sigma or tau (computed on demand).  So the stop
+is the earliest of O(|Sigma_r|) meetings, a walk costs O(|Sigma_r|) whatever
+p^n is, and no permutation is built.  The affine residues of main vertices
+visited with a clean intermediate form the chain's interval; in regime
+(r <= D, the bound positive) its length is at least p^n/D - D - 2 for chain
+A and p^n/D^2 - 2 for B and B', as exact rational inequalities.
 
 The inverse-pair search takes two intervals A, B inside {1..p^n - 1} and
 finds y in A, z in B with y*z = -1 mod p^n; the analytic lemma guarantees a
@@ -27,8 +30,9 @@ pair exists once |A|*|B| >= C'*p^{3n/2} with C' = 8 for odd p and 8*sqrt(2)
 for p = 2.  Thresholds are compared exactly by squaring, never in floats.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import ceil_isqrt
 from .hecke_symbols import SigmaRSet
@@ -45,27 +49,43 @@ CHAIN_B_PRIME = "Bprime"
 
 @dataclass
 class Chain:
-    """Result of one walk: visited vertices (mains and intermediates, in
-    order), the interval of clean affine residues, and why the walk stopped."""
+    """Result of one walk, kept in closed form: the start, the direction,
+    how many clean steps were taken, and why and where the walk stopped.
+
+    The interval (the clean affine residues, in walk order) and the visited
+    vertices (each main vertex followed by its intermediate, then the main
+    vertex whose intermediate stopped the walk, if one did) are rebuilt from
+    those on first read, at O(interval length) cost.
+    """
 
     label: str
     start_index: int
-    visited: list[int]
-    interval: list[int]
+    step: int
+    interval_length: int
     stop_reason: str
     stop_index: int | None
+    stopped_on_intermediate: bool
+    table: P1Table = field(repr=False, compare=False)
 
     @property
-    def interval_length(self) -> int:
-        return len(self.interval)
+    def visited_count(self) -> int:
+        return 2 * self.interval_length + self.stopped_on_intermediate
 
+    @cached_property
+    def interval(self) -> list[int]:
+        m = self.table.pp.modulus
+        return [(self.start_index + self.step * k) % m for k in range(self.interval_length)]
 
-def _classify_stop(idx: int, sigma_r: SigmaRSet) -> str | None:
-    if idx in sigma_r.members:
-        return STOP_SIGMA_R
-    if idx == sigma_r.leading_index:
-        return STOP_LEADING
-    return None
+    @cached_property
+    def visited(self) -> list[int]:
+        inter_of = self.table.sigma if self.step == -1 else self.table.tau
+        out: list[int] = []
+        for a in self.interval:
+            out += (a, inter_of(a))
+        if self.stopped_on_intermediate:
+            m = self.table.pp.modulus
+            out.append((self.start_index + self.step * self.interval_length) % m)
+        return out
 
 
 def _walk(
@@ -76,34 +96,28 @@ def _walk(
     sigma_r: SigmaRSet,
     skip_start_check: bool,
 ) -> Chain:
+    """For k = 0..p^n - 1 the walk checks the main vertex a_k = start +
+    k*step mod p^n, then its intermediate, which is x exactly when a_k is
+    x's preimage: sigma(x) on the backward chains (sigma is an involution),
+    tau(tau(x)) on B' (tau has order 3)."""
     m = table.pp.modulus
-    inter_of = table.sigma if step == -1 else table.tau
-    visited: list[int] = []
-    interval: list[int] = []
-    a = start_affine
-    first = True
-    stop_reason, stop_index = STOP_WRAPPED, None
-    for _ in range(m + 1):
-        idx = a  # affine residue a has table index a
-        if not (first and skip_start_check):
-            reason = _classify_stop(idx, sigma_r)
-            if reason:
-                stop_reason, stop_index = reason, idx
-                break
-        visited.append(idx)
-        inter = inter_of(idx)
-        reason = _classify_stop(inter, sigma_r)
-        if reason:
-            stop_reason, stop_index = reason, inter
-            break
-        visited.append(inter)
-        interval.append(a)
-        a = (a + step) % m
-        first = False
-        if a == start_affine:
-            stop_reason, stop_index = STOP_WRAPPED, None
-            break
-    return Chain(label, start_affine, visited, interval, stop_reason, stop_index)
+    preimage = table.sigma if step == -1 else (lambda x: table.tau(table.tau(x)))
+    meetings = []  # (k, 0 for main or 1 for intermediate, x)
+    for x in sigma_r.members | {sigma_r.leading_index}:
+        if not 0 <= x < table.size:
+            continue
+        if x < m:  # affine residue x has table index x
+            k = step * (x - start_affine) % m
+            if k or not skip_start_check:
+                meetings.append((k, 0, x))
+        a = preimage(x)
+        if a < m:
+            meetings.append((step * (a - start_affine) % m, 1, x))
+    if not meetings:
+        return Chain(label, start_affine, step, m, STOP_WRAPPED, None, False, table)
+    k, phase, x = min(meetings)
+    reason = STOP_SIGMA_R if x in sigma_r.members else STOP_LEADING
+    return Chain(label, start_affine, step, k, reason, x, phase == 1, table)
 
 
 def walk_chain_A(r: int, table: P1Table, sigma_r: SigmaRSet) -> Chain:

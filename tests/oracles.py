@@ -4,15 +4,18 @@ Everything here is deliberately computed by a different route than the
 library code it checks: classical genus/cusp-count formulas, brute-force
 enumerations, pentagonal-number eta expansions, and exhaustive matrix
 searches in Gamma_0(N), the general-purpose sparse echelon and dense
-Smith form that the library's graph presentation replaced, and the eager
+Smith form that the library's graph presentation replaced, the eager
 sigma/tau permutations and permutation-driven chain walker that the
-on-demand actions replaced.
+on-demand actions replaced, and the step-by-step walker that the
+closed-form chain stops replaced.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from hypothesis import strategies as st
 
 from windsym.arith import divisors, euler_phi, factorize, is_prime, kronecker
 from windsym.residue_p1 import KIND_AFFINE, KIND_INFINITE, P1Point, P1Table, PrimePower
@@ -372,6 +375,23 @@ DIFFERENTIAL_LEVELS = (
 )
 
 
+# Levels p^n <= limit for the property tests: p is the largest prime at most
+# a draw, with extra weight on 2, 3, 5 and 7 so that deep infinite branches
+# come up, or a draw from `primes` when given.
+@st.composite
+def prime_powers(draw, limit=10**12, primes=None):
+    if primes:
+        p = draw(st.sampled_from(primes))
+    else:
+        p = draw(st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(2, limit)))
+        while not is_prime(p):
+            p -= 1
+    n_max = 1
+    while p ** (n_max + 1) <= limit:
+        n_max += 1
+    return PrimePower(p, draw(st.integers(1, n_max)))
+
+
 @lru_cache(maxsize=None)
 def eager_permutations(p: int, n: int) -> tuple[list[int], list[int]]:
     """sigma and tau as dense index permutations, by the eager loop over an
@@ -394,18 +414,22 @@ def eager_permutations(p: int, n: int) -> tuple[list[int], list[int]]:
     return sigma_perm, tau_perm
 
 
+def chain_definition(label: str, r: int, m: int) -> tuple[int, int, bool]:
+    """(start, step, skip_start_check) of a chain, from its definition."""
+    if label == CHAIN_A:
+        return (-r - 1) % m, -1, False
+    if label == CHAIN_B:
+        return pow(r, -1, m), -1, True
+    return r * pow(r - 1, -1, m) % m, +1, False
+
+
 def walk_oracle(label: str, r: int, pp: PrimePower, sigma_r) -> tuple:
     """A chain walk read off the eager permutations: (start, visited,
     interval, stop_reason, stop_index), with the start and direction taken
     from the chain's definition."""
     m = pp.modulus
     sigma_perm, tau_perm = eager_permutations(pp.p, pp.n)
-    if label == CHAIN_A:
-        start, step, skip_start_check = (-r - 1) % m, -1, False
-    elif label == CHAIN_B:
-        start, step, skip_start_check = pow(r, -1, m), -1, True
-    else:
-        start, step, skip_start_check = r * pow(r - 1, -1, m) % m, +1, False
+    start, step, skip_start_check = chain_definition(label, r, m)
     inter_perm = sigma_perm if step == -1 else tau_perm
 
     def classify(idx):
@@ -439,3 +463,51 @@ def walk_oracle(label: str, r: int, pp: PrimePower, sigma_r) -> tuple:
         if a == start:
             break
     return start, visited, interval, stop_reason, stop_index
+
+
+def _classify_stop(idx: int, sigma_r) -> str | None:
+    if idx in sigma_r.members:
+        return STOP_SIGMA_R
+    if idx == sigma_r.leading_index:
+        return STOP_LEADING
+    return None
+
+
+def stepwise_walk(
+    start_affine: int,
+    step: int,
+    table: P1Table,
+    sigma_r,
+    skip_start_check: bool,
+) -> tuple:
+    """A chain walk taken one step at a time with the on-demand actions,
+    as the library walked before it read the stop off Sigma_r in closed
+    form: (start, visited, interval, stop_reason, stop_index)."""
+    m = table.pp.modulus
+    inter_of = table.sigma if step == -1 else table.tau
+    visited: list[int] = []
+    interval: list[int] = []
+    a = start_affine
+    first = True
+    stop_reason, stop_index = STOP_WRAPPED, None
+    for _ in range(m + 1):
+        idx = a  # affine residue a has table index a
+        if not (first and skip_start_check):
+            reason = _classify_stop(idx, sigma_r)
+            if reason:
+                stop_reason, stop_index = reason, idx
+                break
+        visited.append(idx)
+        inter = inter_of(idx)
+        reason = _classify_stop(inter, sigma_r)
+        if reason:
+            stop_reason, stop_index = reason, inter
+            break
+        visited.append(inter)
+        interval.append(a)
+        a = (a + step) % m
+        first = False
+        if a == start_affine:
+            stop_reason, stop_index = STOP_WRAPPED, None
+            break
+    return start_affine, visited, interval, stop_reason, stop_index

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -138,6 +139,23 @@ def test_cli_paths_sweep_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "p,n,r,chain,interval_len,bound,pass"
     assert len(lines) == 1 + 2 * 3 * 2  # two levels, three r values, two chains
+
+
+# stdout sha256 and exit code of `paths` runs, pinned from the step-by-step
+# walker so that the closed-form stops reproduce its output byte for byte
+PATHS_GOLDEN = [
+    (("paths", "sweep", "--pn", "4201", "10007", "59049", "--r-max", "6"), 0,
+     "c8137f38ee93cb7818a84eb2acddf597ff407685d71efee76feb6405281cbbe4"),
+    (("paths", "--p", "2", "--n", "17", "--r", "2"), 0,
+     "e4ff98571f32a1e4c2c5ec7f00b77e812e17331aa6cdd470ed916a9108a0eeb9"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PATHS_GOLDEN, ids=["sweep", "2^17-r2"])
+def test_cli_paths_golden_output(capsys, argv, code, digest):
+    rc, out = run_cli(capsys, *argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_bounds_table_csv(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from windsym.arith import sigma0
 from windsym.qexp_hecke import (
     CASE_COPRIME,
     CASE_DIVIDES,
@@ -363,6 +364,18 @@ def _check_blocks_on_series(blocks, f):
         if rhs is None:
             rhs = 0 * basis_series[0]
         assert agree_to_reliable(lhs, rhs), f"column {d}"
+
+
+def test_oldclass_block_count_is_sigma0():
+    # block_count is the number of group leads; sigma_0 of the prime-to-q
+    # part counts the same divisors from the factorization
+    for q in (2, 3, 5, 7, 11):
+        for co_level in range(q, 400, q):
+            blocks = oldclass_blocks(q, co_level, F(1), CASE_COPRIME)
+            rest = co_level // q**blocks.m
+            assert rest % q
+            assert blocks.block_count == sigma0(rest)
+            assert blocks.group_leads == [d for d in range(1, rest + 1) if rest % d == 0]
 
 
 def test_oldclass_blocks_match_series_coprime_case():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from windsym import residue_p1
-from windsym.arith import is_prime
 from windsym.residue_p1 import (
     KIND_AFFINE,
     KIND_INFINITE,
@@ -14,7 +13,13 @@ from windsym.residue_p1 import (
     PrimePower,
     normalize,
 )
-from oracles import DIFFERENTIAL_LEVELS, eager_permutations, get_table, p1_size_bruteforce
+from oracles import (
+    DIFFERENTIAL_LEVELS,
+    eager_permutations,
+    get_table,
+    p1_size_bruteforce,
+    prime_powers,
+)
 
 
 def test_prime_power_validation():
@@ -117,19 +122,6 @@ def test_actions_match_eager_oracle(p, n):
     assert [table.tau(i) for i in range(table.size)] == tau_perm
     assert table.sigma_perm == sigma_perm
     assert table.tau_perm == tau_perm
-
-
-# Levels p^n <= 10^12: p is the largest prime at most a draw, with extra
-# weight on 2, 3, 5 and 7 so that deep infinite branches come up.
-@st.composite
-def prime_powers(draw, limit=10**12):
-    p = draw(st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(2, limit)))
-    while not is_prime(p):
-        p -= 1
-    n_max = 1
-    while p ** (n_max + 1) <= limit:
-        n_max += 1
-    return PrimePower(p, draw(st.integers(1, n_max)))
 
 
 @st.composite

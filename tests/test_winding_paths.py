@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from windsym.hecke_symbols import SigmaRSet, sigma_r_set
 from windsym.residue_p1 import P1Table, PrimePower
@@ -20,7 +21,16 @@ from windsym.winding_paths import (
     walk_chain_B,
     walk_chain_B_prime,
 )
-from oracles import DIFFERENTIAL_LEVELS, get_table, walk_oracle
+from oracles import (
+    DIFFERENTIAL_LEVELS,
+    chain_definition,
+    get_table,
+    prime_powers,
+    stepwise_walk,
+    walk_oracle,
+)
+
+WALKERS = {CHAIN_A: walk_chain_A, CHAIN_B: walk_chain_B, CHAIN_B_PRIME: walk_chain_B_prime}
 
 
 def test_chain_A_start_and_bound_101_r2():
@@ -98,6 +108,47 @@ def test_walks_match_permutation_oracle(p, n):
             got = (chain.start_index, chain.visited, chain.interval,
                    chain.stop_reason, chain.stop_index)
             assert got == walk_oracle(chain.label, r, table.pp, sig)
+
+
+@st.composite
+def chain_cases(draw):
+    """A chain with its r (B' needs p | r, B needs p not dividing r) at a
+    level p^n <= 2*10^5, and either the real Sigma_r or a synthetic one:
+    random indices on both branches, plus main vertices and intermediates a
+    few steps down the walk so that stops land early and in both phases,
+    and a leading index that may lie off P^1 (-1) as well as on it."""
+    label = draw(st.sampled_from(sorted(WALKERS)))
+    if label == CHAIN_B_PRIME:
+        pp = draw(prime_powers(2 * 10**5, primes=[2, 3, 5, 7, 11]))
+        r = pp.p * draw(st.integers(1, 12 // pp.p))
+    else:
+        pp = draw(prime_powers(2 * 10**5))
+        r = draw(st.integers(1, 12))
+        assume(label == CHAIN_A or r % pp.p)
+    table = P1Table(pp)
+    if draw(st.booleans()):
+        return label, r, table, sigma_r_set(r, table)
+    m = pp.modulus
+    start, step, _ = chain_definition(label, r, m)
+    inter_of = table.sigma if step == -1 else table.tau
+    members = set(draw(st.frozensets(st.integers(0, table.size - 1), max_size=8)))
+    for k, on_main in draw(st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=3)):
+        a = (start + step * k) % m
+        members.add(a if on_main else inter_of(a))
+    leading = draw(st.one_of(st.just(-1), st.integers(0, table.size - 1)))
+    return label, r, table, SigmaRSet(r, frozenset(members), leading)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(chain_cases())
+def test_closed_form_stop_matches_stepwise_walk(case):
+    label, r, table, sig = case
+    chain = WALKERS[label](r, table, sig)
+    start, step, skip_start_check = chain_definition(label, r, table.pp.modulus)
+    got = (chain.start_index, chain.visited, chain.interval,
+           chain.stop_reason, chain.stop_index)
+    assert got == stepwise_walk(start, step, table, sig, skip_start_check)
+    assert chain.visited_count == len(chain.visited)
 
 
 def test_walks_build_no_permutation():
@@ -180,6 +231,31 @@ def test_find_inverse_pair_smallest_y_and_postcheck():
         assert got == wanted
         if got:
             assert (got[0] * got[1] + 1) % 101 == 0
+
+
+@st.composite
+def inverse_pair_cases(draw):
+    pp = draw(prime_powers(5000))
+    m = pp.modulus
+    bounds = []
+    for _ in range(2):
+        start = draw(st.integers(1, m - 1))
+        bounds += [start, draw(st.integers(1, m - start))]
+    return pp, IntervalPair(*bounds)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(inverse_pair_cases())
+def test_find_inverse_pair_matches_full_scan(case):
+    pp, pair = case
+    m = pp.modulus
+    b = range(pair.b_start, pair.b_start + pair.b_len)
+    wanted = next(
+        ((y, -pow(y, -1, m) % m) for y in range(pair.a_start, pair.a_start + pair.a_len)
+         if y % pp.p and -pow(y, -1, m) % m in b),
+        None,
+    )
+    assert find_inverse_pair(pair, pp) == wanted
 
 
 def test_find_inverse_pair_scans_smaller_side_same_answer():
