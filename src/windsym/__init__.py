@@ -3,18 +3,17 @@ prime-power level.
 
 Subpackages by concern:
 
-  residue_p1     P^1(Z/p^n Z) tables, normalization, sigma/tau actions
+  residue_p1     P^1(Z/p^n Z) as indices: index/pair arithmetic, sigma/tau actions
   rel_homology   relative homology presentation, Smith certificate, cusp classes
-  hecke_symbols  T_r{0,oo} images, Sigma_r, independence rank tests
+  hecke_symbols  T_r{0,oo} images, Sigma_r, rank over F_l (l = 0 for Q), threshold
   winding_paths  obstruction-avoiding chain walks, inverse-pair search
   qexp_hecke     operator calculus on truncated q-expansions
   bounds_cli     closed-form bounds, constants consistency, CLI
 """
 
-from .residue_p1 import P1Point, P1Table, PrimePower, normalize
+from .residue_p1 import P1Table, PrimePower
 from .rel_homology import (
     Cusp,
-    FieldSpec,
     H1Presentation,
     build_presentation,
     cusp_equivalent,

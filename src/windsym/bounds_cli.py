@@ -36,8 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .arith import factorize, is_prime, smallest_prime_excluding
-from .hecke_symbols import check_kamienny_condition3, sigma_r_set
+from .arith import factorize, is_prime
+from .hecke_symbols import (
+    CriterionThreshold,
+    check_kamienny_condition3,
+    criterion_threshold,
+    sigma_r_set,
+)
 from .qexp_hecke import (
     CASE_COPRIME,
     CASE_DIVIDES,
@@ -46,12 +51,7 @@ from .qexp_hecke import (
     verify_coefficient_identity,
     verify_relations,
 )
-from .rel_homology import (
-    FieldSpec,
-    build_presentation,
-    invariant_generators,
-    smith_invariants,
-)
+from .rel_homology import build_presentation, invariant_generators, smith_invariants
 from .residue_p1 import P1Table, PrimePower
 from .winding_paths import (
     CHAIN_A,
@@ -84,25 +84,6 @@ class BoundReport:
         if self.notes:
             out["notes"] = self.notes
         return out
-
-
-@dataclass
-class CriterionThreshold:
-    p: int
-    d: int
-    s: int
-    c_squared: int
-    threshold: int
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "p": self.p,
-            "d": self.d,
-            "s": self.s,
-            "c_squared": self.c_squared,
-            "threshold": self.threshold,
-        }
 
 
 def prop11_bound(l: int, d: int) -> int:
@@ -153,25 +134,6 @@ def cor18_bound(p: int, d: int) -> int:
     if p == 3:
         return 65 * (5**d - 1) * (2 * d) ** 6
     return 65 * (3**d - 1) * (2 * d) ** 6
-
-
-def cor18_case(p: int) -> str:
-    if p == 2:
-        return "p=2"
-    if p == 3:
-        return "p=3"
-    return "p not in {2,3}"
-
-
-def criterion_threshold(p: int, d: int) -> CriterionThreshold:
-    """Independence threshold C^2 (sd)^6, s the smallest prime != p."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    s = smallest_prime_excluding(p)
-    c2 = 129 if p == 2 else 65
-    return CriterionThreshold(p, d, s, c2, c2 * (s * d) ** 6)
 
 
 LAMBDA_FACTORS = (Fraction(42119, 42120), Fraction(379079, 379080))
@@ -303,11 +265,13 @@ def _cmd_p1(args) -> int:
 
 def _cmd_homology(args) -> int:
     pp = PrimePower(args.p, args.n)
-    field = FieldSpec.rationals() if args.l is None else FieldSpec.prime_field(args.l)
+    l = args.l
+    if l and not is_prime(l):
+        raise ValueError(f"{l} is not prime")
     table = P1Table(pp)
     # one integer presentation serves every field; the record still names
     # the field asked for, in the key position it has always had
-    report = {"schema": SCHEMA, "p": pp.p, "n": pp.n, "field": field.label,
+    report = {"schema": SCHEMA, "p": pp.p, "n": pp.n, "field": f"F{l}" if l else "Q",
               **build_presentation(table).summary()}
     if args.smith:
         inv = smith_invariants(invariant_generators(table))
@@ -579,7 +543,6 @@ __all__ = [
     "prop11_bound",
     "prop11_report",
     "cor18_bound",
-    "cor18_case",
     "criterion_threshold",
     "constants_consistency",
     "LAMBDA_FACTORS",

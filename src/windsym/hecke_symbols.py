@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional
 
 from .arith import is_prime, smallest_prime_excluding
-from .rel_homology import FieldSpec, H1Presentation, build_presentation, reduce_vector
+from .rel_homology import H1Presentation, build_presentation, reduce_vector
 from .residue_p1 import P1Table, PrimePower
 
 
@@ -139,14 +139,17 @@ def _coordinate_rank(rows: list[list[int]], char: int) -> int:
 def hecke_span_rank(
     pp: PrimePower,
     imax: int,
-    field: FieldSpec,
+    l: int,
     presentation: Optional[H1Presentation] = None,
 ) -> int:
-    """Rank over the field of {T_i{0,oo} : 1 <= i <= imax} in the quotient.
+    """Rank of {T_i{0,oo} : 1 <= i <= imax} in the quotient over F_l, or
+    over Q when l = 0.
 
     The images are reduced once, to integer coordinates; only the rank is
     taken over the field.
     """
+    if l and not is_prime(l):
+        raise ValueError(f"{l} is not prime")
     if imax < 0:
         raise ValueError("imax must be >= 0")
     if imax == 0:
@@ -157,7 +160,39 @@ def hecke_span_rank(
         reduce_vector(winding_image(i, presentation.table), presentation)
         for i in range(1, imax + 1)
     ]
-    return _coordinate_rank(rows, field.char)
+    return _coordinate_rank(rows, l)
+
+
+@dataclass
+class CriterionThreshold:
+    """The level C^2 (sd)^6 from which the rank test is guaranteed to pass."""
+
+    p: int
+    d: int
+    s: int
+    c_squared: int
+    threshold: int
+
+    def to_json(self) -> dict:
+        return {
+            "schema": 1,
+            "p": self.p,
+            "d": self.d,
+            "s": self.s,
+            "c_squared": self.c_squared,
+            "threshold": self.threshold,
+        }
+
+
+def criterion_threshold(p: int, d: int) -> CriterionThreshold:
+    """Independence threshold C^2 (sd)^6, s the smallest prime != p."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    s = smallest_prime_excluding(p)
+    c2 = 129 if p == 2 else 65
+    return CriterionThreshold(p, d, s, c2, c2 * (s * d) ** 6)
 
 
 @dataclass
@@ -204,25 +239,21 @@ def check_kamienny_condition3(p: int, n: int, d: int, l: int) -> CriterionReport
     """
     if not is_prime(l):
         raise ValueError(f"l={l} must be prime")
-    if d < 1:
-        raise ValueError("d must be >= 1")
     pp = PrimePower(p, n)
-    s = smallest_prime_excluding(p)
-    required = s * d
-    c_squared = 129 if p == 2 else 65
-    threshold = c_squared * (s * d) ** 6
-    achieved = hecke_span_rank(pp, required, FieldSpec.prime_field(l))
+    thr = criterion_threshold(p, d)
+    required = thr.s * d
+    achieved = hecke_span_rank(pp, required, l)
     return CriterionReport(
         p=p,
         n=n,
         d=d,
-        s=s,
+        s=thr.s,
         l=l,
         required_rank=required,
         achieved_rank=achieved,
         passed=achieved == required,
-        threshold=threshold,
-        threshold_satisfied=pp.modulus >= threshold,
+        threshold=thr.threshold,
+        threshold_satisfied=pp.modulus >= thr.threshold,
         l_equals_p=l == p,
     )
 
@@ -230,10 +261,12 @@ def check_kamienny_condition3(p: int, n: int, d: int, l: int) -> CriterionReport
 __all__ = [
     "SymbolVector",
     "SigmaRSet",
+    "CriterionThreshold",
     "CriterionReport",
     "admissible_pairs",
     "winding_image",
     "sigma_r_set",
     "hecke_span_rank",
+    "criterion_threshold",
     "check_kamienny_condition3",
 ]

@@ -41,31 +41,8 @@ matrix set {(r/delta, -beta; 0, delta) : delta | r, 0 <= beta < delta}.
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import divisors, euler_phi, is_prime
+from .arith import divisors, euler_phi
 from .residue_p1 import P1Table
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Coefficient field: the rationals (char 0) or a prime field F_l."""
-
-    char: int
-
-    def __post_init__(self):
-        if self.char != 0 and not is_prime(self.char):
-            raise ValueError(f"{self.char} is not prime")
-
-    @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(0)
-
-    @classmethod
-    def prime_field(cls, l: int) -> "FieldSpec":
-        return cls(l)
-
-    @property
-    def label(self) -> str:
-        return "Q" if self.char == 0 else f"F{self.char}"
 
 
 @dataclass(frozen=True)
@@ -355,7 +332,6 @@ def hecke_cusp_action(n_level: int, r: int, x: Cusp) -> list[tuple[Cusp, int]]:
 
 
 __all__ = [
-    "FieldSpec",
     "RelationSpan",
     "H1Presentation",
     "Cusp",

@@ -4,21 +4,24 @@ Everything here is deliberately computed by a different route than the
 library code it checks: classical genus/cusp-count formulas, brute-force
 enumerations, pentagonal-number eta expansions, and exhaustive matrix
 searches in Gamma_0(N), the general-purpose sparse echelon and dense
-Smith form that the library's graph presentation replaced, the eager
-sigma/tau permutations and permutation-driven chain walker that the
+Smith form that the library's graph presentation replaced, the
+P1Point/normalize representative format that P1Table.index replaced, the
+eager sigma/tau permutations and permutation-driven chain walker that the
 on-demand actions replaced, and the step-by-step walker that the
 closed-form chain stops replaced.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import Optional
 
 from hypothesis import strategies as st
 
 from windsym.arith import divisors, euler_phi, factorize, is_prime, kronecker
-from windsym.residue_p1 import KIND_AFFINE, KIND_INFINITE, P1Point, P1Table, PrimePower
+from windsym.residue_p1 import P1Table, PrimePower
 from windsym.winding_paths import (
     CHAIN_A,
     CHAIN_B,
@@ -392,25 +395,70 @@ def prime_powers(draw, limit=10**12, primes=None):
     return PrimePower(p, draw(st.integers(1, n_max)))
 
 
+KIND_AFFINE = "affine"
+KIND_INFINITE = "infinite"
+
+
+@dataclass(frozen=True)
+class P1Point:
+    """One representative: (value, 1) if affine, (1, p*value) on the infinite branch."""
+
+    kind: str
+    value: int
+
+    def pair(self, pp: PrimePower) -> tuple[int, int]:
+        if self.kind == KIND_AFFINE:
+            return (self.value, 1)
+        return (1, pp.p * self.value)
+
+
+def normalize(c: int, d: int, pp: PrimePower) -> Optional[P1Point]:
+    """Unique representative of the class (c : d), or None when p | gcd(c, d).
+
+    A pair with p dividing both entries defines no point of P^1; callers
+    treat the corresponding symbol as zero.  Total function, never raises.
+    """
+    m = pp.modulus
+    p = pp.p
+    c %= m
+    d %= m
+    if c % p == 0 and d % p == 0:
+        return None
+    if d % p != 0:
+        return P1Point(KIND_AFFINE, c * pow(d, -1, m) % m)
+    rp = (d * pow(c, -1, m) % m) // p
+    return P1Point(KIND_INFINITE, rp)
+
+
+def normalized_index(c: int, d: int, pp: PrimePower) -> Optional[int]:
+    """Index of the class (c : d) through its P1Point: affine points at their
+    residue, the infinite branch after them."""
+    pt = normalize(c, d, pp)
+    if pt is None:
+        return None
+    if pt.kind == KIND_AFFINE:
+        return pt.value
+    return pp.modulus + pt.value
+
+
 @lru_cache(maxsize=None)
 def eager_permutations(p: int, n: int) -> tuple[list[int], list[int]]:
     """sigma and tau as dense index permutations, by the eager loop over an
     enumerated point list that P1Table ran at construction before its
-    actions were computed on demand."""
+    actions were computed on demand, indexed through normalize."""
     pp = PrimePower(p, n)
-    table = get_table(p, n)
     m = pp.modulus
     mp = m // pp.p
     points = tuple(
         [P1Point(KIND_AFFINE, r) for r in range(m)]
         + [P1Point(KIND_INFINITE, r) for r in range(mp)]
     )
-    sigma_perm = [0] * table.size
-    tau_perm = [0] * table.size
+    sigma_perm = [0] * len(points)
+    tau_perm = [0] * len(points)
     for i, pt in enumerate(points):
         w, t = pt.pair(pp)
-        sigma_perm[i] = table.index(-t, w)
-        tau_perm[i] = table.index(-t, w + t)
+        sigma_perm[i] = normalized_index(-t, w, pp)
+        tau_perm[i] = normalized_index(-t, w + t, pp)
     return sigma_perm, tau_perm
 
 

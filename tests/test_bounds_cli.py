@@ -77,8 +77,11 @@ def test_criterion_threshold_values():
 
 
 def test_threshold_agrees_with_criterion_report():
+    from windsym import hecke_symbols
     from windsym.hecke_symbols import check_kamienny_condition3
 
+    # one formula: the CLI re-exports the criterion's own threshold
+    assert criterion_threshold is hecke_symbols.criterion_threshold
     for p, d in [(5, 1), (2, 1), (3, 2), (11, 1)]:
         thr = criterion_threshold(p, d)
         rep = check_kamienny_condition3(p, 1, d, 3 if p != 3 else 5)
@@ -158,6 +161,32 @@ def test_cli_paths_golden_output(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout sha256 and exit code of the table, homology and criterion commands,
+# pinned from the P1Point/normalize representatives and the FieldSpec field
+# labels before P1Table.index took over both
+CLI_GOLDEN = {
+    "p1-verify": (("p1", "--p", "101", "--n", "2", "--verify"), 0,
+                  "d6dec019ab07ee2361475422c982bea21a9853d8db29c7c7115dcca97402a4e3"),
+    "homology-smith": (("homology", "--p", "4201", "--l", "3", "--smith"), 0,
+                       "0b0ee0e9bceb11ab9fe3bf4d3a21513f7c579d59ae8b55e1f4b09e3fb6bf0b6c"),
+    "homology-l0": (("homology", "--p", "11", "--l", "0"), 0,
+                    "35b0f099828cee970143cbe1fdabe80af13ce7d406075089c40612a1c3ceecb0"),
+    "criterion-all-l": (("criterion", "--p", "4201", "--d", "1", "--all-l-up-to", "13"), 0,
+                        "49f49b19d1ab47bb2b2339314ed2464cd08e9e32bf6a450f6e107f8127d08a57"),
+    "criterion-2^11": (("criterion", "--p", "2", "--n", "11", "--d", "2", "--l", "3"), 0,
+                       "fac6c521dfc646f4952997fe692e6ff8f2bbbca41a8bcb329567397ec39c2a1d"),
+    "paths-1000003": (("paths", "--p", "1000003", "--r", "6"), 0,
+                      "d4e48838a605b4f664659d72e8e28d9d118920ccbe353acc337911895fb70a36"),
+}
+
+
+@pytest.mark.parametrize("argv, code, digest", CLI_GOLDEN.values(), ids=CLI_GOLDEN.keys())
+def test_cli_golden_output(capsys, argv, code, digest):
+    rc, out = run_cli(capsys, *argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_bounds_table_csv(capsys):
     rc, out = run_cli(capsys, "bounds", "--table", "--d-max", "5", "--csv")
     assert rc == 0
@@ -224,9 +253,15 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
     assert cli_main(["criterion", "--p", "11"]) == 2  # neither --l nor --all-l-up-to
     capsys.readouterr()
-    # |P^1| = 1000003^2 + 1000003 is past MAX_P1_SIZE: refused before any work
-    assert cli_main(["p1", "--p", "1000003", "--n", "2"]) == 2
+    # |P^1| = 1000003^2 + 1000003 is past MAX_P1_SIZE: the commands that need
+    # the dense permutations are refused before any per-point work
+    assert cli_main(["p1", "--p", "1000003", "--n", "2", "--verify"]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
+    assert cli_main(["criterion", "--p", "1000003", "--n", "2", "--d", "1", "--l", "3"]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    # the chain walks need no permutation, so paths runs past the limit
+    assert cli_main(["paths", "--p", "10000019", "--r", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 10000019
 
 
 def test_cli_reruns_byte_identical(capsys):
@@ -259,6 +294,15 @@ def test_cli_homology_record(capsys):
         ("relation_rank", 9),
         ("quotient_dim", 3),
     ]
+
+
+def test_cli_homology_field_label(capsys):
+    for argv, label in [((), "Q"), (("--l", "0"), "Q"), (("--l", "7"), "F7")]:
+        rc, out = run_cli(capsys, "homology", "--p", "11", *argv)
+        assert rc == 0
+        assert json.loads(out)["field"] == label
+    assert cli_main(["homology", "--p", "11", "--l", "6"]) == 2
+    assert capsys.readouterr().err == "error: 6 is not prime\n"
 
 
 def test_module_entry_point():

@@ -8,7 +8,6 @@ from windsym.hecke_symbols import (
     sigma_r_set,
     winding_image,
 )
-from windsym.rel_homology import FieldSpec
 from windsym.residue_p1 import PrimePower
 from oracles import get_table, winding_pairs_bruteforce
 
@@ -96,8 +95,10 @@ def test_coefficient_total_cross_check(p, n):
 
 def test_hecke_span_rank_examples():
     pp = PrimePower(11, 1)
-    assert hecke_span_rank(pp, 0, FieldSpec.rationals()) == 0
-    assert hecke_span_rank(pp, 1, FieldSpec.rationals()) == 1
+    assert hecke_span_rank(pp, 0, 0) == 0
+    assert hecke_span_rank(pp, 1, 0) == 1
+    with pytest.raises(ValueError, match="6 is not prime"):
+        hecke_span_rank(pp, 1, 6)
 
 
 def test_coordinate_rank_is_exact():
@@ -114,13 +115,13 @@ def test_hecke_span_rank_monotone_and_field_bound():
     prev = 0
     ranks_q = []
     for imax in range(1, 6):
-        r = hecke_span_rank(pp, imax, FieldSpec.rationals())
+        r = hecke_span_rank(pp, imax, 0)
         assert r >= prev
         prev = r
         ranks_q.append(r)
     for l in (2, 3, 5):
         for imax in range(1, 6):
-            rl = hecke_span_rank(pp, imax, FieldSpec.prime_field(l))
+            rl = hecke_span_rank(pp, imax, l)
             assert rl <= ranks_q[imax - 1]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from windsym.rel_homology import (
     Cusp,
-    FieldSpec,
     RelationSpan,
     build_presentation,
     cusp_equivalent,
@@ -127,13 +126,6 @@ def test_prime_field_dims_agree_with_rationals(l):
         dq = EchelonPresentation(rel, 0).quotient_dim
         dl = EchelonPresentation(rel, l).quotient_dim
         assert dq == dl == build_presentation(table).quotient_dim
-
-
-def test_field_spec_validation():
-    with pytest.raises(ValueError):
-        FieldSpec.prime_field(6)
-    assert FieldSpec.rationals().label == "Q"
-    assert FieldSpec.prime_field(7).label == "F7"
 
 
 def test_smith_diagonal_known_matrices():

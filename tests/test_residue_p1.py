@@ -1,22 +1,15 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from windsym import residue_p1
-from windsym.residue_p1 import (
-    KIND_AFFINE,
-    KIND_INFINITE,
-    P1Point,
-    P1Table,
-    PrimePower,
-    normalize,
-)
+from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
     DIFFERENTIAL_LEVELS,
     eager_permutations,
     get_table,
+    normalized_index,
     p1_size_bruteforce,
     prime_powers,
 )
@@ -45,27 +38,32 @@ def test_table_sizes_against_enumeration_oracle(p, n, size):
 
 
 def test_normalize_examples():
-    pp11 = PrimePower(11, 1)
+    table = P1Table(PrimePower(11, 1))
     # 3^{-1} = 4 mod 11 and 2*4 = 8
-    assert normalize(2, 3, pp11) == P1Point(KIND_AFFINE, 8)
-    assert normalize(0, 1, pp11) == P1Point(KIND_AFFINE, 0)
+    assert table.index(2, 3) == 8
+    assert table.index(0, 1) == 0
     # p | gcd(2, 4): no point
-    assert normalize(2, 4, PrimePower(2, 5)) is None
-    # (-1, 0) is the infinite-branch point (1, 0)
-    assert normalize(-1, 0, pp11) == P1Point(KIND_INFINITE, 0)
+    assert P1Table(PrimePower(2, 5)).index(2, 4) is None
+    # (-1, 0) is the infinite-branch point (1, 0), the first index after 0..10
+    assert table.index(-1, 0) == 11
+    assert table.pair(11) == (1, 0)
+    # at 3^2, (2 : 3) = (1 : 3 * 2^{-1}) = (1 : 6) = (1, 3 * 2): r' = 2
+    assert P1Table(PrimePower(3, 2)).index(2, 3) == 9 + 2
 
 
 def test_normalize_idempotent_random():
     rng = random.Random(7)
     for p, n in [(5, 2), (2, 4), (13, 1)]:
-        pp = PrimePower(p, n)
+        table = P1Table(PrimePower(p, n))
+        m = table.pp.modulus
         for _ in range(200):
-            c, d = rng.randrange(pp.modulus), rng.randrange(pp.modulus)
-            pt = normalize(c, d, pp)
-            if pt is None:
+            c, d = rng.randrange(-m, m), rng.randrange(-m, m)
+            i = table.index(c, d)
+            if i is None:
                 assert c % p == 0 and d % p == 0
             else:
-                assert normalize(*pt.pair(pp), pp) == pt
+                assert 0 <= i < table.size
+                assert table.index(*table.pair(i)) == i
 
 
 def test_sigma_tau_examples():
@@ -110,8 +108,13 @@ def test_index_map_consistency():
 def test_size_guard():
     pp = PrimePower(1000003, 2)
     assert pp.modulus + pp.modulus // pp.p > residue_p1.MAX_P1_SIZE
+    # the O(1) methods work at any level; only the dense permutations are refused
+    table = P1Table(pp)
+    assert table.sigma(table.sigma(5)) == 5
     with pytest.raises(ValueError, match="exceeds the limit"):
-        P1Table(pp)
+        table.sigma_perm
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        table.tau_perm
 
 
 @pytest.mark.parametrize("p, n", DIFFERENTIAL_LEVELS)
@@ -124,15 +127,28 @@ def test_actions_match_eager_oracle(p, n):
     assert table.tau_perm == tau_perm
 
 
+@pytest.mark.parametrize("p, n", DIFFERENTIAL_LEVELS)
+def test_index_matches_normalize_oracle(p, n):
+    pp = PrimePower(p, n)
+    table = P1Table(pp)
+    m = pp.modulus
+    rng = random.Random(p * 1000 + n)
+    pairs = [(rng.randrange(-2 * m, 2 * m), rng.randrange(-2 * m, 2 * m)) for _ in range(300)]
+    # pairs on the infinite branch and pairs defining no point, which uniform
+    # draws at large p almost never hit
+    pairs += [(rng.randrange(m), p * rng.randrange(m)) for _ in range(100)]
+    pairs += [(p * rng.randrange(m), p * rng.randrange(m)) for _ in range(20)]
+    for c, d in pairs:
+        assert table.index(c, d) == normalized_index(c, d, pp), (c, d)
+
+
 @st.composite
 def levels_and_indices(draw):
     """A table at a level up to 10^12, mostly past MAX_P1_SIZE, with a point
-    on either branch and an affine residue.  The guard bounds the dense
-    permutations; these tests call only the O(1) methods, so it is lifted
-    for them."""
+    on either branch and an affine residue.  The tests call only the O(1)
+    methods, which the size guard on the dense permutations leaves alone."""
     pp = draw(prime_powers())
-    with mock.patch.object(residue_p1, "MAX_P1_SIZE", 2 * pp.modulus):
-        table = P1Table(pp)
+    table = P1Table(pp)
     m = pp.modulus
     on_branch = draw(st.booleans())
     i = draw(st.integers(m, table.size - 1) if on_branch else st.integers(0, m - 1))
@@ -154,8 +170,9 @@ def test_action_properties_random_levels(case):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(prime_powers(), st.data())
 def test_normalize_unit_scaling_random_levels(pp, data):
+    table = P1Table(pp)
     m = pp.modulus
     c, d, u = (data.draw(st.integers(0, m - 1)) for _ in range(3))
     if u % pp.p == 0:
         u += 1
-    assert normalize(u * c, u * d, pp) == normalize(c, d, pp)
+    assert table.index(u * c, u * d) == table.index(c, d)
