@@ -16,6 +16,15 @@ reliable order R alongside its stored order T: B_d turns R into min(T, R*d),
 while t_p and U_q consume high coefficients and leave only floor(R/p).
 Comparisons beyond R are forbidden; the guarded accessor enforces that.
 
+The operators act on the coefficient tuple by slices: U_q reads
+coeffs[q-1::q], B_d writes coeffs into every d-th slot of a zero list, and
+t_p adds eps(p) p^{lambda-1} a_j only at the T//p positions jp of the U_p
+slice.  They are Q-linear with integer factors, so verify_relations and
+verify_coefficient_identity run on L*f, L = lcm(1..12) the common
+denominator of the random series, in integer arithmetic: a relation holds
+on f exactly when it holds on L*f.  The relation checks stream the trials,
+one series alive at a time.
+
 Composite operators follow T_{p^{k+1}} = T_p T_{p^k} - eps(p) p^{lambda-1}
 T_{p^{k-1}} on prime powers and multiplicativity across coprime factors,
 which yields the pairing identity a_1(T_n f) = a_n(f) for every series.
@@ -378,10 +387,12 @@ def first_disagreement(f: QExpansion, g: QExpansion):
     """First n within the shared reliable range where the series differ,
     as (n, f_n, g_n); None when they agree."""
     r = min(f.reliable, g.reliable)
-    for n in range(1, r + 1):
-        if f.raw(n) != g.raw(n):
-            return (n, f.raw(n), g.raw(n))
-    return None
+    a, b = f.coeffs[:r], g.coeffs[:r]
+    if a == b:
+        return None
+    for n, (x, y) in enumerate(zip(a, b), 1):
+        if x != y:
+            return (n, x, y)
 
 
 def is_zero_to_reliable(f: QExpansion, up_to: int | None = None) -> bool:
@@ -398,7 +409,8 @@ def op_B(d: int, f: QExpansion) -> QExpansion:
     """B_d: a_n -> a_{n/d}; reliable order grows to min(T, R*d)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    out = [f.raw(n // d) if n % d == 0 else 0 for n in range(1, f.order + 1)]
+    out = [0] * f.order
+    out[d - 1 :: d] = f.coeffs[: f.order // d]
     return QExpansion(
         tuple(out), f.order, min(f.order, f.reliable * d), f.weight, f.eps
     )
@@ -409,12 +421,9 @@ def op_t(p: int, f: QExpansion) -> QExpansion:
     if not is_prime(p):
         raise ValueError(f"t_p needs p prime, got {p}")
     fac = f.eps(p) * p ** (f.weight - 1)
-    out = []
-    for n in range(1, f.order + 1):
-        v = f.raw(n * p)
-        if fac and n % p == 0:
-            v = v + fac * f.raw(n // p)
-        out.append(v)
+    out = _every(p, f)
+    if fac:
+        out[p - 1 :: p] = [v + fac * a for v, a in zip(out[p - 1 :: p], f.coeffs)]
     return QExpansion(tuple(out), f.order, f.reliable // p, f.weight, f.eps)
 
 
@@ -422,8 +431,16 @@ def op_U(q: int, f: QExpansion) -> QExpansion:
     """U_q: a_n -> a_{nq}; reliable order R//q."""
     if not is_prime(q):
         raise ValueError(f"U_q needs q prime, got {q}")
-    out = [f.raw(n * q) for n in range(1, f.order + 1)]
-    return QExpansion(tuple(out), f.order, f.reliable // q, f.weight, f.eps)
+    return QExpansion(
+        tuple(_every(q, f)), f.order, f.reliable // q, f.weight, f.eps
+    )
+
+
+def _every(q: int, f: QExpansion) -> list:
+    """a_q, a_2q, ..., a_Tq as a list, with a_m = 0 for m > T."""
+    out = list(f.coeffs[q - 1 :: q])
+    out += [0] * (f.order - len(out))
+    return out
 
 
 def op_T(n: int, f: QExpansion) -> QExpansion:
@@ -458,6 +475,22 @@ def random_series(
 ) -> QExpansion:
     coeffs = [
         Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(order)
+    ]
+    return QExpansion(tuple(coeffs), order, order, weight, eps)
+
+
+# lcm(1..12): every denominator random_series draws divides it.
+SERIES_DENOMINATOR_LCM = 27720
+
+
+def _integral_series(
+    rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
+) -> QExpansion:
+    """L * random_series(rng, ...) with L = SERIES_DENOMINATOR_LCM, as ints:
+    the same draws in the same order, so the same rng state afterwards."""
+    coeffs = [
+        rng.randint(-20, 20) * (SERIES_DENOMINATOR_LCM // rng.randint(1, 12))
+        for _ in range(order)
     ]
     return QExpansion(tuple(coeffs), order, order, weight, eps)
 
@@ -566,24 +599,39 @@ def verify_relations(
     order of both sides.  Also hunts the expected counterexample showing
     t_p B_d = B_d t_p genuinely needs gcd(p, d) = 1 (p = d = 3 fails at the
     first coefficient already for f = x).
+
+    The series are those of random_series(random.Random(seed), ...), each
+    scaled by L = lcm(1..12) to integers: the operators are Q-linear, so a
+    relation holds on f exactly when it holds on L*f, and a failure prints
+    the coefficients divided back by L.  Trials are drawn one at a time and
+    run through every check that has not failed yet; each check keeps its
+    first failing trial, as a check-by-check pass over all series would.
     """
     if order < 8:
         raise ValueError("order must be >= 8")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    series = [random_series(rng, order, weight, eps) for _ in range(trials)]
-    checks = []
-    for name, param_list, make in _RELATION_SUITE:
-        for params in param_list:
-            failure = ""
-            for i, f in enumerate(series):
-                lhs, rhs = make(*params, f)
-                bad = first_disagreement(lhs, rhs)
-                if bad is not None:
-                    failure = f"trial {i}: coefficient {bad[0]}: {bad[1]} != {bad[2]}"
-                    break
-            checks.append(
-                RelationCheck(name, str(params), trials, failure == "", failure)
-            )
+    cases = [
+        (name, params, make)
+        for name, param_list, make in _RELATION_SUITE
+        for params in param_list
+    ]
+    failures = [""] * len(cases)
+    for i in range(trials):
+        f = _integral_series(rng, order, weight, eps)
+        for j, (_, params, make) in enumerate(cases):
+            if failures[j]:
+                continue
+            bad = first_disagreement(*make(*params, f))
+            if bad is not None:
+                n, x, y = bad
+                x, y = Fraction(x, SERIES_DENOMINATOR_LCM), Fraction(y, SERIES_DENOMINATOR_LCM)
+                failures[j] = f"trial {i}: coefficient {n}: {x} != {y}"
+    checks = [
+        RelationCheck(name, str(params), trials, failure == "", failure)
+        for (name, params, _), failure in zip(cases, failures)
+    ]
     witness = first_disagreement(
         op_t(3, op_B(3, make_qexp([1], order=order, weight=weight, eps=eps))),
         op_B(3, op_t(3, make_qexp([1], order=order, weight=weight, eps=eps))),
@@ -606,13 +654,16 @@ def verify_coefficient_identity(
     weight: int = 2,
     eps: DirichletCharacter = TRIVIAL_CHARACTER,
 ) -> RelationCheck:
-    """a_1(T_n f) = a_n(f) for all n <= nmax on seeded random series."""
+    """a_1(T_n f) = a_n(f) for all n <= nmax on seeded random series, run on
+    the integer series L*f as in verify_relations."""
     if order < nmax:
         raise ValueError("order must be >= nmax")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     failure = ""
     for i in range(trials):
-        f = random_series(rng, order, weight, eps)
+        f = _integral_series(rng, order, weight, eps)
         for n in range(1, nmax + 1):
             if op_T(n, f).coeff(1) != f.raw(n):
                 failure = f"trial {i}: n={n}"
@@ -658,6 +709,8 @@ def build_Up_matrix(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if p is not None and not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     n = k + 1
     entries = [[0] * n for _ in range(n)]
     for i in range(n - 1):

@@ -7,8 +7,11 @@ searches in Gamma_0(N), the general-purpose sparse echelon and dense
 Smith form that the library's graph presentation replaced, the
 P1Point/normalize representative format that P1Table.index replaced, the
 eager sigma/tau permutations and permutation-driven chain walker that the
-on-demand actions replaced, and the step-by-step walker that the
-closed-form chain stops replaced.
+on-demand actions replaced, the step-by-step walker that the
+closed-form chain stops replaced, the coefficient-by-coefficient q-expansion
+operators that the slice kernels replaced, the Fraction-series relation
+suite that the integer L*f streaming replaced, and the closed formula for
+the coefficients of T_n.
 """
 
 import random
@@ -20,7 +23,17 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
+from windsym import qexp_hecke
 from windsym.arith import divisors, euler_phi, factorize, is_prime, kronecker
+from windsym.qexp_hecke import (
+    TRIVIAL_CHARACTER,
+    DirichletCharacter,
+    QExpansion,
+    RelationCheck,
+    RelationReport,
+    make_qexp,
+    random_series,
+)
 from windsym.residue_p1 import P1Table, PrimePower
 from windsym.winding_paths import (
     CHAIN_A,
@@ -559,3 +572,100 @@ def stepwise_walk(
             stop_reason, stop_index = STOP_WRAPPED, None
             break
     return start_affine, visited, interval, stop_reason, stop_index
+
+
+# ---------------------------------------------------------------------------
+# q-expansion operators coefficient by coefficient, and the relation suite on
+# Fraction series with every series drawn before the first check
+# ---------------------------------------------------------------------------
+
+
+def coeffwise_first_disagreement(f: QExpansion, g: QExpansion):
+    """First n within the shared reliable range where the series differ,
+    as (n, f_n, g_n); None when they agree."""
+    r = min(f.reliable, g.reliable)
+    for n in range(1, r + 1):
+        if f.raw(n) != g.raw(n):
+            return (n, f.raw(n), g.raw(n))
+    return None
+
+
+def coeffwise_op_B(d: int, f: QExpansion) -> QExpansion:
+    """B_d: a_n -> a_{n/d}; reliable order grows to min(T, R*d)."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    out = [f.raw(n // d) if n % d == 0 else 0 for n in range(1, f.order + 1)]
+    return QExpansion(
+        tuple(out), f.order, min(f.order, f.reliable * d), f.weight, f.eps
+    )
+
+
+def coeffwise_op_t(p: int, f: QExpansion) -> QExpansion:
+    """t_p: a_n -> a_{np} + eps(p) p^{lambda-1} a_{n/p}; reliable order R//p."""
+    if not is_prime(p):
+        raise ValueError(f"t_p needs p prime, got {p}")
+    fac = f.eps(p) * p ** (f.weight - 1)
+    out = []
+    for n in range(1, f.order + 1):
+        v = f.raw(n * p)
+        if fac and n % p == 0:
+            v = v + fac * f.raw(n // p)
+        out.append(v)
+    return QExpansion(tuple(out), f.order, f.reliable // p, f.weight, f.eps)
+
+
+def coeffwise_op_U(q: int, f: QExpansion) -> QExpansion:
+    """U_q: a_n -> a_{nq}; reliable order R//q."""
+    if not is_prime(q):
+        raise ValueError(f"U_q needs q prime, got {q}")
+    out = [f.raw(n * q) for n in range(1, f.order + 1)]
+    return QExpansion(tuple(out), f.order, f.reliable // q, f.weight, f.eps)
+
+
+def hecke_T_formula(n: int, f: QExpansion, m: int):
+    """a_m(T_n f) = sum over d | gcd(m, n) of eps(d) d^{lambda-1} a_{mn/d^2},
+    the closed form of the T_n recursion; reads only a_1..a_{mn}."""
+    total = 0
+    for d in divisors(gcd(m, n)):
+        total = total + f.eps(d) * d ** (f.weight - 1) * f.coeff(m * n // (d * d))
+    return total
+
+
+def fraction_verify_relations(
+    order: int = 200,
+    trials: int = 50,
+    seed: int = 0,
+    weight: int = 2,
+    eps: DirichletCharacter = TRIVIAL_CHARACTER,
+) -> RelationReport:
+    """The relation suite qexp_hecke._RELATION_SUITE (read at call time) on
+    Fraction series, all drawn up front and checked relation by relation."""
+    if order < 8:
+        raise ValueError("order must be >= 8")
+    rng = random.Random(seed)
+    series = [random_series(rng, order, weight, eps) for _ in range(trials)]
+    checks = []
+    for name, param_list, make in qexp_hecke._RELATION_SUITE:
+        for params in param_list:
+            failure = ""
+            for i, f in enumerate(series):
+                lhs, rhs = make(*params, f)
+                bad = coeffwise_first_disagreement(lhs, rhs)
+                if bad is not None:
+                    failure = f"trial {i}: coefficient {bad[0]}: {bad[1]} != {bad[2]}"
+                    break
+            checks.append(
+                RelationCheck(name, str(params), trials, failure == "", failure)
+            )
+    witness = coeffwise_first_disagreement(
+        coeffwise_op_t(3, coeffwise_op_B(3, make_qexp([1], order=order, weight=weight, eps=eps))),
+        coeffwise_op_B(3, coeffwise_op_t(3, make_qexp([1], order=order, weight=weight, eps=eps))),
+    )
+    return RelationReport(
+        order,
+        trials,
+        seed,
+        checks,
+        witness_params="t_3 B_3 vs B_3 t_3 on f = x",
+        witness_found=witness is not None,
+    )

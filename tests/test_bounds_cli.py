@@ -1,6 +1,9 @@
+import csv
 import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -163,7 +166,9 @@ def test_cli_paths_golden_output(capsys, argv, code, digest):
 
 # stdout sha256 and exit code of the table, homology and criterion commands,
 # pinned from the P1Point/normalize representatives and the FieldSpec field
-# labels before P1Table.index took over both
+# labels before P1Table.index took over both; of the qexp commands, pinned
+# from the Fraction-series, coefficient-by-coefficient relation checks before
+# the integer slice kernels took over
 CLI_GOLDEN = {
     "p1-verify": (("p1", "--p", "101", "--n", "2", "--verify"), 0,
                   "d6dec019ab07ee2361475422c982bea21a9853d8db29c7c7115dcca97402a4e3"),
@@ -177,6 +182,15 @@ CLI_GOLDEN = {
                        "fac6c521dfc646f4952997fe692e6ff8f2bbbca41a8bcb329567397ec39c2a1d"),
     "paths-1000003": (("paths", "--p", "1000003", "--r", "6"), 0,
                       "d4e48838a605b4f664659d72e8e28d9d118920ccbe353acc337911895fb70a36"),
+    "qexp-verify-readme": (("qexp", "verify-relations", "--order", "200", "--trials", "50",
+                            "--seed", "0"), 0,
+                           "f55d3c238bc249f085abd42483b383df0cc5bff62ea81ad079076b4c7db660f2"),
+    "qexp-verify-300": (("qexp", "verify-relations", "--order", "300", "--trials", "100",
+                         "--seed", "12345"), 0,
+                        "b720fa63dddc42216f74b594e5c8eec685217b9b783831a1921ce5dcd8e0e6b6"),
+    "qexp-up-matrix-readme": (("qexp", "up-matrix", "--case", "coprime", "--k", "3",
+                               "--a-p", "3/2", "--prime", "5"), 0,
+                              "86892fb7096deb80e88aae4e1663a44fcd46fff0da2fb92c13a3a9701e639554"),
 }
 
 
@@ -244,6 +258,8 @@ def test_cli_qexp_up_matrix(capsys):
     rep = json.loads(out)
     assert rep["entries"] == [["3/2", "1"], ["-5", "0"]]
     assert rep["charpoly"] == ["5", "-3/2", "1"]
+    assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "3", "--prime", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: 4 is not prime\n")
 
 
 def test_cli_usage_errors(capsys):
@@ -253,6 +269,10 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
     assert cli_main(["criterion", "--p", "11"]) == 2  # neither --l nor --all-l-up-to
     capsys.readouterr()
+    # no trial would check nothing, so it is refused rather than reported as a pass
+    for trials in ("0", "-1"):
+        assert cli_main(["qexp", "verify-relations", "--order", "20", "--trials", trials]) == 2
+        assert capsys.readouterr() == ("", "error: trials must be >= 1\n")
     # |P^1| = 1000003^2 + 1000003 is past MAX_P1_SIZE: the commands that need
     # the dense permutations are refused before any per-point work
     assert cli_main(["p1", "--p", "1000003", "--n", "2", "--verify"]) == 2
@@ -262,6 +282,23 @@ def test_cli_usage_errors(capsys):
     # the chain walks need no permutation, so paths runs past the limit
     assert cli_main(["paths", "--p", "10000019", "--r", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["p"] == 10000019
+
+
+def test_readme_commands_run(capsys):
+    """Every `windsym ...` line of README.md's fenced code blocks runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    commands = [line for b in blocks for line in b.splitlines() if line.startswith("windsym ")]
+    assert len(commands) >= 10
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0, command
+        if "--csv" in argv or argv[:2] == ["paths", "sweep"]:  # the sweep always writes CSV
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and {len(r) for r in rows} == {len(rows[0])}, command
+        else:
+            json.loads(out)
 
 
 def test_cli_reruns_byte_identical(capsys):

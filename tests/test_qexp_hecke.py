@@ -1,15 +1,21 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from windsym import qexp_hecke
 from windsym.arith import sigma0
 from windsym.qexp_hecke import (
     CASE_COPRIME,
     CASE_DIVIDES,
+    SERIES_DENOMINATOR_LCM,
     DirichletCharacter,
     PolyQ,
+    QExpansion,
     Quad,
+    _integral_series,
     agree_to_reliable,
     build_Up_matrix,
     charpoly,
@@ -31,7 +37,15 @@ from windsym.qexp_hecke import (
     verify_coefficient_identity,
     verify_relations,
 )
-from oracles import eta_product_level11
+from oracles import (
+    coeffwise_first_disagreement,
+    coeffwise_op_B,
+    coeffwise_op_t,
+    coeffwise_op_U,
+    eta_product_level11,
+    fraction_verify_relations,
+    hecke_T_formula,
+)
 
 F = Fraction
 
@@ -145,6 +159,121 @@ def test_verify_relations_rejects_tiny_order():
         verify_relations(order=4)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_relation_checks_need_a_trial(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify_relations(order=20, trials=trials)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify_coefficient_identity(order=40, trials=trials)
+
+
+# -- slice kernels and the integer relation suite against their oracles ---------
+
+
+# fundamental discriminants for the quadratic characters
+QUADRATIC_DISCS = [-8, -7, -4, -3, 5, 8, 12, 13]
+
+
+def characters():
+    return st.one_of(
+        st.integers(1, 12).map(DirichletCharacter.trivial),
+        st.sampled_from(QUADRATIC_DISCS).map(DirichletCharacter.quadratic),
+    )
+
+
+@st.composite
+def coefficients(draw, ring, disc):
+    small = st.integers(-9, 9)
+    if ring is int:
+        return draw(small)
+    if ring is Fraction:
+        return Fraction(draw(small), draw(st.integers(1, 6)))
+    if ring is Quad:
+        return Quad(disc, Fraction(draw(small), draw(st.integers(1, 4))), draw(small))
+    return PolyQ(draw(st.lists(small, max_size=3)))
+
+
+# Series over int, Fraction, Q(sqrt(disc)) or Q[y], with unreliable tail
+# coefficients (R < T) so that the kernels' out-of-range reads show.
+@st.composite
+def qexpansions(draw, max_order=40):
+    ring = draw(st.sampled_from([int, Fraction, Quad, PolyQ]))
+    disc = draw(st.sampled_from([-3, -1, 2, 5]))
+    order = draw(st.integers(1, max_order))
+    coeffs = draw(st.lists(coefficients(ring, disc), min_size=order, max_size=order))
+    reliable = draw(st.integers(0, order - 1))
+    return QExpansion(tuple(coeffs), order, reliable, draw(st.integers(1, 6)), draw(characters()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(qexpansions(), st.integers(1, 45), st.sampled_from([2, 3, 5, 7, 11, 13, 43]))
+def test_kernels_match_coeffwise_oracle(f, d, p):
+    assert op_B(d, f) == coeffwise_op_B(d, f)
+    assert op_U(p, f) == coeffwise_op_U(p, f)
+    assert op_t(p, f) == coeffwise_op_t(p, f)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(qexpansions(max_order=60), st.data())
+def test_op_T_matches_closed_formula(f, data):
+    n = data.draw(st.integers(1, max(1, f.reliable)))
+    g = op_T(n, f)
+    assert g.reliable == f.reliable // n
+    for m in range(1, g.reliable + 1):
+        assert g.coeff(m) == hecke_T_formula(n, f, m)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(qexpansions(), st.data())
+def test_first_disagreement_matches_coeffwise_oracle(f, data):
+    changed = data.draw(st.sets(st.integers(1, f.order), max_size=3))
+    g = QExpansion(
+        tuple(c + 1 if n in changed else c for n, c in enumerate(f.coeffs, 1)),
+        f.order, data.draw(st.integers(0, f.order)), f.weight, f.eps,
+    )
+    assert first_disagreement(f, g) == coeffwise_first_disagreement(f, g)
+    assert first_disagreement(g, f) == coeffwise_first_disagreement(g, f)
+    assert first_disagreement(f, f) is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 80), st.integers(0, 10**6), st.integers(1, 6), characters())
+def test_integral_series_is_lcm_times_random_series(order, seed, weight, eps):
+    assert SERIES_DENOMINATOR_LCM == lcm(*range(1, 13))
+    rng_int, rng_frac = random.Random(seed), random.Random(seed)
+    f = _integral_series(rng_int, order, weight, eps)
+    assert all(type(c) is int for c in f.coeffs)
+    assert f == SERIES_DENOMINATOR_LCM * random_series(rng_frac, order, weight, eps)
+    assert rng_int.random() == rng_frac.random()  # the same draws were consumed
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.integers(8, 40), st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 6),
+       characters())
+def test_verify_relations_matches_fraction_oracle(order, trials, seed, weight, eps):
+    got = verify_relations(order, trials, seed, weight, eps)
+    assert got.to_json() == fraction_verify_relations(order, trials, seed, weight, eps).to_json()
+
+
+def test_planted_false_relations_fail_like_the_oracle(monkeypatch):
+    planted = [
+        # t_p B_d = B_d t_p without gcd(p, d) = 1
+        ("planted: t_p B_d = B_d t_p", [(3, 3), (2, 4)],
+         lambda p, d, f: (op_t(p, op_B(d, f)), op_B(d, op_t(p, f)))),
+        # fails exactly on the trials with a_1 > 0, a sign L*f keeps
+        ("planted: f = 2f when a_1 > 0", [()],
+         lambda f: (f, 2 * f if f.raw(1) > 0 else f)),
+    ]
+    monkeypatch.setattr(qexp_hecke, "_RELATION_SUITE", qexp_hecke._RELATION_SUITE + planted)
+    got = verify_relations(order=40, trials=6, seed=3)
+    want = fraction_verify_relations(order=40, trials=6, seed=3)
+    assert got.to_json() == want.to_json()
+    failed = {c.params: c.failure for c in got.checks if not c.passed}
+    assert list(failed) == ["(3, 3)", "(2, 4)", "()"]
+    assert failed["(3, 3)"] == "trial 0: coefficient 1: -1/2 != 0"
+    assert failed["()"] == "trial 3: coefficient 1: 1/5 != 2/5"
+
+
 def test_op_T_identity_and_examples():
     rng = random.Random(17)
     f = random_series(rng, 120)
@@ -192,6 +321,9 @@ def test_build_Up_matrix_shapes():
         build_Up_matrix("weird", 1, 1, 2, 1)
     with pytest.raises(ValueError):
         build_Up_matrix(CASE_COPRIME, 1, 1, 2, 1)  # needs p
+    for p in (4, 1, 0, -3):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            build_Up_matrix(CASE_COPRIME, 1, 1, 2, 3, p=p)
 
 
 def _poly_mul_coeffs(a, b):
