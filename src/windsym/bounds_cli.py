@@ -21,7 +21,8 @@ Bounds implemented:
 
 The CLI dispatches to all modules: subcommands p1, homology, criterion,
 paths (with a sweep mode), qexp, and bounds.  JSON goes to stdout by
-default; --csv switches tabular outputs to CSV; --out writes to a file
+default; --csv switches tabular outputs to CSV, and the paths sweep always
+writes CSV; --out writes to a file
 (relative paths are resolved under $OUTPUT_DIR when set).  Exit codes:
 0 success, 1 when an asserted check fails, 2 on usage errors.
 """
@@ -226,6 +227,19 @@ def _parse_prime_power(value: int) -> PrimePower:
     return PrimePower(p, n)
 
 
+def _is_bijection(perm, size: int) -> bool:
+    """Whether perm takes every index below size exactly once, checked
+    with one byte of marks per index."""
+    if len(perm) != size:
+        return False
+    hit = bytearray(size)
+    for v in perm:
+        if not 0 <= v < size or hit[v]:
+            return False
+        hit[v] = 1
+    return True
+
+
 def _cmd_p1(args) -> int:
     pp = PrimePower(args.p, args.n)
     table = P1Table(pp)
@@ -239,18 +253,11 @@ def _cmd_p1(args) -> int:
     }
     rc = 0
     if args.verify:
-        sigma_ok = all(
-            table.sigma_perm[table.sigma_perm[i]] == i for i in range(table.size)
-        )
-        tau_ok = all(
-            table.tau_perm[table.tau_perm[table.tau_perm[i]]] == i
-            for i in range(table.size)
-        )
-        shift_ok = all(
-            table.sigma_perm[table.tau_perm[a]] == (a + 1) % pp.modulus
-            for a in range(pp.modulus)
-        )
-        bijective = len(set(table.sigma_perm)) == table.size == len(set(table.tau_perm))
+        sigma, tau = table.sigma_perm, table.tau_perm
+        sigma_ok = all(sigma[sigma[i]] == i for i in range(table.size))
+        tau_ok = all(tau[tau[tau[i]]] == i for i in range(table.size))
+        shift_ok = all(sigma[tau[a]] == (a + 1) % pp.modulus for a in range(pp.modulus))
+        bijective = _is_bijection(sigma, table.size) and _is_bijection(tau, table.size)
         report["checks"] = {
             "sigma_involution": sigma_ok,
             "tau_order_3": tau_ok,
@@ -282,7 +289,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
-    if args.all_l_up_to:
+    if args.all_l_up_to is not None:
+        if args.all_l_up_to < 2:
+            raise ValueError("--all-l-up-to must be >= 2")
         ls = [l for l in range(2, args.all_l_up_to + 1) if is_prime(l)]
     else:
         if args.l is None:
@@ -476,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(paths)
     paths.set_defaults(func=_cmd_paths, mode=None)
     psub = paths.add_subparsers(dest="mode")
-    sweep = psub.add_parser("sweep", help="grid sweep with CSV summary")
+    sweep = psub.add_parser("sweep", help="grid sweep; always writes CSV",
+                           description="Walk both chains over a grid of prime powers and r; the summary is always CSV, with or without --csv.")
     sweep.add_argument("--pn", type=int, nargs="+", required=True, help="prime powers")
     sweep.add_argument("--r-min", type=int, default=1)
     sweep.add_argument("--r-max", type=int, default=6)

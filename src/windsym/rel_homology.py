@@ -38,8 +38,10 @@ applies Hecke correspondences T_r (gcd(r, N) = 1) to cusp classes via the
 matrix set {(r/delta, -beta; 0, delta) : delta | r, 0 <= beta < delta}.
 """
 
+from array import array
 from dataclasses import dataclass
 from math import gcd
+from operator import lt
 
 from .arith import divisors, euler_phi
 from .residue_p1 import P1Table
@@ -132,59 +134,91 @@ class H1Presentation:
     quotient_dim = |P^1| - relation_rank is the number of edges outside the
     spanning forest; reduce() maps any integer P^1-vector to its integer
     coordinates on those edges.  Immutable after construction.
+
+    Nothing is stored per vertex or per edge beyond flat arrays.  Vertices
+    are numbered in visiting order, and an edge is named by its tail, the
+    lower point x of its sigma 2-orbit {x, sigma x}.  A vertex reads its (at
+    most three) edges off its own points, in increasing tail order, which is
+    the order an adjacency list built edge by edge would hold; so the forest
+    is the breadth-first one rooted at the lowest unreached vertex.  The
+    forest is kept as parallel arrays (vertex, parent, point of the parent
+    on the tree edge), the edges outside it as (tail, head vertex, tail
+    vertex) in tail order.
     """
 
     def __init__(self, table: P1Table):
         self.table = table
         self.p1_size = size = table.size
-        sigma, tau = table.sigma_perm, table.tau_perm
-        vertex = [-1] * size
-        n_vertices = 0
-        for x in range(size):
-            if vertex[x] < 0:
-                vertex[x] = vertex[tau[x]] = vertex[tau[tau[x]]] = n_vertices
-                n_vertices += 1
-        # point -> (edge, sign) with e_y = +edge and e_x = -edge; sign 0 dies
-        self._edge = [0] * size
-        self._sign = [0] * size
-        tails: list[int] = []
-        heads: list[int] = []
-        sigma_orbits = 0
-        for x in range(size):
-            y = sigma[x]
-            if y < x:
+        self._sigma = sigma = table.sigma_perm
+        tau = table.tau_perm
+        # 1 at each edge's tail, 2 once the edge is in the forest
+        tails = bytearray(map(lt, range(size), sigma))
+        n_edges = tails.count(1)
+        vertex = array("q", [-1]) * size  # point -> vertex, -1 until reached
+        entry = array("q")  # vertex -> the point it was reached at
+        tree_w, tree_u, tree_z = array("q"), array("q"), array("q")
+        for root in range(size):
+            if vertex[root] >= 0:
                 continue
-            sigma_orbits += 1
-            if y > x:
-                self._edge[x] = self._edge[y] = len(tails)
-                self._sign[x], self._sign[y] = -1, 1
-                tails.append(vertex[x])
-                heads.append(vertex[y])
-        steps = _bfs_forest(n_vertices, tails, heads)
-        in_tree = [False] * len(tails)
-        for _, _, e in steps:
-            in_tree[e] = True
-        self._n_vertices = n_vertices
-        self._n_edges = len(tails)
-        # pi(w) = pi(u) + c(e) when the tree edge e runs u -> w, minus when w -> u
-        self._tree = [(w, u, e, 1 if tails[e] == u else -1) for w, u, e in steps]
-        self._free = [(e, heads[e], tails[e]) for e in range(len(tails)) if not in_tree[e]]
-        self.relation_rank = sigma_orbits + len(steps)
-        self.quotient_dim = len(self._free)
+            u = len(entry)
+            vertex[root] = vertex[tau[root]] = vertex[tau[tau[root]]] = u
+            entry.append(root)
+            while u < len(entry):
+                a = entry[u]
+                b = tau[a]
+                # the edges of u that lead to unreached vertices, by tail
+                out = []
+                for z in (a,) if b == a else (a, b, tau[b]):
+                    y = sigma[z]
+                    if vertex[y] < 0:
+                        out.append((y if y < z else z, z, y))
+                out.sort()
+                for x, z, y in out:
+                    if vertex[y] >= 0:  # an earlier edge of u reached it
+                        continue
+                    w = len(entry)
+                    ty = tau[y]
+                    vertex[y] = vertex[ty] = vertex[tau[ty]] = w
+                    entry.append(y)
+                    tree_w.append(w)
+                    tree_u.append(u)
+                    tree_z.append(z)
+                    tails[x] = 2
+                u += 1
+        free_x, free_h, free_t = array("q"), array("q"), array("q")
+        x = tails.find(1)
+        while x >= 0:
+            free_x.append(x)
+            free_h.append(vertex[sigma[x]])
+            free_t.append(vertex[x])
+            x = tails.find(1, x + 1)
+        self._n_vertices = len(entry)
+        self._tree = (tree_w, tree_u, tree_z)
+        self._free = (free_x, free_h, free_t)
+        # each sigma orbit is one relation: size - n_edges of them
+        self.relation_rank = size - n_edges + len(tree_w)
+        self.quotient_dim = len(free_x)
 
     def reduce(self, coeffs: dict[int, int]) -> list[int]:
         """Integer coordinates of a sparse integer P^1-vector in the quotient
-        basis, one per edge outside the spanning forest."""
-        c = [0] * self._n_edges
+        basis, one per edge outside the spanning forest.
+
+        The edge through a point z carries g[z] = c[sigma z] - c[z] read from
+        z's end (a sigma-fixed point cancels itself), so a tree edge from u
+        through its point z to w gives pi(w) = pi(u) + g[z], and the
+        coordinate of the edge with tail x is g[x] - pi(head) + pi(tail).
+        """
+        size, sigma = self.p1_size, self._sigma
+        g = [0] * size
         for i, val in coeffs.items():
-            if not 0 <= i < self.p1_size:
-                raise ValueError(f"index {i} outside P^1 of size {self.p1_size}")
-            if self._sign[i]:
-                c[self._edge[i]] += self._sign[i] * val
+            if not 0 <= i < size:
+                raise ValueError(f"index {i} outside P^1 of size {size}")
+            g[i] -= val
+            g[sigma[i]] += val
         pi = [0] * self._n_vertices
-        for w, u, e, s in self._tree:
-            pi[w] = pi[u] + s * c[e]
-        return [c[e] - pi[h] + pi[t] for e, h, t in self._free]
+        for w, u, z in zip(*self._tree):
+            pi[w] = pi[u] + g[z]
+        return [g[x] - pi[h] + pi[t] for x, h, t in zip(*self._free)]
 
     def summary(self) -> dict:
         """JSON-ready record of the presentation's shape."""

@@ -14,19 +14,23 @@ sigma = [[0,1],[-1,0]] and tau = [[0,-1],[1,-1]] act on the right:
 so tau.sigma is +1 on affine coordinates and sigma.tau^2 is -1.  Each action
 is computed on demand for one index by modular arithmetic, which is all the
 chain walks need.  The dense index permutations, which relation building
-sweeps in full, are built from those on first use; they are the only part
-whose memory grows with |P^1|, so the size limit MAX_P1_SIZE guards them
-and nothing else.
+sweeps in full, are built on first use into arrays of 8-byte integers; they
+are the only part of a table whose memory grows with |P^1|, so the size
+limit MAX_P1_SIZE guards them and nothing else.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 from .arith import is_prime
 
-# Largest |P^1| = p^n + p^{n-1} whose dense permutations a table builds: at
-# this size they are two lists of 10^7 Python ints, roughly 0.8 GB.
+# Largest |P^1| = p^n + p^{n-1} whose dense permutations a table builds.  At
+# this size the two permutations take 160 MB, and a criterion or homology run
+# on them, presentation included, peaks near 0.5 GB (about 41 bytes per
+# point under tracemalloc, plus the interpreter).
 MAX_P1_SIZE = 10**7
 
 
@@ -63,9 +67,9 @@ class P1Table:
     branch (1, p*r') ordered by r'.  This ordering fixes every downstream
     matrix layout.  Construction is O(1) at any level: index, pair, sigma
     and tau cost O(1) modular arithmetic each.  The dense permutations
-    sigma_perm and tau_perm are built on first read and cached on the
-    table; reading one raises ValueError when |P^1| exceeds MAX_P1_SIZE,
-    before any per-point work.
+    sigma_perm and tau_perm are built on first read, as array('q'), and
+    cached on the table; reading one raises ValueError when |P^1| exceeds
+    MAX_P1_SIZE, before any per-point work.
     """
 
     def __init__(self, pp: PrimePower):
@@ -102,22 +106,51 @@ class P1Table:
         w, t = self.pair(i)
         return self.index(-t, w + t)
 
-    def _dense(self, action) -> list[int]:
-        """action(i) for every index, refused when |P^1| exceeds MAX_P1_SIZE."""
+    def _check_dense_size(self) -> None:
+        """Refuse a dense permutation when |P^1| exceeds MAX_P1_SIZE."""
         if self.size > MAX_P1_SIZE:
             pp = self.pp
             raise ValueError(
                 f"|P^1(Z/{pp.p}^{pp.n} Z)| = {self.size} exceeds the limit {MAX_P1_SIZE}"
             )
-        return [action(i) for i in range(self.size)]
 
     @cached_property
-    def sigma_perm(self) -> list[int]:
-        return self._dense(self.sigma)
+    def sigma_perm(self) -> array:
+        """sigma(i) for every index, with all affine inverses from one pow.
+
+        On a unit a, sigma(a) = (-1 : a) = -1/a, and sigma(m - a) = 1/a, so
+        the inverses of 1..m/2 give every unit.  They come from Montgomery's
+        batch inversion: prefix products, one pow, then a backward pass that
+        peels one factor off at a time.  Multiples of p stand in as 1 there;
+        their images, and the infinite branch's, are arithmetic progressions
+        written by slice assignment.
+        """
+        self._check_dense_size()
+        p, m, size = self.pp.p, self.pp.modulus, self.size
+        k, half = m // p, m // 2
+        factors = array("q", range(half + 1))
+        factors[::p] = array("q", [1]) * (half // p + 1)
+        prefix = array("q", accumulate(factors, lambda x, y: x * y % m))
+        perm = array("q", bytes(8 * size))
+        inv = pow(prefix[half], -1, m)  # 1 / (product of the units in 1..m/2)
+        for a in range(half, 0, -1):
+            inv_a = inv * prefix[a - 1] % m
+            inv = inv * factors[a] % m
+            perm[a] = m - inv_a
+            perm[m - a] = inv_a
+        # (pj, 1).sigma = (-1 : pj) = (1, -pj) sits at m + (k - j) mod k
+        perm[0] = m
+        perm[p:m:p] = array("q", range(m + k - 1, m, -1))
+        # (1, pj).sigma = (-pj, 1) is the affine point -pj mod m
+        perm[m] = 0
+        perm[m + 1 :] = array("q", range(m - p, 0, -p))
+        return perm
 
     @cached_property
-    def tau_perm(self) -> list[int]:
-        return self._dense(self.tau)
+    def tau_perm(self) -> array:
+        """tau(i) for every index, one index() call each."""
+        self._check_dense_size()
+        return array("q", map(self.tau, range(self.size)))
 
 
 __all__ = [

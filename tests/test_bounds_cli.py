@@ -242,6 +242,26 @@ def test_cli_p1_verify(capsys):
     assert all(rep["checks"].values())
 
 
+def test_cli_p1_verify_catches_a_repeated_entry(capsys, monkeypatch):
+    from array import array
+    from functools import cached_property
+
+    from windsym import bounds_cli
+    from windsym.residue_p1 import P1Table
+
+    class RepeatedTau(P1Table):
+        @cached_property
+        def tau_perm(self):
+            perm = array("q", P1Table.tau_perm.func(self))
+            perm[1] = perm[0]
+            return perm
+
+    monkeypatch.setattr(bounds_cli, "P1Table", RepeatedTau)
+    rc, out = run_cli(capsys, "p1", "--p", "11", "--verify")
+    assert rc == 1
+    assert json.loads(out)["checks"]["bijections"] is False
+
+
 def test_cli_qexp_verify(capsys):
     rc, out = run_cli(capsys, "qexp", "verify-relations", "--order", "48", "--trials", "3", "--seed", "1")
     assert rc == 0
@@ -269,6 +289,10 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
     assert cli_main(["criterion", "--p", "11"]) == 2  # neither --l nor --all-l-up-to
     capsys.readouterr()
+    # a bound below 2 leaves no l to check, so it is refused before p or d is read
+    for bound in ("1", "-5"):
+        assert cli_main(["criterion", "--p", "12", "--d", "0", "--all-l-up-to", bound]) == 2
+        assert capsys.readouterr() == ("", "error: --all-l-up-to must be >= 2\n")
     # no trial would check nothing, so it is refused rather than reported as a pass
     for trials in ("0", "-1"):
         assert cli_main(["qexp", "verify-relations", "--order", "20", "--trials", trials]) == 2

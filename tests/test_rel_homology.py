@@ -1,7 +1,9 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from windsym.rel_homology import (
     Cusp,
@@ -25,6 +27,7 @@ from oracles import (
     genus_x0,
     get_table,
     prefix_ranks,
+    prime_powers,
     smith_diagonal,
 )
 
@@ -193,6 +196,60 @@ def test_forest_against_echelon_oracle():
         if table.size <= 400:
             dense = [[row.get(c, 0) for c in range(rel.n_cols)] for row in rel.rows]
             assert smith_invariants(rel) == smith_diagonal(dense), (p, n)
+
+
+# sha256 of repr(reduce(T_i{0,oo})) for i = 1..6, concatenated, pinned from
+# the adjacency-list presentation before the flat-array one replaced it
+REDUCE_DIGESTS = {
+    (2, 10): "cbe24325161af84021efe397b43bd066e1f4995fc93fe6a52808517dd660dfbe",
+    (3, 6): "1aaa3f695ee3f3d0a5c181ea9ab0ba10b2131d8854ebfc6fe27c15a63cb2d3cb",
+    (5, 4): "a29ce871d4ee627f2b3de529ce7596cf58ea320f9e1a64387ad7d625af25cf1b",
+    (7, 3): "0155fb0b69f6a9749cbe41e42f40587a0863af76e44f3c6cb8570c5aa48f0473",
+    (11, 1): "308e711c254670fd023d8a166f00b8797e3c51e91237c15b1bb44b58fd5e7037",
+    (101, 1): "d901dc50f94b2393966b0c35946380eebbfa1da0b6c7735dcf79478f0d64f6ef",
+    (4201, 1): "77b37523dc6f5cdd276e840d68145d4e88ae6c202ec9b32f4013370d18a6d899",
+}
+
+
+@pytest.mark.parametrize("p, n", REDUCE_DIGESTS, ids=[f"{p}^{n}" for p, n in REDUCE_DIGESTS])
+def test_quotient_basis_pinned(p, n):
+    table = get_table(p, n)
+    pres = build_presentation(table)
+    h = hashlib.sha256()
+    for i in range(1, 7):
+        h.update(repr(pres.reduce(winding_image(i, table).coeffs)).encode())
+    assert h.hexdigest() == REDUCE_DIGESTS[p, n]
+
+
+@st.composite
+def small_levels(draw):
+    """A level with |P^1| <= 400 and two random integer P^1-vectors."""
+    pp = draw(prime_powers(limit=399))
+    size = pp.modulus + pp.modulus // pp.p
+    vec = st.dictionaries(st.integers(0, size - 1), st.integers(-9, 9), max_size=6)
+    return pp, draw(vec), draw(vec), draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_levels())
+def test_forest_against_echelon_oracle_random_levels(case):
+    pp, u, v, a, b = case
+    table = get_table(pp.p, pp.n)
+    assert table.size <= 400  # p^n <= 399 keeps p^n + p^(n-1) within 400
+    pres = build_presentation(table)
+    rel = invariant_generators(table)
+    zero = [0] * pres.quotient_dim
+    for row in rel.rows:
+        assert pres.reduce(row) == zero, row
+    combo = {c: a * u.get(c, 0) + b * v.get(c, 0) for c in u.keys() | v.keys()}
+    assert pres.reduce(combo) == [a * x + b * y for x, y in zip(pres.reduce(u), pres.reduce(v))]
+    images = [winding_image(i, table).coeffs for i in range(1, 7)]
+    rows = [pres.reduce(im) for im in images]
+    for char in (0, 2, 3, 5, 7):
+        oracle = EchelonPresentation(rel, char)
+        assert pres.quotient_dim == oracle.quotient_dim, char
+        ranks = [_coordinate_rank(rows[:k], char) for k in range(1, 7)]
+        assert ranks == prefix_ranks([oracle.reduce(im) for im in images], char), char
 
 
 # -- cusps ------------------------------------------------------------------

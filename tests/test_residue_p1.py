@@ -123,8 +123,9 @@ def test_actions_match_eager_oracle(p, n):
     sigma_perm, tau_perm = eager_permutations(p, n)
     assert [table.sigma(i) for i in range(table.size)] == sigma_perm
     assert [table.tau(i) for i in range(table.size)] == tau_perm
-    assert table.sigma_perm == sigma_perm
-    assert table.tau_perm == tau_perm
+    # the dense permutations are arrays, which never compare equal to a list
+    assert list(table.sigma_perm) == sigma_perm
+    assert list(table.tau_perm) == tau_perm
 
 
 @pytest.mark.parametrize("p, n", DIFFERENTIAL_LEVELS)
@@ -176,3 +177,22 @@ def test_normalize_unit_scaling_random_levels(pp, data):
     if u % pp.p == 0:
         u += 1
     assert table.index(u * c, u * d) == table.index(c, d)
+
+
+def _pointwise_sigma(table):
+    return [table.sigma(i) for i in range(table.size)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(prime_powers(limit=5 * 10**4))
+def test_batch_sigma_matches_pointwise_random_levels(pp):
+    # Montgomery's batch inversion against one index() call per point
+    table = P1Table(pp)
+    assert list(table.sigma_perm) == _pointwise_sigma(table)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 15), (3, 9)])
+def test_batch_sigma_matches_pointwise_edge_levels(p, n):
+    # m/2 is a unit at m = 2 and a multiple of p at every other power of 2
+    table = P1Table(PrimePower(p, n))
+    assert list(table.sigma_perm) == _pointwise_sigma(table)
