@@ -1,0 +1,70 @@
+"""Memory and output guard for the largest documented runs.
+
+Runs each command of CASES as `python -m windsym ...` in its own child
+process and fails (exit 1) when a child's exit code is not 0, when its
+stdout's sha256 differs from the pinned digest, or when its peak resident
+set (ru_maxrss from os.wait4 on that child, KiB on Linux) exceeds the case's
+limit in MB.
+
+- The criterion at p = 1000003: the flat array P^1 and presentation keep
+  it near 70 MB; the list-based ones took about 240 MB.
+- The relation checks at order 20000 over 100 trials: the lane-packed
+  blocks keep it near 21 MB, as one trial at a time did; packing all trials
+  into one block took about 36 MB.
+
+    python .github/scripts/memory_guard.py [SRC_DIR]
+
+SRC_DIR defaults to the repository's src/.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (argv, stdout sha256, peak RSS limit in MB)
+CASES = [
+    (["criterion", "--p", "1000003", "--d", "1", "--l", "3"],
+     "841dfc8117e26b2698c88325cff5e7bcd21aa2f975394438df4371a2b6f5e3af", 120),
+    (["qexp", "verify-relations", "--order", "20000", "--trials", "100", "--seed", "0"],
+     "cf38919af26eb1573da0e49fb0e61c64114302313d72a672605dfcdf5ba0c92f", 30),
+]
+
+
+def run(argv: list, env: dict) -> tuple:
+    """(exit code, stdout, stderr, peak RSS in MB) of one child."""
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "windsym", *argv],
+                                stdout=subprocess.PIPE, stderr=err, env=env)
+        out = proc.stdout.read()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return proc.returncode, out, err.read().decode(), usage.ru_maxrss / 1024
+
+
+def main() -> int:
+    src = sys.argv[1] if len(sys.argv) > 1 else str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    failures = []
+    for argv, want, limit_mb in CASES:
+        code, out, err, peak_mb = run(argv, env)
+        digest = hashlib.sha256(out).hexdigest()
+        name = " ".join(argv)
+        print(f"{name}: exit {code}, stdout sha256 {digest}, peak RSS {peak_mb:.1f} MB")
+        if code != 0:
+            failures.append(f"{name}: exit code {code}: {err.strip()}")
+        if digest != want:
+            failures.append(f"{name}: stdout digest differs from {want}")
+        if peak_mb > limit_mb:
+            failures.append(f"{name}: peak RSS {peak_mb:.1f} MB exceeds {limit_mb} MB")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -389,7 +389,10 @@ def _cmd_qexp(args) -> int:
         return 0 if rel.all_passed and ident.passed and rel.witness_found else 1
     if args.mode == "up-matrix":
         case = CASE_DIVIDES if args.case == "divides" else CASE_COPRIME
-        a_p = Fraction(args.a_p)
+        try:
+            a_p = Fraction(args.a_p)
+        except ZeroDivisionError:
+            raise ValueError(f"--a-p {args.a_p} has a zero denominator") from None
         mat = build_Up_matrix(case, a_p, args.eps_p, args.lam, args.k, p=args.prime)
         payload = {
             "schema": SCHEMA,
@@ -422,6 +425,8 @@ def _cmd_bounds(args) -> int:
         return 0
     if args.table:
         dmax = args.d_max
+        if dmax < 1:
+            raise ValueError("--d-max must be >= 1")
         header = ["d", "p_not_2_3", "p_3", "p_2"]
         rows = [
             [d, cor18_bound(5, d), cor18_bound(3, d), cor18_bound(2, d)]

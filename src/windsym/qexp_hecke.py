@@ -22,8 +22,17 @@ t_p adds eps(p) p^{lambda-1} a_j only at the T//p positions jp of the U_p
 slice.  They are Q-linear with integer factors, so verify_relations and
 verify_coefficient_identity run on L*f, L = lcm(1..12) the common
 denominator of the random series, in integer arithmetic: a relation holds
-on f exactly when it holds on L*f.  The relation checks stream the trials,
-one series alive at a time.
+on f exactly when it holds on L*f.
+
+Both checks also run every trial in one pass.  The trials f_0..f_{k-1} are
+packed into lanes of W bits, P = sum_i 2^{W(k-1-i)} L f_i, and each side of
+a check, being Z-linear in f, maps P to the packing of its values on the
+trials.  When every coefficient of either side lies in [-B, B] on every
+trial and 2B < 2^{W-1}, two packings are equal exactly when every lane
+agrees, so one comparison on P checks all k trials.  A block packs at most
+max(1, _LANE_BUDGET // order) trials, which keeps memory O(order) whatever
+the number of trials; a block whose packed sides differ is replayed one
+trial at a time to name the first failing trial.
 
 Composite operators follow T_{p^{k+1}} = T_p T_{p^k} - eps(p) p^{lambda-1}
 T_{p^{k-1}} on prime powers and multiplicativity across coprime factors,
@@ -575,6 +584,10 @@ class RelationReport:
         }
 
 
+# Each side must be Z-linear in f: the checks run on L*f and on lane-packed
+# sums of trials (see verify_relations).  The lane width also assumes each
+# side is built from op_B, op_U and op_t, whose entries under the trivial
+# character are nonnegative and dominate those under any other.
 _RELATION_SUITE = [
     ("B_d B_e = B_e B_d", [(2, 3), (4, 6)], lambda a, b, f: (op_B(a, op_B(b, f)), op_B(b, op_B(a, f)))),
     ("t_p B_d = B_d t_p, gcd(p,d)=1", [(2, 3), (3, 4), (5, 6)], lambda p, d, f: (op_t(p, op_B(d, f)), op_B(d, op_t(p, f)))),
@@ -584,6 +597,74 @@ _RELATION_SUITE = [
     ("U_q B_d = B_d U_q, gcd(q,d)=1", [(2, 3), (3, 10)], lambda q, d, f: (op_U(q, op_B(d, f)), op_B(d, op_U(q, f)))),
     ("U_q B_{q^k} = B_{q^{k-1}}", [(2, 1), (2, 2), (3, 2)], lambda q, k, f: (op_U(q, op_B(q**k, f)), op_B(q ** (k - 1), f))),
 ]
+
+
+# |a_n| <= 20 for random_series's numerators, so |a_n(L f)| <= _SERIES_BOUND.
+_SERIES_BOUND = 20 * SERIES_DENOMINATOR_LCM
+
+# Coefficient lanes per packed block: a block packs at most
+# max(1, _LANE_BUDGET // order) trials.  At order 300 that is 27 trials,
+# which already shares out the per-coefficient interpreter cost; wider
+# blocks run no faster and only add memory (2**16 doubled the tracemalloc
+# peak of an order-300, 100-trial verify op).
+_LANE_BUDGET = 2**13
+
+
+def _lane_width(bound: int) -> int:
+    """Smallest W with 2 * bound < 2^(W-1): lanes holding values in
+    [-bound, bound] then agree exactly when their packings do."""
+    return (2 * bound).bit_length() + 1
+
+
+def _suite_bound(cases, order: int, weight: int) -> int:
+    """Largest coefficient of either side of any case on the constant series
+    _SERIES_BOUND under the trivial character: a bound on every side's
+    coefficients on every L*f (see verify_relations)."""
+    top = make_qexp([_SERIES_BOUND] * order, weight=weight)
+    return max(
+        abs(c) for _, params, make in cases for side in make(*params, top) for c in side.coeffs
+    )
+
+
+def _hecke_norm(n: int, weight: int) -> int:
+    """Bound on the absolute row sums of T_n at this weight, for any
+    character with values in {-1, 0, 1} (see verify_coefficient_identity)."""
+    out = 1
+    for p, e in factorize(n).items():
+        q = p ** (weight - 1)
+        prev, cur = 1, 1 + q
+        for _ in range(e - 1):
+            prev, cur = cur, (1 + q) * cur + q * prev
+        out *= cur
+    return out
+
+
+def _trial_blocks(trials: int, order: int):
+    """(start, stop) of consecutive trial blocks, in trial order."""
+    size = max(1, _LANE_BUDGET // order)
+    return [(s, min(s + size, trials)) for s in range(0, trials, size)]
+
+
+def _packed_series(
+    rng: random.Random, count: int, width: int, order: int, weight: int, eps
+) -> QExpansion:
+    """sum_i 2^{width(count-1-i)} * _integral_series(rng, ...)_i, folded by
+    Horner as the trials are drawn, so one trial is alive at a time."""
+    acc = list(_integral_series(rng, order, weight, eps).coeffs)
+    for _ in range(count - 1):
+        f = _integral_series(rng, order, weight, eps)
+        for k, c in enumerate(f.coeffs):
+            acc[k] = (acc[k] << width) + c
+    return QExpansion(tuple(acc), order, order, weight, eps)
+
+
+def _replay(state, start: int, stop: int, order: int, weight: int, eps):
+    """(i, L f_i) for trials start..stop-1, redrawn from the rng state the
+    block started from."""
+    rng = random.Random()
+    rng.setstate(state)
+    for i in range(start, stop):
+        yield i, _integral_series(rng, order, weight, eps)
 
 
 def verify_relations(
@@ -603,9 +684,21 @@ def verify_relations(
     The series are those of random_series(random.Random(seed), ...), each
     scaled by L = lcm(1..12) to integers: the operators are Q-linear, so a
     relation holds on f exactly when it holds on L*f, and a failure prints
-    the coefficients divided back by L.  Trials are drawn one at a time and
-    run through every check that has not failed yet; each check keeps its
-    first failing trial, as a check-by-check pass over all series would.
+    the coefficients divided back by L.
+
+    All trials of a block run in one pass on the lane-packed series
+    P = sum_i 2^{W(k-1-i)} L f_i, drawn in trial order and folded by Horner.
+    Every side is Z-linear, so its value on P is the packing of its values
+    on the trials.  The lane width W is derived, not guessed: |a_n(L f)| <=
+    M = 20 L, and under the trivial character every operator has
+    nonnegative entries that dominate the true ones (eps takes values in
+    {-1, 0, 1}), so each case run once on the constant series M bounds
+    either side on every trial by the largest coefficient B, and W is the
+    smallest width with 2B < 2^{W-1}.  A block holds at most
+    max(1, _LANE_BUDGET // order) trials, so memory is O(order).  When a
+    check's packed sides differ, the block's trials are redrawn and run one
+    at a time through that check, which names its first failing trial
+    (linearity guarantees one); a failed check skips later blocks.
     """
     if order < 8:
         raise ValueError("order must be >= 8")
@@ -617,17 +710,30 @@ def verify_relations(
         for name, param_list, make in _RELATION_SUITE
         for params in param_list
     ]
+    width = _lane_width(_suite_bound(cases, order, weight))
     failures = [""] * len(cases)
-    for i in range(trials):
-        f = _integral_series(rng, order, weight, eps)
-        for j, (_, params, make) in enumerate(cases):
-            if failures[j]:
-                continue
-            bad = first_disagreement(*make(*params, f))
-            if bad is not None:
-                n, x, y = bad
-                x, y = Fraction(x, SERIES_DENOMINATOR_LCM), Fraction(y, SERIES_DENOMINATOR_LCM)
-                failures[j] = f"trial {i}: coefficient {n}: {x} != {y}"
+    for start, stop in _trial_blocks(trials, order):
+        state = rng.getstate()
+        packed = _packed_series(rng, stop - start, width, order, weight, eps)
+        bad = [
+            j
+            for j, (_, params, make) in enumerate(cases)
+            if not failures[j] and first_disagreement(*make(*params, packed)) is not None
+        ]
+        if not bad:
+            continue
+        for i, f in _replay(state, start, stop, order, weight, eps):
+            for j in bad:
+                if failures[j]:
+                    continue
+                _, params, make = cases[j]
+                diff = first_disagreement(*make(*params, f))
+                if diff is not None:
+                    n, x, y = diff
+                    x, y = Fraction(x, SERIES_DENOMINATOR_LCM), Fraction(y, SERIES_DENOMINATOR_LCM)
+                    failures[j] = f"trial {i}: coefficient {n}: {x} != {y}"
+        if not all(failures[j] for j in bad):
+            raise RuntimeError("packed sides differ on no single trial: a suite side is not Z-linear")
     checks = [
         RelationCheck(name, str(params), trials, failure == "", failure)
         for (name, params, _), failure in zip(cases, failures)
@@ -655,21 +761,41 @@ def verify_coefficient_identity(
     eps: DirichletCharacter = TRIVIAL_CHARACTER,
 ) -> RelationCheck:
     """a_1(T_n f) = a_n(f) for all n <= nmax on seeded random series, run on
-    the integer series L*f as in verify_relations."""
+    the integer series L*f in lane-packed blocks as in verify_relations.
+
+    The lane width comes from the Hecke-recursion norm N(T_n), a bound on
+    the sum of absolute entries in any row of T_n for any character with
+    values in {-1, 0, 1}: with q = p^{lambda-1}, N(T_p) = 1 + q,
+    N(T_{p^{k+1}}) <= (1 + q) N(T_{p^k}) + q N(T_{p^{k-1}}), and N is
+    submultiplicative over the coprime factors T_n composes.  So both sides
+    lie in [-B, B] with B = 20 L max_n N(T_n).  The first failing block is
+    replayed one trial at a time, so the failure names its first trial and
+    the first n that trial fails at.
+    """
     if order < nmax:
         raise ValueError("order must be >= nmax")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    width = _lane_width(
+        _SERIES_BOUND * max((_hecke_norm(n, weight) for n in range(1, nmax + 1)), default=1)
+    )
     rng = random.Random(seed)
     failure = ""
-    for i in range(trials):
-        f = _integral_series(rng, order, weight, eps)
-        for n in range(1, nmax + 1):
-            if op_T(n, f).coeff(1) != f.raw(n):
-                failure = f"trial {i}: n={n}"
+    for start, stop in _trial_blocks(trials, order):
+        state = rng.getstate()
+        packed = _packed_series(rng, stop - start, width, order, weight, eps)
+        if all(op_T(n, packed).coeff(1) == packed.raw(n) for n in range(1, nmax + 1)):
+            continue
+        for i, f in _replay(state, start, stop, order, weight, eps):
+            for n in range(1, nmax + 1):
+                if op_T(n, f).coeff(1) != f.raw(n):
+                    failure = f"trial {i}: n={n}"
+                    break
+            if failure:
                 break
-        if failure:
-            break
+        if not failure:
+            raise RuntimeError("packed sides differ on no single trial: op_T is not Z-linear")
+        break
     return RelationCheck(
         "a_1(T_n f) = a_n(f)", f"n <= {nmax}", trials, failure == "", failure
     )

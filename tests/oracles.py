@@ -10,7 +10,8 @@ eager sigma/tau permutations and permutation-driven chain walker that the
 on-demand actions replaced, the step-by-step walker that the
 closed-form chain stops replaced, the coefficient-by-coefficient q-expansion
 operators that the slice kernels replaced, the Fraction-series relation
-suite that the integer L*f streaming replaced, and the closed formula for
+suite that the integer L*f streaming replaced, the one-trial-at-a-time
+coefficient identity that lane packing replaced, and the closed formula for
 the coefficients of T_n.
 """
 
@@ -31,6 +32,7 @@ from windsym.qexp_hecke import (
     QExpansion,
     RelationCheck,
     RelationReport,
+    _integral_series,
     make_qexp,
     random_series,
 )
@@ -575,8 +577,9 @@ def stepwise_walk(
 
 
 # ---------------------------------------------------------------------------
-# q-expansion operators coefficient by coefficient, and the relation suite on
-# Fraction series with every series drawn before the first check
+# q-expansion operators coefficient by coefficient, the relation suite on
+# Fraction series with every series drawn before the first check, and the
+# coefficient identity one trial at a time
 # ---------------------------------------------------------------------------
 
 
@@ -668,4 +671,34 @@ def fraction_verify_relations(
         checks,
         witness_params="t_3 B_3 vs B_3 t_3 on f = x",
         witness_found=witness is not None,
+    )
+
+
+def per_trial_coefficient_identity(
+    nmax: int = 30,
+    order: int = 200,
+    trials: int = 10,
+    seed: int = 1,
+    weight: int = 2,
+    eps: DirichletCharacter = TRIVIAL_CHARACTER,
+) -> RelationCheck:
+    """a_1(T_n f) = a_n(f) for all n <= nmax, one integer series L*f at a
+    time, as verify_coefficient_identity ran before lane packing.  Reads
+    qexp_hecke.op_T at call time, so a planted fault reaches both."""
+    if order < nmax:
+        raise ValueError("order must be >= nmax")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    failure = ""
+    for i in range(trials):
+        f = _integral_series(rng, order, weight, eps)
+        for n in range(1, nmax + 1):
+            if qexp_hecke.op_T(n, f).coeff(1) != f.raw(n):
+                failure = f"trial {i}: n={n}"
+                break
+        if failure:
+            break
+    return RelationCheck(
+        "a_1(T_n f) = a_n(f)", f"n <= {nmax}", trials, failure == "", failure
     )

@@ -297,6 +297,14 @@ def test_cli_usage_errors(capsys):
     for trials in ("0", "-1"):
         assert cli_main(["qexp", "verify-relations", "--order", "20", "--trials", trials]) == 2
         assert capsys.readouterr() == ("", "error: trials must be >= 1\n")
+    # a zero denominator is bad input, not a crash
+    assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "3", "--a-p", "1/0",
+                     "--prime", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: --a-p 1/0 has a zero denominator\n")
+    # a table with no rows is refused rather than printed empty
+    for d_max in ("0", "-1"):
+        assert cli_main(["bounds", "--table", "--d-max", d_max]) == 2
+        assert capsys.readouterr() == ("", "error: --d-max must be >= 1\n")
     # |P^1| = 1000003^2 + 1000003 is past MAX_P1_SIZE: the commands that need
     # the dense permutations are refused before any per-point work
     assert cli_main(["p1", "--p", "1000003", "--n", "2", "--verify"]) == 2

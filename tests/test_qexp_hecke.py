@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,7 @@ from oracles import (
     eta_product_level11,
     fraction_verify_relations,
     hecke_T_formula,
+    per_trial_coefficient_identity,
 )
 
 F = Fraction
@@ -255,14 +257,48 @@ def test_verify_relations_matches_fraction_oracle(order, trials, seed, weight, e
     assert got.to_json() == fraction_verify_relations(order, trials, seed, weight, eps).to_json()
 
 
+def _det(rows) -> Fraction:
+    """Determinant by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            m = a[i][c] / a[c][c]
+            a[i] = [x - m * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def vanishing_functional(seed, order, count):
+    """phi(f) = det of the (count+1)-square matrix whose rows are a_1..a_{count+1}
+    of trials 0..count-1 at this seed, then of f: Z-linear in f, zero on those
+    trials (at any scale) and, generically, on no later one."""
+    rng = random.Random(seed)
+    rows = [list(_integral_series(rng, order).coeffs[: count + 1]) for _ in range(count)]
+    cof = [(-1) ** (count + j) * int(_det([r[:j] + r[j + 1 :] for r in rows]))
+           for j in range(count + 1)]
+    return lambda f: sum(c * a for c, a in zip(cof, f.coeffs))
+
+
+def planted_first_fault(phi):
+    """(f, f + phi(f) x): a linear plant that fails exactly where phi(f) != 0."""
+    return ("planted: f = f + phi(f) x", [()], lambda f: (
+        f, f + phi(f) * make_qexp([1], order=f.order, weight=f.weight, eps=f.eps)))
+
+
 def test_planted_false_relations_fail_like_the_oracle(monkeypatch):
     planted = [
         # t_p B_d = B_d t_p without gcd(p, d) = 1
         ("planted: t_p B_d = B_d t_p", [(3, 3), (2, 4)],
          lambda p, d, f: (op_t(p, op_B(d, f)), op_B(d, op_t(p, f)))),
-        # fails exactly on the trials with a_1 > 0, a sign L*f keeps
-        ("planted: f = 2f when a_1 > 0", [()],
-         lambda f: (f, 2 * f if f.raw(1) > 0 else f)),
+        # phi vanishes on trials 0-2, so the plant first fails at trial 3
+        planted_first_fault(vanishing_functional(seed=3, order=40, count=3)),
     ]
     monkeypatch.setattr(qexp_hecke, "_RELATION_SUITE", qexp_hecke._RELATION_SUITE + planted)
     got = verify_relations(order=40, trials=6, seed=3)
@@ -271,7 +307,73 @@ def test_planted_false_relations_fail_like_the_oracle(monkeypatch):
     failed = {c.params: c.failure for c in got.checks if not c.passed}
     assert list(failed) == ["(3, 3)", "(2, 4)", "()"]
     assert failed["(3, 3)"] == "trial 0: coefficient 1: -1/2 != 0"
-    assert failed["()"] == "trial 3: coefficient 1: 1/5 != 2/5"
+    assert failed["()"].startswith("trial 3: coefficient 1: 1/5 != ")
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 60), st.integers(1, 6), characters(), st.integers(-50, 50), st.data())
+def test_relation_suite_sides_are_z_linear(order, weight, eps, c, data):
+    ints = st.lists(st.integers(-10**6, 10**6), min_size=order, max_size=order)
+    f, g = (QExpansion(tuple(data.draw(ints)), order, order, weight, eps) for _ in range(2))
+    for _, param_list, make in qexp_hecke._RELATION_SUITE:
+        for params in param_list:
+            sides = zip(make(*params, f + g), make(*params, f), make(*params, g),
+                        make(*params, c * f))
+            for on_sum, on_f, on_g, on_cf in sides:
+                assert on_sum == on_f + on_g
+                assert on_cf == c * on_f
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 554400, 2**40 - 1, 2**40])
+def test_lane_width_is_the_smallest_safe_width(bound):
+    w = qexp_hecke._lane_width(bound)
+    assert 2 * bound < 2 ** (w - 1)
+    assert w == 1 or 2 * bound >= 2 ** (w - 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(8, 60), st.integers(1, 6), characters(), st.data())
+def test_lane_bounds_dominate_every_side(order, weight, eps, data):
+    m = qexp_hecke._SERIES_BOUND
+    signs = st.lists(st.sampled_from([-m, 0, m]), min_size=order, max_size=order)
+    f = QExpansion(tuple(data.draw(signs)), order, order, weight, eps)
+    cases = [(n, params, make) for n, pl, make in qexp_hecke._RELATION_SUITE for params in pl]
+    bound = qexp_hecke._suite_bound(cases, order, weight)
+    for _, params, make in cases:
+        assert all(abs(c) <= bound for side in make(*params, f) for c in side.coeffs)
+    for n in range(1, order + 1):
+        assert all(abs(c) <= m * qexp_hecke._hecke_norm(n, weight) for c in op_T(n, f).coeffs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(8, 40), st.integers(1, 4), st.data(), st.integers(0, 10**6),
+       st.integers(1, 6), characters())
+def test_blocked_relations_match_fraction_oracle(order, size, data, seed, weight, eps):
+    trials = data.draw(st.integers(3 * size, 30))  # at least three blocks of `size`
+    with mock.patch.object(qexp_hecke, "_LANE_BUDGET", size * order):
+        got = verify_relations(order, trials, seed, weight, eps)
+    assert got.to_json() == fraction_verify_relations(order, trials, seed, weight, eps).to_json()
+
+
+def test_plant_failing_in_the_last_block(monkeypatch):
+    order, trials, seed = 40, 10, 7
+    monkeypatch.setattr(qexp_hecke, "_LANE_BUDGET", 3 * order)  # blocks 0-2, 3-5, 6-8, 9
+    planted = [planted_first_fault(vanishing_functional(seed, order, count=trials - 1))]
+    monkeypatch.setattr(qexp_hecke, "_RELATION_SUITE", qexp_hecke._RELATION_SUITE + planted)
+    got = verify_relations(order, trials, seed)
+    assert got.to_json() == fraction_verify_relations(order, trials, seed).to_json()
+    failed = [c.failure for c in got.checks if not c.passed]
+    assert len(failed) == 1 and failed[0].startswith("trial 9: coefficient 1: ")
+
+
+def test_side_that_is_not_z_linear_is_refused(monkeypatch):
+    # zero on every single trial (|a_1(L f)| < 2^40), nonzero on a packed block
+    planted = [("planted: a_1 >> 40 = 0", [()], lambda f: (
+        f, f + (int(abs(f.raw(1))) >> 40) * make_qexp([1], order=f.order)))]
+    monkeypatch.setattr(qexp_hecke, "_RELATION_SUITE", qexp_hecke._RELATION_SUITE + planted)
+    assert fraction_verify_relations(order=40, trials=6, seed=3).all_passed
+    with pytest.raises(RuntimeError, match="not Z-linear"):
+        verify_relations(order=40, trials=6, seed=3)
 
 
 def test_op_T_identity_and_examples():
@@ -299,6 +401,32 @@ def test_op_T_with_level_character():
 def test_coefficient_identity_report():
     rep = verify_coefficient_identity(nmax=30, order=200, trials=3, seed=5)
     assert rep.passed, rep.failure
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(1, 12), st.integers(0, 10**6),
+       st.integers(1, 6), characters(), st.integers(1, 4))
+def test_coefficient_identity_matches_per_trial_oracle(nmax, extra, trials, seed, weight, eps, size):
+    order = nmax + extra
+    with mock.patch.object(qexp_hecke, "_LANE_BUDGET", size * order):
+        got = verify_coefficient_identity(nmax, order, trials, seed, weight, eps)
+    assert got == per_trial_coefficient_identity(nmax, order, trials, seed, weight, eps)
+
+
+def test_planted_hecke_fault_fails_like_the_oracle(monkeypatch):
+    order, trials, seed = 40, 8, 11
+    monkeypatch.setattr(qexp_hecke, "_LANE_BUDGET", 3 * order)  # blocks 0-2, 3-5, 6-7
+    phi = vanishing_functional(seed, order, count=4)  # zero on trials 0-3
+    exact = qexp_hecke.op_T
+
+    def faulty(n, f):
+        g = exact(n, f)
+        return g + phi(f) * make_qexp([1], order=f.order, weight=f.weight, eps=f.eps) if n == 7 else g
+
+    monkeypatch.setattr(qexp_hecke, "op_T", faulty)
+    got = verify_coefficient_identity(nmax=30, order=order, trials=trials, seed=seed)
+    assert got == per_trial_coefficient_identity(nmax=30, order=order, trials=trials, seed=seed)
+    assert got.failure == "trial 4: n=7"
 
 
 def test_formal_eigenform_is_eigen_everywhere():
