@@ -8,6 +8,9 @@ limit in MB.
 
 - The criterion at p = 1000003: the flat array P^1 and presentation keep
   it near 70 MB; the list-based ones took about 240 MB.
+- The homology record at p = 1000003: its shape is counted off sigma
+  alone, so it builds neither tau nor the spanning tree and stays near
+  34 MB; building both took about 60 MB.
 - The relation checks at order 20000 over 100 trials: the lane-packed
   blocks keep it near 21 MB, as one trial at a time did; packing all trials
   into one block took about 36 MB.
@@ -28,6 +31,8 @@ from pathlib import Path
 CASES = [
     (["criterion", "--p", "1000003", "--d", "1", "--l", "3"],
      "841dfc8117e26b2698c88325cff5e7bcd21aa2f975394438df4371a2b6f5e3af", 120),
+    (["homology", "--p", "1000003", "--l", "3"],
+     "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 45),
     (["qexp", "verify-relations", "--order", "20000", "--trials", "100", "--seed", "0"],
      "cf38919af26eb1573da0e49fb0e61c64114302313d72a672605dfcdf5ba0c92f", 30),
 ]

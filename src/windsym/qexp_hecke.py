@@ -432,7 +432,8 @@ def op_t(p: int, f: QExpansion) -> QExpansion:
     fac = f.eps(p) * p ** (f.weight - 1)
     out = _every(p, f)
     if fac:
-        out[p - 1 :: p] = [v + fac * a for v, a in zip(out[p - 1 :: p], f.coeffs)]
+        # a zero a_j leaves v as it is: v + 0 would copy a big int
+        out[p - 1 :: p] = [v if a == 0 else v + fac * a for v, a in zip(out[p - 1 :: p], f.coeffs)]
     return QExpansion(tuple(out), f.order, f.reliable // p, f.weight, f.eps)
 
 

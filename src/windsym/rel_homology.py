@@ -20,13 +20,19 @@ V - #components over Z and over every field, so
 
     relation_rank = #sigma orbits + V - #components
 
-and the quotient is free on the edges outside a spanning forest.  The forest
-is grown breadth first from the lowest unvisited vertex, which makes the
-basis, and hence every downstream coordinate, reproducible bit for bit.
-reduce() solves integer vertex potentials pi along the tree so that
-c - delta(pi) vanishes on the tree edges; its values on the other edges are
-the coordinates.  They are integers, valid over Q and, read mod l, over
-every F_l.
+and the quotient is free on the edges outside a spanning forest.  sigma and
+tau generate SL_2(Z), which acts transitively on P^1, so the graph has one
+component, and its shape is a count of fixed points: the edges are the
+points x < sigma x, and V = (|P^1| - nu3)/3 + nu3 with nu3 the number of
+tau-fixed points, which tau.sigma = +1 reads off sigma alone (see
+H1Presentation).  Only reduce() needs the tree.  It is grown on the first
+reduce(), breadth first from the vertex of point 0, which makes the basis,
+and hence every downstream coordinate, reproducible bit for bit; the tree
+must reach every counted vertex and leave exactly the counted number of
+edges outside it, or reduce() raises RuntimeError.  reduce() solves integer
+vertex potentials pi along the tree so that c - delta(pi) vanishes on the
+tree edges; its values on the other edges are the coordinates.  They are
+integers, valid over Q and, read mod l, over every F_l.
 
 Torsion freeness is certified, not assumed: when the sigma rows and the tau
 rows each partition the columns with 0/1 entries, the relation matrix is the
@@ -40,8 +46,9 @@ matrix set {(r/delta, -beta; 0, delta) : delta | r, 0 <= beta < delta}.
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from operator import lt
+from operator import eq, lt
 
 from .arith import divisors, euler_phi
 from .residue_p1 import P1Table
@@ -131,60 +138,78 @@ class H1Presentation:
     """Integer presentation of H_1(X_0(p^n), cusps) on the graph of tau
     orbits and sigma 2-orbits.
 
-    quotient_dim = |P^1| - relation_rank is the number of edges outside the
-    spanning forest; reduce() maps any integer P^1-vector to its integer
-    coordinates on those edges.  Immutable after construction.
+    The shape is counted off sigma alone.  The edges are the points x with
+    x < sigma x.  tau.sigma = +1 gives tau(a) = sigma(a + 1) on affine a,
+    and tau maps the infinite branch into the affine points, so the tau
+    fixed points are the affine a < p^n - 1 with sigma(a + 1) = a, and every
+    other tau orbit has three points.  sigma and tau generate SL_2(Z), which
+    acts transitively on P^1, so the graph is connected and
+
+        quotient_dim = #edges - V + 1,  relation_rank = |P^1| - quotient_dim.
+
+    reduce() maps any integer P^1-vector to its integer coordinates on the
+    quotient_dim edges outside a spanning tree.  The tree is the only part
+    that reads tau_perm; it is grown on the first reduce() and cached, and
+    the presentation is otherwise immutable.
 
     Nothing is stored per vertex or per edge beyond flat arrays.  Vertices
     are numbered in visiting order, and an edge is named by its tail, the
     lower point x of its sigma 2-orbit {x, sigma x}.  A vertex reads its (at
     most three) edges off its own points, in increasing tail order, which is
-    the order an adjacency list built edge by edge would hold; so the forest
-    is the breadth-first one rooted at the lowest unreached vertex.  The
-    forest is kept as parallel arrays (vertex, parent, point of the parent
-    on the tree edge), the edges outside it as (tail, head vertex, tail
-    vertex) in tail order.
+    the order an adjacency list built edge by edge would hold; so the tree
+    is the breadth-first one rooted at the vertex of point 0.  It is kept as
+    parallel arrays (parent, point of the parent on the tree edge) indexed
+    by the vertex it reaches minus one, the edges outside it as (tail, head
+    vertex, tail vertex) in tail order.
     """
 
     def __init__(self, table: P1Table):
         self.table = table
         self.p1_size = size = table.size
         self._sigma = sigma = table.sigma_perm
-        tau = table.tau_perm
-        # 1 at each edge's tail, 2 once the edge is in the forest
-        tails = bytearray(map(lt, range(size), sigma))
-        n_edges = tails.count(1)
+        # 1 at each edge's tail
+        self._tails = tails = bytearray(map(lt, range(size), sigma))
+        m = table.pp.modulus
+        nu3 = sum(map(eq, memoryview(sigma)[1:m], range(m - 1)))
+        self._n_vertices = (size - nu3) // 3 + nu3
+        self.quotient_dim = tails.count(1) - self._n_vertices + 1
+        self.relation_rank = size - self.quotient_dim
+
+    @cached_property
+    def _forest(self) -> tuple:
+        """(tree parents, tree points, (free tails, heads, tail vertices)),
+        grown breadth first from the vertex of point 0."""
+        size, sigma, tau = self.p1_size, self._sigma, self.table.tau_perm
+        tails = bytearray(self._tails)  # 2 once the edge is in the tree
         vertex = array("q", [-1]) * size  # point -> vertex, -1 until reached
-        entry = array("q")  # vertex -> the point it was reached at
-        tree_w, tree_u, tree_z = array("q"), array("q"), array("q")
-        for root in range(size):
-            if vertex[root] >= 0:
-                continue
-            u = len(entry)
-            vertex[root] = vertex[tau[root]] = vertex[tau[tau[root]]] = u
-            entry.append(root)
-            while u < len(entry):
-                a = entry[u]
-                b = tau[a]
-                # the edges of u that lead to unreached vertices, by tail
-                out = []
-                for z in (a,) if b == a else (a, b, tau[b]):
-                    y = sigma[z]
-                    if vertex[y] < 0:
-                        out.append((y if y < z else z, z, y))
-                out.sort()
-                for x, z, y in out:
-                    if vertex[y] >= 0:  # an earlier edge of u reached it
-                        continue
-                    w = len(entry)
-                    ty = tau[y]
-                    vertex[y] = vertex[ty] = vertex[tau[ty]] = w
-                    entry.append(y)
-                    tree_w.append(w)
-                    tree_u.append(u)
-                    tree_z.append(z)
-                    tails[x] = 2
-                u += 1
+        vertex[0] = vertex[tau[0]] = vertex[tau[tau[0]]] = 0
+        entry = array("q", [0])  # vertex -> the point it was reached at
+        tree_u, tree_z = array("q"), array("q")
+        u = 0
+        while u < len(entry):
+            a = entry[u]
+            b = tau[a]
+            # the edges of u that lead to unreached vertices, by tail
+            out = []
+            for z in (a,) if b == a else (a, b, tau[b]):
+                y = sigma[z]
+                if vertex[y] < 0:
+                    out.append((y if y < z else z, z, y))
+            out.sort()
+            for x, z, y in out:
+                if vertex[y] >= 0:  # an earlier edge of u reached it
+                    continue
+                ty = tau[y]
+                vertex[y] = vertex[ty] = vertex[tau[ty]] = len(entry)
+                entry.append(y)
+                tree_u.append(u)
+                tree_z.append(z)
+                tails[x] = 2
+            u += 1
+        if len(entry) != self._n_vertices:
+            raise RuntimeError(
+                f"the tree from point 0 reaches {len(entry)} of {self._n_vertices} tau orbits"
+            )
         free_x, free_h, free_t = array("q"), array("q"), array("q")
         x = tails.find(1)
         while x >= 0:
@@ -192,22 +217,22 @@ class H1Presentation:
             free_h.append(vertex[sigma[x]])
             free_t.append(vertex[x])
             x = tails.find(1, x + 1)
-        self._n_vertices = len(entry)
-        self._tree = (tree_w, tree_u, tree_z)
-        self._free = (free_x, free_h, free_t)
-        # each sigma orbit is one relation: size - n_edges of them
-        self.relation_rank = size - n_edges + len(tree_w)
-        self.quotient_dim = len(free_x)
+        if len(free_x) != self.quotient_dim:
+            raise RuntimeError(
+                f"{len(free_x)} edges outside the tree, but the counts give {self.quotient_dim}"
+            )
+        return tree_u, tree_z, (free_x, free_h, free_t)
 
     def reduce(self, coeffs: dict[int, int]) -> list[int]:
         """Integer coordinates of a sparse integer P^1-vector in the quotient
-        basis, one per edge outside the spanning forest.
+        basis, one per edge outside the spanning tree.
 
         The edge through a point z carries g[z] = c[sigma z] - c[z] read from
         z's end (a sigma-fixed point cancels itself), so a tree edge from u
         through its point z to w gives pi(w) = pi(u) + g[z], and the
         coordinate of the edge with tail x is g[x] - pi(head) + pi(tail).
         """
+        tree_u, tree_z, free = self._forest
         size, sigma = self.p1_size, self._sigma
         g = [0] * size
         for i, val in coeffs.items():
@@ -215,10 +240,11 @@ class H1Presentation:
                 raise ValueError(f"index {i} outside P^1 of size {size}")
             g[i] -= val
             g[sigma[i]] += val
-        pi = [0] * self._n_vertices
-        for w, u, z in zip(*self._tree):
-            pi[w] = pi[u] + g[z]
-        return [g[x] - pi[h] + pi[t] for x, h, t in zip(*self._free)]
+        pi = [0]  # vertex w > 0 is reached by the tree edge w - 1
+        grow = pi.append
+        for u, z in zip(tree_u, tree_z):
+            grow(pi[u] + g[z])
+        return [g[x] - pi[h] + pi[t] for x, h, t in zip(*free)]
 
     def summary(self) -> dict:
         """JSON-ready record of the presentation's shape."""

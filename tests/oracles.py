@@ -7,7 +7,8 @@ searches in Gamma_0(N), the general-purpose sparse echelon and dense
 Smith form that the library's graph presentation replaced, the
 P1Point/normalize representative format that P1Table.index replaced, the
 eager sigma/tau permutations and permutation-driven chain walker that the
-on-demand actions replaced, the step-by-step walker that the
+on-demand actions replaced, the union-find shape of the orbit graph that
+the fixed-point counts replaced, the step-by-step walker that the
 closed-form chain stops replaced, the coefficient-by-coefficient q-expansion
 operators that the slice kernels replaced, the Fraction-series relation
 suite that the integer L*f streaming replaced, the one-trial-at-a-time
@@ -475,6 +476,43 @@ def eager_permutations(p: int, n: int) -> tuple[list[int], list[int]]:
         sigma_perm[i] = normalized_index(-t, w, pp)
         tau_perm[i] = normalized_index(-t, w + t, pp)
     return sigma_perm, tau_perm
+
+
+def orbit_graph_shape(p: int, n: int) -> tuple[int, int, int]:
+    """(relation_rank, quotient_dim, #components) of the graph of tau orbits
+    and sigma 2-orbits, from the eager permutations: orbits by following
+    cycles, components by union-find over the edges, and
+    relation_rank = #sigma orbits + V - #components."""
+    sigma, tau = eager_permutations(p, n)
+    size = len(sigma)
+    orbit = [-1] * size
+    n_vertices = 0
+    for x in range(size):
+        if orbit[x] < 0:
+            y = x
+            while orbit[y] < 0:
+                orbit[y] = n_vertices
+                y = tau[y]
+            n_vertices += 1
+    root = list(range(n_vertices))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    components = n_vertices
+    sigma_orbits = 0
+    for x in range(size):
+        if x <= sigma[x]:
+            sigma_orbits += 1
+        a, b = find(orbit[x]), find(orbit[sigma[x]])
+        if a != b:
+            root[a] = b
+            components -= 1
+    rank = sigma_orbits + n_vertices - components
+    return rank, size - rank, components
 
 
 def chain_definition(label: str, r: int, m: int) -> tuple[int, int, bool]:

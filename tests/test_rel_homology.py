@@ -1,12 +1,17 @@
 import hashlib
 import random
+from array import array
 from fractions import Fraction
+from operator import lt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windsym import bounds_cli
+from windsym.bounds_cli import cli_main
 from windsym.rel_homology import (
     Cusp,
+    H1Presentation,
     RelationSpan,
     build_presentation,
     cusp_equivalent,
@@ -18,14 +23,17 @@ from windsym.rel_homology import (
 )
 from windsym.arith import factorize
 from windsym.hecke_symbols import _coordinate_rank, winding_image
+from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
     EchelonPresentation,
     apply_mat_to_cusp,
     bruteforce_cusp_equivalent,
     cusp_count_x0,
+    eager_permutations,
     gamma0_matrices,
     genus_x0,
     get_table,
+    orbit_graph_shape,
     prefix_ranks,
     prime_powers,
     smith_diagonal,
@@ -167,6 +175,19 @@ def _differential_levels(rng: random.Random) -> list[tuple[int, int]]:
     return prime_powers(2, 101) + rng.sample(prime_powers(401, 1001), 20)
 
 
+def _check_counted_shape(table, pres) -> None:
+    """The shape H1Presentation counts off sigma against the tree reduce()
+    grows, the union-find oracle on the eager permutations, and the genus
+    and cusp formulas."""
+    p, n = table.pp.p, table.pp.n
+    tree_u, _, (free_x, _, _) = pres._forest
+    assert len(free_x) == pres.quotient_dim == table.size - pres.relation_rank, (p, n)
+    # the tree's edges and the free ones are all the edges
+    assert sum(map(lt, range(table.size), table.sigma_perm)) == len(tree_u) + len(free_x)
+    assert orbit_graph_shape(p, n) == (pres.relation_rank, pres.quotient_dim, 1), (p, n)
+    assert pres.quotient_dim == 2 * genus_x0(p**n) + cusp_count_x0(p**n) - 1, (p, n)
+
+
 def test_forest_against_echelon_oracle():
     rng = random.Random(2)
     levels = _differential_levels(rng)
@@ -177,6 +198,7 @@ def test_forest_against_echelon_oracle():
         pres = build_presentation(table)
         rel = invariant_generators(table)
         assert pres.relation_rank + pres.quotient_dim == table.size
+        _check_counted_shape(table, pres)
         for row in rel.rows:
             assert not any(pres.reduce(row)), (p, n, row)
         v = {rng.randrange(table.size): rng.randint(-9, 9) for _ in range(5)}
@@ -250,6 +272,61 @@ def test_forest_against_echelon_oracle_random_levels(case):
         assert pres.quotient_dim == oracle.quotient_dim, char
         ranks = [_coordinate_rank(rows[:k], char) for k in range(1, 7)]
         assert ranks == prefix_ranks([oracle.reduce(im) for im in images], char), char
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(prime_powers(limit=5000))
+def test_counted_shape_random_levels(pp):
+    table = P1Table(pp)
+    pres = H1Presentation(table)
+    _check_counted_shape(table, pres)
+    oracle = EchelonPresentation(invariant_generators(table), 0)
+    assert pres.quotient_dim == oracle.quotient_dim, pp
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(prime_powers(limit=5000))
+def test_tau_is_shifted_sigma(pp):
+    # tau.sigma = +1: tau(a) = sigma(a + 1) on affine a (the point after
+    # p^n - 1 is 0), and tau maps the infinite branch into the affine points
+    sigma, tau = eager_permutations(pp.p, pp.n)
+    m = pp.modulus
+    assert tau[: m - 1] == sigma[1:m]
+    assert tau[m - 1] == sigma[0]
+    assert all(y < m for y in tau[m:])
+    nu3 = sum(tau[x] == x for x in range(len(tau)))
+    assert nu3 == sum(sigma[a + 1] == a for a in range(m - 1))
+    pres = H1Presentation(P1Table(pp))
+    assert pres._n_vertices == (len(tau) - nu3) // 3 + nu3
+
+
+def test_homology_builds_neither_tau_nor_tree(capsys, monkeypatch):
+    built = []
+
+    def spy(table):
+        built.append(H1Presentation(table))
+        return built[-1]
+
+    monkeypatch.setattr(bounds_cli, "build_presentation", spy)
+    assert cli_main(["homology", "--p", "4201", "--l", "3"]) == 0
+    capsys.readouterr()
+    (pres,) = built
+    assert "sigma_perm" in vars(pres.table)
+    assert "tau_perm" not in vars(pres.table)
+    assert "_forest" not in vars(pres)
+    pres.reduce({0: 1})
+    assert "tau_perm" in vars(pres.table) and "_forest" in vars(pres)
+
+
+def test_reduce_raises_when_the_graph_splits(monkeypatch):
+    table = P1Table(PrimePower(11, 1))
+    # with tau the identity every point is its own vertex, and the tree from
+    # point 0 reaches only the vertices of 0 and sigma(0)
+    monkeypatch.setattr(table, "tau_perm", array("q", range(table.size)))
+    pres = H1Presentation(table)
+    assert pres.quotient_dim == 3  # the counts read sigma alone
+    with pytest.raises(RuntimeError, match="reaches 2 of 4"):
+        pres.reduce({0: 1})
 
 
 # -- cusps ------------------------------------------------------------------
