@@ -7,10 +7,12 @@ set (ru_maxrss from os.wait4 on that child, KiB on Linux) exceeds the case's
 limit in MB.
 
 - The criterion at p = 1000003: the flat array P^1 and presentation keep
-  it near 70 MB; the list-based ones took about 240 MB.
+  it near 57 MB; the list-based ones took about 240 MB.
+- The criterion at p = 266261 with d = 2, the first prime past the d = 2
+  threshold 65 (2d)^6 = 266240: rank 4 of 4 over F_5, near 28 MB.
 - The homology record at p = 1000003: its shape is counted off sigma
   alone, so it builds neither tau nor the spanning tree and stays near
-  34 MB; building both took about 60 MB.
+  32 MB; building both took about 60 MB.
 - The relation checks at order 20000 over 100 trials: the lane-packed
   blocks keep it near 21 MB, as one trial at a time did; packing all trials
   into one block took about 36 MB.
@@ -31,6 +33,8 @@ from pathlib import Path
 CASES = [
     (["criterion", "--p", "1000003", "--d", "1", "--l", "3"],
      "841dfc8117e26b2698c88325cff5e7bcd21aa2f975394438df4371a2b6f5e3af", 120),
+    (["criterion", "--p", "266261", "--d", "2", "--l", "5"],
+     "5485130389c083525a412dd59b6991e2db6d3d02a195e50005a371fa32d717d7", 40),
     (["homology", "--p", "1000003", "--l", "3"],
      "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 45),
     (["qexp", "verify-relations", "--order", "20000", "--trials", "100", "--seed", "0"],

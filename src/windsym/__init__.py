@@ -9,50 +9,10 @@ Subpackages by concern:
   winding_paths  obstruction-avoiding chain walks, inverse-pair search
   qexp_hecke     operator calculus on truncated q-expansions
   bounds_cli     closed-form bounds, constants consistency, CLI
-"""
 
-from .residue_p1 import P1Table, PrimePower
-from .rel_homology import (
-    Cusp,
-    H1Presentation,
-    build_presentation,
-    cusp_equivalent,
-    hecke_cusp_action,
-    reduce_vector,
-    smith_invariants,
-)
-from .hecke_symbols import (
-    CriterionReport,
-    SymbolVector,
-    check_kamienny_condition3,
-    hecke_span_rank,
-    sigma_r_set,
-    winding_image,
-)
-from .winding_paths import (
-    IntervalPair,
-    find_inverse_pair,
-    lemma53_requirement,
-    walk_chain_A,
-    walk_chain_B,
-    walk_chain_B_prime,
-)
-from .qexp_hecke import (
-    DirichletCharacter,
-    QExpansion,
-    make_qexp,
-    op_B,
-    op_T,
-    op_U,
-    op_t,
-    verify_relations,
-)
-from .bounds_cli import (
-    cli_main,
-    constants_consistency,
-    cor18_bound,
-    criterion_threshold,
-    prop11_bound,
-)
+The package re-exports nothing: import each name from its layer module
+(`from windsym.residue_p1 import P1Table`), so that loading one layer, or
+running one CLI subcommand, compiles and holds only the modules it uses.
+"""
 
 __version__ = "0.1.0"

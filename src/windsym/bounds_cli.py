@@ -44,25 +44,11 @@ from .hecke_symbols import (
     criterion_threshold,
     sigma_r_set,
 )
-from .qexp_hecke import (
-    CASE_COPRIME,
-    CASE_DIVIDES,
-    build_Up_matrix,
-    charpoly,
-    verify_coefficient_identity,
-    verify_relations,
-)
 from .rel_homology import build_presentation, invariant_generators, smith_invariants
-from .residue_p1 import P1Table, PrimePower
-from .winding_paths import (
-    CHAIN_A,
-    CHAIN_B,
-    CHAIN_B_PRIME,
-    interval_bound,
-    walk_chain_A,
-    walk_chain_B,
-    walk_chain_B_prime,
-)
+from .residue_p1 import MAX_HECKE_R, P1Table, PrimePower
+
+# winding_paths and qexp_hecke are imported by the paths and qexp handlers
+# that run them, so the other subcommands never load them.
 
 SCHEMA = 1
 
@@ -256,7 +242,9 @@ def _cmd_p1(args) -> int:
         sigma, tau = table.sigma_perm, table.tau_perm
         sigma_ok = all(sigma[sigma[i]] == i for i in range(table.size))
         tau_ok = all(tau[tau[tau[i]]] == i for i in range(table.size))
-        shift_ok = all(sigma[tau[a]] == (a + 1) % pp.modulus for a in range(pp.modulus))
+        # tau_perm is sliced out of sigma_perm, so this check reads tau point
+        # by point instead: it then compares two independent routes
+        shift_ok = all(sigma[table.tau(a)] == (a + 1) % pp.modulus for a in range(pp.modulus))
         bijective = _is_bijection(sigma, table.size) and _is_bijection(tau, table.size)
         report["checks"] = {
             "sigma_involution": sigma_ok,
@@ -308,7 +296,15 @@ def _cmd_criterion(args) -> int:
     return 1 if bad else 0
 
 
+def _check_r(flag: str, r: int) -> None:
+    """Refuse an r whose Sigma_r would take more than about 10 s to list."""
+    if r > MAX_HECKE_R:
+        raise ValueError(f"{flag} {r} exceeds the limit {MAX_HECKE_R}")
+
+
 def _chain_report(chain, pp, r, d_param):
+    from .winding_paths import CHAIN_B, CHAIN_B_PRIME, interval_bound
+
     bound = interval_bound(chain.label, pp, d_param)
     # the second chain's leading-term isolation degenerates at r = 1, so its
     # bound is not asserted there
@@ -327,6 +323,8 @@ def _chain_report(chain, pp, r, d_param):
 
 
 def _walk_both(pp, r):
+    from .winding_paths import walk_chain_A, walk_chain_B, walk_chain_B_prime
+
     table = P1Table(pp)
     sig = sigma_r_set(r, table)
     chains = [walk_chain_A(r, table, sig)]
@@ -342,6 +340,7 @@ def _cmd_paths(args) -> int:
         return _cmd_paths_sweep(args)
     if args.p is None or args.r is None:
         raise ValueError("paths: need --p and --r (or the sweep subcommand)")
+    _check_r("--r", args.r)
     pp = PrimePower(args.p, args.n)
     d_param = args.d if args.d else args.r
     chains = _walk_both(pp, args.r)
@@ -359,6 +358,7 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_paths_sweep(args) -> int:
+    _check_r("--r-max", args.r_max)
     rows = []
     bad = False
     for value in args.pn:
@@ -380,6 +380,15 @@ def _cmd_paths_sweep(args) -> int:
 
 
 def _cmd_qexp(args) -> int:
+    from .qexp_hecke import (
+        CASE_COPRIME,
+        CASE_DIVIDES,
+        build_Up_matrix,
+        charpoly,
+        verify_coefficient_identity,
+        verify_relations,
+    )
+
     if args.mode == "verify-relations":
         rel = verify_relations(order=args.order, trials=args.trials, seed=args.seed)
         ident = verify_coefficient_identity(order=max(args.order, 30), seed=args.seed)

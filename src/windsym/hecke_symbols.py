@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 from .arith import is_prime, smallest_prime_excluding
 from .rel_homology import H1Presentation, build_presentation, reduce_vector
-from .residue_p1 import P1Table, PrimePower
+from .residue_p1 import MAX_HECKE_R, P1Table, PrimePower
 
 
 @dataclass
@@ -235,13 +235,16 @@ def check_kamienny_condition3(p: int, n: int, d: int, l: int) -> CriterionReport
 
     The threshold flag records whether p^n >= C^2 (sd)^6, the regime where
     independence is guaranteed; outside it the report still carries the
-    computed rank without asserting anything.
+    computed rank without asserting anything.  An s*d above MAX_HECKE_R is
+    refused with ValueError before the table or any image is built.
     """
     if not is_prime(l):
         raise ValueError(f"l={l} must be prime")
     pp = PrimePower(p, n)
     thr = criterion_threshold(p, d)
     required = thr.s * d
+    if required > MAX_HECKE_R:
+        raise ValueError(f"s*d = {required} exceeds the limit {MAX_HECKE_R}")
     achieved = hecke_span_rank(pp, required, l)
     return CriterionReport(
         p=p,

@@ -14,7 +14,10 @@ sigma = [[0,1],[-1,0]] and tau = [[0,-1],[1,-1]] act on the right:
 so tau.sigma is +1 on affine coordinates and sigma.tau^2 is -1.  Each action
 is computed on demand for one index by modular arithmetic, which is all the
 chain walks need.  The dense index permutations, which relation building
-sweeps in full, are built on first use into arrays of 8-byte integers; they
+sweeps in full, are built on first use into arrays of 8-byte integers:
+sigma by one batch inversion, and tau from sigma, since (a, 1).tau =
+(-1 : a + 1) = (a + 1, 1).sigma makes tau(a) = sigma(a + 1) on affine a, so
+only the p^{n-1} points of the infinite branch take an inverse each.  They
 are the only part of a table whose memory grows with |P^1|, so the size
 limit MAX_P1_SIZE guards them and nothing else.
 """
@@ -28,13 +31,21 @@ from typing import Optional
 from .arith import is_prime
 
 # Largest |P^1| = p^n + p^{n-1} whose dense permutations a table builds.  At
-# this size the two permutations take 160 MB, and a criterion run on them,
+# this size the two permutations take 160 MB (tau is copied out of sigma, so
+# building it holds nothing else of that size), and a criterion run on them,
 # presentation and spanning tree included, peaks near 0.5 GB (about 41 bytes
 # per point under tracemalloc, plus the interpreter).  A homology run holds
 # only sigma and a byte of edge tails per point (about 10 bytes per point;
 # building sigma peaks at about 25), so near 0.25 GB at this size; at 10^6
 # it takes 0.45 s and 33 MB of RSS.
 MAX_P1_SIZE = 10**7
+
+# Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and
+# s*d for `criterion` (T_1..T_sd{0,oo}).  Listing them costs O(r^4) at any
+# level; at r = 200 `paths --p 101 --r 200` and `criterion --p 11 --d 100`
+# each take about 9 s on a 2-vCPU host, and r = 400 would take about 16
+# times that.
+MAX_HECKE_R = 200
 
 
 @dataclass(frozen=True)
@@ -70,9 +81,10 @@ class P1Table:
     branch (1, p*r') ordered by r'.  This ordering fixes every downstream
     matrix layout.  Construction is O(1) at any level: index, pair, sigma
     and tau cost O(1) modular arithmetic each.  The dense permutations
-    sigma_perm and tau_perm are built on first read, as array('q'), and
-    cached on the table; reading one raises ValueError when |P^1| exceeds
-    MAX_P1_SIZE, before any per-point work.
+    sigma_perm and tau_perm (the latter sliced out of the former) are built
+    on first read, as array('q'), and cached on the table; reading one
+    raises ValueError when |P^1| exceeds MAX_P1_SIZE, before any per-point
+    work.
     """
 
     def __init__(self, pp: PrimePower):
@@ -151,13 +163,24 @@ class P1Table:
 
     @cached_property
     def tau_perm(self) -> array:
-        """tau(i) for every index, one index() call each."""
+        """tau(i) for every index, sliced out of sigma_perm.
+
+        tau(a) = sigma(a + 1) on affine a, so the affine part is sigma_perm
+        shifted down by one, with tau(p^n - 1) = sigma(0) at its end; only
+        the p^{n-1} points of the infinite branch take one tau() call each.
+        """
         self._check_dense_size()
-        return array("q", map(self.tau, range(self.size)))
+        m, sigma = self.pp.modulus, self.sigma_perm
+        perm = array("q", [0]) * self.size
+        memoryview(perm)[: m - 1] = memoryview(sigma)[1:m]  # no temporary copy
+        perm[m - 1] = sigma[0]
+        perm[m:] = array("q", map(self.tau, range(m, self.size)))
+        return perm
 
 
 __all__ = [
     "MAX_P1_SIZE",
+    "MAX_HECKE_R",
     "PrimePower",
     "P1Table",
 ]

@@ -262,6 +262,44 @@ def test_cli_p1_verify_catches_a_repeated_entry(capsys, monkeypatch):
     assert json.loads(out)["checks"]["bijections"] is False
 
 
+def _one_wrong_entry(perm):
+    perm[1] = 3  # sigma(1) = -1 = 10 at p = 11
+
+
+def _repaired(perm):
+    # 1 <-> 10 and 2 <-> 5 re-paired as 1 <-> 5 and 2 <-> 10: still a
+    # bijective involution, and tau_perm, sliced out of it, satisfies
+    # sigma(tau(a)) = a + 1 by construction, so only the pointwise tau()
+    # sees that this sigma is not the action
+    perm[1], perm[5], perm[2], perm[10] = 5, 1, 10, 2
+
+
+@pytest.mark.parametrize("edit, still_true", [
+    (_one_wrong_entry, []),
+    (_repaired, ["sigma_involution", "bijections"]),
+], ids=["one-wrong-entry", "repaired-involution"])
+def test_cli_p1_verify_catches_a_wrong_sigma(capsys, monkeypatch, edit, still_true):
+    from array import array
+    from functools import cached_property
+
+    from windsym import bounds_cli
+    from windsym.residue_p1 import P1Table
+
+    class WrongSigma(P1Table):
+        @cached_property
+        def sigma_perm(self):
+            perm = array("q", P1Table.sigma_perm.func(self))
+            edit(perm)
+            return perm
+
+    monkeypatch.setattr(bounds_cli, "P1Table", WrongSigma)
+    rc, out = run_cli(capsys, "p1", "--p", "11", "--verify")
+    assert rc == 1
+    checks = json.loads(out)["checks"]
+    assert checks["tau_sigma_is_plus_one"] is False
+    assert all(checks[name] is True for name in still_true)
+
+
 def test_cli_qexp_verify(capsys):
     rc, out = run_cli(capsys, "qexp", "verify-relations", "--order", "48", "--trials", "3", "--seed", "1")
     assert rc == 0
@@ -314,6 +352,75 @@ def test_cli_usage_errors(capsys):
     # the chain walks need no permutation, so paths runs past the limit
     assert cli_main(["paths", "--p", "10000019", "--r", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["p"] == 10000019
+
+
+def test_cli_refuses_oversized_r_before_enumerating(capsys, monkeypatch):
+    from windsym import bounds_cli, hecke_symbols
+    from windsym.residue_p1 import MAX_HECKE_R
+
+    big = str(MAX_HECKE_R + 1)
+    # s = 2 for p != 2 and s = 3 for p = 2: s*d just past the limit
+    over_d = [("11", str(MAX_HECKE_R // 2 + 1)), ("2", str(MAX_HECKE_R // 3 + 1))]
+
+    def no_enumeration(k):
+        raise AssertionError("enumerated Hecke images past the limit")
+
+    monkeypatch.setattr(hecke_symbols, "admissible_pairs", no_enumeration)
+    assert cli_main(["paths", "--p", "101", "--r", big]) == 2
+    assert capsys.readouterr() == ("", f"error: --r {big} exceeds the limit {MAX_HECKE_R}\n")
+    assert cli_main(["paths", "sweep", "--pn", "101", "--r-max", big]) == 2
+    assert capsys.readouterr() == ("", f"error: --r-max {big} exceeds the limit {MAX_HECKE_R}\n")
+    for p, d in over_d:
+        for ls in (["--l", "5"], ["--all-l-up-to", "7"]):
+            assert cli_main(["criterion", "--p", p, "--d", d, *ls]) == 2
+            assert "exceeds the limit" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # the limit is inclusive: with it lowered, r and s*d at the limit still run
+    monkeypatch.setattr(bounds_cli, "MAX_HECKE_R", 6)
+    monkeypatch.setattr(hecke_symbols, "MAX_HECKE_R", 6)
+    assert cli_main(["paths", "--p", "101", "--r", "6"]) == 0
+    assert cli_main(["paths", "sweep", "--pn", "101", "--r-max", "6"]) == 0
+    assert cli_main(["criterion", "--p", "11", "--d", "3", "--l", "3"]) == 0
+    assert cli_main(["criterion", "--p", "2", "--d", "2", "--l", "3"]) == 0
+    capsys.readouterr()
+    assert cli_main(["paths", "--p", "101", "--r", "7"]) == 2
+    assert cli_main(["paths", "sweep", "--pn", "101", "--r-max", "7"]) == 2
+    assert cli_main(["criterion", "--p", "11", "--d", "4", "--l", "3"]) == 2
+    assert cli_main(["criterion", "--p", "2", "--d", "3", "--l", "3"]) == 2
+    assert capsys.readouterr().err.count("exceeds the limit 6") == 4
+
+
+IMPORT_DIET = """
+import contextlib, io, json, sys
+from windsym.bounds_cli import cli_main
+runs = [["criterion", "--p", "11", "--d", "1", "--l", "3"], ["homology", "--p", "11", "--l", "3"],
+        ["p1", "--p", "11", "--verify"], ["paths", "--p", "101", "--r", "2"],
+        ["qexp", "up-matrix", "--case", "coprime", "--k", "1", "--prime", "5"]]
+loaded = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli_main(argv)
+    loaded.append([rc, sorted(m for m in sys.modules if m.startswith("windsym."))])
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_loads_only_the_modules_a_subcommand_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_DIET], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    (criterion, homology, p1, paths, qexp) = json.loads(proc.stdout)
+    for rc, modules in (criterion, homology, p1):
+        assert rc == 0
+        assert "windsym.winding_paths" not in modules
+        assert "windsym.qexp_hecke" not in modules
+    assert paths[0] == 0
+    assert "windsym.winding_paths" in paths[1] and "windsym.qexp_hecke" not in paths[1]
+    assert qexp[0] == 0
+    assert "windsym.qexp_hecke" in qexp[1]
 
 
 def test_readme_commands_run(capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from windsym import residue_p1
 from windsym.residue_p1 import P1Table, PrimePower
@@ -115,6 +115,8 @@ def test_size_guard():
         table.sigma_perm
     with pytest.raises(ValueError, match="exceeds the limit"):
         table.tau_perm
+    # refused before tau_perm reads sigma_perm or calls tau() on any point
+    assert "sigma_perm" not in vars(table) and "tau_perm" not in vars(table)
 
 
 @pytest.mark.parametrize("p, n", DIFFERENTIAL_LEVELS)
@@ -196,3 +198,35 @@ def test_batch_sigma_matches_pointwise_edge_levels(p, n):
     # m/2 is a unit at m = 2 and a multiple of p at every other power of 2
     table = P1Table(PrimePower(p, n))
     assert list(table.sigma_perm) == _pointwise_sigma(table)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(prime_powers(limit=10**5))
+# the levels whose infinite branch, p^{n-1} of the p^n + p^{n-1} points, is
+# the largest share, and the single-point branch of a prime
+@example(PrimePower(2, 16))
+@example(PrimePower(3, 10))
+@example(PrimePower(5, 7))
+@example(PrimePower(2, 1))
+@example(PrimePower(99991, 1))
+def test_sliced_tau_matches_pointwise_random_levels(pp):
+    # tau_perm is sigma_perm shifted by one on the affine points; the
+    # pointwise tau() reaches every entry by its own modular inverse
+    table = P1Table(pp)
+    assert list(table.tau_perm) == [table.tau(i) for i in range(table.size)]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (11, 1), (2, 10), (3, 6), (7, 3)])
+def test_tau_perm_calls_tau_only_on_the_infinite_branch(p, n, monkeypatch):
+    calls = []
+    pointwise = P1Table.tau
+
+    def spy(self, i):
+        calls.append(i)
+        return pointwise(self, i)
+
+    monkeypatch.setattr(P1Table, "tau", spy)
+    table = P1Table(PrimePower(p, n))
+    table.tau_perm
+    assert len(calls) == p ** (n - 1)
+    assert calls == list(range(p**n, table.size))
