@@ -6,16 +6,25 @@ stdout's sha256 differs from the pinned digest, or when its peak resident
 set (ru_maxrss from os.wait4 on that child, KiB on Linux) exceeds the case's
 limit in MB.
 
+Each limit sits between the peak of the 4-byte index arrays and that of the
+8-byte ones they replaced, so the guard fails on the 8-byte code.
+
 - The criterion at p = 1000003: the flat array P^1 and presentation keep
-  it near 57 MB; the list-based ones took about 240 MB.
+  it near 45 MB (58 MB with 8-byte arrays; the list-based ones took about
+  240 MB).
 - The criterion at p = 266261 with d = 2, the first prime past the d = 2
-  threshold 65 (2d)^6 = 266240: rank 4 of 4 over F_5, near 28 MB.
+  threshold 65 (2d)^6 = 266240: rank 4 of 4 over F_5, near 25 MB (28 MB
+  with 8-byte arrays).
+- The criterion at p = 3032641 with d = 3, the first prime past the d = 3
+  threshold 65 (2d)^6 = 3032640: rank 6 of 6 over F_5, near 126 MB (159 MB
+  with 8-byte arrays).
 - The homology record at p = 1000003: its shape is counted off sigma
   alone, so it builds neither tau nor the spanning tree and stays near
-  32 MB; building both took about 60 MB.
+  24 MB (32 MB with 8-byte arrays); building both took about 60 MB.
 - The relation checks at order 20000 over 100 trials: the lane-packed
   blocks keep it near 21 MB, as one trial at a time did; packing all trials
-  into one block took about 36 MB.
+  into one block took about 36 MB.  It holds no index array, so its limit
+  is not between two measured peaks.
 
     python .github/scripts/memory_guard.py [SRC_DIR]
 
@@ -32,11 +41,13 @@ from pathlib import Path
 # (argv, stdout sha256, peak RSS limit in MB)
 CASES = [
     (["criterion", "--p", "1000003", "--d", "1", "--l", "3"],
-     "841dfc8117e26b2698c88325cff5e7bcd21aa2f975394438df4371a2b6f5e3af", 120),
+     "841dfc8117e26b2698c88325cff5e7bcd21aa2f975394438df4371a2b6f5e3af", 52),
     (["criterion", "--p", "266261", "--d", "2", "--l", "5"],
-     "5485130389c083525a412dd59b6991e2db6d3d02a195e50005a371fa32d717d7", 40),
+     "5485130389c083525a412dd59b6991e2db6d3d02a195e50005a371fa32d717d7", 26.5),
+    (["criterion", "--p", "3032641", "--d", "3", "--l", "5"],
+     "f15d0a8abd43e4bd4ec86eeaf5d29819c7af9e56447550520e5b1d6c16152e06", 142),
     (["homology", "--p", "1000003", "--l", "3"],
-     "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 45),
+     "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 28),
     (["qexp", "verify-relations", "--order", "20000", "--trials", "100", "--seed", "0"],
      "cf38919af26eb1573da0e49fb0e61c64114302313d72a672605dfcdf5ba0c92f", 30),
 ]

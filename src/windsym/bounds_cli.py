@@ -38,17 +38,11 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import factorize, is_prime
-from .hecke_symbols import (
-    CriterionThreshold,
-    check_kamienny_condition3,
-    criterion_threshold,
-    sigma_r_set,
-)
-from .rel_homology import build_presentation, invariant_generators, smith_invariants
-from .residue_p1 import MAX_HECKE_R, P1Table, PrimePower
 
-# winding_paths and qexp_hecke are imported by the paths and qexp handlers
-# that run them, so the other subcommands never load them.
+# The layer modules are imported inside the handlers that run them, so a run
+# compiles and holds only what its subcommand uses: `bounds --constants`,
+# `--table` and `--prop11` and `qexp` load no P^1 or homology code, and `p1`
+# loads only residue_p1.
 
 SCHEMA = 1
 
@@ -205,7 +199,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _parse_prime_power(value: int) -> PrimePower:
+def _parse_prime_power(value: int):
+    """The residue_p1.PrimePower that value is, or ValueError."""
+    from .residue_p1 import PrimePower
+
     fac = factorize(value)
     if len(fac) != 1:
         raise ValueError(f"{value} is not a prime power")
@@ -227,6 +224,8 @@ def _is_bijection(perm, size: int) -> bool:
 
 
 def _cmd_p1(args) -> int:
+    from .residue_p1 import P1Table, PrimePower
+
     pp = PrimePower(args.p, args.n)
     table = P1Table(pp)
     report = {
@@ -259,6 +258,9 @@ def _cmd_p1(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from .rel_homology import H1Presentation, invariant_generators, smith_invariants
+    from .residue_p1 import P1Table, PrimePower
+
     pp = PrimePower(args.p, args.n)
     l = args.l
     if l and not is_prime(l):
@@ -267,7 +269,7 @@ def _cmd_homology(args) -> int:
     # one integer presentation serves every field; the record still names
     # the field asked for, in the key position it has always had
     report = {"schema": SCHEMA, "p": pp.p, "n": pp.n, "field": f"F{l}" if l else "Q",
-              **build_presentation(table).summary()}
+              **H1Presentation(table).summary()}
     if args.smith:
         inv = smith_invariants(invariant_generators(table))
         report["smith_invariants"] = inv
@@ -277,9 +279,14 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
+    from .hecke_symbols import check_kamienny_condition3
+    from .residue_p1 import MAX_ALL_L
+
     if args.all_l_up_to is not None:
         if args.all_l_up_to < 2:
             raise ValueError("--all-l-up-to must be >= 2")
+        if args.all_l_up_to > MAX_ALL_L:
+            raise ValueError(f"--all-l-up-to {args.all_l_up_to} exceeds the limit {MAX_ALL_L}")
         ls = [l for l in range(2, args.all_l_up_to + 1) if is_prime(l)]
     else:
         if args.l is None:
@@ -298,6 +305,8 @@ def _cmd_criterion(args) -> int:
 
 def _check_r(flag: str, r: int) -> None:
     """Refuse an r whose Sigma_r would take more than about 10 s to list."""
+    from .residue_p1 import MAX_HECKE_R
+
     if r > MAX_HECKE_R:
         raise ValueError(f"{flag} {r} exceeds the limit {MAX_HECKE_R}")
 
@@ -323,6 +332,8 @@ def _chain_report(chain, pp, r, d_param):
 
 
 def _walk_both(pp, r):
+    from .hecke_symbols import sigma_r_set
+    from .residue_p1 import P1Table
     from .winding_paths import walk_chain_A, walk_chain_B, walk_chain_B_prime
 
     table = P1Table(pp)
@@ -340,6 +351,8 @@ def _cmd_paths(args) -> int:
         return _cmd_paths_sweep(args)
     if args.p is None or args.r is None:
         raise ValueError("paths: need --p and --r (or the sweep subcommand)")
+    from .residue_p1 import PrimePower
+
     _check_r("--r", args.r)
     pp = PrimePower(args.p, args.n)
     d_param = args.d if args.d else args.r
@@ -359,6 +372,8 @@ def _cmd_paths(args) -> int:
 
 def _cmd_paths_sweep(args) -> int:
     _check_r("--r-max", args.r_max)
+    if args.r_min > args.r_max:
+        raise ValueError(f"--r-min {args.r_min} exceeds --r-max {args.r_max}")
     rows = []
     bad = False
     for value in args.pn:
@@ -424,6 +439,8 @@ def _cmd_bounds(args) -> int:
         _emit(prop11_report(args.l, args.d).to_json(), args)
         return 0
     if args.threshold:
+        from .hecke_symbols import criterion_threshold
+
         thr = criterion_threshold(args.p, args.d)
         payload = thr.to_json()
         if args.original_order:
@@ -562,12 +579,10 @@ def main() -> None:
 
 __all__ = [
     "BoundReport",
-    "CriterionThreshold",
     "ConstantsReport",
     "prop11_bound",
     "prop11_report",
     "cor18_bound",
-    "criterion_threshold",
     "constants_consistency",
     "LAMBDA_FACTORS",
     "build_parser",

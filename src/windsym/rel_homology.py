@@ -181,10 +181,10 @@ class H1Presentation:
         grown breadth first from the vertex of point 0."""
         size, sigma, tau = self.p1_size, self._sigma, self.table.tau_perm
         tails = bytearray(self._tails)  # 2 once the edge is in the tree
-        vertex = array("q", [-1]) * size  # point -> vertex, -1 until reached
+        vertex = array("i", [-1]) * size  # point -> vertex, -1 until reached
         vertex[0] = vertex[tau[0]] = vertex[tau[tau[0]]] = 0
-        entry = array("q", [0])  # vertex -> the point it was reached at
-        tree_u, tree_z = array("q"), array("q")
+        entry = array("i", [0])  # vertex -> the point it was reached at
+        tree_u, tree_z = array("i"), array("i")
         u = 0
         while u < len(entry):
             a = entry[u]
@@ -210,7 +210,7 @@ class H1Presentation:
             raise RuntimeError(
                 f"the tree from point 0 reaches {len(entry)} of {self._n_vertices} tau orbits"
             )
-        free_x, free_h, free_t = array("q"), array("q"), array("q")
+        free_x, free_h, free_t = array("i"), array("i"), array("i")
         x = tails.find(1)
         while x >= 0:
             free_x.append(x)

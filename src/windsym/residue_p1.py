@@ -14,12 +14,13 @@ sigma = [[0,1],[-1,0]] and tau = [[0,-1],[1,-1]] act on the right:
 so tau.sigma is +1 on affine coordinates and sigma.tau^2 is -1.  Each action
 is computed on demand for one index by modular arithmetic, which is all the
 chain walks need.  The dense index permutations, which relation building
-sweeps in full, are built on first use into arrays of 8-byte integers:
-sigma by one batch inversion, and tau from sigma, since (a, 1).tau =
-(-1 : a + 1) = (a + 1, 1).sigma makes tau(a) = sigma(a + 1) on affine a, so
-only the p^{n-1} points of the infinite branch take an inverse each.  They
-are the only part of a table whose memory grows with |P^1|, so the size
-limit MAX_P1_SIZE guards them and nothing else.
+sweeps in full, are built on first use into arrays of 4-byte integers
+(every index is below MAX_P1_SIZE < 2^31): sigma by one batch inversion,
+and tau from sigma, since (a, 1).tau = (-1 : a + 1) = (a + 1, 1).sigma
+makes tau(a) = sigma(a + 1) on affine a, so only the p^{n-1} points of the
+infinite branch take an inverse each.  They are the only part of a table
+whose memory grows with |P^1|, so the size limit MAX_P1_SIZE guards them
+and nothing else.
 """
 
 from array import array
@@ -30,14 +31,15 @@ from typing import Optional
 
 from .arith import is_prime
 
-# Largest |P^1| = p^n + p^{n-1} whose dense permutations a table builds.  At
-# this size the two permutations take 160 MB (tau is copied out of sigma, so
-# building it holds nothing else of that size), and a criterion run on them,
-# presentation and spanning tree included, peaks near 0.5 GB (about 41 bytes
-# per point under tracemalloc, plus the interpreter).  A homology run holds
-# only sigma and a byte of edge tails per point (about 10 bytes per point;
-# building sigma peaks at about 25), so near 0.25 GB at this size; at 10^6
-# it takes 0.45 s and 33 MB of RSS.
+# Largest |P^1| = p^n + p^{n-1} whose dense permutations a table builds; it
+# is below 2^31, so every index fits the 4-byte arrays.  At this size the two
+# permutations take 80 MB (tau is copied out of sigma, so building it holds
+# nothing else of that size), and a criterion run on them, presentation and
+# spanning tree included, peaks near 0.3 GB (about 28 bytes per point under
+# tracemalloc, plus the interpreter).  A homology run holds only sigma and a
+# byte of edge tails per point (building sigma peaks at about 8 bytes per
+# point), so near 0.1 GB at this size; at 10^6 it takes 0.5 s and 24 MB of
+# RSS.
 MAX_P1_SIZE = 10**7
 
 # Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and
@@ -46,6 +48,13 @@ MAX_P1_SIZE = 10**7
 # each take about 9 s on a 2-vCPU host, and r = 400 would take about 16
 # times that.
 MAX_HECKE_R = 200
+
+# Largest L of `criterion --all-l-up-to L`.  Each prime l <= L costs one full
+# criterion run (table, presentation, tree and images are rebuilt per l), and
+# there are 168 of them below 1000: `criterion --p 100003 --d 1
+# --all-l-up-to 1000` takes 27 s on a 2-vCPU host (0.16 s per l), and at
+# p = 1000003, where one l takes 1.8 s, it would take about 5 minutes.
+MAX_ALL_L = 1000
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,7 @@ class P1Table:
     matrix layout.  Construction is O(1) at any level: index, pair, sigma
     and tau cost O(1) modular arithmetic each.  The dense permutations
     sigma_perm and tau_perm (the latter sliced out of the former) are built
-    on first read, as array('q'), and cached on the table; reading one
+    on first read, as array('i'), and cached on the table; reading one
     raises ValueError when |P^1| exceeds MAX_P1_SIZE, before any per-point
     work.
     """
@@ -143,10 +152,10 @@ class P1Table:
         self._check_dense_size()
         p, m, size = self.pp.p, self.pp.modulus, self.size
         k, half = m // p, m // 2
-        factors = array("q", range(half + 1))
-        factors[::p] = array("q", [1]) * (half // p + 1)
-        prefix = array("q", accumulate(factors, lambda x, y: x * y % m))
-        perm = array("q", bytes(8 * size))
+        factors = array("i", range(half + 1))
+        factors[::p] = array("i", [1]) * (half // p + 1)
+        prefix = array("i", accumulate(factors, lambda x, y: x * y % m))
+        perm = array("i", [0]) * size
         inv = pow(prefix[half], -1, m)  # 1 / (product of the units in 1..m/2)
         for a in range(half, 0, -1):
             inv_a = inv * prefix[a - 1] % m
@@ -155,10 +164,10 @@ class P1Table:
             perm[m - a] = inv_a
         # (pj, 1).sigma = (-1 : pj) = (1, -pj) sits at m + (k - j) mod k
         perm[0] = m
-        perm[p:m:p] = array("q", range(m + k - 1, m, -1))
+        perm[p:m:p] = array("i", range(m + k - 1, m, -1))
         # (1, pj).sigma = (-pj, 1) is the affine point -pj mod m
         perm[m] = 0
-        perm[m + 1 :] = array("q", range(m - p, 0, -p))
+        perm[m + 1 :] = array("i", range(m - p, 0, -p))
         return perm
 
     @cached_property
@@ -171,16 +180,17 @@ class P1Table:
         """
         self._check_dense_size()
         m, sigma = self.pp.modulus, self.sigma_perm
-        perm = array("q", [0]) * self.size
+        perm = array("i", [0]) * self.size
         memoryview(perm)[: m - 1] = memoryview(sigma)[1:m]  # no temporary copy
         perm[m - 1] = sigma[0]
-        perm[m:] = array("q", map(self.tau, range(m, self.size)))
+        perm[m:] = array("i", map(self.tau, range(m, self.size)))
         return perm
 
 
 __all__ = [
     "MAX_P1_SIZE",
     "MAX_HECKE_R",
+    "MAX_ALL_L",
     "PrimePower",
     "P1Table",
 ]

@@ -16,10 +16,10 @@ from windsym.bounds_cli import (
     cli_main,
     constants_consistency,
     cor18_bound,
-    criterion_threshold,
     prop11_bound,
     prop11_report,
 )
+from windsym.hecke_symbols import criterion_threshold
 
 F = Fraction
 
@@ -246,17 +246,18 @@ def test_cli_p1_verify_catches_a_repeated_entry(capsys, monkeypatch):
     from array import array
     from functools import cached_property
 
-    from windsym import bounds_cli
+    from windsym import residue_p1
     from windsym.residue_p1 import P1Table
 
     class RepeatedTau(P1Table):
         @cached_property
         def tau_perm(self):
-            perm = array("q", P1Table.tau_perm.func(self))
+            tau = P1Table.tau_perm.func(self)
+            perm = array(tau.typecode, tau)
             perm[1] = perm[0]
             return perm
 
-    monkeypatch.setattr(bounds_cli, "P1Table", RepeatedTau)
+    monkeypatch.setattr(residue_p1, "P1Table", RepeatedTau)
     rc, out = run_cli(capsys, "p1", "--p", "11", "--verify")
     assert rc == 1
     assert json.loads(out)["checks"]["bijections"] is False
@@ -282,17 +283,18 @@ def test_cli_p1_verify_catches_a_wrong_sigma(capsys, monkeypatch, edit, still_tr
     from array import array
     from functools import cached_property
 
-    from windsym import bounds_cli
+    from windsym import residue_p1
     from windsym.residue_p1 import P1Table
 
     class WrongSigma(P1Table):
         @cached_property
         def sigma_perm(self):
-            perm = array("q", P1Table.sigma_perm.func(self))
+            sigma = P1Table.sigma_perm.func(self)
+            perm = array(sigma.typecode, sigma)
             edit(perm)
             return perm
 
-    monkeypatch.setattr(bounds_cli, "P1Table", WrongSigma)
+    monkeypatch.setattr(residue_p1, "P1Table", WrongSigma)
     rc, out = run_cli(capsys, "p1", "--p", "11", "--verify")
     assert rc == 1
     checks = json.loads(out)["checks"]
@@ -355,7 +357,7 @@ def test_cli_usage_errors(capsys):
 
 
 def test_cli_refuses_oversized_r_before_enumerating(capsys, monkeypatch):
-    from windsym import bounds_cli, hecke_symbols
+    from windsym import hecke_symbols, residue_p1
     from windsym.residue_p1 import MAX_HECKE_R
 
     big = str(MAX_HECKE_R + 1)
@@ -377,7 +379,7 @@ def test_cli_refuses_oversized_r_before_enumerating(capsys, monkeypatch):
     monkeypatch.undo()
 
     # the limit is inclusive: with it lowered, r and s*d at the limit still run
-    monkeypatch.setattr(bounds_cli, "MAX_HECKE_R", 6)
+    monkeypatch.setattr(residue_p1, "MAX_HECKE_R", 6)
     monkeypatch.setattr(hecke_symbols, "MAX_HECKE_R", 6)
     assert cli_main(["paths", "--p", "101", "--r", "6"]) == 0
     assert cli_main(["paths", "sweep", "--pn", "101", "--r-max", "6"]) == 0
@@ -391,36 +393,77 @@ def test_cli_refuses_oversized_r_before_enumerating(capsys, monkeypatch):
     assert capsys.readouterr().err.count("exceeds the limit 6") == 4
 
 
+def test_cli_paths_sweep_refuses_an_empty_r_range(capsys):
+    # no r to walk would check nothing, so it is refused rather than reported as a pass
+    assert cli_main(["paths", "sweep", "--pn", "101", "--r-min", "5", "--r-max", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: --r-min 5 exceeds --r-max 3\n")
+    assert cli_main(["paths", "sweep", "--pn", "101", "--r-min", "3", "--r-max", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3  # header and the two chains at r = 3
+
+
+def test_cli_refuses_oversized_all_l_before_any_work(capsys, monkeypatch):
+    from windsym import bounds_cli, hecke_symbols, residue_p1
+    from windsym.residue_p1 import MAX_ALL_L
+
+    def no_work(*args):
+        raise AssertionError("swept or checked an l past the limit")
+
+    monkeypatch.setattr(hecke_symbols, "check_kamienny_condition3", no_work)
+    monkeypatch.setattr(bounds_cli, "is_prime", no_work)
+    for bound in (str(MAX_ALL_L + 1), "3000000"):
+        assert cli_main(["criterion", "--p", "101", "--all-l-up-to", bound]) == 2
+        assert capsys.readouterr() == ("", f"error: --all-l-up-to {bound} exceeds the limit {MAX_ALL_L}\n")
+    monkeypatch.undo()
+
+    # the limit is inclusive: with it lowered, L at the limit still runs
+    monkeypatch.setattr(residue_p1, "MAX_ALL_L", 7)
+    assert cli_main(["criterion", "--p", "11", "--all-l-up-to", "7"]) == 0
+    assert [r["l"] for r in json.loads(capsys.readouterr().out)["reports"]] == [2, 3, 5, 7]
+    assert cli_main(["criterion", "--p", "11", "--all-l-up-to", "8"]) == 2
+    assert capsys.readouterr().err == "error: --all-l-up-to 8 exceeds the limit 7\n"
+
+
+# Runs one subcommand (argv as JSON in sys.argv[1]; none: import only) in a
+# fresh interpreter and prints its exit code and the windsym modules loaded.
 IMPORT_DIET = """
 import contextlib, io, json, sys
 from windsym.bounds_cli import cli_main
-runs = [["criterion", "--p", "11", "--d", "1", "--l", "3"], ["homology", "--p", "11", "--l", "3"],
-        ["p1", "--p", "11", "--verify"], ["paths", "--p", "101", "--r", "2"],
-        ["qexp", "up-matrix", "--case", "coprime", "--k", "1", "--prime", "5"]]
-loaded = []
-for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = cli_main(argv)
-    loaded.append([rc, sorted(m for m in sys.modules if m.startswith("windsym."))])
-print(json.dumps(loaded))
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli_main(argv) if argv else 0
+print(json.dumps([rc, sorted(m[8:] for m in sys.modules if m.startswith("windsym."))]))
 """
+
+LAYERS = {"residue_p1", "rel_homology", "hecke_symbols", "winding_paths", "qexp_hecke"}
+P1_AND_H1 = {"residue_p1", "rel_homology", "hecke_symbols"}
+
+# argv -> the layer modules the run must load; every other layer must stay
+# unloaded
+LOADED_BY = [
+    ([], set()),
+    (["bounds", "--constants"], set()),
+    (["bounds", "--table", "--d-max", "2"], set()),
+    (["bounds", "--prop11", "--l", "3", "--d", "2"], set()),
+    (["qexp", "up-matrix", "--case", "coprime", "--k", "1", "--prime", "5"], {"qexp_hecke"}),
+    (["qexp", "verify-relations", "--order", "20", "--trials", "2"], {"qexp_hecke"}),
+    (["p1", "--p", "11", "--verify"], {"residue_p1"}),
+    (["homology", "--p", "11", "--l", "3"], {"residue_p1", "rel_homology"}),
+    (["criterion", "--p", "11", "--d", "1", "--l", "3"], P1_AND_H1),
+    (["bounds", "--threshold", "--p", "5", "--d", "1"], P1_AND_H1),
+    (["paths", "--p", "101", "--r", "2"], P1_AND_H1 | {"winding_paths"}),
+]
 
 
 def test_cli_loads_only_the_modules_a_subcommand_runs():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", IMPORT_DIET], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    (criterion, homology, p1, paths, qexp) = json.loads(proc.stdout)
-    for rc, modules in (criterion, homology, p1):
-        assert rc == 0
-        assert "windsym.winding_paths" not in modules
-        assert "windsym.qexp_hecke" not in modules
-    assert paths[0] == 0
-    assert "windsym.winding_paths" in paths[1] and "windsym.qexp_hecke" not in paths[1]
-    assert qexp[0] == 0
-    assert "windsym.qexp_hecke" in qexp[1]
+    for argv, want in LOADED_BY:
+        proc = subprocess.run([sys.executable, "-c", IMPORT_DIET, json.dumps(argv)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        rc, modules = json.loads(proc.stdout)
+        assert rc == 0, argv
+        assert set(modules) & LAYERS == want, argv
 
 
 def test_readme_commands_run(capsys):

@@ -239,13 +239,17 @@ def test_first_disagreement_matches_coeffwise_oracle(f, data):
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.integers(1, 80), st.integers(0, 10**6), st.integers(1, 6), characters())
+@given(st.integers(1, 80) | st.sampled_from([1, 8, 37, 300]), st.integers(0, 10**6),
+       st.integers(1, 6), characters())
 def test_integral_series_is_lcm_times_random_series(order, seed, weight, eps):
     assert SERIES_DENOMINATOR_LCM == lcm(*range(1, 13))
     rng_int, rng_frac = random.Random(seed), random.Random(seed)
     f = _integral_series(rng_int, order, weight, eps)
     assert all(type(c) is int for c in f.coeffs)
     assert f == SERIES_DENOMINATOR_LCM * random_series(rng_frac, order, weight, eps)
+    # _replay redraws a block's trials from the rng state it started from,
+    # which holds only if each draw consumes exactly what random_series does
+    assert rng_int.getstate() == rng_frac.getstate()
     assert rng_int.random() == rng_frac.random()  # the same draws were consumed
 
 

@@ -7,7 +7,7 @@ from operator import lt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windsym import bounds_cli
+from windsym import rel_homology
 from windsym.bounds_cli import cli_main
 from windsym.rel_homology import (
     Cusp,
@@ -303,11 +303,12 @@ def test_tau_is_shifted_sigma(pp):
 def test_homology_builds_neither_tau_nor_tree(capsys, monkeypatch):
     built = []
 
-    def spy(table):
-        built.append(H1Presentation(table))
-        return built[-1]
+    class Spy(H1Presentation):
+        def __init__(self, table):
+            super().__init__(table)
+            built.append(self)
 
-    monkeypatch.setattr(bounds_cli, "build_presentation", spy)
+    monkeypatch.setattr(rel_homology, "H1Presentation", Spy)
     assert cli_main(["homology", "--p", "4201", "--l", "3"]) == 0
     capsys.readouterr()
     (pres,) = built
@@ -316,6 +317,14 @@ def test_homology_builds_neither_tau_nor_tree(capsys, monkeypatch):
     assert "_forest" not in vars(pres)
     pres.reduce({0: 1})
     assert "tau_perm" in vars(pres.table) and "_forest" in vars(pres)
+
+
+def test_forest_arrays_are_4_byte():
+    pres = H1Presentation(P1Table(PrimePower(101, 2)))
+    tree_u, tree_z, free = pres._forest
+    for arr in (tree_u, tree_z, *free):
+        assert arr.itemsize == 4
+    assert len(tree_u) == pres._n_vertices - 1 and len(free[0]) == pres.quotient_dim
 
 
 def test_reduce_raises_when_the_graph_splits(monkeypatch):

@@ -216,6 +216,15 @@ def test_sliced_tau_matches_pointwise_random_levels(pp):
     assert list(table.tau_perm) == [table.tau(i) for i in range(table.size)]
 
 
+def test_dense_permutations_are_4_byte_arrays():
+    # every index is below MAX_P1_SIZE < 2^31, so a 4-byte C int holds it
+    assert residue_p1.MAX_P1_SIZE < 2**31
+    table = P1Table(PrimePower(101, 2))
+    for perm in (table.sigma_perm, table.tau_perm):
+        assert perm.itemsize == 4
+        assert len(perm) == table.size
+
+
 @pytest.mark.parametrize("p, n", [(2, 1), (11, 1), (2, 10), (3, 6), (7, 3)])
 def test_tau_perm_calls_tau_only_on_the_infinite_branch(p, n, monkeypatch):
     calls = []
