@@ -6,8 +6,10 @@ stdout's sha256 differs from the pinned digest, or when its peak resident
 set (ru_maxrss from os.wait4 on that child, KiB on Linux) exceeds the case's
 limit in MB.
 
-Each limit sits between the peak of the 4-byte index arrays and that of the
-8-byte ones they replaced, so the guard fails on the 8-byte code.
+Each criterion limit sits between the peak of the 4-byte index arrays and
+that of the 8-byte ones they replaced, so the guard fails on the 8-byte
+code; each homology limit sits between the table-free peak and that of a
+dense sigma, so it fails when the record reads a permutation.
 
 - The criterion at p = 1000003: the flat array P^1 and presentation keep
   it near 45 MB (58 MB with 8-byte arrays; the list-based ones took about
@@ -18,9 +20,12 @@ Each limit sits between the peak of the 4-byte index arrays and that of the
 - The criterion at p = 3032641 with d = 3, the first prime past the d = 3
   threshold 65 (2d)^6 = 3032640: rank 6 of 6 over F_5, near 126 MB (159 MB
   with 8-byte arrays).
-- The homology record at p = 1000003: its shape is counted off sigma
-  alone, so it builds neither tau nor the spanning tree and stays near
-  24 MB (32 MB with 8-byte arrays); building both took about 60 MB.
+- The homology record at p = 1000003: its shape is counted from the
+  elliptic points, so it builds no permutation and stays at the
+  interpreter's 17.4 MB; counting it off a dense sigma took 24.3 MB, and
+  building tau and the spanning tree as well about 60 MB.
+- The homology record at p = 10000019, past MAX_P1_SIZE: it runs because
+  it reads no permutation, and stays at the interpreter's 17.4 MB.
 - The relation checks at order 20000 over 100 trials: the lane-packed
   blocks keep it near 21 MB, as one trial at a time did; packing all trials
   into one block took about 36 MB.  It holds no index array, so its limit
@@ -47,7 +52,9 @@ CASES = [
     (["criterion", "--p", "3032641", "--d", "3", "--l", "5"],
      "f15d0a8abd43e4bd4ec86eeaf5d29819c7af9e56447550520e5b1d6c16152e06", 142),
     (["homology", "--p", "1000003", "--l", "3"],
-     "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 28),
+     "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 21),
+    (["homology", "--p", "10000019", "--l", "3"],
+     "251c92ab624731862941822e82cd034df3821dda07367f18c92db9e9a97a2f67", 21),
     (["qexp", "verify-relations", "--order", "20000", "--trials", "100", "--seed", "0"],
      "cf38919af26eb1573da0e49fb0e61c64114302313d72a672605dfcdf5ba0c92f", 30),
 ]

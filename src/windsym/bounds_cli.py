@@ -46,6 +46,13 @@ from .arith import factorize, is_prime
 
 SCHEMA = 1
 
+# Most decimal digits a value printed by `bounds` may have.  Python 3.11
+# refuses to convert an int of more than 4300 digits to a string (3.10 has
+# no such limit), and the table's output grows as d_max^2, so a run whose
+# largest value could be longer is refused with exit 2 before any value is
+# computed, on every Python alike (see _check_digits).
+MAX_BOUND_DIGITS = 4000
+
 
 @dataclass
 class BoundReport:
@@ -197,6 +204,23 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     w.writerow(header)
     w.writerows(rows)
     return buf.getvalue()
+
+
+def _check_digits(flag: str, d: int, l: int = 1) -> None:
+    """Refuse a d whose bounds could print more than MAX_BOUND_DIGITS digits.
+
+    Every value `bounds` prints is at most 129 (3d)^6 l^d, with l the base
+    of its power (5 for the table, 1 for the threshold alone), and that is
+    compared with 10^MAX_BOUND_DIGITS exactly.  l^d is taken only when
+    d (bit length of l, minus 1) is at most 4 MAX_BOUND_DIGITS; past that,
+    l^d >= 16^MAX_BOUND_DIGITS is refused without it.
+    """
+    if d < 1:
+        return  # refused by the mode itself
+    if (d * (l.bit_length() - 1) > 4 * MAX_BOUND_DIGITS
+            or 129 * (3 * d) ** 6 * l**d >= 10**MAX_BOUND_DIGITS):
+        raise ValueError(f"{flag} {d} exceeds the limit: the bounds would print more than "
+                         f"{MAX_BOUND_DIGITS} digits")
 
 
 def _parse_prime_power(value: int):
@@ -398,6 +422,7 @@ def _cmd_qexp(args) -> int:
     from .qexp_hecke import (
         CASE_COPRIME,
         CASE_DIVIDES,
+        MAX_QEXP_ORDER,
         build_Up_matrix,
         charpoly,
         verify_coefficient_identity,
@@ -405,6 +430,8 @@ def _cmd_qexp(args) -> int:
     )
 
     if args.mode == "verify-relations":
+        if args.order > MAX_QEXP_ORDER:
+            raise ValueError(f"--order {args.order} exceeds the limit {MAX_QEXP_ORDER}")
         rel = verify_relations(order=args.order, trials=args.trials, seed=args.seed)
         ident = verify_coefficient_identity(order=max(args.order, 30), seed=args.seed)
         payload = rel.to_json()
@@ -436,15 +463,17 @@ def _cmd_bounds(args) -> int:
         _emit(rep.to_json(), args)
         return 0 if rep.all_passed else 1
     if args.prop11:
+        _check_digits("--d", args.d, args.l)
         _emit(prop11_report(args.l, args.d).to_json(), args)
         return 0
     if args.threshold:
         from .hecke_symbols import criterion_threshold
 
+        l = 5 if args.p == 3 else 3
+        _check_digits("--d", args.d, l if args.original_order else 1)
         thr = criterion_threshold(args.p, args.d)
         payload = thr.to_json()
         if args.original_order:
-            l = 5 if args.p == 3 else 3
             payload["l"] = l
             payload["original_order_bound"] = thr.threshold * (l**args.d - 1)
         _emit(payload, args)
@@ -453,6 +482,7 @@ def _cmd_bounds(args) -> int:
         dmax = args.d_max
         if dmax < 1:
             raise ValueError("--d-max must be >= 1")
+        _check_digits("--d-max", dmax, 5)
         header = ["d", "p_not_2_3", "p_3", "p_2"]
         rows = [
             [d, cor18_bound(5, d), cor18_bound(3, d), cor18_bound(2, d)]
@@ -585,6 +615,7 @@ __all__ = [
     "cor18_bound",
     "constants_consistency",
     "LAMBDA_FACTORS",
+    "MAX_BOUND_DIGITS",
     "build_parser",
     "cli_main",
     "main",

@@ -610,6 +610,12 @@ _SERIES_BOUND = 20 * SERIES_DENOMINATOR_LCM
 # peak of an order-300, 100-trial verify op).
 _LANE_BUDGET = 2**13
 
+# Largest --order of `qexp verify-relations`.  Past _LANE_BUDGET a block
+# holds one trial, so a run costs about trials times a superlinear function
+# of the order: order 20000 over 100 trials takes about 8 s and 21 MB on a
+# 2-vCPU host, and order 10^6 over one trial ran past 30 s.
+MAX_QEXP_ORDER = 20000
+
 
 def _lane_width(bound: int) -> int:
     """Smallest W with 2 * bound < 2^(W-1): lanes holding values in
@@ -1219,6 +1225,7 @@ __all__ = [
     "RelationReport",
     "verify_relations",
     "verify_coefficient_identity",
+    "MAX_QEXP_ORDER",
     "CASE_DIVIDES",
     "CASE_COPRIME",
     "OldclassMatrix",

@@ -22,17 +22,21 @@ V - #components over Z and over every field, so
 
 and the quotient is free on the edges outside a spanning forest.  sigma and
 tau generate SL_2(Z), which acts transitively on P^1, so the graph has one
-component, and its shape is a count of fixed points: the edges are the
-points x < sigma x, and V = (|P^1| - nu3)/3 + nu3 with nu3 the number of
-tau-fixed points, which tau.sigma = +1 reads off sigma alone (see
-H1Presentation).  Only reduce() needs the tree.  It is grown on the first
-reduce(), breadth first from the vertex of point 0, which makes the basis,
-and hence every downstream coordinate, reproducible bit for bit; the tree
-must reach every counted vertex and leave exactly the counted number of
-edges outside it, or reduce() raises RuntimeError.  reduce() solves integer
-vertex potentials pi along the tree so that c - delta(pi) vanishes on the
-tree edges; its values on the other edges are the coordinates.  They are
-integers, valid over Q and, read mod l, over every F_l.
+component, and its shape is a count of elliptic points: with nu2 the
+sigma-fixed and nu3 the tau-fixed points there are (|P^1| - nu2)/2 edges
+and V = (|P^1| - nu3)/3 + nu3 vertices.  nu2 and nu3 are the classical
+elliptic-point counts of Gamma_0(p^n) (Shimura, Introduction to the
+Arithmetic Theory of Automorphic Functions, Prop. 1.43), read off a
+Kronecker symbol in O(log p), so the shape reads no permutation (see
+elliptic_point_counts).  Only reduce() needs the graph.  Its spanning tree
+is grown on the first reduce(), breadth first from the vertex of point 0,
+which makes the basis, and hence every downstream coordinate, reproducible
+bit for bit; the tree, walked on sigma and tau, must reach every counted
+vertex and leave exactly the counted number of edges outside it, or
+reduce() raises RuntimeError.  reduce() solves integer vertex potentials pi
+along the tree so that c - delta(pi) vanishes on the tree edges; its values
+on the other edges are the coordinates.  They are integers, valid over Q
+and, read mod l, over every F_l.
 
 Torsion freeness is certified, not assumed: when the sigma rows and the tau
 rows each partition the columns with 0/1 entries, the relation matrix is the
@@ -48,10 +52,10 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import eq, lt
+from operator import lt
 
-from .arith import divisors, euler_phi
-from .residue_p1 import P1Table
+from .arith import divisors, euler_phi, kronecker
+from .residue_p1 import P1Table, PrimePower
 
 
 @dataclass(frozen=True)
@@ -134,22 +138,40 @@ def _bfs_forest(n_vertices: int, tails: list[int], heads: list[int]) -> list[tup
     return steps
 
 
+def elliptic_point_counts(pp: PrimePower) -> tuple[int, int]:
+    """(nu2, nu3): the points of P^1(Z/p^n Z) fixed by sigma and by tau.
+
+    sigma fixes the affine a with a^2 = -1 and tau those with
+    a^2 + a + 1 = 0 (mod p^n); neither fixes a point of the infinite branch,
+    which each maps into the affine points.  When p does not divide the
+    discriminant (-4 for x^2 + 1, -3 for x^2 + x + 1), each root mod p lifts
+    uniquely to every p^n (Hensel), so there are 1 + (-1|p) and 1 + (-3|p)
+    of them.  At p = 2 for nu2, and at p = 3 for nu3, the root a = 1 exists
+    mod p but lifts to no p^n with n >= 2.
+    """
+    p, n = pp.p, pp.n
+    nu2 = int(n == 1) if p == 2 else 1 + kronecker(-1, p)
+    nu3 = int(n == 1) if p == 3 else 1 + kronecker(-3, p)
+    return nu2, nu3
+
+
 class H1Presentation:
     """Integer presentation of H_1(X_0(p^n), cusps) on the graph of tau
     orbits and sigma 2-orbits.
 
-    The shape is counted off sigma alone.  The edges are the points x with
-    x < sigma x.  tau.sigma = +1 gives tau(a) = sigma(a + 1) on affine a,
-    and tau maps the infinite branch into the affine points, so the tau
-    fixed points are the affine a < p^n - 1 with sigma(a + 1) = a, and every
-    other tau orbit has three points.  sigma and tau generate SL_2(Z), which
-    acts transitively on P^1, so the graph is connected and
+    The shape is counted from the elliptic points alone (see
+    elliptic_point_counts): the edges are the (|P^1| - nu2)/2 sigma
+    2-orbits, and every tau orbit but the nu3 fixed points has three
+    points.  sigma and tau generate SL_2(Z), which acts transitively on
+    P^1, so the graph is connected and
 
         quotient_dim = #edges - V + 1,  relation_rank = |P^1| - quotient_dim.
 
+    So construction is O(log p) at any level and reads no permutation.
     reduce() maps any integer P^1-vector to its integer coordinates on the
     quotient_dim edges outside a spanning tree.  The tree is the only part
-    that reads tau_perm; it is grown on the first reduce() and cached, and
+    that reads sigma_perm and tau_perm, and so the only part that
+    MAX_P1_SIZE limits; it is grown on the first reduce() and cached, and
     the presentation is otherwise immutable.
 
     Nothing is stored per vertex or per edge beyond flat arrays.  Vertices
@@ -166,21 +188,18 @@ class H1Presentation:
     def __init__(self, table: P1Table):
         self.table = table
         self.p1_size = size = table.size
-        self._sigma = sigma = table.sigma_perm
-        # 1 at each edge's tail
-        self._tails = tails = bytearray(map(lt, range(size), sigma))
-        m = table.pp.modulus
-        nu3 = sum(map(eq, memoryview(sigma)[1:m], range(m - 1)))
+        nu2, nu3 = elliptic_point_counts(table.pp)
         self._n_vertices = (size - nu3) // 3 + nu3
-        self.quotient_dim = tails.count(1) - self._n_vertices + 1
+        self.quotient_dim = (size - nu2) // 2 - self._n_vertices + 1
         self.relation_rank = size - self.quotient_dim
 
     @cached_property
     def _forest(self) -> tuple:
         """(tree parents, tree points, (free tails, heads, tail vertices)),
         grown breadth first from the vertex of point 0."""
-        size, sigma, tau = self.p1_size, self._sigma, self.table.tau_perm
-        tails = bytearray(self._tails)  # 2 once the edge is in the tree
+        size, sigma, tau = self.p1_size, self.table.sigma_perm, self.table.tau_perm
+        # 1 at each edge's tail, 2 once the edge is in the tree
+        tails = bytearray(map(lt, range(size), sigma))
         vertex = array("i", [-1]) * size  # point -> vertex, -1 until reached
         vertex[0] = vertex[tau[0]] = vertex[tau[tau[0]]] = 0
         entry = array("i", [0])  # vertex -> the point it was reached at
@@ -233,7 +252,7 @@ class H1Presentation:
         coordinate of the edge with tail x is g[x] - pi(head) + pi(tail).
         """
         tree_u, tree_z, free = self._forest
-        size, sigma = self.p1_size, self._sigma
+        size, sigma = self.p1_size, self.table.sigma_perm
         g = [0] * size
         for i, val in coeffs.items():
             if not 0 <= i < size:
@@ -394,6 +413,7 @@ def hecke_cusp_action(n_level: int, r: int, x: Cusp) -> list[tuple[Cusp, int]]:
 __all__ = [
     "RelationSpan",
     "H1Presentation",
+    "elliptic_point_counts",
     "Cusp",
     "invariant_generators",
     "build_presentation",

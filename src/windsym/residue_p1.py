@@ -16,9 +16,9 @@ is computed on demand for one index by modular arithmetic, which is all the
 chain walks need.  The dense index permutations, which relation building
 sweeps in full, are built on first use into arrays of 4-byte integers
 (every index is below MAX_P1_SIZE < 2^31): sigma by one batch inversion,
-and tau from sigma, since (a, 1).tau = (-1 : a + 1) = (a + 1, 1).sigma
-makes tau(a) = sigma(a + 1) on affine a, so only the p^{n-1} points of the
-infinite branch take an inverse each.  They are the only part of a table
+and tau sliced out of sigma, since (a, 1).tau = (-1 : a + 1) =
+(a + 1, 1).sigma makes tau(a) = sigma(a + 1) on affine a, and the infinite
+branch's tau reads sigma at 1 + pj.  They are the only part of a table
 whose memory grows with |P^1|, so the size limit MAX_P1_SIZE guards them
 and nothing else.
 """
@@ -36,10 +36,10 @@ from .arith import is_prime
 # permutations take 80 MB (tau is copied out of sigma, so building it holds
 # nothing else of that size), and a criterion run on them, presentation and
 # spanning tree included, peaks near 0.3 GB (about 28 bytes per point under
-# tracemalloc, plus the interpreter).  A homology run holds only sigma and a
-# byte of edge tails per point (building sigma peaks at about 8 bytes per
-# point), so near 0.1 GB at this size; at 10^6 it takes 0.5 s and 24 MB of
-# RSS.
+# tracemalloc, plus the interpreter).  Only the commands that read the
+# permutations are limited: `homology --smith`, `criterion` and
+# `p1 --verify`.  A `homology` record without `--smith` is counted from the
+# elliptic points and reads neither, so it runs at any level.
 MAX_P1_SIZE = 10**7
 
 # Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and
@@ -175,15 +175,17 @@ class P1Table:
         """tau(i) for every index, sliced out of sigma_perm.
 
         tau(a) = sigma(a + 1) on affine a, so the affine part is sigma_perm
-        shifted down by one, with tau(p^n - 1) = sigma(0) at its end; only
-        the p^{n-1} points of the infinite branch take one tau() call each.
+        shifted down by one, with tau(p^n - 1) = sigma(0) at its end.  On
+        the infinite branch (1, pj).tau = (-pj : 1 + pj) is the affine
+        point -1 + 1/(1 + pj) = -1 - sigma(1 + pj), so tau(p^n + j) is
+        p^n - 1 - sigma(1 + pj): no point takes a tau() call.
         """
         self._check_dense_size()
-        m, sigma = self.pp.modulus, self.sigma_perm
+        p, m, sigma = self.pp.p, self.pp.modulus, self.sigma_perm
         perm = array("i", [0]) * self.size
         memoryview(perm)[: m - 1] = memoryview(sigma)[1:m]  # no temporary copy
         perm[m - 1] = sigma[0]
-        perm[m:] = array("i", map(self.tau, range(m, self.size)))
+        perm[m:] = array("i", map((m - 1).__sub__, sigma[1:m:p]))
         return perm
 
 

@@ -8,7 +8,8 @@ Smith form that the library's graph presentation replaced, the
 P1Point/normalize representative format that P1Table.index replaced, the
 eager sigma/tau permutations and permutation-driven chain walker that the
 on-demand actions replaced, the union-find shape of the orbit graph that
-the fixed-point counts replaced, the step-by-step walker that the
+the fixed-point counts replaced, the fixed-point scan of sigma and tau that
+the elliptic-point counts replaced, the step-by-step walker that the
 closed-form chain stops replaced, the coefficient-by-coefficient q-expansion
 operators that the slice kernels replaced, the Fraction-series relation
 suite that the integer L*f streaming replaced, the one-trial-at-a-time
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import eq, lt
 from typing import Optional
 
 from hypothesis import strategies as st
@@ -513,6 +515,20 @@ def orbit_graph_shape(p: int, n: int) -> tuple[int, int, int]:
             components -= 1
     rank = sigma_orbits + n_vertices - components
     return rank, size - rank, components
+
+
+def fixed_point_shape(table: P1Table) -> tuple[int, int, int, int]:
+    """(nu2, nu3, V, quotient_dim) of the graph of tau orbits and sigma
+    2-orbits, scanned off the table's dense permutations: the sigma- and
+    tau-fixed points, the tau orbits counted at their least point, and the
+    edges x < sigma x, on a graph taken as connected."""
+    sigma, tau = table.sigma_perm, table.tau_perm
+    points = range(table.size)
+    nu2 = sum(map(eq, sigma, points))
+    nu3 = sum(map(eq, tau, points))
+    n_vertices = sum(x <= y and x <= tau[y] for x, y in zip(points, tau))
+    edges = sum(map(lt, points, sigma))
+    return nu2, nu3, n_vertices, edges - n_vertices + 1
 
 
 def chain_definition(label: str, r: int, m: int) -> tuple[int, int, bool]:

@@ -269,15 +269,16 @@ def _one_wrong_entry(perm):
 
 def _repaired(perm):
     # 1 <-> 10 and 2 <-> 5 re-paired as 1 <-> 5 and 2 <-> 10: still a
-    # bijective involution, and tau_perm, sliced out of it, satisfies
-    # sigma(tau(a)) = a + 1 by construction, so only the pointwise tau()
-    # sees that this sigma is not the action
+    # bijective involution.  tau_perm, sliced out of it, satisfies
+    # sigma(tau(a)) = a + 1 by construction on the affine points, but its
+    # infinite branch, read off sigma(1), repeats tau(0) = sigma(1) = 5, so
+    # it is no bijection; the pointwise tau() sees the wrong sigma directly
     perm[1], perm[5], perm[2], perm[10] = 5, 1, 10, 2
 
 
 @pytest.mark.parametrize("edit, still_true", [
     (_one_wrong_entry, []),
-    (_repaired, ["sigma_involution", "bijections"]),
+    (_repaired, ["sigma_involution"]),
 ], ids=["one-wrong-entry", "repaired-involution"])
 def test_cli_p1_verify_catches_a_wrong_sigma(capsys, monkeypatch, edit, still_true):
     from array import array
@@ -522,6 +523,90 @@ def test_cli_homology_field_label(capsys):
         assert json.loads(out)["field"] == label
     assert cli_main(["homology", "--p", "11", "--l", "6"]) == 2
     assert capsys.readouterr().err == "error: 6 is not prime\n"
+
+
+def test_cli_homology_runs_past_the_dense_limit(capsys):
+    from oracles import cusp_count_x0, genus_x0
+    from windsym.residue_p1 import MAX_P1_SIZE
+
+    # the record is counted from the elliptic points, so it reads no
+    # permutation and runs past MAX_P1_SIZE
+    rc, out = run_cli(capsys, "homology", "--p", "10000019", "--l", "3")
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["p1_size"] == 10000020 > MAX_P1_SIZE
+    assert (rec["quotient_dim"], rec["relation_rank"]) == (1666671, 8333349)
+    assert rec["quotient_dim"] == 2 * genus_x0(10000019) + cusp_count_x0(10000019) - 1
+    # the relation rows and the spanning tree read the permutations, so
+    # --smith and criterion are still refused there
+    for argv in (["homology", "--p", "10000019", "--smith"],
+                 ["criterion", "--p", "10000019", "--d", "1", "--l", "3"]):
+        assert cli_main(argv) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_cli_bounds_refuses_too_many_digits_before_computing(capsys, monkeypatch):
+    from windsym import bounds_cli, hecke_symbols
+    from windsym.bounds_cli import MAX_BOUND_DIGITS
+
+    def no_work(*args):
+        raise AssertionError("computed a bound past the limit")
+
+    monkeypatch.setattr(bounds_cli, "cor18_bound", no_work)
+    monkeypatch.setattr(bounds_cli, "prop11_report", no_work)
+    monkeypatch.setattr(hecke_symbols, "criterion_threshold", no_work)
+    for argv, flag in [
+        (["--table", "--d-max", "7000"], "--d-max 7000"),
+        (["--prop11", "--l", "3", "--d", "10000"], "--d 10000"),
+        (["--prop11", "--l", "1000003", "--d", "800"], "--d 800"),
+        (["--threshold", "--p", "7", "--d", "10000", "--original-order"], "--d 10000"),
+    ]:
+        assert cli_main(["bounds", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} exceeds the limit: the bounds would "
+                                           f"print more than {MAX_BOUND_DIGITS} digits\n")
+    monkeypatch.undo()
+
+    # 2(1 + 3^d) is the largest value prop11 prints: admitted at d = 8323,
+    # where it prints on every Python (3.11 refuses ints past 4300 digits)
+    rc, out = run_cli(capsys, "bounds", "--prop11", "--l", "3", "--d", "8323")
+    assert rc == 0
+    assert len(str(json.loads(out)["value"])) <= MAX_BOUND_DIGITS
+    assert cli_main(["bounds", "--prop11", "--l", "3", "--d", "8324"]) == 2
+    # the threshold alone grows as d^6, so it runs where --original-order is refused
+    assert cli_main(["bounds", "--threshold", "--p", "7", "--d", "10000"]) == 0
+    capsys.readouterr()
+
+    # with the limit lowered, the table's values at the largest admitted
+    # d_max fit it
+    monkeypatch.setattr(bounds_cli, "MAX_BOUND_DIGITS", 10)
+    rc, out = run_cli(capsys, "bounds", "--table", "--d-max", "3")
+    assert rc == 0
+    assert max(len(str(v)) for row in json.loads(out)["rows"] for v in row[1:]) == 10
+    assert cli_main(["bounds", "--table", "--d-max", "4"]) == 2
+    assert "--d-max 4 exceeds the limit" in capsys.readouterr().err
+
+
+def test_cli_refuses_oversized_qexp_order_before_drawing(capsys, monkeypatch):
+    from windsym import qexp_hecke
+    from windsym.qexp_hecke import MAX_QEXP_ORDER
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew a series past the limit")
+
+    assert MAX_QEXP_ORDER >= 20000  # the memory guard's order
+    monkeypatch.setattr(qexp_hecke, "verify_relations", no_work)
+    monkeypatch.setattr(qexp_hecke, "verify_coefficient_identity", no_work)
+    for order in (str(MAX_QEXP_ORDER + 1), "1000000"):
+        assert cli_main(["qexp", "verify-relations", "--order", order, "--trials", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: --order {order} exceeds the limit {MAX_QEXP_ORDER}\n")
+    monkeypatch.undo()
+
+    # the limit is inclusive: with it lowered, the order at the limit still runs
+    monkeypatch.setattr(qexp_hecke, "MAX_QEXP_ORDER", 40)
+    assert cli_main(["qexp", "verify-relations", "--order", "40", "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert cli_main(["qexp", "verify-relations", "--order", "41", "--trials", "2"]) == 2
+    assert capsys.readouterr().err == "error: --order 41 exceeds the limit 40\n"
 
 
 def test_module_entry_point():

@@ -16,6 +16,7 @@ from windsym.rel_homology import (
     build_presentation,
     cusp_equivalent,
     cusp_representatives,
+    elliptic_point_counts,
     hecke_cusp_action,
     invariant_generators,
     reduce_vector,
@@ -30,6 +31,7 @@ from oracles import (
     bruteforce_cusp_equivalent,
     cusp_count_x0,
     eager_permutations,
+    fixed_point_shape,
     gamma0_matrices,
     genus_x0,
     get_table,
@@ -300,6 +302,27 @@ def test_tau_is_shifted_sigma(pp):
     assert pres._n_vertices == (len(tau) - nu3) // 3 + nu3
 
 
+def _check_elliptic_counts(pp) -> None:
+    """The counted shape against the fixed-point scan of the permutations."""
+    table = P1Table(pp)
+    pres = H1Presentation(table)
+    nu2, nu3 = elliptic_point_counts(pp)
+    assert fixed_point_shape(table) == (nu2, nu3, pres._n_vertices, pres.quotient_dim), pp
+
+
+def test_elliptic_counts_against_fixed_point_scan():
+    levels = [(p, n) for m in range(2, 5000) if len(f := factorize(m)) == 1 for p, n in f.items()]
+    assert len(levels) > 600 and {(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)} <= set(levels)
+    for p, n in levels:
+        _check_elliptic_counts(PrimePower(p, n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(prime_powers(limit=2 * 10**5))
+def test_elliptic_counts_against_fixed_point_scan_random_levels(pp):
+    _check_elliptic_counts(pp)
+
+
 def test_homology_builds_neither_tau_nor_tree(capsys, monkeypatch):
     built = []
 
@@ -312,11 +335,12 @@ def test_homology_builds_neither_tau_nor_tree(capsys, monkeypatch):
     assert cli_main(["homology", "--p", "4201", "--l", "3"]) == 0
     capsys.readouterr()
     (pres,) = built
-    assert "sigma_perm" in vars(pres.table)
+    # the record is counted from the elliptic points: no permutation is read
+    assert "sigma_perm" not in vars(pres.table)
     assert "tau_perm" not in vars(pres.table)
     assert "_forest" not in vars(pres)
     pres.reduce({0: 1})
-    assert "tau_perm" in vars(pres.table) and "_forest" in vars(pres)
+    assert {"sigma_perm", "tau_perm"} <= vars(pres.table).keys() and "_forest" in vars(pres)
 
 
 def test_forest_arrays_are_4_byte():
@@ -333,8 +357,22 @@ def test_reduce_raises_when_the_graph_splits(monkeypatch):
     # point 0 reaches only the vertices of 0 and sigma(0)
     monkeypatch.setattr(table, "tau_perm", array("q", range(table.size)))
     pres = H1Presentation(table)
-    assert pres.quotient_dim == 3  # the counts read sigma alone
+    assert pres.quotient_dim == 3  # the counts read no permutation
     with pytest.raises(RuntimeError, match="reaches 2 of 4"):
+        pres.reduce({0: 1})
+
+
+def test_reduce_raises_when_an_edge_is_missing(monkeypatch):
+    table = P1Table(PrimePower(11, 1))
+    table.tau_perm  # sliced from the true sigma before it is edited
+    # sigma fixing 2 and 5 instead of swapping them drops one edge; the tree
+    # still reaches all four tau orbits, and leaves one edge too few free
+    sigma = array("i", table.sigma_perm)
+    assert (sigma[2], sigma[5]) == (5, 2)
+    sigma[2], sigma[5] = 2, 5
+    monkeypatch.setattr(table, "sigma_perm", sigma)
+    pres = H1Presentation(table)
+    with pytest.raises(RuntimeError, match="2 edges outside the tree, but the counts give 3"):
         pres.reduce({0: 1})
 
 
