@@ -6,20 +6,19 @@ stdout's sha256 differs from the pinned digest, or when its peak resident
 set (ru_maxrss from os.wait4 on that child, KiB on Linux) exceeds the case's
 limit in MB.
 
-Each criterion limit sits between the peak of the 4-byte index arrays and
-that of the 8-byte ones they replaced, so the guard fails on the 8-byte
-code; each homology limit sits between the table-free peak and that of a
-dense sigma, so it fails when the record reads a permutation.
+The criterion limit sits between the peak of a table-free run and that of
+a run that builds a dense sigma, so the guard fails when the criterion
+reads a permutation again; each homology limit sits between the table-free
+peak and that of a dense sigma, so it fails when the record reads a
+permutation.
 
-- The criterion at p = 1000003: the flat array P^1 and presentation keep
-  it near 45 MB (58 MB with 8-byte arrays; the list-based ones took about
-  240 MB).
-- The criterion at p = 266261 with d = 2, the first prime past the d = 2
-  threshold 65 (2d)^6 = 266240: rank 4 of 4 over F_5, near 25 MB (28 MB
-  with 8-byte arrays).
-- The criterion at p = 3032641 with d = 3, the first prime past the d = 3
-  threshold 65 (2d)^6 = 3032640: rank 6 of 6 over F_5, near 126 MB (159 MB
-  with 8-byte arrays).
+- The criterion at p = 1000003, and at the first primes past the d = 2
+  and d = 3 thresholds 65 (2d)^6 = 266240 and 3032640, p = 266261 (rank 4
+  of 4 over F_5) and p = 3032641 (rank 6 of 6 over F_5): each is decided
+  by a graph search on the few edges the Hecke images touch, which reads
+  no permutation, so all three stay near the interpreter's 18.5 MB.  The
+  dense sigma, tau and spanning tree they replaced peaked at 45, 25 and
+  126 MB.
 - The homology record at p = 1000003: its shape is counted from the
   elliptic points, so it builds no permutation and stays at the
   interpreter's 17.4 MB; counting it off a dense sigma took 24.3 MB, and
@@ -46,11 +45,11 @@ from pathlib import Path
 # (argv, stdout sha256, peak RSS limit in MB)
 CASES = [
     (["criterion", "--p", "1000003", "--d", "1", "--l", "3"],
-     "841dfc8117e26b2698c88325cff5e7bcd21aa2f975394438df4371a2b6f5e3af", 52),
+     "841dfc8117e26b2698c88325cff5e7bcd21aa2f975394438df4371a2b6f5e3af", 22),
     (["criterion", "--p", "266261", "--d", "2", "--l", "5"],
-     "5485130389c083525a412dd59b6991e2db6d3d02a195e50005a371fa32d717d7", 26.5),
+     "5485130389c083525a412dd59b6991e2db6d3d02a195e50005a371fa32d717d7", 22),
     (["criterion", "--p", "3032641", "--d", "3", "--l", "5"],
-     "f15d0a8abd43e4bd4ec86eeaf5d29819c7af9e56447550520e5b1d6c16152e06", 142),
+     "f15d0a8abd43e4bd4ec86eeaf5d29819c7af9e56447550520e5b1d6c16152e06", 22),
     (["homology", "--p", "1000003", "--l", "3"],
      "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 21),
     (["homology", "--p", "10000019", "--l", "3"],

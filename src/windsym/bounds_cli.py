@@ -423,6 +423,7 @@ def _cmd_qexp(args) -> int:
         CASE_COPRIME,
         CASE_DIVIDES,
         MAX_QEXP_ORDER,
+        MAX_QEXP_TRIALS,
         build_Up_matrix,
         charpoly,
         verify_coefficient_identity,
@@ -432,6 +433,8 @@ def _cmd_qexp(args) -> int:
     if args.mode == "verify-relations":
         if args.order > MAX_QEXP_ORDER:
             raise ValueError(f"--order {args.order} exceeds the limit {MAX_QEXP_ORDER}")
+        if args.trials > MAX_QEXP_TRIALS:
+            raise ValueError(f"--trials {args.trials} exceeds the limit {MAX_QEXP_TRIALS}")
         rel = verify_relations(order=args.order, trials=args.trials, seed=args.seed)
         ident = verify_coefficient_identity(order=max(args.order, 30), seed=args.seed)
         payload = rel.to_json()

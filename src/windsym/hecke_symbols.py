@@ -11,17 +11,22 @@ minus the leading class (1, r).  The written lower bound 0 on the determinant
 is unreachable under the strict inequalities, so determinants run over 1..r.
 
 The rank test checks F_l-linear independence of T_1{0,oo}, ..., T_{sd}{0,oo}
-in the quotient presentation, with s the smallest prime different from p;
-that independence is the sufficient criterion ruling out degree-d points of
+in H_1(X_0(p^n), cusps), with s the smallest prime different from p; that
+independence is the sufficient criterion ruling out degree-d points of
 prime-power order, and it is guaranteed once p^n clears the threshold
-C^2 (sd)^6 with C^2 = 65 (129 when p = 2).
+C^2 (sd)^6 with C^2 = 65 (129 when p = 2).  It is decided on the few edges
+the images touch, in the graph of tau orbits and sigma 2-orbits that
+presents H_1 (see rel_homology): a bidirectional search, one O(1) sigma or
+tau at a time, shows that removing those edges leaves the graph connected,
+or else labels its components exactly, so no dense permutation, spanning
+tree or quotient coordinate is built.
 """
 
+from array import array
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .arith import is_prime, smallest_prime_excluding
-from .rel_homology import H1Presentation, build_presentation, reduce_vector
 from .residue_p1 import MAX_HECKE_R, P1Table, PrimePower
 
 
@@ -136,17 +141,150 @@ def _coordinate_rank(rows: list[list[int]], char: int) -> int:
     return rank
 
 
-def hecke_span_rank(
-    pp: PrimePower,
-    imax: int,
-    l: int,
-    presentation: Optional[H1Presentation] = None,
-) -> int:
-    """Rank of {T_i{0,oo} : 1 <= i <= imax} in the quotient over F_l, or
-    over Q when l = 0.
+def _orbit(table: P1Table, z: int) -> tuple[int, ...]:
+    """The points of the vertex of G holding point z: its tau orbit."""
+    a = table.tau(z)
+    return (z,) if a == z else (z, a, table.tau(a))
 
-    The images are reduced once, to integer coordinates; only the rank is
-    taken over the field.
+
+def _steps(table: P1Table, removed: set[int], y: int, entered: bool) -> Iterator[tuple[int, int]]:
+    """(w, x) for each edge of G at the vertex of point y whose tail is not
+    in removed: w names the vertex at its far end by its least point, and x
+    is the point the edge enters that vertex at.
+
+    The edges of a vertex are the sigma 2-orbits {z, sigma z} through its
+    points z, named by their tails; a sigma-fixed point is no edge.  A
+    search enters a vertex at the point across the edge it came by, so when
+    y was entered that way its own edge leads back and is skipped.
+    """
+    for z in _orbit(table, y):
+        if entered and z == y:
+            continue
+        x = table.sigma(z)
+        if x != z and (x if x < z else z) not in removed:
+            yield min(_orbit(table, x)), x
+
+
+def _bridged(table: P1Table, removed: set[int], u: int, v: int) -> bool:
+    """Whether vertices u and v, each named by its least point, are joined
+    in G minus the edges whose tails are in removed.
+
+    A breadth-first search grows from each end, one layer at a time on the
+    side with the smaller frontier, until the two meet or one side runs out.
+    The side that runs out has swept its whole component, so a pair in
+    different components costs about the smaller of the two.  A frontier
+    holds the points its vertices were entered at, and a side's first
+    layer is its end.
+    """
+    if u == v:
+        return True
+    seen, fronts, entered = [{u}, {v}], [[u], [v]], [False, False]
+    while True:
+        k = len(fronts[1]) < len(fronts[0])
+        mine, other = seen[k], seen[not k]
+        layer = []
+        for y in fronts[k]:
+            for w, x in _steps(table, removed, y, entered[k]):
+                if w in other:
+                    return True
+                if w not in mine:
+                    mine.add(w)
+                    layer.append(x)
+        if not layer:
+            return False
+        fronts[k], entered[k] = layer, True
+
+
+def _component_labels(table: P1Table, removed: set[int], ends: list[int]) -> list[int]:
+    """For each vertex of ends, named by its least point, the component of
+    G minus the edges whose tails are in removed that holds it, numbered
+    from 0 in order of first appearance.
+
+    One breadth-first search sweeps each component that holds an end, so
+    this costs O(|P^1|) when a component is large; the caller's size limit
+    bounds it.
+    """
+    label = array("i", [-1]) * table.size  # vertex -> component, -1 until reached
+    n = 0
+    for s in ends:
+        if label[s] >= 0:
+            continue
+        label[s] = n
+        queue = [s]  # the end, then the points its component's vertices were entered at
+        for i, y in enumerate(queue):  # the queue grows while it is read
+            for w, x in _steps(table, removed, y, i > 0):
+                if label[w] < 0:
+                    label[w] = n
+                    queue.append(x)
+        n += 1
+    return [label[s] for s in ends]
+
+
+def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(cut rows, image rows) of T_1..T_imax{0,oo} over the edges S that
+    the images touch, one column per edge in tail order (see
+    hecke_span_rank).  The cut rows are empty when G minus S is connected.
+
+    The integers serve every field.  A level past MAX_P1_SIZE is refused
+    before any image is listed or any search started.
+    """
+    table = P1Table(pp)
+    table.check_size_limit()
+    images = [winding_image(i, table).coeffs for i in range(1, imax + 1)]
+    heads = {}  # tail x -> sigma x, for the edges of S
+    for c in images:
+        for z in c:
+            y = table.sigma(z)
+            if y != z:
+                heads[min(y, z)] = max(y, z)
+    tails = sorted(heads)
+    rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
+    # (tail vertex, head vertex) of each edge of S, a vertex named by its least point
+    ends = [(min(_orbit(table, x)), min(_orbit(table, heads[x]))) for x in tails]
+    removed = set(tails)
+    joined: dict[int, int] = {}  # union-find over the vertices already joined
+
+    def root(v: int) -> int:
+        while v in joined:
+            v = joined[v]
+        return v
+
+    for t, h in ends:
+        u, v = root(t), root(h)
+        if u != v:
+            if not _bridged(table, removed, u, v):
+                break
+            joined[u] = v
+    else:
+        return [], rows
+    label = _component_labels(table, removed, [e for pair in ends for e in pair])
+    cuts = [
+        [(h == k) - (t == k) for t, h in zip(label[0::2], label[1::2])]
+        for k in range(max(label) + 1)
+    ]
+    return cuts, rows
+
+
+def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
+    """Rank of {T_i{0,oo} : 1 <= i <= imax} in H_1(X_0(p^n), cusps) over F_l,
+    or over Q when l = 0, decided on the few edges the images touch.
+
+    A P^1-vector c is the edge vector g[x] = c[sigma x] - c[x] on the graph
+    G whose vertices are the tau orbits and whose edges are the sigma
+    2-orbits {x, sigma x}, named by the tail x < sigma x; it vanishes in
+    H_1 exactly when g is the gradient of vertex potentials.  Let S be the
+    edges through the images' supports.  A gradient that vanishes off S has
+    its potential constant on each component of G minus S, so on S the
+    gradients are spanned by one cut row per component C: +1 on the edges
+    with their head in C, -1 on those with their tail in C.  The rank is
+    rank(cut rows + image rows) - rank(cut rows), over the |S| columns.
+
+    G is connected (sigma and tau generate SL_2(Z)), so when every edge of
+    S has its ends joined in G minus S, by a bidirectional search of
+    _bridged, G minus S is connected too: its one cut row is zero and the
+    rank is that of the image rows alone.  Otherwise _component_labels
+    labels the components of the edges' ends, exactly.  The search calls
+    the O(1) P1Table.sigma and tau and reads no dense permutation.
     """
     if l and not is_prime(l):
         raise ValueError(f"{l} is not prime")
@@ -154,13 +292,8 @@ def hecke_span_rank(
         raise ValueError("imax must be >= 0")
     if imax == 0:
         return 0
-    if presentation is None:
-        presentation = build_presentation(P1Table(pp))
-    rows = [
-        reduce_vector(winding_image(i, presentation.table), presentation)
-        for i in range(1, imax + 1)
-    ]
-    return _coordinate_rank(rows, l)
+    cuts, rows = _span_matrices(pp, imax)
+    return _coordinate_rank(cuts + rows, l) - _coordinate_rank(cuts, l)
 
 
 @dataclass
@@ -235,8 +368,9 @@ def check_kamienny_condition3(p: int, n: int, d: int, l: int) -> CriterionReport
 
     The threshold flag records whether p^n >= C^2 (sd)^6, the regime where
     independence is guaranteed; outside it the report still carries the
-    computed rank without asserting anything.  An s*d above MAX_HECKE_R is
-    refused with ValueError before the table or any image is built.
+    computed rank without asserting anything.  An s*d above MAX_HECKE_R, or
+    a level whose |P^1| exceeds MAX_P1_SIZE, is refused with ValueError
+    before any image is listed or any search started.
     """
     if not is_prime(l):
         raise ValueError(f"l={l} must be prime")

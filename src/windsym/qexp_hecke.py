@@ -616,6 +616,12 @@ _LANE_BUDGET = 2**13
 # 2-vCPU host, and order 10^6 over one trial ran past 30 s.
 MAX_QEXP_ORDER = 20000
 
+# Largest --trials of `qexp verify-relations`.  A run's cost is linear in the
+# trials at a fixed order: on a 2-vCPU host 1000 trials take 0.55 s at order
+# 300 and 10^5 take 3 s at order 8, while at order MAX_QEXP_ORDER each 100
+# trials take about 8 s, so 1000 trials there take about 80 s.
+MAX_QEXP_TRIALS = 1000
+
 
 def _lane_width(bound: int) -> int:
     """Smallest W with 2 * bound < 2^(W-1): lanes holding values in
@@ -1226,6 +1232,7 @@ __all__ = [
     "verify_relations",
     "verify_coefficient_identity",
     "MAX_QEXP_ORDER",
+    "MAX_QEXP_TRIALS",
     "CASE_DIVIDES",
     "CASE_COPRIME",
     "OldclassMatrix",

@@ -28,7 +28,10 @@ and V = (|P^1| - nu3)/3 + nu3 vertices.  nu2 and nu3 are the classical
 elliptic-point counts of Gamma_0(p^n) (Shimura, Introduction to the
 Arithmetic Theory of Automorphic Functions, Prop. 1.43), read off a
 Kronecker symbol in O(log p), so the shape reads no permutation (see
-elliptic_point_counts).  Only reduce() needs the graph.  Its spanning tree
+elliptic_point_counts).  Only reduce() needs the graph, and no command
+runs it: the criterion decides its rank on the few edges the Hecke images
+touch (see hecke_symbols), so reduce() now serves the tests, as a second
+route to that rank, and the benchmark's traced replay.  Its spanning tree
 is grown on the first reduce(), breadth first from the vertex of point 0,
 which makes the basis, and hence every downstream coordinate, reproducible
 bit for bit; the tree, walked on sigma and tau, must reach every counted

@@ -19,8 +19,9 @@ sweeps in full, are built on first use into arrays of 4-byte integers
 and tau sliced out of sigma, since (a, 1).tau = (-1 : a + 1) =
 (a + 1, 1).sigma makes tau(a) = sigma(a + 1) on affine a, and the infinite
 branch's tau reads sigma at 1 + pj.  They are the only part of a table
-whose memory grows with |P^1|, so the size limit MAX_P1_SIZE guards them
-and nothing else.
+whose memory grows with |P^1|, so the size limit MAX_P1_SIZE guards them;
+the criterion's graph search, which reads neither, checks the same limit
+(check_size_limit) before it starts.
 """
 
 from array import array
@@ -34,12 +35,13 @@ from .arith import is_prime
 # Largest |P^1| = p^n + p^{n-1} whose dense permutations a table builds; it
 # is below 2^31, so every index fits the 4-byte arrays.  At this size the two
 # permutations take 80 MB (tau is copied out of sigma, so building it holds
-# nothing else of that size), and a criterion run on them, presentation and
-# spanning tree included, peaks near 0.3 GB (about 28 bytes per point under
-# tracemalloc, plus the interpreter).  Only the commands that read the
-# permutations are limited: `homology --smith`, `criterion` and
-# `p1 --verify`.  A `homology` record without `--smith` is counted from the
-# elliptic points and reads neither, so it runs at any level.
+# nothing else of that size).  `homology --smith` and `p1 --verify` read
+# them.  `criterion` reads neither: it searches the graph from the few edges
+# the Hecke images touch, and for it the limit bounds that search, whose
+# cost grows with the level (about 2 s at |P^1| = 3032642 with d = 3 on a
+# 2-vCPU host) and whose fallback labels components in one 4-byte array of
+# |P^1| entries.  A `homology` record without `--smith` is counted from the
+# elliptic points and reads nothing, so it runs at any level.
 MAX_P1_SIZE = 10**7
 
 # Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and
@@ -50,10 +52,11 @@ MAX_P1_SIZE = 10**7
 MAX_HECKE_R = 200
 
 # Largest L of `criterion --all-l-up-to L`.  Each prime l <= L costs one full
-# criterion run (table, presentation, tree and images are rebuilt per l), and
-# there are 168 of them below 1000: `criterion --p 100003 --d 1
-# --all-l-up-to 1000` takes 27 s on a 2-vCPU host (0.16 s per l), and at
-# p = 1000003, where one l takes 1.8 s, it would take about 5 minutes.
+# criterion run (the images and the graph search are redone per l), and
+# there are 168 of them below 1000.  On a 2-vCPU host `criterion --p 100003
+# --d 1 --all-l-up-to 1000` takes 5 s (0.03 s per l); at p = 1000003 one l
+# takes 0.19 s, so all 168 take about 32 s, and at p = 3032641 with d = 3,
+# where one l takes about 2 s, about 6 minutes.
 MAX_ALL_L = 1000
 
 
@@ -130,8 +133,8 @@ class P1Table:
         w, t = self.pair(i)
         return self.index(-t, w + t)
 
-    def _check_dense_size(self) -> None:
-        """Refuse a dense permutation when |P^1| exceeds MAX_P1_SIZE."""
+    def check_size_limit(self) -> None:
+        """Raise ValueError when |P^1| exceeds MAX_P1_SIZE."""
         if self.size > MAX_P1_SIZE:
             pp = self.pp
             raise ValueError(
@@ -149,7 +152,7 @@ class P1Table:
         their images, and the infinite branch's, are arithmetic progressions
         written by slice assignment.
         """
-        self._check_dense_size()
+        self.check_size_limit()
         p, m, size = self.pp.p, self.pp.modulus, self.size
         k, half = m // p, m // 2
         factors = array("i", range(half + 1))
@@ -180,7 +183,7 @@ class P1Table:
         point -1 + 1/(1 + pj) = -1 - sigma(1 + pj), so tau(p^n + j) is
         p^n - 1 - sigma(1 + pj): no point takes a tau() call.
         """
-        self._check_dense_size()
+        self.check_size_limit()
         p, m, sigma = self.pp.p, self.pp.modulus, self.sigma_perm
         perm = array("i", [0]) * self.size
         memoryview(perm)[: m - 1] = memoryview(sigma)[1:m]  # no temporary copy

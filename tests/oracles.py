@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import eq, lt
 from typing import Optional
 
@@ -305,21 +305,37 @@ class EchelonPresentation:
 
 def prefix_ranks(rows: list[list], char: int) -> list[int]:
     """Rank of rows[:k] for k = 1..len(rows), by Gaussian elimination over Q
-    (Fractions) or F_l."""
-    basis = []  # (pivot column, row scaled to 1 at the pivot)
+    or F_l.
+
+    Over F_l each basis row is scaled to 1 at its pivot.  Over Q a row is
+    cleared of denominators and kept primitive: a pivot is eliminated by
+    multiplying the row by it and subtracting, and the row is then divided
+    by the gcd of its entries, so no fraction is ever formed.
+    """
+    basis = []  # (pivot column, row)
     ranks = []
     for row in rows:
-        row = [Fraction(x) if not char else x % char for x in row]
+        if char:
+            row = [x % char for x in row]
+        else:
+            den = lcm(*(x.denominator for x in row))
+            row = [int(x * den) for x in row]
         for c, b in basis:
             f = row[c]
             if f:
-                row = [x - f * y for x, y in zip(row, b)]
                 if char:
-                    row = [x % char for x in row]
+                    row = [(x - f * y) % char for x, y in zip(row, b)]
+                else:
+                    row = [b[c] * x - f * y for x, y in zip(row, b)]
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
         piv = next((c for c, x in enumerate(row) if x), None)
         if piv is not None:
-            inv = pow(row[piv], -1, char) if char else 1 / row[piv]
-            basis.append((piv, [x * inv % char if char else x * inv for x in row]))
+            if char:
+                inv = pow(row[piv], -1, char)
+                row = [x * inv % char for x in row]
+            basis.append((piv, row))
         ranks.append(len(basis))
     return ranks
 

@@ -357,6 +357,32 @@ def test_cli_usage_errors(capsys):
     assert json.loads(capsys.readouterr().out)["p"] == 10000019
 
 
+def test_cli_refuses_criterion_past_the_size_limit_before_any_search(capsys, monkeypatch):
+    from windsym import hecke_symbols, residue_p1
+    from windsym.residue_p1 import MAX_P1_SIZE
+
+    def no_work(*args):
+        raise AssertionError("listed an image or searched the graph past the limit")
+
+    # the guard comes first: at |P^1| near 10^12 the search would run for minutes
+    for name in ("winding_image", "_bridged", "_component_labels"):
+        monkeypatch.setattr(hecke_symbols, name, no_work)
+    for argv, level, size in [(("--p", "1000003", "--n", "2", "--l", "3"), "1000003^2", 1000007000012),
+                              (("--p", "10000019", "--all-l-up-to", "7"), "10000019^1", 10000020)]:
+        assert cli_main(["criterion", *argv, "--d", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: |P^1(Z/{level} Z)| = {size} exceeds the limit {MAX_P1_SIZE}\n")
+    monkeypatch.undo()
+
+    # the limit is inclusive: with it lowered, |P^1| = 12 at p = 11 runs and
+    # 14 at p = 13 is refused
+    monkeypatch.setattr(residue_p1, "MAX_P1_SIZE", 12)
+    assert cli_main(["criterion", "--p", "11", "--d", "1", "--l", "3"]) == 0
+    capsys.readouterr()
+    assert cli_main(["criterion", "--p", "13", "--d", "1", "--l", "3"]) == 2
+    assert capsys.readouterr().err == "error: |P^1(Z/13^1 Z)| = 14 exceeds the limit 12\n"
+
+
 def test_cli_refuses_oversized_r_before_enumerating(capsys, monkeypatch):
     from windsym import hecke_symbols, residue_p1
     from windsym.residue_p1 import MAX_HECKE_R
@@ -436,7 +462,7 @@ print(json.dumps([rc, sorted(m[8:] for m in sys.modules if m.startswith("windsym
 """
 
 LAYERS = {"residue_p1", "rel_homology", "hecke_symbols", "winding_paths", "qexp_hecke"}
-P1_AND_H1 = {"residue_p1", "rel_homology", "hecke_symbols"}
+P1_AND_IMAGES = {"residue_p1", "hecke_symbols"}
 
 # argv -> the layer modules the run must load; every other layer must stay
 # unloaded
@@ -449,9 +475,9 @@ LOADED_BY = [
     (["qexp", "verify-relations", "--order", "20", "--trials", "2"], {"qexp_hecke"}),
     (["p1", "--p", "11", "--verify"], {"residue_p1"}),
     (["homology", "--p", "11", "--l", "3"], {"residue_p1", "rel_homology"}),
-    (["criterion", "--p", "11", "--d", "1", "--l", "3"], P1_AND_H1),
-    (["bounds", "--threshold", "--p", "5", "--d", "1"], P1_AND_H1),
-    (["paths", "--p", "101", "--r", "2"], P1_AND_H1 | {"winding_paths"}),
+    (["criterion", "--p", "11", "--d", "1", "--l", "3"], P1_AND_IMAGES),
+    (["bounds", "--threshold", "--p", "5", "--d", "1"], P1_AND_IMAGES),
+    (["paths", "--p", "101", "--r", "2"], P1_AND_IMAGES | {"winding_paths"}),
 ]
 
 
@@ -537,8 +563,8 @@ def test_cli_homology_runs_past_the_dense_limit(capsys):
     assert rec["p1_size"] == 10000020 > MAX_P1_SIZE
     assert (rec["quotient_dim"], rec["relation_rank"]) == (1666671, 8333349)
     assert rec["quotient_dim"] == 2 * genus_x0(10000019) + cusp_count_x0(10000019) - 1
-    # the relation rows and the spanning tree read the permutations, so
-    # --smith and criterion are still refused there
+    # the relation rows read the permutations, and the criterion's graph
+    # search is bounded by the same limit, so both are still refused there
     for argv in (["homology", "--p", "10000019", "--smith"],
                  ["criterion", "--p", "10000019", "--d", "1", "--l", "3"]):
         assert cli_main(argv) == 2
@@ -607,6 +633,29 @@ def test_cli_refuses_oversized_qexp_order_before_drawing(capsys, monkeypatch):
     capsys.readouterr()
     assert cli_main(["qexp", "verify-relations", "--order", "41", "--trials", "2"]) == 2
     assert capsys.readouterr().err == "error: --order 41 exceeds the limit 40\n"
+
+
+def test_cli_refuses_too_many_qexp_trials_before_drawing(capsys, monkeypatch):
+    from windsym import qexp_hecke
+    from windsym.qexp_hecke import MAX_QEXP_TRIALS
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew a series past the limit")
+
+    assert MAX_QEXP_TRIALS >= 100  # the memory guard's and the benchmark's trials
+    monkeypatch.setattr(qexp_hecke, "verify_relations", no_work)
+    monkeypatch.setattr(qexp_hecke, "verify_coefficient_identity", no_work)
+    for trials in (str(MAX_QEXP_TRIALS + 1), "100000000"):
+        assert cli_main(["qexp", "verify-relations", "--order", "8", "--trials", trials]) == 2
+        assert capsys.readouterr() == ("", f"error: --trials {trials} exceeds the limit {MAX_QEXP_TRIALS}\n")
+    monkeypatch.undo()
+
+    # the limit is inclusive: with it lowered, the trials at the limit still run
+    monkeypatch.setattr(qexp_hecke, "MAX_QEXP_TRIALS", 3)
+    assert cli_main(["qexp", "verify-relations", "--order", "20", "--trials", "3"]) == 0
+    capsys.readouterr()
+    assert cli_main(["qexp", "verify-relations", "--order", "20", "--trials", "4"]) == 2
+    assert capsys.readouterr().err == "error: --trials 4 exceeds the limit 3\n"
 
 
 def test_module_entry_point():

@@ -1,5 +1,11 @@
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from windsym import hecke_symbols, rel_homology
+from windsym.arith import factorize, smallest_prime_excluding
+from windsym.bounds_cli import cli_main
 from windsym.hecke_symbols import (
     _coordinate_rank,
     admissible_pairs,
@@ -8,8 +14,9 @@ from windsym.hecke_symbols import (
     sigma_r_set,
     winding_image,
 )
-from windsym.residue_p1 import PrimePower
-from oracles import get_table, winding_pairs_bruteforce
+from windsym.rel_homology import H1Presentation
+from windsym.residue_p1 import P1Table, PrimePower
+from oracles import get_table, prefix_ranks, prime_powers, winding_pairs_bruteforce
 
 
 def test_winding_image_r1():
@@ -123,6 +130,96 @@ def test_hecke_span_rank_monotone_and_field_bound():
         for imax in range(1, 6):
             rl = hecke_span_rank(pp, imax, l)
             assert rl <= ranks_q[imax - 1]
+
+
+CHARS = (0, 2, 3, 5, 7)
+
+
+def _forest_ranks(pp: PrimePower, imax: int) -> dict[int, list[int]]:
+    """Per field, the ranks of T_1..T_k{0,oo} for k = 1..imax by the forest
+    route: quotient coordinates from H1Presentation.reduce, ranked by
+    prefix_ranks."""
+    table = P1Table(pp)
+    pres = H1Presentation(table)
+    rows = [pres.reduce(winding_image(i, table).coeffs) for i in range(1, imax + 1)]
+    return {l: prefix_ranks(rows, l) for l in CHARS}
+
+
+def _share_and_record_search(monkeypatch) -> dict[str, set]:
+    """Share each level's search across the fields, and record the (p^n, d)
+    whose edges were all bridged and those that needed the component
+    labels (only they have cut rows)."""
+    runs = {"bridged": set(), "fallback": set()}
+    search = functools.lru_cache(maxsize=1)(hecke_symbols._span_matrices)
+
+    def span_matrices(pp, imax):
+        cuts, rows = search(pp, imax)
+        d = imax // smallest_prime_excluding(pp.p)
+        runs["fallback" if cuts else "bridged"].add((pp.modulus, d))
+        return cuts, rows
+
+    monkeypatch.setattr(hecke_symbols, "_span_matrices", span_matrices)
+    return runs
+
+
+def _check_against_forest(pp: PrimePower, ds) -> None:
+    s = smallest_prime_excluding(pp.p)
+    ranks = _forest_ranks(pp, s * max(ds))
+    for d in ds:
+        for l in CHARS:
+            assert hecke_span_rank(pp, s * d, l) == ranks[l][s * d - 1], (pp, d, l)
+
+
+def test_span_rank_against_forest_route(monkeypatch):
+    runs = _share_and_record_search(monkeypatch)
+    levels = [m for m in range(2, 3000) if len(factorize(m)) == 1]
+    assert len(levels) == 466
+    for m in levels:
+        ((p, n),) = factorize(m).items()
+        _check_against_forest(PrimePower(p, n), (1, 2, 3))
+    fallback = {d: {m for m, e in runs["fallback"] if e == d} for d in (1, 2, 3)}
+    # G minus S splits only at small levels; removing more edges splits more
+    assert fallback[1] == {3, 4, 7, 8, 9, 13, 16, 25}
+    assert (len(fallback[2]), max(fallback[2])) == (24, 121)
+    assert (len(fallback[3]), max(fallback[3])) == (41, 256)
+    assert fallback[1] <= fallback[2] <= fallback[3]
+    for d in (1, 2, 3):
+        assert {m for m, e in runs["bridged"] if e == d} == set(levels) - fallback[d]
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(prime_powers(limit=2 * 10**5), st.sampled_from((1, 2, 3)))
+def test_span_rank_against_forest_route_random_levels(pp, d):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _share_and_record_search(monkeypatch)
+        _check_against_forest(pp, (d,))
+
+
+def test_criterion_builds_no_permutation_or_tree(capsys, monkeypatch):
+    argvs = [["--p", "4201", "--l", "3"], ["--p", "5", "--n", "2", "--all-l-up-to", "7"]]
+    want = []
+    for argv in argvs:
+        assert cli_main(["criterion", *argv, "--d", "1"]) == 0
+        want.append(capsys.readouterr().out)
+    tables = []
+
+    class Spy(P1Table):
+        def __init__(self, pp):
+            super().__init__(pp)
+            tables.append(self)
+
+    def no_presentation(table):
+        raise AssertionError("criterion built a presentation")
+
+    monkeypatch.setattr(hecke_symbols, "P1Table", Spy)
+    monkeypatch.setattr(rel_homology, "H1Presentation", no_presentation)
+    # 4201 is decided by bridging every edge, 25 by labelling the components
+    for argv, out in zip(argvs, want):
+        assert cli_main(["criterion", *argv, "--d", "1"]) == 0
+        assert capsys.readouterr().out == out
+    assert [t.pp.modulus for t in tables] == [4201] + [25] * 4
+    for table in tables:
+        assert "sigma_perm" not in vars(table) and "tau_perm" not in vars(table)
 
 
 def test_criterion_report_below_threshold():
