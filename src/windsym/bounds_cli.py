@@ -192,8 +192,11 @@ def _emit(payload, args) -> None:
         base = os.environ.get("OUTPUT_DIR", "")
         if base and not os.path.isabs(out_path):
             out_path = os.path.join(base, out_path)
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -371,6 +374,8 @@ def _walk_both(pp, r):
 
 
 def _cmd_paths(args) -> int:
+    if args.d is not None and args.d < 1:
+        raise ValueError("D must be >= 1")
     if getattr(args, "mode", None) == "sweep":
         return _cmd_paths_sweep(args)
     if args.p is None or args.r is None:
@@ -379,7 +384,7 @@ def _cmd_paths(args) -> int:
 
     _check_r("--r", args.r)
     pp = PrimePower(args.p, args.n)
-    d_param = args.d if args.d else args.r
+    d_param = args.r if args.d is None else args.d
     chains = _walk_both(pp, args.r)
     reports = [_chain_report(c, pp, args.r, d_param) for c in chains]
     payload = {
@@ -403,7 +408,7 @@ def _cmd_paths_sweep(args) -> int:
     for value in args.pn:
         pp = _parse_prime_power(value)
         for r in range(args.r_min, args.r_max + 1):
-            d_param = args.d if args.d else r
+            d_param = r if args.d is None else args.d
             for chain in _walk_both(pp, r):
                 rep = _chain_report(chain, pp, r, d_param)
                 ok = rep["bound_holds"]
@@ -424,6 +429,7 @@ def _cmd_qexp(args) -> int:
         CASE_DIVIDES,
         MAX_QEXP_ORDER,
         MAX_QEXP_TRIALS,
+        MAX_UP_MATRIX_K,
         build_Up_matrix,
         charpoly,
         verify_coefficient_identity,
@@ -442,6 +448,8 @@ def _cmd_qexp(args) -> int:
         _emit(payload, args)
         return 0 if rel.all_passed and ident.passed and rel.witness_found else 1
     if args.mode == "up-matrix":
+        if args.k > MAX_UP_MATRIX_K:
+            raise ValueError(f"--k {args.k} exceeds the limit {MAX_UP_MATRIX_K}")
         case = CASE_DIVIDES if args.case == "divides" else CASE_COPRIME
         try:
             a_p = Fraction(args.a_p)

@@ -24,15 +24,16 @@ verify_coefficient_identity run on L*f, L = lcm(1..12) the common
 denominator of the random series, in integer arithmetic: a relation holds
 on f exactly when it holds on L*f.
 
-Both checks also run every trial in one pass.  The trials f_0..f_{k-1} are
-packed into lanes of W bits, P = sum_i 2^{W(k-1-i)} L f_i, and each side of
-a check, being Z-linear in f, maps P to the packing of its values on the
+Both checks run on one engine, _first_failures, which packs the trials
+f_0..f_{k-1} into lanes of W bits, P = sum_i 2^{W(k-1-i)} L f_i; each side
+of a check, being Z-linear in f, maps P to the packing of its values on the
 trials.  When every coefficient of either side lies in [-B, B] on every
 trial and 2B < 2^{W-1}, two packings are equal exactly when every lane
 agrees, so one comparison on P checks all k trials.  A block packs at most
 max(1, _LANE_BUDGET // order) trials, which keeps memory O(order) whatever
 the number of trials; a block whose packed sides differ is replayed one
-trial at a time to name the first failing trial.
+trial at a time to name each failing check's first trial, and no block is
+drawn once every check has failed.
 
 Composite operators follow T_{p^{k+1}} = T_p T_{p^k} - eps(p) p^{lambda-1}
 T_{p^{k-1}} on prime powers and multiplicativity across coprime factors,
@@ -58,6 +59,7 @@ this interface.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
 from .arith import divisors, factorize, is_prime, kronecker
@@ -622,6 +624,11 @@ MAX_QEXP_ORDER = 20000
 # trials take about 8 s, so 1000 trials there take about 80 s.
 MAX_QEXP_TRIALS = 1000
 
+# Largest --k of `qexp up-matrix`.  charpoly (Faddeev-LeVerrier) takes k + 1
+# products of (k+1)-square matrices whose rational entries grow with k: on a
+# 2-vCPU host k = 20 takes 0.6 s, k = 30 takes 2.6 s and k = 40 takes 10 s.
+MAX_UP_MATRIX_K = 30
+
 
 def _lane_width(bound: int) -> int:
     """Smallest W with 2 * bound < 2^(W-1): lanes holding values in
@@ -652,12 +659,6 @@ def _hecke_norm(n: int, weight: int) -> int:
     return out
 
 
-def _trial_blocks(trials: int, order: int):
-    """(start, stop) of consecutive trial blocks, in trial order."""
-    size = max(1, _LANE_BUDGET // order)
-    return [(s, min(s + size, trials)) for s in range(0, trials, size)]
-
-
 def _packed_series(
     rng: random.Random, count: int, width: int, order: int, weight: int, eps
 ) -> QExpansion:
@@ -671,13 +672,44 @@ def _packed_series(
     return QExpansion(tuple(acc), order, order, weight, eps)
 
 
-def _replay(state, start: int, stop: int, order: int, weight: int, eps):
-    """(i, L f_i) for trials start..stop-1, redrawn from the rng state the
-    block started from."""
-    rng = random.Random()
-    rng.setstate(state)
-    for i in range(start, stop):
-        yield i, _integral_series(rng, order, weight, eps)
+def _first_failures(sides, width: int, order: int, trials: int, seed: int, weight: int, eps) -> list:
+    """For each side function f -> (lhs, rhs), the first failing trial as
+    (i, first_disagreement(lhs, rhs)), or None when every trial agrees.
+
+    The trials are L*f for the series of random_series(random.Random(seed),
+    ...), packed in blocks as the module docstring describes.  Only the
+    cases that have not failed yet run on a block.  A case whose packed
+    sides differ on a block where no single trial fails it is not Z-linear,
+    and RuntimeError is raised.
+    """
+    rng = random.Random(seed)
+    failures = [None] * len(sides)
+    size = max(1, _LANE_BUDGET // order)
+    for start in range(0, trials, size):
+        if None not in failures:
+            break
+        stop = min(start + size, trials)
+        state = rng.getstate()
+        packed = _packed_series(rng, stop - start, width, order, weight, eps)
+        bad = [
+            j
+            for j, side in enumerate(sides)
+            if failures[j] is None and first_disagreement(*side(packed)) is not None
+        ]
+        if not bad:
+            continue
+        replay = random.Random()
+        replay.setstate(state)
+        for i in range(start, stop):
+            f = _integral_series(replay, order, weight, eps)
+            for j in bad:
+                if failures[j] is None:
+                    diff = first_disagreement(*sides[j](f))
+                    if diff is not None:
+                        failures[j] = (i, diff)
+        if any(failures[j] is None for j in bad):
+            raise RuntimeError("packed sides differ on no single trial: a side is not Z-linear")
+    return failures
 
 
 def verify_relations(
@@ -699,58 +731,38 @@ def verify_relations(
     relation holds on f exactly when it holds on L*f, and a failure prints
     the coefficients divided back by L.
 
-    All trials of a block run in one pass on the lane-packed series
-    P = sum_i 2^{W(k-1-i)} L f_i, drawn in trial order and folded by Horner.
-    Every side is Z-linear, so its value on P is the packing of its values
-    on the trials.  The lane width W is derived, not guessed: |a_n(L f)| <=
-    M = 20 L, and under the trivial character every operator has
-    nonnegative entries that dominate the true ones (eps takes values in
+    Each case of the suite is one side function of the lane-packed engine
+    _first_failures, which checks all trials of a block at once on
+    P = sum_i 2^{W(k-1-i)} L f_i.  The lane width W is derived, not guessed:
+    |a_n(L f)| <= M = 20 L, and under the trivial character every operator
+    has nonnegative entries that dominate the true ones (eps takes values in
     {-1, 0, 1}), so each case run once on the constant series M bounds
     either side on every trial by the largest coefficient B, and W is the
-    smallest width with 2B < 2^{W-1}.  A block holds at most
-    max(1, _LANE_BUDGET // order) trials, so memory is O(order).  When a
-    check's packed sides differ, the block's trials are redrawn and run one
-    at a time through that check, which names its first failing trial
-    (linearity guarantees one); a failed check skips later blocks.
+    smallest width with 2B < 2^{W-1}.  A block whose packed sides differ is
+    replayed one trial at a time, which names each failing check's first
+    trial (linearity guarantees one); a failed check skips later blocks.
     """
     if order < 8:
         raise ValueError("order must be >= 8")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
     cases = [
         (name, params, make)
         for name, param_list, make in _RELATION_SUITE
         for params in param_list
     ]
     width = _lane_width(_suite_bound(cases, order, weight))
-    failures = [""] * len(cases)
-    for start, stop in _trial_blocks(trials, order):
-        state = rng.getstate()
-        packed = _packed_series(rng, stop - start, width, order, weight, eps)
-        bad = [
-            j
-            for j, (_, params, make) in enumerate(cases)
-            if not failures[j] and first_disagreement(*make(*params, packed)) is not None
-        ]
-        if not bad:
-            continue
-        for i, f in _replay(state, start, stop, order, weight, eps):
-            for j in bad:
-                if failures[j]:
-                    continue
-                _, params, make = cases[j]
-                diff = first_disagreement(*make(*params, f))
-                if diff is not None:
-                    n, x, y = diff
-                    x, y = Fraction(x, SERIES_DENOMINATOR_LCM), Fraction(y, SERIES_DENOMINATOR_LCM)
-                    failures[j] = f"trial {i}: coefficient {n}: {x} != {y}"
-        if not all(failures[j] for j in bad):
-            raise RuntimeError("packed sides differ on no single trial: a suite side is not Z-linear")
-    checks = [
-        RelationCheck(name, str(params), trials, failure == "", failure)
-        for (name, params, _), failure in zip(cases, failures)
-    ]
+    firsts = _first_failures(
+        [partial(make, *params) for _, params, make in cases], width, order, trials, seed, weight, eps
+    )
+    checks = []
+    for (name, params, _), first in zip(cases, firsts):
+        failure = ""
+        if first is not None:
+            i, (n, x, y) = first
+            x, y = Fraction(x, SERIES_DENOMINATOR_LCM), Fraction(y, SERIES_DENOMINATOR_LCM)
+            failure = f"trial {i}: coefficient {n}: {x} != {y}"
+        checks.append(RelationCheck(name, str(params), trials, first is None, failure))
     witness = first_disagreement(
         op_t(3, op_B(3, make_qexp([1], order=order, weight=weight, eps=eps))),
         op_B(3, op_t(3, make_qexp([1], order=order, weight=weight, eps=eps))),
@@ -774,16 +786,16 @@ def verify_coefficient_identity(
     eps: DirichletCharacter = TRIVIAL_CHARACTER,
 ) -> RelationCheck:
     """a_1(T_n f) = a_n(f) for all n <= nmax on seeded random series, run on
-    the integer series L*f in lane-packed blocks as in verify_relations.
+    the integer series L*f by the lane-packed engine of verify_relations.
 
-    The lane width comes from the Hecke-recursion norm N(T_n), a bound on
-    the sum of absolute entries in any row of T_n for any character with
-    values in {-1, 0, 1}: with q = p^{lambda-1}, N(T_p) = 1 + q,
-    N(T_{p^{k+1}}) <= (1 + q) N(T_{p^k}) + q N(T_{p^{k-1}}), and N is
-    submultiplicative over the coprime factors T_n composes.  So both sides
-    lie in [-B, B] with B = 20 L max_n N(T_n).  The first failing block is
-    replayed one trial at a time, so the failure names its first trial and
-    the first n that trial fails at.
+    The identity is one case whose two sides are the order-nmax series
+    (a_1(T_n f))_n and (a_n(f))_n, so the first disagreement names the n a
+    failing trial fails at.  The lane width comes from the Hecke-recursion
+    norm N(T_n), a bound on the sum of absolute entries in any row of T_n
+    for any character with values in {-1, 0, 1}: with q = p^{lambda-1},
+    N(T_p) = 1 + q, N(T_{p^{k+1}}) <= (1 + q) N(T_{p^k}) + q N(T_{p^{k-1}}),
+    and N is submultiplicative over the coprime factors T_n composes.  So
+    both sides lie in [-B, B] with B = 20 L max_n N(T_n).
     """
     if order < nmax:
         raise ValueError("order must be >= nmax")
@@ -792,25 +804,13 @@ def verify_coefficient_identity(
     width = _lane_width(
         _SERIES_BOUND * max((_hecke_norm(n, weight) for n in range(1, nmax + 1)), default=1)
     )
-    rng = random.Random(seed)
-    failure = ""
-    for start, stop in _trial_blocks(trials, order):
-        state = rng.getstate()
-        packed = _packed_series(rng, stop - start, width, order, weight, eps)
-        if all(op_T(n, packed).coeff(1) == packed.raw(n) for n in range(1, nmax + 1)):
-            continue
-        for i, f in _replay(state, start, stop, order, weight, eps):
-            for n in range(1, nmax + 1):
-                if op_T(n, f).coeff(1) != f.raw(n):
-                    failure = f"trial {i}: n={n}"
-                    break
-            if failure:
-                break
-        if not failure:
-            raise RuntimeError("packed sides differ on no single trial: op_T is not Z-linear")
-        break
+    (first,) = _first_failures(
+        [lambda f: (make_qexp([op_T(n, f).coeff(1) for n in range(1, nmax + 1)]), make_qexp(f.coeffs[:nmax]))],
+        width, order, trials, seed, weight, eps,
+    )
+    failure = "" if first is None else f"trial {first[0]}: n={first[1][0]}"
     return RelationCheck(
-        "a_1(T_n f) = a_n(f)", f"n <= {nmax}", trials, failure == "", failure
+        "a_1(T_n f) = a_n(f)", f"n <= {nmax}", trials, first is None, failure
     )
 
 
@@ -1233,6 +1233,7 @@ __all__ = [
     "verify_coefficient_identity",
     "MAX_QEXP_ORDER",
     "MAX_QEXP_TRIALS",
+    "MAX_UP_MATRIX_K",
     "CASE_DIVIDES",
     "CASE_COPRIME",
     "OldclassMatrix",

@@ -112,35 +112,6 @@ def invariant_generators(table: P1Table) -> RelationSpan:
     return RelationSpan(table.size, tuple(sigma_rows), tuple(tau_rows))
 
 
-def _bfs_forest(n_vertices: int, tails: list[int], heads: list[int]) -> list[tuple[int, int, int]]:
-    """Breadth-first spanning forest of the multigraph with edges e from
-    tails[e] to heads[e], rooted at the lowest vertex of each component.
-
-    Returns (vertex, parent, edge) for every non-root vertex in visiting
-    order.  The edges listed are the tree edges, and n_vertices minus their
-    number is the number of components.
-    """
-    adjacent: list[list[int]] = [[] for _ in range(n_vertices)]
-    for e, (t, h) in enumerate(zip(tails, heads)):
-        adjacent[t].append(e)
-        adjacent[h].append(e)
-    seen = [False] * n_vertices
-    steps = []
-    for root in range(n_vertices):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        for u in queue:  # the queue grows while it is read
-            for e in adjacent[u]:
-                w = heads[e] if tails[e] == u else tails[e]
-                if not seen[w]:
-                    seen[w] = True
-                    steps.append((w, u, e))
-                    queue.append(w)
-    return steps
-
-
 def elliptic_point_counts(pp: PrimePower) -> tuple[int, int]:
     """(nu2, nu3): the points of P^1(Z/p^n Z) fixed by sigma and by tau.
 
@@ -314,9 +285,23 @@ def smith_invariants(rel: RelationSpan) -> list[int]:
         if -1 in owner:
             raise ValueError(f"{family} rows miss column {owner.index(-1)}")
         owners.append(owner)
+    # a union-find over the rows: each column that joins two components
+    # removes one, so the joins number #rows - #components
     n_sigma = len(rel.sigma_rows)
-    tree = _bfs_forest(n_sigma + len(rel.tau_rows), owners[0], [n_sigma + i for i in owners[1]])
-    return [1] * len(tree)
+    parent = list(range(n_sigma + len(rel.tau_rows)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
+    joins = 0
+    for s, t in zip(*owners):
+        a, b = find(s), find(n_sigma + t)
+        if a != b:
+            parent[a] = b
+            joins += 1
+    return [1] * joins
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import windsym
 from windsym.bounds_cli import (
     LAMBDA_FACTORS,
     cli_main,
@@ -510,6 +514,27 @@ def test_readme_commands_run(capsys):
             json.loads(out)
 
 
+def test_readme_names_every_limit_with_its_value():
+    """The README's refusal paragraph prints each `windsym.<module>.MAX_*` it
+    names beside that constant's value, and names every MAX_* a layer exports."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli = readme[readme.index("## CLI"):]
+    paragraph = cli[: cli.index("```")]
+    named = re.findall(r"`windsym\.(\w+)\.(MAX_\w+)`", paragraph)
+    printed = re.findall(r"(\d+)(?:\^(\d+))?[^\d(]*\(`windsym\.(\w+)\.(MAX_\w+)`", paragraph)
+    assert [(m, c) for *_, m, c in printed] == named  # a number stands beside each name
+    for base, exp, module, const in printed:
+        value = int(base) ** int(exp) if exp else int(base)
+        assert getattr(importlib.import_module(f"windsym.{module}"), const) == value, const
+    exported = {
+        (info.name, const)
+        for info in pkgutil.iter_modules(windsym.__path__)
+        for const in getattr(importlib.import_module(f"windsym.{info.name}"), "__all__", ())
+        if const.startswith("MAX_")
+    }
+    assert exported == set(named)
+
+
 def test_cli_reruns_byte_identical(capsys):
     _, first = run_cli(capsys, "criterion", "--p", "13", "--n", "1", "--d", "1", "--l", "3")
     _, second = run_cli(capsys, "criterion", "--p", "13", "--n", "1", "--d", "1", "--l", "3")
@@ -656,6 +681,53 @@ def test_cli_refuses_too_many_qexp_trials_before_drawing(capsys, monkeypatch):
     capsys.readouterr()
     assert cli_main(["qexp", "verify-relations", "--order", "20", "--trials", "4"]) == 2
     assert capsys.readouterr().err == "error: --trials 4 exceeds the limit 3\n"
+
+
+def test_cli_refuses_oversized_up_matrix_k_before_building(capsys, monkeypatch):
+    from windsym import qexp_hecke
+    from windsym.qexp_hecke import MAX_UP_MATRIX_K
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("built a matrix past the limit")
+
+    assert MAX_UP_MATRIX_K >= 3  # the README's and the benchmark's k
+    monkeypatch.setattr(qexp_hecke, "build_Up_matrix", no_work)
+    monkeypatch.setattr(qexp_hecke, "charpoly", no_work)
+    for k in (str(MAX_UP_MATRIX_K + 1), "1000"):
+        assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", k, "--prime", "5"]) == 2
+        assert capsys.readouterr() == ("", f"error: --k {k} exceeds the limit {MAX_UP_MATRIX_K}\n")
+    monkeypatch.undo()
+
+    # the limit is inclusive: with it lowered, the k at the limit still runs
+    monkeypatch.setattr(qexp_hecke, "MAX_UP_MATRIX_K", 3)
+    assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "3", "--prime", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 3
+    assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "4", "--prime", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: --k 4 exceeds the limit 3\n")
+
+
+@pytest.mark.parametrize("argv", [["paths", "--p", "101", "--r", "2"], ["paths", "sweep", "--pn", "101"]],
+                         ids=["paths", "sweep"])
+def test_cli_paths_refuses_d_below_one_before_any_walk(capsys, monkeypatch, argv):
+    from windsym import winding_paths
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a chain with D < 1")
+
+    for name in ("walk_chain_A", "walk_chain_B", "walk_chain_B_prime"):
+        monkeypatch.setattr(winding_paths, name, no_walk)
+    for d in ("0", "-1"):
+        assert cli_main([*argv, "--d", d]) == 2
+        assert capsys.readouterr() == ("", "error: D must be >= 1\n")
+
+
+@pytest.mark.parametrize("target", [Path("missing") / "x.json", Path(".")], ids=["missing-dir", "a-dir"])
+def test_cli_out_that_cannot_be_written_exits_2(tmp_path, capsys, target):
+    out = tmp_path / target
+    assert cli_main(["p1", "--p", "5", "--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith(f"error: cannot write --out {out}: ")
+    assert got.err.count("\n") == 1  # one line, no traceback
 
 
 def test_module_entry_point():

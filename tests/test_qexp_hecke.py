@@ -247,7 +247,7 @@ def test_integral_series_is_lcm_times_random_series(order, seed, weight, eps):
     f = _integral_series(rng_int, order, weight, eps)
     assert all(type(c) is int for c in f.coeffs)
     assert f == SERIES_DENOMINATOR_LCM * random_series(rng_frac, order, weight, eps)
-    # _replay redraws a block's trials from the rng state it started from,
+    # a failing block's trials are redrawn from the rng state it started from,
     # which holds only if each draw consumes exactly what random_series does
     assert rng_int.getstate() == rng_frac.getstate()
     assert rng_int.random() == rng_frac.random()  # the same draws were consumed
@@ -431,6 +431,62 @@ def test_planted_hecke_fault_fails_like_the_oracle(monkeypatch):
     got = verify_coefficient_identity(nmax=30, order=order, trials=trials, seed=seed)
     assert got == per_trial_coefficient_identity(nmax=30, order=order, trials=trials, seed=seed)
     assert got.failure == "trial 4: n=7"
+
+
+def test_op_T_that_is_not_z_linear_is_refused(monkeypatch):
+    # zero on every single trial (|a_1(L f)| < 2^40), nonzero on a packed block
+    exact = qexp_hecke.op_T
+
+    def nonlinear(n, f):
+        g = exact(n, f)
+        return g + (abs(f.raw(1)) >> 40) * make_qexp([1], order=f.order, weight=f.weight, eps=f.eps)
+
+    monkeypatch.setattr(qexp_hecke, "op_T", nonlinear)
+    assert per_trial_coefficient_identity(nmax=30, order=40, trials=6, seed=3).passed
+    with pytest.raises(RuntimeError, match="not Z-linear"):
+        verify_coefficient_identity(nmax=30, order=40, trials=6, seed=3)
+
+
+def _count_draws(monkeypatch) -> list:
+    calls = []
+    exact = qexp_hecke._integral_series
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(qexp_hecke, "_integral_series", counted)
+    return calls
+
+
+def test_no_block_is_drawn_once_every_relation_has_failed(monkeypatch):
+    order, trials, seed = 40, 30, 3
+    monkeypatch.setattr(qexp_hecke, "_LANE_BUDGET", 3 * order)  # blocks of 3 trials
+    # t_3 B_3 = B_3 t_3 fails at trial 0, the suite's only case
+    planted = [("planted: t_p B_d = B_d t_p", [(3, 3)],
+                lambda p, d, f: (op_t(p, op_B(d, f)), op_B(d, op_t(p, f))))]
+    monkeypatch.setattr(qexp_hecke, "_RELATION_SUITE", planted)
+    calls = _count_draws(monkeypatch)
+    got = verify_relations(order, trials, seed)
+    assert [c.failure for c in got.checks] == ["trial 0: coefficient 1: -1/2 != 0"]
+    assert len(calls) == 3 + 3  # block 0 and its replay, no later block
+
+
+def test_no_block_is_drawn_once_the_coefficient_identity_has_failed(monkeypatch):
+    order, trials, seed = 40, 30, 11
+    monkeypatch.setattr(qexp_hecke, "_LANE_BUDGET", 3 * order)  # blocks of 3 trials
+    phi = vanishing_functional(seed, order, count=4)  # zero on trials 0-3
+    exact = qexp_hecke.op_T
+
+    def faulty(n, f):
+        g = exact(n, f)
+        return g + phi(f) * make_qexp([1], order=f.order, weight=f.weight, eps=f.eps) if n == 7 else g
+
+    monkeypatch.setattr(qexp_hecke, "op_T", faulty)
+    calls = _count_draws(monkeypatch)
+    got = verify_coefficient_identity(nmax=30, order=order, trials=trials, seed=seed)
+    assert got.failure == "trial 4: n=7"
+    assert len(calls) == 3 + 3 + 3  # blocks 0 and 1 and the replay of block 1
 
 
 def test_formal_eigenform_is_eigen_everywhere():
