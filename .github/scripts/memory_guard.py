@@ -10,7 +10,8 @@ The criterion limit sits between the peak of a table-free run and that of
 a run that builds a dense sigma, so the guard fails when the criterion
 reads a permutation again; each homology limit sits between the table-free
 peak and that of a dense sigma, so it fails when the record reads a
-permutation.
+permutation, and the `--smith` limit sits between its list of ones and the
+relation rows, so it fails when the rows come back.
 
 - The criterion at p = 1000003, and at the first primes past the d = 2
   and d = 3 thresholds 65 (2d)^6 = 266240 and 3032640, p = 266261 (rank 4
@@ -25,6 +26,10 @@ permutation.
   building tau and the spanning tree as well about 60 MB.
 - The homology record at p = 10000019, past MAX_P1_SIZE: it runs because
   it reads no permutation, and stays at the interpreter's 17.4 MB.
+- `homology --smith` at p = 1000003: its list is relation_rank ~ 5|P^1|/6
+  ones read off the counts, about 86 MB; building the relation rows and
+  certifying them (invariant_generators and smith_invariants, with both
+  dense permutations) took 356 MB.
 - The relation checks at order 20000 over 100 trials: the lane-packed
   blocks keep it near 21 MB, as one trial at a time did; packing all trials
   into one block took about 36 MB.  It holds no index array, so its limit
@@ -54,6 +59,8 @@ CASES = [
      "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 21),
     (["homology", "--p", "10000019", "--l", "3"],
      "251c92ab624731862941822e82cd034df3821dda07367f18c92db9e9a97a2f67", 21),
+    (["homology", "--p", "1000003", "--l", "3", "--smith"],
+     "44bb20d77d9a8170c5ac8353c6ef781ef704cb4825305025a741486dbd06fd06", 120),
     (["qexp", "verify-relations", "--order", "20000", "--trials", "100", "--seed", "0"],
      "cf38919af26eb1573da0e49fb0e61c64114302313d72a672605dfcdf5ba0c92f", 30),
 ]

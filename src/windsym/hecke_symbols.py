@@ -97,12 +97,8 @@ class SigmaRSet:
 def sigma_r_set(r: int, table: P1Table) -> SigmaRSet:
     if r < 1:
         raise ValueError("r must be >= 1")
-    members: set[int] = set()
-    for k in range(1, r + 1):
-        for w, t, _ in admissible_pairs(k):
-            idx = table.index(w, t)
-            if idx is not None:
-                members.add(idx)
+    # multiplicities are positive, so no class of an image cancels
+    members = set().union(*(winding_image(k, table).coeffs for k in range(1, r + 1)))
     leading = table.index(1, r)
     if leading is None:
         raise RuntimeError(f"(1, {r}) defines no point of P^1")
@@ -223,7 +219,8 @@ def _component_labels(table: P1Table, removed: set[int], ends: list[int]) -> lis
 def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[list[int]]]:
     """(cut rows, image rows) of T_1..T_imax{0,oo} over the edges S that
     the images touch, one column per edge in tail order (see
-    hecke_span_rank).  The cut rows are empty when G minus S is connected.
+    hecke_span_rank): one for each of the k components of G minus S but
+    the last, so none when G minus S is connected.
 
     The integers serve every field.  A level past MAX_P1_SIZE is refused
     before any image is listed or any search started.
@@ -242,25 +239,12 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     # (tail vertex, head vertex) of each edge of S, a vertex named by its least point
     ends = [(min(_orbit(table, x)), min(_orbit(table, heads[x]))) for x in tails]
     removed = set(tails)
-    joined: dict[int, int] = {}  # union-find over the vertices already joined
-
-    def root(v: int) -> int:
-        while v in joined:
-            v = joined[v]
-        return v
-
-    for t, h in ends:
-        u, v = root(t), root(h)
-        if u != v:
-            if not _bridged(table, removed, u, v):
-                break
-            joined[u] = v
-    else:
+    if all(_bridged(table, removed, t, h) for t, h in ends):
         return [], rows
     label = _component_labels(table, removed, [e for pair in ends for e in pair])
     cuts = [
         [(h == k) - (t == k) for t, h in zip(label[0::2], label[1::2])]
-        for k in range(max(label) + 1)
+        for k in range(max(label))
     ]
     return cuts, rows
 
@@ -276,13 +260,15 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     edges through the images' supports.  A gradient that vanishes off S has
     its potential constant on each component of G minus S, so on S the
     gradients are spanned by one cut row per component C: +1 on the edges
-    with their head in C, -1 on those with their tail in C.  The rank is
-    rank(cut rows + image rows) - rank(cut rows), over the |S| columns.
+    with their head in C, -1 on those with their tail in C.  They are the
+    incidence rows of the connected graph of the k components and S, so
+    they sum to zero and any k - 1 are independent over every field: the
+    rank is rank(k - 1 cut rows + image rows) - (k - 1), over |S| columns.
 
     G is connected (sigma and tau generate SL_2(Z)), so when every edge of
     S has its ends joined in G minus S, by a bidirectional search of
-    _bridged, G minus S is connected too: its one cut row is zero and the
-    rank is that of the image rows alone.  Otherwise _component_labels
+    _bridged, G minus S is connected too: k = 1, there is no cut row, and
+    the rank is that of the image rows alone.  Otherwise _component_labels
     labels the components of the edges' ends, exactly.  The search calls
     the O(1) P1Table.sigma and tau and reads no dense permutation.
     """
@@ -293,7 +279,7 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     if imax == 0:
         return 0
     cuts, rows = _span_matrices(pp, imax)
-    return _coordinate_rank(cuts + rows, l) - _coordinate_rank(cuts, l)
+    return _coordinate_rank(cuts + rows, l) - len(cuts)
 
 
 @dataclass

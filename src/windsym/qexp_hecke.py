@@ -844,10 +844,12 @@ def build_Up_matrix(
     case "divides" (p | M): head entry a_p, superdiagonal of ones (M1).
     case "coprime" (p coprime to M): head column (a_p, -eps_p * p^{lam-1}),
     superdiagonal of ones (M2); the prime p itself is needed to form that
-    entry.
+    entry, and lam >= 1 keeps it an integer.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if lam < 1:
+        raise ValueError("lam must be >= 1")
     if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = k + 1

@@ -45,6 +45,8 @@ Torsion freeness is certified, not assumed: when the sigma rows and the tau
 rows each partition the columns with 0/1 entries, the relation matrix is the
 incidence matrix of a bipartite graph (a node per row, an edge per column),
 which is totally unimodular, so every nonzero Smith invariant is 1.
+smith_invariants checks that pattern on invariant_generators' rows, for
+the tests; `homology --smith` prints the relation_rank ones it certifies.
 
 The cusp half of the module decides Gamma_0(N)-equivalence of cusps and
 applies Hecke correspondences T_r (gcd(r, N) = 1) to cusp classes via the

@@ -35,13 +35,13 @@ from .arith import is_prime
 # Largest |P^1| = p^n + p^{n-1} whose dense permutations a table builds; it
 # is below 2^31, so every index fits the 4-byte arrays.  At this size the two
 # permutations take 80 MB (tau is copied out of sigma, so building it holds
-# nothing else of that size).  `homology --smith` and `p1 --verify` read
-# them.  `criterion` reads neither: it searches the graph from the few edges
-# the Hecke images touch, and for it the limit bounds that search, whose
-# cost grows with the level (about 2 s at |P^1| = 3032642 with d = 3 on a
-# 2-vCPU host) and whose fallback labels components in one 4-byte array of
-# |P^1| entries.  A `homology` record without `--smith` is counted from the
-# elliptic points and reads nothing, so it runs at any level.
+# nothing else of that size).  Only `p1 --verify` reads them.  `criterion`
+# searches the graph from the few edges the Hecke images touch, and for it
+# the limit bounds that search, whose cost grows with the level (about 2 s at
+# |P^1| = 3032642 with d = 3 on a 2-vCPU host) and whose fallback labels
+# components in one 4-byte array of |P^1| entries.  `homology --smith` prints
+# relation_rank ~ 5|P^1|/6 ones, which the limit bounds; the `homology`
+# record itself is counted from the elliptic points, so it runs at any level.
 MAX_P1_SIZE = 10**7
 
 # Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and

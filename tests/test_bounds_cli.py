@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import importlib
@@ -13,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import windsym
 from windsym.bounds_cli import (
@@ -23,7 +25,11 @@ from windsym.bounds_cli import (
     prop11_bound,
     prop11_report,
 )
+from windsym.arith import factorize
 from windsym.hecke_symbols import criterion_threshold
+from windsym.rel_homology import invariant_generators, smith_invariants
+from windsym.residue_p1 import P1Table, PrimePower
+from oracles import prime_powers
 
 F = Fraction
 
@@ -236,6 +242,52 @@ def test_cli_homology_smith(capsys):
     rep = json.loads(out)
     assert rep["quotient_dim"] == 3
     assert rep["torsion_free"] is True
+
+
+def test_cli_homology_smith_builds_no_permutation(capsys, monkeypatch):
+    from windsym import rel_homology, residue_p1
+
+    tables = []
+
+    class Spy(residue_p1.P1Table):
+        def __init__(self, pp):
+            super().__init__(pp)
+            tables.append(self)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("homology --smith built the relation rows")
+
+    monkeypatch.setattr(residue_p1, "P1Table", Spy)
+    monkeypatch.setattr(rel_homology, "invariant_generators", no_rows)
+    monkeypatch.setattr(rel_homology, "smith_invariants", no_rows)
+    argv, code, digest = CLI_GOLDEN["homology-smith"]
+    rc, out = run_cli(capsys, *argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    (table,) = tables
+    assert "sigma_perm" not in vars(table) and "tau_perm" not in vars(table)
+
+
+def _check_smith_against_certificate(pp: PrimePower) -> None:
+    """The CLI's list, read off the counts, is the certificate's, which
+    checks the relation rows themselves."""
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        assert cli_main(["homology", "--p", str(pp.p), "--n", str(pp.n), "--smith"]) == 0
+    got = json.loads(buf.getvalue())["smith_invariants"]
+    assert got == smith_invariants(invariant_generators(P1Table(pp))), pp
+
+
+def test_cli_smith_list_is_the_certificates():
+    levels = [f for f in map(factorize, range(2, 2000)) if len(f) == 1]
+    assert len(levels) == 333
+    for ((p, n),) in (f.items() for f in levels):
+        _check_smith_against_certificate(PrimePower(p, n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(prime_powers(limit=2 * 10**4))
+def test_cli_smith_list_is_the_certificates_random_levels(pp):
+    _check_smith_against_certificate(pp)
 
 
 def test_cli_p1_verify(capsys):
@@ -588,8 +640,9 @@ def test_cli_homology_runs_past_the_dense_limit(capsys):
     assert rec["p1_size"] == 10000020 > MAX_P1_SIZE
     assert (rec["quotient_dim"], rec["relation_rank"]) == (1666671, 8333349)
     assert rec["quotient_dim"] == 2 * genus_x0(10000019) + cusp_count_x0(10000019) - 1
-    # the relation rows read the permutations, and the criterion's graph
-    # search is bounded by the same limit, so both are still refused there
+    # the --smith list has relation_rank entries and the criterion's graph
+    # search grows with the level; the same limit bounds both, so both are
+    # still refused there
     for argv in (["homology", "--p", "10000019", "--smith"],
                  ["criterion", "--p", "10000019", "--d", "1", "--l", "3"]):
         assert cli_main(argv) == 2
@@ -704,6 +757,43 @@ def test_cli_refuses_oversized_up_matrix_k_before_building(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["k"] == 3
     assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "4", "--prime", "5"]) == 2
     assert capsys.readouterr() == ("", "error: --k 4 exceeds the limit 3\n")
+
+
+def test_cli_up_matrix_refuses_lam_below_one(capsys):
+    # p^(lam - 1) would be a float: --lam 0 used to print "-0.2"
+    for case in ("coprime", "divides"):
+        for lam in ("0", "-1"):
+            argv = ["qexp", "up-matrix", "--case", case, "--k", "2", "--prime", "5", "--lam", lam]
+            assert cli_main(argv) == 2
+            assert capsys.readouterr() == ("", "error: lam must be >= 1\n")
+
+
+def test_cli_refuses_oversized_up_matrix_lam_before_building(capsys, monkeypatch):
+    from windsym import qexp_hecke
+    from windsym.bounds_cli import MAX_BOUND_DIGITS
+
+    def up_matrix(*argv):
+        return cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "1", *argv])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("built a matrix past the limit")
+
+    # 2^13287 has 4000 digits and 2^13288 has 4001
+    assert (len(str(2**13287)), len(str(2**13288))) == (MAX_BOUND_DIGITS, MAX_BOUND_DIGITS + 1)
+    assert up_matrix("--prime", "2", "--lam", "13288") == 0
+    assert json.loads(capsys.readouterr().out)["entries"][1][0] == str(-(2**13287))
+    monkeypatch.setattr(qexp_hecke, "build_Up_matrix", no_work)
+    monkeypatch.setattr(qexp_hecke, "charpoly", no_work)
+    for argv in (["--prime", "2", "--lam", "13289"], ["--prime", "5", "--lam", "1000000000"],
+                 ["--prime", "2", "--lam", "13288", "--eps-p", "-2"]):
+        assert up_matrix(*argv) == 2
+        lam = argv[3]
+        assert capsys.readouterr() == ("", f"error: --lam {lam} exceeds the limit: eps_p p^(lam-1) "
+                                           f"would print more than {MAX_BOUND_DIGITS} digits\n")
+    monkeypatch.undo()
+    # the divides case forms no power, so its --lam is not judged
+    assert cli_main(["qexp", "up-matrix", "--case", "divides", "--k", "1", "--lam", "1000000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == [["1", "1"], ["0", "0"]]
 
 
 @pytest.mark.parametrize("argv", [["paths", "--p", "101", "--r", "2"], ["paths", "sweep", "--pn", "101"]],

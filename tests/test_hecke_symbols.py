@@ -185,6 +185,11 @@ def test_span_rank_against_forest_route(monkeypatch):
     assert fallback[1] <= fallback[2] <= fallback[3]
     for d in (1, 2, 3):
         assert {m for m, e in runs["bridged"] if e == d} == set(levels) - fallback[d]
+    # hecke_span_rank subtracts len(cuts): the k - 1 cut rows are independent
+    for m, d in sorted(runs["fallback"]):
+        ((p, n),) = factorize(m).items()
+        cuts, _ = hecke_symbols._span_matrices(PrimePower(p, n), smallest_prime_excluding(p) * d)
+        assert [_coordinate_rank(cuts, l) for l in (0, 2)] == [len(cuts)] * 2, (m, d)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
