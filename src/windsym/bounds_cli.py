@@ -35,7 +35,9 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
+from typing import Iterator
 
 from .arith import factorize, is_prime
 
@@ -182,11 +184,17 @@ def constants_consistency() -> ConstantsReport:
 # ---------------------------------------------------------------------------
 
 
+def _json_batches(payload) -> Iterator[str]:
+    """json.dumps(payload, indent=2) + "\n" in pieces of a few thousand
+    encoder chunks each, so a long list is never held encoded in full."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, 4096)):
+        yield batch
+    yield "\n"
+
+
 def _emit(payload, args) -> None:
-    if isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
+    texts = [payload] if isinstance(payload, str) else _json_batches(payload)
     out_path = getattr(args, "out", None)
     if out_path:
         base = os.environ.get("OUTPUT_DIR", "")
@@ -194,11 +202,11 @@ def _emit(payload, args) -> None:
             out_path = os.path.join(base, out_path)
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(texts)
         except OSError as exc:
             raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -312,6 +320,8 @@ def _cmd_criterion(args) -> int:
     from .residue_p1 import MAX_ALL_L
 
     if args.all_l_up_to is not None:
+        if args.l is not None:
+            raise ValueError("--l and --all-l-up-to cannot be given together")
         if args.all_l_up_to < 2:
             raise ValueError("--all-l-up-to must be >= 2")
         if args.all_l_up_to > MAX_ALL_L:

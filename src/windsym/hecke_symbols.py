@@ -16,10 +16,10 @@ independence is the sufficient criterion ruling out degree-d points of
 prime-power order, and it is guaranteed once p^n clears the threshold
 C^2 (sd)^6 with C^2 = 65 (129 when p = 2).  It is decided on the few edges
 the images touch, in the graph of tau orbits and sigma 2-orbits that
-presents H_1 (see rel_homology): a bidirectional search, one O(1) sigma or
-tau at a time, shows that removing those edges leaves the graph connected,
-or else labels its components exactly, so no dense permutation, spanning
-tree or quotient coordinate is built.
+presents H_1 (see rel_homology): a bidirectional search, which expands a
+vertex by one P1Table.vertex call, shows that removing those edges leaves
+the graph connected, or else labels its components exactly, so no dense
+permutation, spanning tree or quotient coordinate is built.
 """
 
 from array import array
@@ -137,12 +137,6 @@ def _coordinate_rank(rows: list[list[int]], char: int) -> int:
     return rank
 
 
-def _orbit(table: P1Table, z: int) -> tuple[int, ...]:
-    """The points of the vertex of G holding point z: its tau orbit."""
-    a = table.tau(z)
-    return (z,) if a == z else (z, a, table.tau(a))
-
-
 def _steps(table: P1Table, removed: set[int], y: int, entered: bool) -> Iterator[tuple[int, int]]:
     """(w, x) for each edge of G at the vertex of point y whose tail is not
     in removed: w names the vertex at its far end by its least point, and x
@@ -151,14 +145,14 @@ def _steps(table: P1Table, removed: set[int], y: int, entered: bool) -> Iterator
     The edges of a vertex are the sigma 2-orbits {z, sigma z} through its
     points z, named by their tails; a sigma-fixed point is no edge.  A
     search enters a vertex at the point across the edge it came by, so when
-    y was entered that way its own edge leads back and is skipped.
+    y was entered that way its own edge, the first of P1Table.vertex(y),
+    leads back and is skipped.
     """
-    for z in _orbit(table, y):
-        if entered and z == y:
-            continue
-        x = table.sigma(z)
+    orbit, far = table.vertex(y)
+    for k in range(entered, len(orbit)):
+        z, x = orbit[k], far[k]
         if x != z and (x if x < z else z) not in removed:
-            yield min(_orbit(table, x)), x
+            yield min(table.vertex(x)[0]), x
 
 
 def _bridged(table: P1Table, removed: set[int], u: int, v: int) -> bool:
@@ -237,7 +231,7 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     tails = sorted(heads)
     rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
     # (tail vertex, head vertex) of each edge of S, a vertex named by its least point
-    ends = [(min(_orbit(table, x)), min(_orbit(table, heads[x]))) for x in tails]
+    ends = [(min(table.vertex(x)[0]), min(table.vertex(heads[x])[0])) for x in tails]
     removed = set(tails)
     if all(_bridged(table, removed, t, h) for t, h in ends):
         return [], rows
@@ -269,8 +263,10 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     S has its ends joined in G minus S, by a bidirectional search of
     _bridged, G minus S is connected too: k = 1, there is no cut row, and
     the rank is that of the image rows alone.  Otherwise _component_labels
-    labels the components of the edges' ends, exactly.  The search calls
-    the O(1) P1Table.sigma and tau and reads no dense permutation.
+    labels the components of the edges' ends, exactly.  The search reads
+    each vertex it expands, and the name of each vertex beyond, off one
+    O(1) P1Table.vertex call (one modular inversion), and no dense
+    permutation.
     """
     if l and not is_prime(l):
         raise ValueError(f"{l} is not prime")

@@ -13,15 +13,17 @@ sigma = [[0,1],[-1,0]] and tau = [[0,-1],[1,-1]] act on the right:
 
 so tau.sigma is +1 on affine coordinates and sigma.tau^2 is -1.  Each action
 is computed on demand for one index by modular arithmetic, which is all the
-chain walks need.  The dense index permutations, which relation building
-sweeps in full, are built on first use into arrays of 4-byte integers
-(every index is below MAX_P1_SIZE < 2^31): sigma by one batch inversion,
-and tau sliced out of sigma, since (a, 1).tau = (-1 : a + 1) =
-(a + 1, 1).sigma makes tau(a) = sigma(a + 1) on affine a, and the infinite
-branch's tau reads sigma at 1 + pj.  They are the only part of a table
-whose memory grows with |P^1|, so the size limit MAX_P1_SIZE guards them;
-the criterion's graph search, which reads neither, checks the same limit
-(check_size_limit) before it starts.
+chain walks need; vertex(i) gives the tau orbit of i and the sigma image of
+each of its points from one modular inversion, which is what the
+criterion's graph search expands.  The dense index permutations, which
+relation building sweeps in full, are built on first use into arrays of
+4-byte integers (every index is below MAX_P1_SIZE < 2^31): sigma by one
+batch inversion, and tau sliced out of sigma, since (a, 1).tau =
+(-1 : a + 1) = (a + 1, 1).sigma makes tau(a) = sigma(a + 1) on affine a,
+and the infinite branch's tau reads sigma at 1 + pj.  They are the only
+part of a table whose memory grows with |P^1|, so the size limit
+MAX_P1_SIZE guards them; the criterion's graph search, which reads
+neither, checks the same limit (check_size_limit) before it starts.
 """
 
 from array import array
@@ -37,11 +39,12 @@ from .arith import is_prime
 # permutations take 80 MB (tau is copied out of sigma, so building it holds
 # nothing else of that size).  Only `p1 --verify` reads them.  `criterion`
 # searches the graph from the few edges the Hecke images touch, and for it
-# the limit bounds that search, whose cost grows with the level (about 2 s at
-# |P^1| = 3032642 with d = 3 on a 2-vCPU host) and whose fallback labels
-# components in one 4-byte array of |P^1| entries.  `homology --smith` prints
-# relation_rank ~ 5|P^1|/6 ones, which the limit bounds; the `homology`
-# record itself is counted from the elliptic points, so it runs at any level.
+# the limit bounds that search, whose cost grows with the level (about 0.7 s
+# at |P^1| = 3032642 with d = 3 on a 2-vCPU host, each vertex expanded by
+# one P1Table.vertex call) and whose fallback labels components in one
+# 4-byte array of |P^1| entries.  `homology --smith` prints relation_rank
+# ~ 5|P^1|/6 ones, which the limit bounds; the `homology` record itself is
+# counted from the elliptic points, so it runs at any level.
 MAX_P1_SIZE = 10**7
 
 # Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and
@@ -54,9 +57,9 @@ MAX_HECKE_R = 200
 # Largest L of `criterion --all-l-up-to L`.  Each prime l <= L costs one full
 # criterion run (the images and the graph search are redone per l), and
 # there are 168 of them below 1000.  On a 2-vCPU host `criterion --p 100003
-# --d 1 --all-l-up-to 1000` takes 5 s (0.03 s per l); at p = 1000003 one l
-# takes 0.19 s, so all 168 take about 32 s, and at p = 3032641 with d = 3,
-# where one l takes about 2 s, about 6 minutes.
+# --d 1 --all-l-up-to 1000` takes 2.3 s (0.014 s per l); at p = 1000003 one
+# l takes 0.12 s, so all 168 take about 20 s, and at p = 3032641 with d = 3,
+# where one l takes about 0.7 s, about 2 minutes.
 MAX_ALL_L = 1000
 
 
@@ -132,6 +135,40 @@ class P1Table:
         """Index of pair(i).tau = (-t, w + t)."""
         w, t = self.pair(i)
         return self.index(-t, w + t)
+
+    def vertex(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(orbit, far): the tau orbit (i, tau i, tau^2 i), or (i,) when tau
+        fixes i, and the sigma image of each orbit point, in that order.
+
+        From pair(i) = (w, t) the orbit is (w : t), (-t : w + t),
+        (-(w + t) : w) and the far points are (-t : w), (w + t : t),
+        (w : w + t), so every index is read by index()'s rule with the
+        inverse of w, t or w + t.  An affine (x, 1) needs 1/x and 1/(x + 1),
+        or the one of them that is a unit (x and x + 1 are never both
+        multiples of p); when both are, they come from one pow of x(x + 1),
+        the orbit is (x, -1/(x+1), -(x+1)/x) and the far points are
+        (-1/x, x + 1, x/(x + 1)), and tau fixes x exactly when
+        -1/(x+1) = x.  The infinite (1, pj) needs 1/(1 + pj).
+        """
+        p, m = self.pp.p, self.pp.modulus
+        if i >= m:  # (1, t) with t = pj: 1 + t is a unit, and tau fixes no such point
+            t = p * (i - m)
+            u = 1 + t
+            iu = pow(u, -1, m)
+            return (i, -t * iu % m, m - u), (-t % m, m + t * iu % m // p, iu)
+        y = i + 1
+        if i % p == 0:  # (x : 1) with p | x, so x + 1 is a unit
+            iy = pow(y, -1, m)
+            return (i, m - iy, m + -i * iy % m // p), (m + -i % m // p, y, i * iy % m)
+        if y % p == 0:  # p | x + 1
+            ix = pow(i, -1, m)
+            return (i, m + -y % m // p, -y * ix % m), (m - ix, y % m, m + y * ix % m // p)
+        ixy = pow(i * y, -1, m)  # both inverses from one pow
+        ix, iy = ixy * y % m, ixy * i % m
+        a = m - iy
+        if a == i:
+            return (i,), (m - ix,)
+        return (i, a, m - y * ix % m), (m - ix, y, i * iy % m)
 
     def check_size_limit(self) -> None:
         """Raise ValueError when |P^1| exceeds MAX_P1_SIZE."""

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -506,6 +507,19 @@ def test_cli_refuses_oversized_all_l_before_any_work(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: --all-l-up-to 8 exceeds the limit 7\n"
 
 
+def test_cli_refuses_l_with_all_l_up_to_before_any_work(capsys, monkeypatch):
+    from windsym import hecke_symbols
+
+    def no_work(*args):
+        raise AssertionError("checked an l although the flags conflict")
+
+    monkeypatch.setattr(hecke_symbols, "check_kamienny_condition3", no_work)
+    # either order on the command line, and whether or not --l is in the sweep
+    for argv in (["--l", "3", "--all-l-up-to", "5"], ["--all-l-up-to", "5", "--l", "7"]):
+        assert cli_main(["criterion", "--p", "11", *argv]) == 2
+        assert capsys.readouterr() == ("", "error: --l and --all-l-up-to cannot be given together\n")
+
+
 # Runs one subcommand (argv as JSON in sys.argv[1]; none: import only) in a
 # fresh interpreter and prints its exit code and the windsym modules loaded.
 IMPORT_DIET = """
@@ -602,6 +616,39 @@ def test_cli_out_file_and_output_dir(tmp_path, monkeypatch, capsys):
     assert rc == 0 and out == ""
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["pass"] is True
+
+
+def test_cli_json_is_streamed_with_the_bytes_of_json_dumps(tmp_path, monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    from windsym.bounds_cli import _emit
+
+    # a list of many encoder chunks (a --smith list) between nested values
+    payload = {"schema": 1, "nested": {"a": [1, {"b": None}], "c": "x"},
+               "smith_invariants": [1] * 200000, "torsion_free": True}
+    want = json.dumps(payload, indent=2) + "\n"
+    _emit(payload, SimpleNamespace(out=None))
+    assert capsys.readouterr().out == want
+    _emit(payload, SimpleNamespace(out=str(tmp_path / "out.json")))
+    assert (tmp_path / "out.json").read_text() == want
+
+    # written as it is encoded: the text and its chunks are never held whole
+    class Sink:
+        def write(self, text):
+            pass
+
+        def writelines(self, texts):
+            for _ in texts:
+                pass
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        _emit(payload, SimpleNamespace(out=None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(want) / 2, (peak, len(want))
 
 
 def test_cli_homology_record(capsys):

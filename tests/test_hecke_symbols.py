@@ -16,7 +16,13 @@ from windsym.hecke_symbols import (
 )
 from windsym.rel_homology import H1Presentation
 from windsym.residue_p1 import P1Table, PrimePower
-from oracles import get_table, prefix_ranks, prime_powers, winding_pairs_bruteforce
+from oracles import (
+    get_table,
+    pointwise_steps,
+    prefix_ranks,
+    prime_powers,
+    winding_pairs_bruteforce,
+)
 
 
 def test_winding_image_r1():
@@ -198,6 +204,36 @@ def test_span_rank_against_forest_route_random_levels(pp, d):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _share_and_record_search(monkeypatch)
         _check_against_forest(pp, (d,))
+
+
+# the benchmark ladder's levels, with its drawn primes at their least
+# values, where every edge is bridged, and two levels that need the labels
+SEARCH_LEVELS = [(2, 13, 1), (10007, 1, 1), (5, 6, 1), (3, 9, 1), (20011, 1, 1),
+                 (5, 2, 1), (11, 2, 2)]
+
+
+@pytest.mark.parametrize("p, n, d", SEARCH_LEVELS)
+def test_search_matches_pointwise_route(p, n, d, monkeypatch):
+    # every step _bridged and _component_labels take, in order, against the
+    # same searches run on one tau or sigma call per point
+    def recorded(steps):
+        trace = []
+
+        def step(table, removed, y, entered):
+            out = list(steps(table, removed, y, entered))
+            trace.append((y, entered, out))
+            return iter(out)
+
+        monkeypatch.setattr(hecke_symbols, "_steps", step)
+        result = hecke_symbols._span_matrices(PrimePower(p, n), smallest_prime_excluding(p) * d)
+        return result, trace
+
+    kernel = recorded(hecke_symbols._steps)
+    pointwise = recorded(pointwise_steps)
+    assert kernel == pointwise
+    (cuts, _), trace = kernel
+    assert bool(cuts) == (p**n in (25, 121))
+    assert trace
 
 
 def test_criterion_builds_no_permutation_or_tree(capsys, monkeypatch):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from windsym import residue_p1
+from windsym.arith import factorize
+from windsym.rel_homology import elliptic_point_counts
 from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
     DIFFERENTIAL_LEVELS,
@@ -11,6 +13,7 @@ from oracles import (
     get_table,
     normalized_index,
     p1_size_bruteforce,
+    pointwise_vertex,
     prime_powers,
 )
 
@@ -241,3 +244,39 @@ def test_tau_perm_calls_tau_only_on_the_infinite_branch(p, n, monkeypatch):
     # p^n - 1 - sigma(1 + pj), so no point takes a tau() call
     assert calls == []
     assert list(tau) == [pointwise(table, i) for i in range(table.size)]
+
+
+def test_vertex_matches_pointwise_route():
+    # every point of every prime power below 3000, powers of 2 and 3 and
+    # the last affine point p^n - 1 among them; the fixed points seen are
+    # those the elliptic-point counts predict
+    levels = [m for m in range(2, 3000) if len(factorize(m)) == 1]
+    fixed = {"sigma": 0, "tau": 0}
+    for m in levels:
+        ((p, n),) = factorize(m).items()
+        pp = PrimePower(p, n)
+        table = P1Table(pp)
+        nu2 = nu3 = 0
+        for i in range(table.size):
+            orbit, far = table.vertex(i)
+            assert (orbit, far) == pointwise_vertex(table, i), (p, n, i)
+            nu2 += far[0] == i
+            nu3 += len(orbit) == 1
+        assert (nu2, nu3) == elliptic_point_counts(pp), (p, n)
+        fixed["sigma"] += nu2
+        fixed["tau"] += nu3
+    assert fixed["sigma"] > 0 and fixed["tau"] > 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(prime_powers(limit=2 * 10**5), st.data())
+def test_vertex_matches_pointwise_route_random_levels(pp, data):
+    table = P1Table(pp)
+    p, m = pp.p, pp.modulus
+    # both ends of either branch, multiples of p and their neighbours (where
+    # x or x + 1 is no unit), and points drawn anywhere
+    k = data.draw(st.integers(0, m // p - 1))
+    points = {0, 1, m - 1, m, table.size - 1, p * k, p * k - 1, p * k + 1, m + k}
+    points.update(data.draw(st.lists(st.integers(0, table.size - 1), max_size=30)))
+    for i in sorted(x % table.size for x in points):
+        assert table.vertex(i) == pointwise_vertex(table, i), (pp, i)
