@@ -20,9 +20,17 @@ back).
   and d = 3 thresholds 65 (2d)^6 = 266240 and 3032640, p = 266261 (rank 4
   of 4 over F_5) and p = 3032641 (rank 6 of 6 over F_5): each is decided
   by a graph search on the few edges the Hecke images touch, which reads
-  no permutation and keeps bare point indices in its frontier, so all
-  three stay near the interpreter's 18.5 MB.  The dense sigma, tau and
-  spanning tree they replaced peaked at 45, 25 and 126 MB.
+  no permutation, holds in its frontier only the far points of edges not
+  yet crossed, and marks the region already joined in a bitset of |P^1|/8
+  bytes, so all three stay within 2 MB of the interpreter's 17.4 MB.  The
+  dense sigma, tau and spanning tree they replaced peaked at 45, 25 and
+  126 MB.
+- The criterion at p = 9999991 (d = 2, rank 4 of 4 over F_3), the largest
+  admitted prime, where that bitset is largest (1.25 MB): about 26.4 MB,
+  against 25.6 MB for the search that read each vertex twice and kept no
+  bitset, and 93 MB with a dense sigma built at that level, so its limit
+  of 30 MB also fails on the fallback's 4-byte label array of |P^1|
+  entries.
 - The homology record at p = 1000003: its shape is counted from the
   elliptic points, so it builds no permutation and stays at the
   interpreter's 17.4 MB; counting it off a dense sigma took 24.3 MB, and
@@ -60,6 +68,8 @@ CASES = [
      "5485130389c083525a412dd59b6991e2db6d3d02a195e50005a371fa32d717d7", 22),
     (["criterion", "--p", "3032641", "--d", "3", "--l", "5"],
      "f15d0a8abd43e4bd4ec86eeaf5d29819c7af9e56447550520e5b1d6c16152e06", 22),
+    (["criterion", "--p", "9999991", "--d", "2", "--l", "3"],
+     "4f5473b7cc1c8da399ec83624a3a19adf9149b7ce711a7541bfcc8f1ff183bb6", 30),
     (["homology", "--p", "1000003", "--l", "3"],
      "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 21),
     (["homology", "--p", "10000019", "--l", "3"],

@@ -61,6 +61,55 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 0 and k >= 1, by Newton's method on integers.
+
+    The start 2^ceil(bits/k) is at least the root, and each step
+    ((k-1) r + x // r^(k-1)) // k stays at or above it while r is above it,
+    so the steps fall to the root and stop there.
+    """
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, e) with n = p^e, p prime and e >= 1, or None.
+
+    The first d in 2..255 that divides n is its least prime factor, and
+    must be p: n is a power of d or no prime power.  Otherwise every prime
+    factor of n is above 2^8, so n = r^q with q > 1 needs 8q < log2(n).
+    Exact q-th roots, for primes q from 2 up to that bound, strip n down to
+    a base r that is no perfect power, with n = r^e; were n some p^f, r
+    would be p, so n is a prime power exactly when r is prime.  That is
+    O(log n) integer roots and one primality test, at any size of p.
+    """
+    if n < 2:
+        return None
+    for d in range(2, 256):
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            return (d, e) if n == 1 else None
+    e, q = 1, 2
+    while 8 * q < n.bit_length():
+        r = iroot(n, q)
+        if r**q == n:
+            n, e = r, e * q
+        else:
+            q += 1
+            while not is_prime(q):
+                q += 1
+    return (n, e) if is_prime(n) else None
+
+
 def divisors(n: int) -> list[int]:
     divs = [1]
     for p, e in factorize(n).items():
@@ -136,6 +185,8 @@ def ceil_isqrt(v: int) -> int:
 __all__ = [
     "is_prime",
     "factorize",
+    "iroot",
+    "prime_power",
     "divisors",
     "sigma0",
     "sigma1",

@@ -39,7 +39,7 @@ from itertools import islice
 from math import isqrt
 from typing import Iterator
 
-from .arith import factorize, is_prime
+from .arith import is_prime, prime_power
 
 # The layer modules are imported inside the handlers that run them, so a run
 # compiles and holds only what its subcommand uses: `bounds --constants`,
@@ -52,7 +52,8 @@ SCHEMA = 1
 # refuses to convert an int of more than 4300 digits to a string (3.10 has
 # no such limit), and the table's output grows as d_max^2, so a run whose
 # largest value could be longer is refused with exit 2 before any value is
-# computed, on every Python alike (see _check_digits).
+# computed, on every Python alike (see _check_digits).  A level p^n is held
+# to the same limit before it is formed (see _check_level).
 MAX_BOUND_DIGITS = 4000
 
 
@@ -234,15 +235,36 @@ def _check_digits(flag: str, d: int, l: int = 1) -> None:
                          f"{MAX_BOUND_DIGITS} digits")
 
 
+def _check_level(p: int, n: int) -> None:
+    """Refuse a level p^n of more than MAX_BOUND_DIGITS digits before p^n is
+    formed (Python 3.11 cannot print one past 4300 digits, and p^n itself
+    grows without bound in n).
+
+    With b the bit length of p, 2^(n(b-1)) <= p^n < 2^(nb): p^n is admitted
+    unformed when nb is at most 3 MAX_BOUND_DIGITS (8^MAX_BOUND_DIGITS <
+    10^MAX_BOUND_DIGITS) and refused unformed when n(b - 1) exceeds
+    4 MAX_BOUND_DIGITS; in between it is compared with 10^MAX_BOUND_DIGITS
+    exactly.  An n below 1 is left to PrimePower.
+    """
+    b = abs(p).bit_length()
+    if n < 1 or n * b <= 3 * MAX_BOUND_DIGITS:
+        return
+    if n * (b - 1) > 4 * MAX_BOUND_DIGITS or abs(p) ** n >= 10**MAX_BOUND_DIGITS:
+        raise ValueError(f"--n {n} exceeds the limit: p^n would have more than "
+                         f"{MAX_BOUND_DIGITS} digits")
+
+
 def _parse_prime_power(value: int):
     """The residue_p1.PrimePower that value is, or ValueError."""
     from .residue_p1 import PrimePower
 
-    fac = factorize(value)
-    if len(fac) != 1:
+    if value >= 10**MAX_BOUND_DIGITS:
+        raise ValueError(f"a --pn value exceeds the limit: it has more than "
+                         f"{MAX_BOUND_DIGITS} digits")
+    found = prime_power(value)
+    if found is None:
         raise ValueError(f"{value} is not a prime power")
-    (p, n), = fac.items()
-    return PrimePower(p, n)
+    return PrimePower(*found)
 
 
 def _is_bijection(perm, size: int) -> bool:
@@ -261,6 +283,7 @@ def _is_bijection(perm, size: int) -> bool:
 def _cmd_p1(args) -> int:
     from .residue_p1 import P1Table, PrimePower
 
+    _check_level(args.p, args.n)
     pp = PrimePower(args.p, args.n)
     table = P1Table(pp)
     report = {
@@ -296,6 +319,7 @@ def _cmd_homology(args) -> int:
     from .rel_homology import H1Presentation
     from .residue_p1 import P1Table, PrimePower
 
+    _check_level(args.p, args.n)
     pp = PrimePower(args.p, args.n)
     l = args.l
     if l and not is_prime(l):
@@ -331,6 +355,7 @@ def _cmd_criterion(args) -> int:
         if args.l is None:
             raise ValueError("need --l or --all-l-up-to")
         ls = [args.l]
+    _check_level(args.p, args.n)
     reports = [check_kamienny_condition3(args.p, args.n, args.d, l) for l in ls]
     payload = reports[0].to_json() if len(reports) == 1 else {
         "schema": SCHEMA,
@@ -395,6 +420,7 @@ def _cmd_paths(args) -> int:
     from .residue_p1 import PrimePower
 
     _check_r("--r", args.r)
+    _check_level(args.p, args.n)
     pp = PrimePower(args.p, args.n)
     d_param = args.r if args.d is None else args.d
     chains = _walk_both(pp, args.r)

@@ -16,14 +16,16 @@ independence is the sufficient criterion ruling out degree-d points of
 prime-power order, and it is guaranteed once p^n clears the threshold
 C^2 (sd)^6 with C^2 = 65 (129 when p = 2).  It is decided on the few edges
 the images touch, in the graph of tau orbits and sigma 2-orbits that
-presents H_1 (see rel_homology): a bidirectional search, which expands a
-vertex by one P1Table.vertex call, shows that removing those edges leaves
+presents H_1 (see rel_homology): a bidirectional search per edge, which
+crosses each graph edge by one P1Table.cross call and stops once both ends
+reach the region already joined, shows that removing those edges leaves
 the graph connected, or else labels its components exactly, so no dense
 permutation, spanning tree or quotient coordinate is built.
 """
 
 from array import array
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Iterator
 
 from .arith import is_prime, smallest_prime_excluding
@@ -137,77 +139,90 @@ def _coordinate_rank(rows: list[list[int]], char: int) -> int:
     return rank
 
 
-def _steps(table: P1Table, removed: set[int], y: int, entered: bool) -> Iterator[tuple[int, int]]:
-    """(w, x) for each edge of G at the vertex of point y whose tail is not
-    in removed: w names the vertex at its far end by its least point, and x
-    is the point the edge enters that vertex at.
+def _all_joined(table: P1Table, removed: set[int], tails: list[int], heads: dict[int, int]) -> bool:
+    """Whether every edge x -> heads[x] of S, x in tails, has its two ends
+    joined in G minus S, the edges whose tails are in removed.
 
-    The edges of a vertex are the sigma 2-orbits {z, sigma z} through its
-    points z, named by their tails; a sigma-fixed point is no edge.  A
-    search enters a vertex at the point across the edge it came by, so when
-    y was entered that way its own edge, the first of P1Table.vertex(y),
-    leads back and is skipped.
+    Each edge is searched from both ends: a ball grows from each, one layer
+    at a time on the side with the smaller frontier, and a frontier holds
+    the far points of edges not yet crossed.  Crossing an edge names the
+    vertex beyond, and lists its other edges, by one P1Table.cross call; a
+    ball starts at an end point, whose own edge is in S.  The region J, one
+    bit per point, holds the vertices of the first edge's balls and of every
+    later edge's balls once they are shown joined to J, so all of J lies in
+    one component.  An edge is joined when its balls meet, or when both have
+    reached J.  While later edges remain, a ball inside J counts its
+    frontier four times over, so the search leans to the side still
+    outside, whose ball J then gains for those edges; on the last edge
+    both sides weigh alike.  A ball that runs out has swept its whole
+    component without the other end: G minus S is split.  Each edge's
+    balls are dropped after it.
     """
-    orbit, far = table.vertex(y)
-    for k in range(entered, len(orbit)):
-        z, x = orbit[k], far[k]
-        if x != z and (x if x < z else z) not in removed:
-            yield min(table.vertex(x)[0]), x
-
-
-def _bridged(table: P1Table, removed: set[int], u: int, v: int) -> bool:
-    """Whether vertices u and v, each named by its least point, are joined
-    in G minus the edges whose tails are in removed.
-
-    A breadth-first search grows from each end, one layer at a time on the
-    side with the smaller frontier, until the two meet or one side runs out.
-    The side that runs out has swept its whole component, so a pair in
-    different components costs about the smaller of the two.  A frontier
-    holds the points its vertices were entered at, and a side's first
-    layer is its end.
-    """
-    if u == v:
-        return True
-    seen, fronts, entered = [{u}, {v}], [[u], [v]], [False, False]
-    while True:
-        k = len(fronts[1]) < len(fronts[0])
-        mine, other = seen[k], seen[not k]
-        layer = []
-        for y in fronts[k]:
-            for w, x in _steps(table, removed, y, entered[k]):
+    cross = table.cross
+    region = bytearray((table.size >> 3) + 1)  # J: vertex w is bit w & 7 of byte w >> 3
+    seeded = False
+    for x in tails:
+        shift = 2 if x != tails[-1] else 0  # log2 of the weight of a frontier inside J
+        balls, fronts, inside = [], [], [0, 0]
+        for k, e in enumerate((x, heads[x])):
+            w, far = cross(e, removed)
+            balls.append({w})
+            fronts.append(far)
+            inside[k] = region[w >> 3] >> (w & 7) & 1
+        met = balls[0] == balls[1]
+        while not (met or inside[0] and inside[1]):
+            k = len(fronts[1]) << shift * inside[1] < len(fronts[0]) << shift * inside[0]
+            mine, other, outside = balls[k], balls[not k], not inside[k]
+            layer = []
+            for y in fronts[k]:
+                w, far = cross(y, removed)
+                if w in mine:
+                    continue
                 if w in other:
-                    return True
-                if w not in mine:
-                    mine.add(w)
-                    layer.append(x)
-        if not layer:
-            return False
-        fronts[k], entered[k] = layer, True
+                    met = True
+                    break
+                mine.add(w)
+                layer += far
+                if outside and region[w >> 3] >> (w & 7) & 1:
+                    inside[k], outside = 1, False
+                    if inside[not k]:
+                        break
+            else:
+                if not layer:
+                    return False
+                fronts[k] = layer
+        if not seeded or inside[0] or inside[1]:
+            for w in chain(*balls):
+                region[w >> 3] |= 1 << (w & 7)
+            seeded = True
+    return True
 
 
 def _component_labels(table: P1Table, removed: set[int], ends: list[int]) -> list[int]:
-    """For each vertex of ends, named by its least point, the component of
-    G minus the edges whose tails are in removed that holds it, numbered
-    from 0 in order of first appearance.
+    """For each point of ends, the component of G minus the edges whose
+    tails are in removed that holds its vertex, numbered from 0 in order of
+    first appearance.  Each end's own edge must be in removed.
 
-    One breadth-first search sweeps each component that holds an end, so
-    this costs O(|P^1|) when a component is large; the caller's size limit
-    bounds it.
+    One breadth-first search, on P1Table.cross, sweeps each component that
+    holds an end, so this costs O(|P^1|) when a component is large; the
+    caller's size limit bounds it.
     """
+    cross = table.cross
     label = array("i", [-1]) * table.size  # vertex -> component, -1 until reached
-    n = 0
+    out, n = [], 0
     for s in ends:
-        if label[s] >= 0:
-            continue
-        label[s] = n
-        queue = [s]  # the end, then the points its component's vertices were entered at
-        for i, y in enumerate(queue):  # the queue grows while it is read
-            for w, x in _steps(table, removed, y, i > 0):
-                if label[w] < 0:
-                    label[w] = n
-                    queue.append(x)
-        n += 1
-    return [label[s] for s in ends]
+        w, far = cross(s, removed)
+        if label[w] < 0:
+            label[w] = n
+            queue = array("q", far)  # the far points of edges not yet crossed
+            for y in queue:  # the queue grows while it is read
+                v, far = cross(y, removed)
+                if label[v] < 0:
+                    label[v] = n
+                    queue.extend(far)
+            n += 1
+        out.append(label[w])
+    return out
 
 
 def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -230,12 +245,10 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
                 heads[min(y, z)] = max(y, z)
     tails = sorted(heads)
     rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
-    # (tail vertex, head vertex) of each edge of S, a vertex named by its least point
-    ends = [(min(table.vertex(x)[0]), min(table.vertex(heads[x])[0])) for x in tails]
     removed = set(tails)
-    if all(_bridged(table, removed, t, h) for t, h in ends):
+    if _all_joined(table, removed, tails, heads):
         return [], rows
-    label = _component_labels(table, removed, [e for pair in ends for e in pair])
+    label = _component_labels(table, removed, [e for x in tails for e in (x, heads[x])])
     cuts = [
         [(h == k) - (t == k) for t, h in zip(label[0::2], label[1::2])]
         for k in range(max(label))
@@ -260,13 +273,13 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     rank is rank(k - 1 cut rows + image rows) - (k - 1), over |S| columns.
 
     G is connected (sigma and tau generate SL_2(Z)), so when every edge of
-    S has its ends joined in G minus S, by a bidirectional search of
-    _bridged, G minus S is connected too: k = 1, there is no cut row, and
-    the rank is that of the image rows alone.  Otherwise _component_labels
-    labels the components of the edges' ends, exactly.  The search reads
-    each vertex it expands, and the name of each vertex beyond, off one
-    O(1) P1Table.vertex call (one modular inversion), and no dense
-    permutation.
+    S has its ends joined in G minus S, by the bidirectional searches of
+    _all_joined, G minus S is connected too: k = 1, there is no cut row,
+    and the rank is that of the image rows alone.  Otherwise
+    _component_labels labels the components of the edges' ends, exactly.
+    Both cross each graph edge by one O(1) P1Table.cross call (one modular
+    inversion), which names the vertex beyond and lists its other edges,
+    and read no dense permutation.
     """
     if l and not is_prime(l):
         raise ValueError(f"{l} is not prime")

@@ -13,17 +13,18 @@ sigma = [[0,1],[-1,0]] and tau = [[0,-1],[1,-1]] act on the right:
 
 so tau.sigma is +1 on affine coordinates and sigma.tau^2 is -1.  Each action
 is computed on demand for one index by modular arithmetic, which is all the
-chain walks need; vertex(i) gives the tau orbit of i and the sigma image of
-each of its points from one modular inversion, which is what the
-criterion's graph search expands.  The dense index permutations, which
-relation building sweeps in full, are built on first use into arrays of
-4-byte integers (every index is below MAX_P1_SIZE < 2^31): sigma by one
-batch inversion, and tau sliced out of sigma, since (a, 1).tau =
-(-1 : a + 1) = (a + 1, 1).sigma makes tau(a) = sigma(a + 1) on affine a,
-and the infinite branch's tau reads sigma at 1 + pj.  They are the only
-part of a table whose memory grows with |P^1|, so the size limit
-MAX_P1_SIZE guards them; the criterion's graph search, which reads
-neither, checks the same limit (check_size_limit) before it starts.
+chain walks need; cross(x, removed) names the vertex (tau orbit) entered at
+x by its least point and lists the far points of its other edges, from one
+modular inversion, which is how the criterion's graph search crosses an
+edge.  The dense index permutations, which relation building sweeps in
+full, are built on first use into arrays of 4-byte integers (every index
+is below MAX_P1_SIZE < 2^31): sigma by one batch inversion, and tau sliced
+out of sigma, since (a, 1).tau = (-1 : a + 1) = (a + 1, 1).sigma makes
+tau(a) = sigma(a + 1) on affine a, and the infinite branch's tau reads
+sigma at 1 + pj.  They are the only part of a table whose memory grows
+with |P^1|, so the size limit MAX_P1_SIZE guards them; the criterion's
+graph search, which reads neither, checks the same limit
+(check_size_limit) before it starts.
 """
 
 from array import array
@@ -39,10 +40,10 @@ from .arith import is_prime
 # permutations take 80 MB (tau is copied out of sigma, so building it holds
 # nothing else of that size).  Only `p1 --verify` reads them.  `criterion`
 # searches the graph from the few edges the Hecke images touch, and for it
-# the limit bounds that search, whose cost grows with the level (about 0.7 s
-# at |P^1| = 3032642 with d = 3 on a 2-vCPU host, each vertex expanded by
-# one P1Table.vertex call) and whose fallback labels components in one
-# 4-byte array of |P^1| entries.  `homology --smith` prints relation_rank
+# the limit bounds that search, whose cost grows with the level (about 0.2 s
+# at |P^1| = 3032642 with d = 3 on a 2-vCPU host, each edge crossed by one
+# P1Table.cross call) and whose fallback labels components in one 4-byte
+# array of |P^1| entries.  `homology --smith` prints relation_rank
 # ~ 5|P^1|/6 ones, which the limit bounds; the `homology` record itself is
 # counted from the elliptic points, so it runs at any level.
 MAX_P1_SIZE = 10**7
@@ -57,9 +58,9 @@ MAX_HECKE_R = 200
 # Largest L of `criterion --all-l-up-to L`.  Each prime l <= L costs one full
 # criterion run (the images and the graph search are redone per l), and
 # there are 168 of them below 1000.  On a 2-vCPU host `criterion --p 100003
-# --d 1 --all-l-up-to 1000` takes 2.3 s (0.014 s per l); at p = 1000003 one
-# l takes 0.12 s, so all 168 take about 20 s, and at p = 3032641 with d = 3,
-# where one l takes about 0.7 s, about 2 minutes.
+# --d 1 --all-l-up-to 1000` takes 2.5 s (0.015 s per l); at p = 1000003 one
+# l takes 0.09 s, so all 168 take about 15 s, and at p = 3032641 with d = 3,
+# where one l takes about 0.2 s, about 35 s.
 MAX_ALL_L = 1000
 
 
@@ -136,39 +137,53 @@ class P1Table:
         w, t = self.pair(i)
         return self.index(-t, w + t)
 
-    def vertex(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(orbit, far): the tau orbit (i, tau i, tau^2 i), or (i,) when tau
-        fixes i, and the sigma image of each orbit point, in that order.
+    def cross(self, x: int, removed) -> tuple[int, tuple[int, ...]]:
+        """(name, far) for the vertex entered at point x: name is the least
+        point of the tau orbit (x, tau x, tau^2 x), and far holds the sigma
+        image of tau x, then of tau^2 x, except images equal to their point
+        (sigma-fixed points are no edge) and edges whose tail, the smaller
+        of the two, is in removed.  The edge through x itself is not
+        listed; when tau fixes x, far is empty.
 
-        From pair(i) = (w, t) the orbit is (w : t), (-t : w + t),
-        (-(w + t) : w) and the far points are (-t : w), (w + t : t),
+        From pair(x) = (w, t) the orbit is (w : t), (-t : w + t),
+        (-(w + t) : w) and its sigma images are (-t : w), (w + t : t),
         (w : w + t), so every index is read by index()'s rule with the
-        inverse of w, t or w + t.  An affine (x, 1) needs 1/x and 1/(x + 1),
-        or the one of them that is a unit (x and x + 1 are never both
-        multiples of p); when both are, they come from one pow of x(x + 1),
-        the orbit is (x, -1/(x+1), -(x+1)/x) and the far points are
-        (-1/x, x + 1, x/(x + 1)), and tau fixes x exactly when
-        -1/(x+1) = x.  The infinite (1, pj) needs 1/(1 + pj).
+        inverse of w, t or w + t, one pow in all.  An affine (x, 1) needs
+        1/x and 1/(x + 1), or the one of them that is a unit (x and x + 1
+        are never both multiples of p); when both are, they come from one
+        pow of x(x + 1), the orbit is (x, -1/(x+1), -(x+1)/x) with images
+        (x + 1, x/(x + 1)) beyond x's own -1/x, and tau fixes x exactly
+        when -1/(x+1) = x.  The infinite (1, pj) needs 1/(1 + pj).
         """
         p, m = self.pp.p, self.pp.modulus
-        if i >= m:  # (1, t) with t = pj: 1 + t is a unit, and tau fixes no such point
-            t = p * (i - m)
+        if x >= m:  # (1, t) with t = pj: 1 + t is a unit, and tau fixes no such point
+            t = p * (x - m)
             u = 1 + t
             iu = pow(u, -1, m)
-            return (i, -t * iu % m, m - u), (-t % m, m + t * iu % m // p, iu)
-        y = i + 1
-        if i % p == 0:  # (x : 1) with p | x, so x + 1 is a unit
-            iy = pow(y, -1, m)
-            return (i, m - iy, m + -i * iy % m // p), (m + -i % m // p, y, i * iy % m)
-        if y % p == 0:  # p | x + 1
-            ix = pow(i, -1, m)
-            return (i, m + -y % m // p, -y * ix % m), (m - ix, y % m, m + y * ix % m // p)
-        ixy = pow(i * y, -1, m)  # both inverses from one pow
-        ix, iy = ixy * y % m, ixy * i % m
-        a = m - iy
-        if a == i:
-            return (i,), (m - ix,)
-        return (i, a, m - y * ix % m), (m - ix, y, i * iy % m)
+            a, b, fa, fb = -t * iu % m, m - u, m + t * iu % m // p, iu
+        else:
+            y = x + 1
+            if x % p == 0:  # (x : 1) with p | x, so x + 1 is a unit
+                iy = pow(y, -1, m)
+                a, b, fa, fb = m - iy, m + -x * iy % m // p, y, x * iy % m
+            elif y % p == 0:  # p | x + 1
+                ix = pow(x, -1, m)
+                a, b, fa, fb = m + -y % m // p, -y * ix % m, y % m, m + y * ix % m // p
+            else:
+                ixy = pow(x * y, -1, m)  # both inverses from one pow
+                ix, iy = ixy * y % m, ixy * x % m
+                a = m - iy
+                if a == x:
+                    return x, ()
+                b, fa, fb = m - y * ix % m, y, x * iy % m
+        name = x if x < a and x < b else a if a < b else b
+        if fa != a and (fa if fa < a else a) not in removed:
+            if fb != b and (fb if fb < b else b) not in removed:
+                return name, (fa, fb)
+            return name, (fa,)
+        if fb != b and (fb if fb < b else b) not in removed:
+            return name, (fb,)
+        return name, ()
 
     def check_size_limit(self) -> None:
         """Raise ValueError when |P^1| exceeds MAX_P1_SIZE."""

@@ -10,12 +10,12 @@ eager sigma/tau permutations and permutation-driven chain walker that the
 on-demand actions replaced, the union-find shape of the orbit graph that
 the fixed-point counts replaced, the fixed-point scan of sigma and tau that
 the elliptic-point counts replaced, the pointwise tau and sigma calls that
-the criterion search's vertex kernel replaced, the step-by-step walker
-that the closed-form chain stops replaced, the coefficient-by-coefficient
-q-expansion operators that the slice kernels replaced, the Fraction-series
-relation suite that the integer L*f streaming replaced, the
-one-trial-at-a-time coefficient identity that lane packing replaced, and
-the closed formula for the coefficients of T_n.
+the criterion search's crossing primitive P1Table.cross replaced, the
+step-by-step walker that the closed-form chain stops replaced, the
+coefficient-by-coefficient q-expansion operators that the slice kernels
+replaced, the Fraction-series relation suite that the integer L*f
+streaming replaced, the one-trial-at-a-time coefficient identity that lane
+packing replaced, and the closed formula for the coefficients of T_n.
 """
 
 import random
@@ -549,23 +549,26 @@ def fixed_point_shape(table: P1Table) -> tuple[int, int, int, int]:
 
 
 def pointwise_vertex(table: P1Table, z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(orbit, far) of the vertex entered at z, one P1Table.tau or sigma call
-    per point, as the criterion's search read them before P1Table.vertex."""
+    """(orbit, far) of the vertex entered at z: its tau orbit from z, and the
+    sigma image of each orbit point, one P1Table.tau or sigma call a point."""
     a = table.tau(z)
     orbit = (z,) if a == z else (z, a, table.tau(a))
     return orbit, tuple(table.sigma(y) for y in orbit)
 
 
-def pointwise_steps(table: P1Table, removed: set[int], y: int, entered: bool):
-    """hecke_symbols._steps on the pointwise route: (name of the far vertex,
-    entry point) for each edge at the vertex of y whose tail is not removed,
-    skipping the edge y was entered by."""
-    for z in pointwise_vertex(table, y)[0]:
-        if entered and z == y:
-            continue
-        x = table.sigma(z)
-        if x != z and min(x, z) not in removed:
-            yield min(pointwise_vertex(table, x)[0]), x
+def crossing(orbit: tuple[int, ...], far: tuple[int, ...], removed) -> tuple[int, tuple[int, ...]]:
+    """P1Table.cross read off a vertex's (orbit, far) as pointwise_vertex
+    gives them: the orbit's least point, and the sigma images of the orbit
+    points after the first that are no fixed point and whose edge's tail
+    is not in removed."""
+    return min(orbit), tuple(
+        y for z, y in zip(orbit[1:], far[1:]) if y != z and min(y, z) not in removed
+    )
+
+
+def pointwise_cross(table: P1Table, x: int, removed) -> tuple[int, tuple[int, ...]]:
+    """P1Table.cross on the pointwise route."""
+    return crossing(*pointwise_vertex(table, x), removed)
 
 
 def chain_definition(label: str, r: int, m: int) -> tuple[int, int, bool]:

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from windsym.bounds_cli import (
     prop11_bound,
     prop11_report,
 )
-from windsym.arith import factorize
+from windsym.arith import factorize, iroot, prime_power
 from windsym.hecke_symbols import criterion_threshold
 from windsym.rel_homology import invariant_generators, smith_invariants
 from windsym.residue_p1 import P1Table, PrimePower
@@ -422,7 +423,7 @@ def test_cli_refuses_criterion_past_the_size_limit_before_any_search(capsys, mon
         raise AssertionError("listed an image or searched the graph past the limit")
 
     # the guard comes first: at |P^1| near 10^12 the search would run for minutes
-    for name in ("winding_image", "_bridged", "_component_labels"):
+    for name in ("winding_image", "_all_joined", "_component_labels"):
         monkeypatch.setattr(hecke_symbols, name, no_work)
     for argv, level, size in [(("--p", "1000003", "--n", "2", "--l", "3"), "1000003^2", 1000007000012),
                               (("--p", "10000019", "--all-l-up-to", "7"), "10000019^1", 10000020)]:
@@ -483,6 +484,60 @@ def test_cli_paths_sweep_refuses_an_empty_r_range(capsys):
     assert capsys.readouterr() == ("", "error: --r-min 5 exceeds --r-max 3\n")
     assert cli_main(["paths", "sweep", "--pn", "101", "--r-min", "3", "--r-max", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3  # header and the two chains at r = 3
+
+
+def test_cli_refuses_a_level_past_the_digit_limit_before_computing_it(capsys, monkeypatch):
+    from windsym import residue_p1
+    from windsym.bounds_cli import MAX_BOUND_DIGITS
+
+    def no_level(*args):
+        raise AssertionError("formed p^n past the limit")
+
+    # 2^13287 has 4000 digits and 2^13288 has 4001; at n = 10^8 forming p^n
+    # would take minutes, so the bit-length test refuses it unformed
+    monkeypatch.setattr(residue_p1, "PrimePower", no_level)
+    for n in ("13288", "3000000", "100000000"):
+        for argv in (["paths", "--r", "2"], ["criterion", "--l", "3"], ["homology"], ["p1"]):
+            start = time.perf_counter()
+            assert cli_main([*argv, "--p", "2", "--n", n]) == 2
+            assert time.perf_counter() - start < 1
+            assert capsys.readouterr() == ("", f"error: --n {n} exceeds the limit: p^n would "
+                                               f"have more than {MAX_BOUND_DIGITS} digits\n")
+    big = str(10**MAX_BOUND_DIGITS)
+    assert cli_main(["paths", "sweep", "--pn", big]) == 2
+    assert capsys.readouterr() == ("", f"error: a --pn value exceeds the limit: it has more "
+                                       f"than {MAX_BOUND_DIGITS} digits\n")
+    monkeypatch.undo()
+    # the largest admitted power of 2 runs: its chain walks are closed-form
+    rc, out = run_cli(capsys, "paths", "--p", "2", "--n", "13287", "--r", "2")
+    assert rc == 0 and json.loads(out)["n"] == 13287
+
+
+def test_prime_power_matches_trial_division():
+    # every n below 5000, and powers whose base is past the trial divisors
+    # or is itself a power, against factorize's trial division
+    values = list(range(-3, 5000)) + [b**e for b in (257, 263 * 269, 65537, 2**7) for e in (1, 2, 3, 7)]
+    for n in values:
+        fac = factorize(n) if n > 0 else {}
+        assert prime_power(n) == (next(iter(fac.items())) if len(fac) == 1 else None), n
+    for x in [0, 1, 2, 3, 4, 10**18, 2**13287, 3**5000 - 1]:
+        for k in (1, 2, 3, 5, 64, 8000):
+            r = iroot(x, k)
+            assert r**k <= x < (r + 1) ** k, (x, k)
+
+
+def test_cli_paths_sweep_reads_a_large_prime_power_quickly(capsys):
+    # 1000000007^2: trial division ran for more than 30 s on it
+    start = time.perf_counter()
+    rc, out = run_cli(capsys, "paths", "sweep", "--pn", "1000000014000000049", "--r-max", "1")
+    assert time.perf_counter() - start < 1
+    assert rc == 0
+    assert [row[:2] for row in csv.reader(io.StringIO(out))][1:] == [["1000000007", "2"]] * 2
+    # non-prime-powers are still refused: 1, a product of two primes, a
+    # square of a composite, and values that are no positive integer
+    for value in ("1", "1000000016000000063", str(6**40), "0", "-8"):
+        assert cli_main(["paths", "sweep", "--pn", value]) == 2
+        assert capsys.readouterr() == ("", f"error: {value} is not a prime power\n")
 
 
 def test_cli_refuses_oversized_all_l_before_any_work(capsys, monkeypatch):

@@ -1,10 +1,12 @@
 import functools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from windsym import hecke_symbols, rel_homology
-from windsym.arith import factorize, smallest_prime_excluding
+from windsym.arith import factorize, is_prime, smallest_prime_excluding
 from windsym.bounds_cli import cli_main
 from windsym.hecke_symbols import (
     _coordinate_rank,
@@ -18,7 +20,7 @@ from windsym.rel_homology import H1Presentation
 from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
     get_table,
-    pointwise_steps,
+    pointwise_cross,
     prefix_ranks,
     prime_powers,
     winding_pairs_bruteforce,
@@ -207,33 +209,113 @@ def test_span_rank_against_forest_route_random_levels(pp, d):
 
 
 # the benchmark ladder's levels, with its drawn primes at their least
-# values, where every edge is bridged, and two levels that need the labels
+# values, where every edge is joined, and two levels that need the labels
 SEARCH_LEVELS = [(2, 13, 1), (10007, 1, 1), (5, 6, 1), (3, 9, 1), (20011, 1, 1),
                  (5, 2, 1), (11, 2, 2)]
 
 
+def _record_crossings(cross, pp: PrimePower, imax: int):
+    """_span_matrices(pp, imax) with P1Table.cross replaced by cross, and
+    every call it made: (point, removed edges, result), in order."""
+    trace = []
+
+    def spy(table, x, removed):
+        out = cross(table, x, removed)
+        trace.append((x, sorted(removed), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(P1Table, "cross", spy)
+        return hecke_symbols._span_matrices(pp, imax), trace
+
+
 @pytest.mark.parametrize("p, n, d", SEARCH_LEVELS)
-def test_search_matches_pointwise_route(p, n, d, monkeypatch):
-    # every step _bridged and _component_labels take, in order, against the
-    # same searches run on one tau or sigma call per point
-    def recorded(steps):
-        trace = []
-
-        def step(table, removed, y, entered):
-            out = list(steps(table, removed, y, entered))
-            trace.append((y, entered, out))
-            return iter(out)
-
-        monkeypatch.setattr(hecke_symbols, "_steps", step)
-        result = hecke_symbols._span_matrices(PrimePower(p, n), smallest_prime_excluding(p) * d)
-        return result, trace
-
-    kernel = recorded(hecke_symbols._steps)
-    pointwise = recorded(pointwise_steps)
+def test_search_matches_pointwise_route(p, n, d):
+    # every crossing _all_joined and _component_labels make, in order,
+    # against the same searches run on one tau or sigma call per point
+    pp, imax = PrimePower(p, n), smallest_prime_excluding(p) * d
+    kernel = _record_crossings(P1Table.cross, pp, imax)
+    pointwise = _record_crossings(pointwise_cross, pp, imax)
     assert kernel == pointwise
     (cuts, _), trace = kernel
     assert bool(cuts) == (p**n in (25, 121))
     assert trace
+
+
+def test_search_crosses_each_edge_once():
+    # at the first prime past the d = 2 threshold 266240 the search makes
+    # 11,652 crossings, one P1Table.cross call each; reading every vertex
+    # once to expand it and again to name it took 35,721 calls
+    (cuts, _), trace = _record_crossings(P1Table.cross, PrimePower(266261, 1), 4)
+    assert cuts == []
+    assert len(trace) <= 12000
+
+
+def test_joined_verdict_does_not_depend_on_edge_order():
+    # J may gain only balls shown joined to it: at the levels where G minus
+    # S splits, no order of the edges of S may find them all joined (J
+    # gaining every pair of balls that met would, at 4 and 41 among others)
+    rng = random.Random(0)
+    verdicts = set()
+    for m in range(2, 300):
+        fac = factorize(m)
+        if len(fac) != 1:
+            continue
+        ((p, n),) = fac.items()
+        table = P1Table(PrimePower(p, n))
+        for d in (1, 2, 3):
+            heads = {}
+            for i in range(1, smallest_prime_excluding(p) * d + 1):
+                for z in winding_image(i, table).coeffs:
+                    y = table.sigma(z)
+                    if y != z:
+                        heads[min(y, z)] = max(y, z)
+            tails = sorted(heads)
+            joined = hecke_symbols._all_joined(table, set(tails), tails, heads)
+            verdicts.add(joined)
+            for _ in range(20):
+                order = rng.sample(tails, len(tails))
+                assert hecke_symbols._all_joined(table, set(tails), order, heads) == joined, (m, d)
+    assert verdicts == {False, True}
+
+
+def _criterion_failures(levels, d: int) -> set[int]:
+    """The levels p^n among (p, n) whose criterion fails over F_3 (F_5 at
+    p = 3) for degree d."""
+    return {
+        p**n for p, n in levels
+        if not check_kamienny_condition3(p, n, d, 5 if p == 3 else 3).passed
+    }
+
+
+def test_criterion_d1_table():
+    # every prime power below the d = 1 threshold 65 * 2^6 = 4160
+    levels = [next(iter(f.items())) for f in map(factorize, range(2, 4160)) if len(f) == 1]
+    assert _criterion_failures(levels, 1) == {2, 3, 4, 5, 7, 8, 9, 13, 16, 25}
+
+
+def test_criterion_oesterle_table():
+    # for d = 1..7, every prime p <= 3^d + 1 + 2 sqrt(3^d) = (3^(d/2) + 1)^2,
+    # Oesterle's bound on the torsion primes of degree d, taken exactly
+    bounds = {d: 3**d + 1 + math.isqrt(4 * 3**d) for d in range(1, 8)}
+    assert list(bounds.values()) == [7, 16, 38, 100, 275, 784, 2281]
+    primes = [p for p in range(2, bounds[7] + 1) if is_prime(p)]
+
+    def up_to(k):
+        return {p for p in primes if p <= k}
+
+    want = {
+        1: up_to(7),
+        2: up_to(13),
+        3: up_to(37),
+        4: up_to(97),
+        5: up_to(127) | {137, 139, 151, 157, 163, 181, 193, 197, 211},
+        6: up_to(181) | {193, 197, 199, 211, 227, 233, 277},
+        7: up_to(181) | {193, 197, 199, 211, 223, 227, 229, 233, 241, 269, 277, 313, 337},
+    }
+    for d, bound in bounds.items():
+        assert _criterion_failures([(p, 1) for p in primes if p <= bound], d) == want[d], d
+    assert [max(want[d]) for d in want] == [7, 13, 37, 97, 211, 277, 337]
 
 
 def test_criterion_builds_no_permutation_or_tree(capsys, monkeypatch):

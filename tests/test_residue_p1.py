@@ -9,10 +9,12 @@ from windsym.rel_homology import elliptic_point_counts
 from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
     DIFFERENTIAL_LEVELS,
+    crossing,
     eager_permutations,
     get_table,
     normalized_index,
     p1_size_bruteforce,
+    pointwise_cross,
     pointwise_vertex,
     prime_powers,
 )
@@ -248,18 +250,20 @@ def test_tau_perm_calls_tau_only_on_the_infinite_branch(p, n, monkeypatch):
 
 def test_vertex_matches_pointwise_route():
     # every point of every prime power below 3000, powers of 2 and 3 and
-    # the last affine point p^n - 1 among them; the fixed points seen are
-    # those the elliptic-point counts predict
+    # the last affine point p^n - 1 among them, with the edges whose tails
+    # are multiples of 3 removed; the fixed points the pointwise route sees
+    # are those the elliptic-point counts predict
     levels = [m for m in range(2, 3000) if len(factorize(m)) == 1]
     fixed = {"sigma": 0, "tau": 0}
     for m in levels:
         ((p, n),) = factorize(m).items()
         pp = PrimePower(p, n)
         table = P1Table(pp)
+        removed = set(range(0, table.size, 3))
         nu2 = nu3 = 0
         for i in range(table.size):
-            orbit, far = table.vertex(i)
-            assert (orbit, far) == pointwise_vertex(table, i), (p, n, i)
+            orbit, far = pointwise_vertex(table, i)
+            assert table.cross(i, removed) == crossing(orbit, far, removed), (p, n, i)
             nu2 += far[0] == i
             nu3 += len(orbit) == 1
         assert (nu2, nu3) == elliptic_point_counts(pp), (p, n)
@@ -274,9 +278,13 @@ def test_vertex_matches_pointwise_route_random_levels(pp, data):
     table = P1Table(pp)
     p, m = pp.p, pp.modulus
     # both ends of either branch, multiples of p and their neighbours (where
-    # x or x + 1 is no unit), and points drawn anywhere
+    # x or x + 1 is no unit), and points drawn anywhere; no edge removed,
+    # and then the edges at drawn tails
     k = data.draw(st.integers(0, m // p - 1))
     points = {0, 1, m - 1, m, table.size - 1, p * k, p * k - 1, p * k + 1, m + k}
     points.update(data.draw(st.lists(st.integers(0, table.size - 1), max_size=30)))
-    for i in sorted(x % table.size for x in points):
-        assert table.vertex(i) == pointwise_vertex(table, i), (pp, i)
+    points = sorted(x % table.size for x in points)
+    removed = set(data.draw(st.lists(st.sampled_from(points), max_size=len(points))))
+    for i in points:
+        assert table.cross(i, set()) == pointwise_cross(table, i, set()), (pp, i)
+        assert table.cross(i, removed) == pointwise_cross(table, i, removed), (pp, i)
