@@ -1,6 +1,6 @@
 """Integer and modular arithmetic helpers shared across the package."""
 
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 
 # Witness set proven deterministic for n < 3.317e24 (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -64,13 +64,23 @@ def factorize(n: int) -> dict[int, int]:
 def iroot(x: int, k: int) -> int:
     """floor(x^(1/k)) for x >= 0 and k >= 1, by Newton's method on integers.
 
-    The start 2^ceil(bits/k) is at least the root, and each step
+    Any start at or above the root works: each step
     ((k-1) r + x // r^(k-1)) // k stays at or above it while r is above it,
-    so the steps fall to the root and stop there.
+    so the steps fall to the root and stop there.  The start is 2^(log2(x)/k)
+    from a float log2 of x's top 64 bits, raised by a small margin, so a few
+    quadratically converging steps remain; should rounding leave it with
+    r^k < x, it is 2^ceil(bits/k) instead, which is always above the root
+    but can take about k steps to come down from twice the root.
     """
     if x < 2:
         return x
-    r = 1 << -(-x.bit_length() // k)
+    bits = x.bit_length()
+    shift = max(bits - 64, 0)
+    e = (log2(x >> shift) + shift) / k + 2.0**-30
+    low = max(int(e) - 52, 0)  # 2^(e - low) < 2^53 stays exact as a float
+    r = (int(2.0 ** (e - low)) + 1) << low
+    if r**k < x:
+        r = 1 << -(-bits // k)
     while True:
         s = ((k - 1) * r + x // r ** (k - 1)) // k
         if s >= r:

@@ -21,8 +21,8 @@ Bounds implemented:
 
 The CLI dispatches to all modules: subcommands p1, homology, criterion,
 paths (with a sweep mode), qexp, and bounds.  JSON goes to stdout by
-default; --csv switches tabular outputs to CSV, and the paths sweep always
-writes CSV; --out writes to a file
+default; `bounds --table --csv` writes the table as CSV, and the paths
+sweep always writes CSV; --out writes to a file
 (relative paths are resolved under $OUTPUT_DIR when set).  Exit codes:
 0 success, 1 when an asserted check fails, 2 on usage errors.
 """
@@ -218,19 +218,28 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _check_digits(flag: str, d: int, l: int = 1) -> None:
-    """Refuse a d whose bounds could print more than MAX_BOUND_DIGITS digits.
+def _too_long(base: int, exp: int, factor: int = 1) -> bool:
+    """Whether |factor base^exp| has more than MAX_BOUND_DIGITS digits,
+    decided before base^exp is formed wherever its bit length settles it.
 
-    Every value `bounds` prints is at most 129 (3d)^6 l^d, with l the base
-    of its power (5 for the table, 1 for the threshold alone), and that is
-    compared with 10^MAX_BOUND_DIGITS exactly.  l^d is taken only when
-    d (bit length of l, minus 1) is at most 4 MAX_BOUND_DIGITS; past that,
-    l^d >= 16^MAX_BOUND_DIGITS is refused without it.
+    With b the bit length of base, 2^(exp(b-1)) <= |base|^exp < 2^(exp b).
+    The value is admitted unformed when exp b + bits(factor) is at most
+    3 MAX_BOUND_DIGITS (8^MAX_BOUND_DIGITS < 10^MAX_BOUND_DIGITS), refused
+    unformed when exp(b - 1) exceeds 4 MAX_BOUND_DIGITS (|base|^exp alone is
+    then past 16^MAX_BOUND_DIGITS), and compared exactly in between.  An exp
+    below 1 is left to the caller's own checks.
     """
-    if d < 1:
-        return  # refused by the mode itself
-    if (d * (l.bit_length() - 1) > 4 * MAX_BOUND_DIGITS
-            or 129 * (3 * d) ** 6 * l**d >= 10**MAX_BOUND_DIGITS):
+    b = abs(base).bit_length()
+    if exp < 1 or exp * b + abs(factor).bit_length() <= 3 * MAX_BOUND_DIGITS:
+        return False
+    return exp * (b - 1) > 4 * MAX_BOUND_DIGITS or abs(factor * base**exp) >= 10**MAX_BOUND_DIGITS
+
+
+def _check_digits(flag: str, d: int, l: int = 1) -> None:
+    """Refuse a d whose bounds could print more than MAX_BOUND_DIGITS digits:
+    every value `bounds` prints is at most 129 (3d)^6 l^d, with l the base
+    of its power (5 for the table, 1 for the threshold alone)."""
+    if _too_long(l, d, 129 * (3 * d) ** 6):
         raise ValueError(f"{flag} {d} exceeds the limit: the bounds would print more than "
                          f"{MAX_BOUND_DIGITS} digits")
 
@@ -238,27 +247,24 @@ def _check_digits(flag: str, d: int, l: int = 1) -> None:
 def _check_level(p: int, n: int) -> None:
     """Refuse a level p^n of more than MAX_BOUND_DIGITS digits before p^n is
     formed (Python 3.11 cannot print one past 4300 digits, and p^n itself
-    grows without bound in n).
-
-    With b the bit length of p, 2^(n(b-1)) <= p^n < 2^(nb): p^n is admitted
-    unformed when nb is at most 3 MAX_BOUND_DIGITS (8^MAX_BOUND_DIGITS <
-    10^MAX_BOUND_DIGITS) and refused unformed when n(b - 1) exceeds
-    4 MAX_BOUND_DIGITS; in between it is compared with 10^MAX_BOUND_DIGITS
-    exactly.  An n below 1 is left to PrimePower.
-    """
-    b = abs(p).bit_length()
-    if n < 1 or n * b <= 3 * MAX_BOUND_DIGITS:
-        return
-    if n * (b - 1) > 4 * MAX_BOUND_DIGITS or abs(p) ** n >= 10**MAX_BOUND_DIGITS:
+    grows without bound in n)."""
+    if _too_long(p, n):
         raise ValueError(f"--n {n} exceeds the limit: p^n would have more than "
                          f"{MAX_BOUND_DIGITS} digits")
+
+
+def _check_cap(flag: str, value: int, limit: int) -> None:
+    """Refuse a value above its layer's limit.  Each handler imports the
+    limit from its layer module when it runs, so a lowered one is obeyed."""
+    if value > limit:
+        raise ValueError(f"{flag} {value} exceeds the limit {limit}")
 
 
 def _parse_prime_power(value: int):
     """The residue_p1.PrimePower that value is, or ValueError."""
     from .residue_p1 import PrimePower
 
-    if value >= 10**MAX_BOUND_DIGITS:
+    if _too_long(value, 1):
         raise ValueError(f"a --pn value exceeds the limit: it has more than "
                          f"{MAX_BOUND_DIGITS} digits")
     found = prime_power(value)
@@ -348,8 +354,7 @@ def _cmd_criterion(args) -> int:
             raise ValueError("--l and --all-l-up-to cannot be given together")
         if args.all_l_up_to < 2:
             raise ValueError("--all-l-up-to must be >= 2")
-        if args.all_l_up_to > MAX_ALL_L:
-            raise ValueError(f"--all-l-up-to {args.all_l_up_to} exceeds the limit {MAX_ALL_L}")
+        _check_cap("--all-l-up-to", args.all_l_up_to, MAX_ALL_L)
         ls = [l for l in range(2, args.all_l_up_to + 1) if is_prime(l)]
     else:
         if args.l is None:
@@ -357,7 +362,8 @@ def _cmd_criterion(args) -> int:
         ls = [args.l]
     _check_level(args.p, args.n)
     reports = [check_kamienny_condition3(args.p, args.n, args.d, l) for l in ls]
-    payload = reports[0].to_json() if len(reports) == 1 else {
+    # the shape follows the flag, not the number of primes up to L
+    payload = reports[0].to_json() if args.all_l_up_to is None else {
         "schema": SCHEMA,
         "reports": [r.to_json() for r in reports],
     }
@@ -365,14 +371,6 @@ def _cmd_criterion(args) -> int:
     # a failure only counts against the guarantee inside the threshold regime
     bad = any(r.threshold_satisfied and not r.passed for r in reports)
     return 1 if bad else 0
-
-
-def _check_r(flag: str, r: int) -> None:
-    """Refuse an r whose Sigma_r would take more than about 10 s to list."""
-    from .residue_p1 import MAX_HECKE_R
-
-    if r > MAX_HECKE_R:
-        raise ValueError(f"{flag} {r} exceeds the limit {MAX_HECKE_R}")
 
 
 def _chain_report(chain, pp, r, d_param):
@@ -411,15 +409,16 @@ def _walk_both(pp, r):
 
 
 def _cmd_paths(args) -> int:
+    from .residue_p1 import MAX_HECKE_R, PrimePower
+
     if args.d is not None and args.d < 1:
         raise ValueError("D must be >= 1")
-    if getattr(args, "mode", None) == "sweep":
+    if args.mode == "sweep":
+        _check_cap("--r-max", args.r_max, MAX_HECKE_R)
         return _cmd_paths_sweep(args)
     if args.p is None or args.r is None:
         raise ValueError("paths: need --p and --r (or the sweep subcommand)")
-    from .residue_p1 import PrimePower
-
-    _check_r("--r", args.r)
+    _check_cap("--r", args.r, MAX_HECKE_R)
     _check_level(args.p, args.n)
     pp = PrimePower(args.p, args.n)
     d_param = args.r if args.d is None else args.d
@@ -438,7 +437,6 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_paths_sweep(args) -> int:
-    _check_r("--r-max", args.r_max)
     if args.r_min > args.r_max:
         raise ValueError(f"--r-min {args.r_min} exceeds --r-max {args.r_max}")
     rows = []
@@ -475,10 +473,8 @@ def _cmd_qexp(args) -> int:
     )
 
     if args.mode == "verify-relations":
-        if args.order > MAX_QEXP_ORDER:
-            raise ValueError(f"--order {args.order} exceeds the limit {MAX_QEXP_ORDER}")
-        if args.trials > MAX_QEXP_TRIALS:
-            raise ValueError(f"--trials {args.trials} exceeds the limit {MAX_QEXP_TRIALS}")
+        _check_cap("--order", args.order, MAX_QEXP_ORDER)
+        _check_cap("--trials", args.trials, MAX_QEXP_TRIALS)
         rel = verify_relations(order=args.order, trials=args.trials, seed=args.seed)
         ident = verify_coefficient_identity(order=max(args.order, 30), seed=args.seed)
         payload = rel.to_json()
@@ -486,14 +482,10 @@ def _cmd_qexp(args) -> int:
         _emit(payload, args)
         return 0 if rel.all_passed and ident.passed and rel.witness_found else 1
     if args.mode == "up-matrix":
-        if args.k > MAX_UP_MATRIX_K:
-            raise ValueError(f"--k {args.k} exceeds the limit {MAX_UP_MATRIX_K}")
+        _check_cap("--k", args.k, MAX_UP_MATRIX_K)
         case = CASE_DIVIDES if args.case == "divides" else CASE_COPRIME
-        # the charpoly prints 1, -a_p and the entry eps_p p^e; as in
-        # _check_digits, the bit length decides before the power is taken
-        e, p = args.lam - 1, args.prime
-        if case == CASE_COPRIME and e > 0 and (e * (p.bit_length() - 1) > 4 * MAX_BOUND_DIGITS
-                                               or abs(args.eps_p * p**e) >= 10**MAX_BOUND_DIGITS):
+        # the charpoly prints 1, -a_p and the entry eps_p p^(lam-1)
+        if case == CASE_COPRIME and _too_long(args.prime, args.lam - 1, args.eps_p):
             raise ValueError(f"--lam {args.lam} exceeds the limit: eps_p p^(lam-1) would print "
                              f"more than {MAX_BOUND_DIGITS} digits")
         try:
@@ -514,6 +506,8 @@ def _cmd_qexp(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.csv and not args.table:
+        raise ValueError("--csv applies only to --table")
     if args.constants:
         rep = constants_consistency()
         _emit(rep.to_json(), args)
@@ -534,29 +528,21 @@ def _cmd_bounds(args) -> int:
             payload["original_order_bound"] = thr.threshold * (l**args.d - 1)
         _emit(payload, args)
         return 0
-    if args.table:
-        dmax = args.d_max
-        if dmax < 1:
-            raise ValueError("--d-max must be >= 1")
-        _check_digits("--d-max", dmax, 5)
-        header = ["d", "p_not_2_3", "p_3", "p_2"]
-        rows = [
-            [d, cor18_bound(5, d), cor18_bound(3, d), cor18_bound(2, d)]
-            for d in range(1, dmax + 1)
-        ]
-        if args.csv:
-            _emit(_csv_text(header, rows), args)
-        else:
-            _emit(
-                {
-                    "schema": SCHEMA,
-                    "columns": header,
-                    "rows": rows,
-                },
-                args,
-            )
-        return 0
-    raise ValueError("bounds: need one of --table, --constants, --prop11, --threshold")
+    # --table, the one mode left
+    dmax = args.d_max
+    if dmax < 1:
+        raise ValueError("--d-max must be >= 1")
+    _check_digits("--d-max", dmax, 5)
+    header = ["d", "p_not_2_3", "p_3", "p_2"]
+    rows = [
+        [d, cor18_bound(5, d), cor18_bound(3, d), cor18_bound(2, d)]
+        for d in range(1, dmax + 1)
+    ]
+    if args.csv:
+        _emit(_csv_text(header, rows), args)
+    else:
+        _emit({"schema": SCHEMA, "columns": header, "rows": rows}, args)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,15 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_out(p):
         p.add_argument("--out", help="write output to this file (under $OUTPUT_DIR if relative)")
-        p.add_argument("--csv", action="store_true", help="CSV output where supported")
 
     p1 = sub.add_parser("p1", help="enumerate P^1(Z/p^n Z)")
     p1.add_argument("--p", type=int, required=True)
     p1.add_argument("--n", type=int, default=1)
     p1.add_argument("--verify", action="store_true", help="check the action identities")
-    add_common(p1)
+    add_out(p1)
     p1.set_defaults(func=_cmd_p1)
 
     hom = sub.add_parser("homology", help="presentation summary of H_1(X_0(p^n), cusps)")
@@ -582,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--n", type=int, default=1)
     hom.add_argument("--l", type=int, default=None, help="prime field (default: rationals)")
     hom.add_argument("--smith", action="store_true", help="include Smith invariants")
-    add_common(hom)
+    add_out(hom)
     hom.set_defaults(func=_cmd_homology)
 
     cri = sub.add_parser("criterion", help="independence rank test for (p, n, d, l)")
@@ -591,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     cri.add_argument("--d", type=int, default=1)
     cri.add_argument("--l", type=int, default=None)
     cri.add_argument("--all-l-up-to", type=int, default=None)
-    add_common(cri)
+    add_out(cri)
     cri.set_defaults(func=_cmd_criterion)
 
     paths = sub.add_parser("paths", help="chain walks avoiding Sigma_r")
@@ -599,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     paths.add_argument("--n", type=int, default=1)
     paths.add_argument("--r", type=int)
     paths.add_argument("--d", type=int, default=None, help="bound parameter D (default r)")
-    add_common(paths)
+    add_out(paths)
     paths.set_defaults(func=_cmd_paths, mode=None)
     psub = paths.add_subparsers(dest="mode")
     sweep = psub.add_parser("sweep", help="grid sweep; always writes CSV",
@@ -608,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--r-min", type=int, default=1)
     sweep.add_argument("--r-max", type=int, default=6)
     sweep.add_argument("--d", type=int, default=None)
-    add_common(sweep)
+    sweep.add_argument("--csv", action="store_true", help="accepted; the sweep always writes CSV")
+    add_out(sweep)
     sweep.set_defaults(func=_cmd_paths, mode="sweep")
 
     qx = sub.add_parser("qexp", help="operator calculus on truncated series")
@@ -617,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--order", type=int, default=200)
     vr.add_argument("--trials", type=int, default=50)
     vr.add_argument("--seed", type=int, default=0)
-    add_common(vr)
+    add_out(vr)
     vr.set_defaults(func=_cmd_qexp)
     um = qsub.add_parser("up-matrix", help="print an oldclass U_p matrix exactly")
     um.add_argument("--case", choices=["divides", "coprime"], required=True)
@@ -626,21 +612,24 @@ def build_parser() -> argparse.ArgumentParser:
     um.add_argument("--eps-p", type=int, default=1)
     um.add_argument("--lam", type=int, default=2)
     um.add_argument("--prime", type=int, default=2, help="the prime p")
-    add_common(um)
+    add_out(um)
     um.set_defaults(func=_cmd_qexp)
 
     bnd = sub.add_parser("bounds", help="closed-form bound evaluation")
-    bnd.add_argument("--table", action="store_true", help="per-prime bound table")
+    # exactly one mode: two are refused by argparse rather than one dropped
+    mode = bnd.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--table", action="store_true", help="per-prime bound table")
+    mode.add_argument("--constants", action="store_true", help="constants consistency")
+    mode.add_argument("--prop11", action="store_true")
+    mode.add_argument("--threshold", action="store_true")
     bnd.add_argument("--d-max", type=int, default=5)
-    bnd.add_argument("--constants", action="store_true", help="constants consistency")
-    bnd.add_argument("--prop11", action="store_true")
-    bnd.add_argument("--threshold", action="store_true")
+    bnd.add_argument("--csv", action="store_true", help="CSV output (--table only)")
     bnd.add_argument("--original-order", action="store_true",
                      help="multiply the threshold by (l^d - 1) to bound the original order")
     bnd.add_argument("--l", type=int, default=3)
     bnd.add_argument("--d", type=int, default=1)
     bnd.add_argument("--p", type=int, default=5)
-    add_common(bnd)
+    add_out(bnd)
     bnd.set_defaults(func=_cmd_bounds)
     return parser
 

@@ -28,7 +28,7 @@ graph search, which reads neither, checks the same limit
 """
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Optional
@@ -75,18 +75,14 @@ class PrimePower:
 
     p: int
     n: int
-    modulus: int = 0
+    modulus: int = field(init=False)  # p^n
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("exponent must be >= 1")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        m = self.p**self.n
-        if self.modulus == 0:
-            object.__setattr__(self, "modulus", m)
-        elif self.modulus != m:
-            raise ValueError("modulus does not equal p^n")
+        object.__setattr__(self, "modulus", self.p**self.n)
 
 
 class P1Table:

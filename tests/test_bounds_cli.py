@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -27,7 +28,7 @@ from windsym.bounds_cli import (
     prop11_bound,
     prop11_report,
 )
-from windsym.arith import factorize, iroot, prime_power
+from windsym.arith import factorize, iroot, is_prime, prime_power
 from windsym.hecke_symbols import criterion_threshold
 from windsym.rel_homology import invariant_generators, smith_invariants
 from windsym.residue_p1 import P1Table, PrimePower
@@ -140,6 +141,12 @@ def test_cli_criterion_all_l(capsys):
     assert rc == 0
     rep = json.loads(out)
     assert [r["l"] for r in rep["reports"]] == [2, 3, 5, 7]
+    # the wrapper follows the flag, not the count of primes: at L = 2 it
+    # holds the one report that --l 2 prints bare
+    rc, out = run_cli(capsys, "criterion", "--p", "11", "--d", "1", "--all-l-up-to", "2")
+    assert rc == 0
+    _, single = run_cli(capsys, "criterion", "--p", "11", "--d", "1", "--l", "2")
+    assert json.loads(out) == {"schema": 1, "reports": [json.loads(single)]}
 
 
 def test_cli_paths_json(capsys):
@@ -221,6 +228,56 @@ def test_cli_bounds_table_csv(capsys):
     assert len(lines) == 6
     d1 = lines[1].split(",")
     assert [int(x) for x in d1] == [1, 8320, 16640, 188082]
+
+
+def test_cli_bounds_refuses_two_modes_before_computing(capsys, monkeypatch):
+    from windsym import bounds_cli, hecke_symbols
+
+    def no_work(*args):
+        raise AssertionError("computed a bound with two modes given")
+
+    for name in ("prop11_report", "constants_consistency", "cor18_bound"):
+        monkeypatch.setattr(bounds_cli, name, no_work)
+    monkeypatch.setattr(hecke_symbols, "criterion_threshold", no_work)
+    modes = ["--table", "--constants", "--prop11", "--threshold"]
+    for first, second in itertools.combinations(modes, 2):
+        assert cli_main(["bounds", first, second]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {second}: not allowed with argument {first}" in err
+    assert cli_main(["bounds"]) == 2
+    assert "one of the arguments --table --constants --prop11 --threshold is required" in (
+        capsys.readouterr().err)
+
+
+# every parser that reads no --csv, and the bounds modes that print no table
+NO_CSV = {
+    "p1": ["p1", "--p", "11"],
+    "homology": ["homology", "--p", "11"],
+    "criterion": ["criterion", "--p", "11", "--l", "3"],
+    "paths": ["paths", "--p", "101", "--r", "2"],
+    "verify-relations": ["qexp", "verify-relations", "--order", "20", "--trials", "1"],
+    "up-matrix": ["qexp", "up-matrix", "--case", "coprime", "--k", "1"],
+    "bounds-constants": ["bounds", "--constants"],
+    "bounds-prop11": ["bounds", "--prop11"],
+    "bounds-threshold": ["bounds", "--threshold"],
+}
+
+
+@pytest.mark.parametrize("argv", NO_CSV.values(), ids=NO_CSV.keys())
+def test_cli_refuses_csv_where_nothing_reads_it(capsys, argv):
+    assert cli_main([*argv, "--csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    if argv[0] == "bounds":
+        assert err == "error: --csv applies only to --table\n"
+    else:
+        assert "unrecognized arguments: --csv" in err
+
+
+def test_cli_paths_sweep_takes_csv_and_writes_the_same_bytes(capsys):
+    # the sweep always writes CSV (`bounds --table --csv` is tested above)
+    argv = ["paths", "sweep", "--pn", "101", "--r-max", "2"]
+    assert run_cli(capsys, *argv, "--csv") == run_cli(capsys, *argv)
 
 
 def test_cli_bounds_constants(capsys):
@@ -513,6 +570,21 @@ def test_cli_refuses_a_level_past_the_digit_limit_before_computing_it(capsys, mo
     assert rc == 0 and json.loads(out)["n"] == 13287
 
 
+def test_cli_pn_digit_limit_is_inclusive(capsys, monkeypatch):
+    from windsym import bounds_cli
+
+    monkeypatch.setattr(bounds_cli, "MAX_BOUND_DIGITS", 10)
+    # 2^33 and 10^10 - 1 = 3^2 * 11 * 41 * 271 * 9091 have 10 digits, so each
+    # reaches its own verdict; 10^10 has 11
+    assert cli_main(["paths", "sweep", "--pn", str(2**33), "--r-max", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("2,33,1,")
+    assert cli_main(["paths", "sweep", "--pn", str(10**10 - 1)]) == 2
+    assert capsys.readouterr() == ("", "error: 9999999999 is not a prime power\n")
+    assert cli_main(["paths", "sweep", "--pn", str(10**10)]) == 2
+    assert capsys.readouterr() == ("", "error: a --pn value exceeds the limit: it has more "
+                                       "than 10 digits\n")
+
+
 def test_prime_power_matches_trial_division():
     # every n below 5000, and powers whose base is past the trial divisors
     # or is itself a power, against factorize's trial division
@@ -524,6 +596,19 @@ def test_prime_power_matches_trial_division():
         for k in (1, 2, 3, 5, 64, 8000):
             r = iroot(x, k)
             assert r**k <= x < (r + 1) ** k, (x, k)
+    # just below, at and just above an exact power, where a start below the
+    # root or a stop one step early would show
+    for k in (2, 3, 5, 64, 997, 8000):
+        for r in (2, 3, 1000003):
+            for x in (r**k - 1, r**k, r**k + 1):
+                assert iroot(x, k) == r - (x < r**k), (r, k, x - r**k)
+    # Newton starts just above the root: from 2^ceil(bits/q) these 168 roots
+    # of a 7925-bit value took 0.54 s, about q steps each for the larger q
+    x, qs = 3**5000 - 1, [q for q in range(2, 1000) if is_prime(q)]
+    start = time.perf_counter()
+    roots = [iroot(x, q) for q in qs]
+    assert time.perf_counter() - start < 0.2
+    assert all(r**q <= x < (r + 1) ** q for r, q in zip(roots, qs))
 
 
 def test_cli_paths_sweep_reads_a_large_prime_power_quickly(capsys):

@@ -27,8 +27,9 @@ def test_prime_power_validation():
         PrimePower(15, 1)
     with pytest.raises(ValueError):
         PrimePower(7, 0)
-    with pytest.raises(ValueError):
-        PrimePower(7, 2, modulus=50)
+    # the modulus is derived from p and n, never passed
+    with pytest.raises(TypeError):
+        PrimePower(7, 2, modulus=49)
 
 
 @pytest.mark.parametrize(
