@@ -25,6 +25,11 @@ back).
   bytes, so all three stay within 2 MB of the interpreter's 17.4 MB.  The
   dense sigma, tau and spanning tree they replaced peaked at 45, 25 and
   126 MB.
+- The criterion at p = 9999991 with d = 1 (rank 2 of 2 over F_3): in the
+  guaranteed regime its one edge of S between distinct vertices is joined
+  by a walk of O(log p) sigma and tau steps, about 17.5 MB and 0.13 s in a
+  child process, against 39.6 MB and 0.9 s for the graph search (203,064
+  crossings), so its limit of 25 MB fails when the walk stops closing.
 - The criterion at p = 9999991 (d = 2, rank 4 of 4 over F_3), the largest
   admitted prime, where that bitset is largest (1.25 MB): about 26.4 MB,
   against 25.6 MB for the search that read each vertex twice and kept no
@@ -68,6 +73,8 @@ CASES = [
      "5485130389c083525a412dd59b6991e2db6d3d02a195e50005a371fa32d717d7", 22),
     (["criterion", "--p", "3032641", "--d", "3", "--l", "5"],
      "f15d0a8abd43e4bd4ec86eeaf5d29819c7af9e56447550520e5b1d6c16152e06", 22),
+    (["criterion", "--p", "9999991", "--d", "1", "--l", "3"],
+     "18ef157d37d936f1ecfab95376394c80e98c541c588d037a9a888e77e7ee9f0c", 25),
     (["criterion", "--p", "9999991", "--d", "2", "--l", "3"],
      "4f5473b7cc1c8da399ec83624a3a19adf9149b7ce711a7541bfcc8f1ff183bb6", 30),
     (["homology", "--p", "1000003", "--l", "3"],

@@ -1,6 +1,8 @@
 """Integer and modular arithmetic helpers shared across the package."""
 
-from math import gcd, isqrt, log2
+from functools import lru_cache
+from itertools import compress
+from math import gcd, isqrt, log2, prod
 
 # Witness set proven deterministic for n < 3.317e24 (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -88,28 +90,43 @@ def iroot(x: int, k: int) -> int:
         r = s
 
 
+@lru_cache(maxsize=1)
+def _small_primorial() -> int:
+    """The product of the primes below 2^16 (94,027 bits), sieved on first use."""
+    sieve = bytearray([1]) * (1 << 16)
+    sieve[:2] = b"\0\0"
+    for q in range(2, 1 << 8):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, 1 << 16, q)))
+    return prod(compress(range(1 << 16), sieve))
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
     """(p, e) with n = p^e, p prime and e >= 1, or None.
 
-    The first d in 2..255 that divides n is its least prime factor, and
-    must be p: n is a power of d or no prime power.  Otherwise every prime
-    factor of n is above 2^8, so n = r^q with q > 1 needs 8q < log2(n).
-    Exact q-th roots, for primes q from 2 up to that bound, strip n down to
-    a base r that is no perfect power, with n = r^e; were n some p^f, r
-    would be p, so n is a prime power exactly when r is prime.  That is
-    O(log n) integer roots and one primality test, at any size of p.
+    One gcd with the product of the primes below 2^16 gives the product g
+    of n's prime factors below 2^16.  When g > 1 it must be p itself (a
+    prime below 2^16), and n a power of it; so a value with a small factor
+    is settled in milliseconds at any size.  Otherwise every prime factor of
+    n is above 2^16, so n = r^q with q > 1 needs 16q < log2(n).  Exact q-th
+    roots, for primes q from 2 up to that bound, strip n down to a base r
+    that is no perfect power, with n = r^e; were n some p^f, r would be p,
+    so n is a prime power exactly when r is prime.  That is O(log n)
+    integer roots and one primality test, at any size of p.
     """
     if n < 2:
         return None
-    for d in range(2, 256):
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            return (d, e) if n == 1 else None
+    g = gcd(n, _small_primorial())
+    if g > 1:
+        if g >> 16 or not is_prime(g):  # two or more primes below 2^16 divide n
+            return None
+        e = 0
+        while n % g == 0:
+            n //= g
+            e += 1
+        return (g, e) if n == 1 else None
     e, q = 1, 2
-    while 8 * q < n.bit_length():
+    while 16 * q < n.bit_length():
         r = iroot(n, q)
         if r**q == n:
             n, e = r, e * q

@@ -24,7 +24,8 @@ paths (with a sweep mode), qexp, and bounds.  JSON goes to stdout by
 default; `bounds --table --csv` writes the table as CSV, and the paths
 sweep always writes CSV; --out writes to a file
 (relative paths are resolved under $OUTPUT_DIR when set).  Exit codes:
-0 success, 1 when an asserted check fails, 2 on usage errors.
+0 success, 1 when an asserted check fails (or, from the console script,
+when stdout is closed early), 2 on usage errors.
 """
 
 import argparse
@@ -505,9 +506,31 @@ def _cmd_qexp(args) -> int:
     raise ValueError(f"unknown qexp mode {args.mode!r}")
 
 
+# The flags each `bounds` mode reads; a mode refuses the others when given.
+_BOUNDS_READS = {
+    "table": ("d_max", "csv"),
+    "constants": (),
+    "prop11": ("d", "l"),
+    "threshold": ("p", "d", "original_order"),
+}
+# The values the bounds flags take when not given.
+_BOUNDS_DEFAULTS = {"d_max": 5, "csv": False, "d": 1, "l": 3, "p": 5, "original_order": False}
+
+
+def _bounds_flags(args) -> None:
+    """Refuse a flag the chosen mode does not read, then fill in the
+    defaults of those not given (each flag is None unless given)."""
+    mode = next(m for m in _BOUNDS_READS if getattr(args, m))
+    for dest, default in _BOUNDS_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in _BOUNDS_READS[mode]:
+            modes = " and ".join(f"--{m}" for m, reads in _BOUNDS_READS.items() if dest in reads)
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to {modes}")
+
+
 def _cmd_bounds(args) -> int:
-    if args.csv and not args.table:
-        raise ValueError("--csv applies only to --table")
+    _bounds_flags(args)
     if args.constants:
         rep = constants_consistency()
         _emit(rep.to_json(), args)
@@ -622,13 +645,15 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--constants", action="store_true", help="constants consistency")
     mode.add_argument("--prop11", action="store_true")
     mode.add_argument("--threshold", action="store_true")
-    bnd.add_argument("--d-max", type=int, default=5)
-    bnd.add_argument("--csv", action="store_true", help="CSV output (--table only)")
-    bnd.add_argument("--original-order", action="store_true",
-                     help="multiply the threshold by (l^d - 1) to bound the original order")
-    bnd.add_argument("--l", type=int, default=3)
-    bnd.add_argument("--d", type=int, default=1)
-    bnd.add_argument("--p", type=int, default=5)
+    # None unless given, so a mode can refuse the flags it does not read
+    bnd.add_argument("--d-max", type=int, default=None, help="--table only (default 5)")
+    bnd.add_argument("--csv", action="store_true", default=None, help="CSV output (--table only)")
+    bnd.add_argument("--original-order", action="store_true", default=None,
+                     help="--threshold only: multiply the threshold by (l^d - 1) to bound "
+                          "the original order")
+    bnd.add_argument("--l", type=int, default=None, help="--prop11 only (default 3)")
+    bnd.add_argument("--d", type=int, default=None, help="--prop11 and --threshold (default 1)")
+    bnd.add_argument("--p", type=int, default=None, help="--threshold only (default 5)")
     add_out(bnd)
     bnd.set_defaults(func=_cmd_bounds)
     return parser
@@ -649,7 +674,17 @@ def cli_main(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    """The console script: cli_main's exit code, or 1 when stdout is closed
+    before the output is written (as when it is piped into `head`), with
+    no traceback."""
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 __all__ = [

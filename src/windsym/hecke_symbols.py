@@ -21,12 +21,40 @@ crosses each graph edge by one P1Table.cross call and stops once both ends
 reach the region already joined, shows that removing those edges leaves
 the graph connected, or else labels its components exactly, so no dense
 permutation, spanning tree or quotient coordinate is built.
+
+In the guaranteed regime, when S has exactly one edge {x, sigma x} whose
+ends are distinct vertices (at d = 1 with p odd, S is the loop {0, oo}
+plus the edge {1/2, -2}), a walk certificate is tried before the search.
+A path in the graph is a word in the right actions of sigma and tau: from a
+point y, the letter A = tau.sigma = [[1, 0], [1, 1]] crosses the edge at
+y.tau and the letter B = tau^2.sigma = -[[1, 1], [0, 1]] the edge at
+y.tau^2.  x is lifted to a small coprime row (c, d) by rational
+reconstruction mod p^n and completed to g in SL_2(Z); for a few
+gamma = [[a, b], [p^n, d']] in Gamma_0(p^n), with a near p^n/phi,
+W = +-g^-1 gamma g sigma tau^e (e = 2, then 1) has bottom row
+(x.W) = (sigma x).tau^e, and when W is nonnegative it is exactly one word in
+A and B, read off by Euclid on its rows (its Stern-Brocot path), of
+O(log p^n) letters.  Walking that word on P1Table.sigma and tau, the ends
+count as joined only if no crossed edge has its tail in S and the last
+point lies in sigma x's tau orbit, so the walk is its own certificate and
+nothing about gamma is trusted.  After a fixed handful of failed words the
+search runs unchanged, so no output depends on the walk.  At p = 1000003
+the walk makes about 100 sigma and tau calls where the search made 27,861
+crossings, and at p = 9999991 about 110 against 203,064.  Two gates, read
+off the input, keep it where the search is costly and the walk closes:
+below the threshold the search costs a few hundred crossings (about 250 on
+average at the odd prime powers in (25, 4160)); at d >= 2 the edges of S
+of small height hem the ends in, so most walks do not close (at p = 266261,
+3 of the 5 edges between distinct vertices at d = 2 and 10 of 11 at d = 3),
+and their failed words cost more than the crossings the others save
+(0.042 s for the search alone, against 0.056 s and 0.104 s walking first).
 """
 
 from array import array
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
-from typing import Iterator
+from itertools import chain, islice
+from math import gcd, isqrt
+from typing import Iterator, Optional
 
 from .arith import is_prime, smallest_prime_excluding
 from .residue_p1 import MAX_HECKE_R, P1Table, PrimePower
@@ -157,6 +185,16 @@ def _all_joined(table: P1Table, removed: set[int], tails: list[int], heads: dict
     both sides weigh alike.  A ball that runs out has swept its whole
     component without the other end: G minus S is split.  Each edge's
     balls are dropped after it.
+
+    _span_matrices tries _walk_joins before this search only in the
+    guaranteed regime and only when one edge of S joins distinct vertices
+    (at d = 1, p odd: the edge {1/2, -2}, lifted to the row (1, 2); a walk
+    is a word in A = tau.sigma, crossing the edge at y.tau, and
+    B = tau^2.sigma, crossing it at y.tau^2).  Below the threshold this
+    search costs a few hundred crossings; at d >= 2 the edges of S of small
+    height hem the ends in, so most walks do not close and their failed
+    words cost more than the crossings the others save (see the module
+    docstring).
     """
     cross = table.cross
     region = bytearray((table.size >> 3) + 1)  # J: vertex w is bit w & 7 of byte w >> 3
@@ -225,14 +263,146 @@ def _component_labels(table: P1Table, removed: set[int], ends: list[int]) -> lis
     return out
 
 
+Matrix = tuple[tuple[int, int], tuple[int, int]]
+
+_SIGMA_TAU = {1: ((1, -1), (0, 1)), 2: ((-1, 0), (1, -1))}  # e -> sigma tau^e
+_SHIFTS = (((1, 1), (0, 1)), ((1, 0), (0, 1)), ((1, -1), (0, 1)))  # [[1, k], [0, 1]] in Gamma_0
+_WALK_SCAN = 64  # values of a tried for each e
+_WALK_WORDS = 12  # words walked before the search takes over
+
+
+def _mul(x: Matrix, y: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _inverse(x: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    return ((d, -b), (-c, a))
+
+
+def _lift(table: P1Table, x: int) -> Optional[Matrix]:
+    """g in SL_2(Z) whose bottom row (c, d) is a small coprime lift of the
+    point x, or None when the reconstruction's denominator is no unit.
+
+    Rational reconstruction: Euclid on (p^n, r), stopped at the first
+    remainder num with num^2 <= p^n, gives num = den * r mod p^n with both
+    about sqrt(p^n), so (num : den) = (r : 1) when den is a unit; r is the
+    affine residue of x = (r : 1), or t of the infinite (1 : t), which is
+    (den : num).  The point 1/2 lifts to (1, 2).
+    """
+    m = table.pp.modulus
+    w, t = table.pair(x)
+    r0, num, s0, den = m, (w if x < m else t), 0, 1
+    while num * num > m:
+        q = r0 // num
+        r0, num, s0, den = num, r0 - q * num, den, s0 - q * den
+    if gcd(den, m) != 1:
+        return None
+    c, d = (num, den) if x < m else (den, num)
+    k = gcd(c, d) if c >= 0 else -gcd(c, d)  # a unit: it divides den
+    c, d = c // k, d // k  # c >= 0
+    if c == 0:
+        return ((d, 0), (0, d))
+    a = pow(d, -1, c)
+    return ((a, (a * d - 1) // c), (c, d))
+
+
+def _letters(w: Matrix, cap: int) -> Optional[list[int]]:
+    """The word in A = [[1, 0], [1, 1]] (0) and B = [[1, 1], [0, 1]] (1)
+    equal to +-w, first letter first, or None when neither w nor -w is
+    nonnegative or the word has more than cap letters.  A nonnegative
+    matrix of determinant 1 other than I has one row at least the other
+    entrywise, so it is A w' or B w' with w' nonnegative: the word is
+    unique, its Stern-Brocot path."""
+    (a, b), (c, d) = w
+    if min(a, b, c, d) < 0:
+        a, b, c, d = -a, -b, -c, -d
+        if min(a, b, c, d) < 0:
+            return None
+    out = []
+    while b or c:
+        if len(out) == cap:
+            return None
+        if c >= a and d >= b:
+            out.append(0)
+            c, d = c - a, d - b
+        else:
+            out.append(1)
+            a, b = a - c, b - d
+    return out
+
+
+def _words(table: P1Table, x: int) -> Iterator[list[int]]:
+    """Words W in A and B with x.W = (sigma x).tau^e,
+    e = 2 and then 1: W = +-g^-1 gamma g sigma tau^e for g from _lift and
+    gamma = [[a, b], [p^n, d]] in Gamma_0(p^n), its inverse, and both times
+    [[1, k], [0, 1]] (|k| <= 1) on either side, taken where W is
+    nonnegative, with at most 4 log2(p^n) + 8 letters.  a runs outward from
+    floor(p^n/phi), so p^n/a has small partial quotients at first and the
+    words are short."""
+    m = table.pp.modulus
+    g = _lift(table, x)
+    if g is None:
+        return
+    g_inv, cap = _inverse(g), 4 * m.bit_length() + 8
+    a0 = (isqrt(5 * m * m) - m) // 2
+    # e = 2 first: at x = 1/2, (sigma x).tau = 1 is entered only from the
+    # vertex {0, -1, oo}, whose one other edge is the loop {0, oo} of S, so
+    # no word with e = 1 closes there
+    for e in (2, 1):
+        tail = _mul(g, _SIGMA_TAU[e])
+        for k in range(_WALK_SCAN):
+            a = a0 + (k + 1) // 2 * (-1) ** k
+            if gcd(a, m) != 1:
+                continue
+            d = pow(a, -1, m)
+            gamma = ((a, (a * d - 1) // m), (m, d))
+            for h in (gamma, _inverse(gamma)):
+                for left in _SHIFTS:
+                    for right in _SHIFTS:
+                        w = _mul(_mul(g_inv, _mul(_mul(left, h), right)), tail)
+                        word = _letters(w, cap)
+                        if word is not None:
+                            yield word
+
+
+def _walk_joins(table: P1Table, x: int, head: int, removed: set[int]) -> bool:
+    """Whether one of the first _WALK_WORDS words of _words, walked from x
+    on P1Table.sigma and tau, ends in head's tau orbit having crossed no
+    edge whose tail is in removed: a path from x's vertex to head's in G
+    minus S.  Letter A crosses the edge at y.tau, letter B the edge at
+    y.tau^2."""
+    sigma, tau = table.sigma, table.tau
+    t = tau(head)
+    ends = (head, t, tau(t))
+    for word in islice(_words(table, x), _WALK_WORDS):
+        y = x
+        for letter in word:
+            z = tau(tau(y)) if letter else tau(y)
+            y = sigma(z)
+            if y != z and min(y, z) in removed:
+                break
+        else:
+            if y in ends:
+                return True
+    return False
+
+
 def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[list[int]]]:
     """(cut rows, image rows) of T_1..T_imax{0,oo} over the edges S that
     the images touch, one column per edge in tail order (see
     hecke_span_rank): one for each of the k components of G minus S but
     the last, so none when G minus S is connected.
 
-    The integers serve every field.  A level past MAX_P1_SIZE is refused
-    before any image is listed or any search started.
+    In the guaranteed regime p^n >= C^2 imax^6, when exactly one edge of S
+    joins two distinct vertices (the others are loops, whose ends are
+    trivially joined), a walk certificate (_walk_joins) is tried first; when
+    it closes, G minus S is connected.  Otherwise _all_joined searches, as
+    it would without the walk.  The integers serve every field.  A level
+    past MAX_P1_SIZE is refused before any image is listed or any search
+    started.
     """
     table = P1Table(pp)
     table.check_size_limit()
@@ -246,6 +416,11 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     tails = sorted(heads)
     rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
     removed = set(tails)
+    if pp.modulus >= _c_squared(pp.p) * imax**6:  # the guaranteed regime
+        tau = table.tau
+        bridges = [x for x in tails if heads[x] not in (tau(x), tau(tau(x)))]
+        if len(bridges) == 1 and _walk_joins(table, bridges[0], heads[bridges[0]], removed):
+            return [], rows
     if _all_joined(table, removed, tails, heads):
         return [], rows
     label = _component_labels(table, removed, [e for x in tails for e in (x, heads[x])])
@@ -279,7 +454,9 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     _component_labels labels the components of the edges' ends, exactly.
     Both cross each graph edge by one O(1) P1Table.cross call (one modular
     inversion), which names the vertex beyond and lists its other edges,
-    and read no dense permutation.
+    and read no dense permutation.  In the guaranteed regime a walk of
+    O(log p^n) sigma and tau steps can join the one edge of S between
+    distinct vertices first (see _span_matrices).
     """
     if l and not is_prime(l):
         raise ValueError(f"{l} is not prime")
@@ -312,6 +489,11 @@ class CriterionThreshold:
         }
 
 
+def _c_squared(p: int) -> int:
+    """C^2 of the threshold C^2 (sd)^6."""
+    return 129 if p == 2 else 65
+
+
 def criterion_threshold(p: int, d: int) -> CriterionThreshold:
     """Independence threshold C^2 (sd)^6, s the smallest prime != p."""
     if not is_prime(p):
@@ -319,7 +501,7 @@ def criterion_threshold(p: int, d: int) -> CriterionThreshold:
     if d < 1:
         raise ValueError("d must be >= 1")
     s = smallest_prime_excluding(p)
-    c2 = 129 if p == 2 else 65
+    c2 = _c_squared(p)
     return CriterionThreshold(p, d, s, c2, c2 * (s * d) ** 6)
 
 

@@ -476,25 +476,29 @@ def normalized_index(c: int, d: int, pp: PrimePower) -> Optional[int]:
     return pp.modulus + pt.value
 
 
+def pointwise_sigma(pp: PrimePower, i: int) -> int:
+    """sigma of index i through its P1Point: (w, t).sigma = (-t, w)."""
+    m = pp.modulus
+    w, t = (P1Point(KIND_AFFINE, i) if i < m else P1Point(KIND_INFINITE, i - m)).pair(pp)
+    return normalized_index(-t, w, pp)
+
+
+def pointwise_tau(pp: PrimePower, i: int) -> int:
+    """tau of index i through its P1Point: (w, t).tau = (-t, w + t)."""
+    m = pp.modulus
+    w, t = (P1Point(KIND_AFFINE, i) if i < m else P1Point(KIND_INFINITE, i - m)).pair(pp)
+    return normalized_index(-t, w + t, pp)
+
+
 @lru_cache(maxsize=None)
 def eager_permutations(p: int, n: int) -> tuple[list[int], list[int]]:
-    """sigma and tau as dense index permutations, by the eager loop over an
-    enumerated point list that P1Table ran at construction before its
-    actions were computed on demand, indexed through normalize."""
+    """sigma and tau as dense index permutations, by the eager loop over
+    every index that P1Table ran at construction before its actions were
+    computed on demand, through normalize."""
     pp = PrimePower(p, n)
-    m = pp.modulus
-    mp = m // pp.p
-    points = tuple(
-        [P1Point(KIND_AFFINE, r) for r in range(m)]
-        + [P1Point(KIND_INFINITE, r) for r in range(mp)]
-    )
-    sigma_perm = [0] * len(points)
-    tau_perm = [0] * len(points)
-    for i, pt in enumerate(points):
-        w, t = pt.pair(pp)
-        sigma_perm[i] = normalized_index(-t, w, pp)
-        tau_perm[i] = normalized_index(-t, w + t, pp)
-    return sigma_perm, tau_perm
+    size = pp.modulus + pp.modulus // pp.p
+    return ([pointwise_sigma(pp, i) for i in range(size)],
+            [pointwise_tau(pp, i) for i in range(size)])
 
 
 def orbit_graph_shape(p: int, n: int) -> tuple[int, int, int]:

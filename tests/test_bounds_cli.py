@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -611,6 +612,19 @@ def test_prime_power_matches_trial_division():
     assert all(r**q <= x < (r + 1) ** q for r, q in zip(roots, qs))
 
 
+def test_prime_power_refuses_a_small_factor_quickly():
+    # 3,996 digits, no perfect power, every prime factor above 255: one
+    # Miller-Rabin round on it took 6.1 s; a gcd with the primes below 2^16
+    # finds 263 * 269 at once
+    n = 263**1650 * 269
+    start = time.perf_counter()
+    assert prime_power(n) is None
+    assert time.perf_counter() - start < 0.5
+    assert prime_power(263**1650) == (263, 1650)
+    assert prime_power(65521**300 * 65537) is None
+    assert prime_power(65537**300) == (65537, 300)
+
+
 def test_cli_paths_sweep_reads_a_large_prime_power_quickly(capsys):
     # 1000000007^2: trial division ran for more than 30 s on it
     start = time.perf_counter()
@@ -1021,3 +1035,58 @@ def test_module_entry_point():
     assert json.loads(ok.stdout)["pass"] is True
     assert ok.stderr == ""
     assert run("bounds").returncode == 2
+
+
+def test_module_entry_point_exits_quietly_on_a_closed_pipe():
+    # `windsym bounds --table --d-max 600 | head -1`: the table (360 KB)
+    # overfills the pipe, the reader closes it after one line, and the
+    # writer's EPIPE ends the run with exit 1 and nothing on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "windsym", "bounds", "--table", "--d-max", "600"],
+                                stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        err.seek(0)
+        assert err.read() == b""
+
+
+# the flags of `bounds` besides its modes, each at its default value, and
+# the modes that read each: a mode refuses the others even at their defaults
+BOUNDS_FLAGS = {"--d-max": ["5"], "--csv": [], "--d": ["1"], "--l": ["3"], "--p": ["5"],
+                "--original-order": []}
+BOUNDS_READS = {
+    "--table": {"--d-max", "--csv"},
+    "--constants": set(),
+    "--prop11": {"--d", "--l"},
+    "--threshold": {"--p", "--d", "--original-order"},
+}
+
+
+def test_cli_bounds_refuses_flags_its_mode_does_not_read(capsys, monkeypatch):
+    from windsym import bounds_cli, hecke_symbols
+
+    def no_work(*args):
+        raise AssertionError("computed a bound with a flag the mode does not read")
+
+    for name in ("prop11_report", "constants_consistency", "cor18_bound"):
+        monkeypatch.setattr(bounds_cli, name, no_work)
+    monkeypatch.setattr(hecke_symbols, "criterion_threshold", no_work)
+    for mode, reads in BOUNDS_READS.items():
+        for flag, value in BOUNDS_FLAGS.items():
+            if flag in reads:
+                continue
+            assert cli_main(["bounds", mode, flag, *value]) == 2, (mode, flag)
+            readers = " and ".join(m for m, r in BOUNDS_READS.items() if flag in r)
+            assert capsys.readouterr() == ("", f"error: {flag} applies only to {readers}\n")
+    monkeypatch.undo()
+    # each mode takes every flag it reads, and a value flag given at its
+    # default changes nothing
+    for mode, reads in BOUNDS_READS.items():
+        switches = sorted(f for f in reads if not BOUNDS_FLAGS[f])
+        values = [x for f in sorted(reads) if BOUNDS_FLAGS[f] for x in (f, *BOUNDS_FLAGS[f])]
+        rc, out = run_cli(capsys, "bounds", mode, *switches, *values)
+        assert rc == 0 and (rc, out) == run_cli(capsys, "bounds", mode, *switches), mode

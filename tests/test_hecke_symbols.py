@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,8 @@ from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
     get_table,
     pointwise_cross,
+    pointwise_sigma,
+    pointwise_tau,
     prefix_ranks,
     prime_powers,
     winding_pairs_bruteforce,
@@ -230,9 +233,12 @@ def _record_crossings(cross, pp: PrimePower, imax: int):
 
 
 @pytest.mark.parametrize("p, n, d", SEARCH_LEVELS)
-def test_search_matches_pointwise_route(p, n, d):
+def test_search_matches_pointwise_route(p, n, d, monkeypatch):
     # every crossing _all_joined and _component_labels make, in order,
-    # against the same searches run on one tau or sigma call per point
+    # against the same searches run on one tau or sigma call per point;
+    # 10007, 5^6, 3^9 and 20011 are past the d = 1 threshold, where the walk
+    # certificate would decide them with no search, so it declines here
+    monkeypatch.setattr(hecke_symbols, "_walk_joins", lambda *args: False)
     pp, imax = PrimePower(p, n), smallest_prime_excluding(p) * d
     kernel = _record_crossings(P1Table.cross, pp, imax)
     pointwise = _record_crossings(pointwise_cross, pp, imax)
@@ -245,9 +251,12 @@ def test_search_matches_pointwise_route(p, n, d):
 def test_search_crosses_each_edge_once():
     # at the first prime past the d = 2 threshold 266240 the search makes
     # 11,652 crossings, one P1Table.cross call each; reading every vertex
-    # once to expand it and again to name it took 35,721 calls
-    (cuts, _), trace = _record_crossings(P1Table.cross, PrimePower(266261, 1), 4)
-    assert cuts == []
+    # once to expand it and again to name it took 35,721 calls.  S has five
+    # edges between distinct vertices there, so no walk is tried
+    with pytest.MonkeyPatch.context() as mp:
+        taken = _walks_taken(mp)
+        (cuts, _), trace = _record_crossings(P1Table.cross, PrimePower(266261, 1), 4)
+    assert cuts == [] and taken == []
     assert len(trace) <= 12000
 
 
@@ -277,6 +286,174 @@ def test_joined_verdict_does_not_depend_on_edge_order():
                 order = rng.sample(tails, len(tails))
                 assert hecke_symbols._all_joined(table, set(tails), order, heads) == joined, (m, d)
     assert verdicts == {False, True}
+
+
+def _prime_powers_between(low: int, high: int) -> list[tuple[int, int]]:
+    """(p, n) with low <= p^n < high, by a sieve, in order of p^n."""
+    sieve = bytearray([1]) * high
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(high) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, high, q)))
+    out = []
+    for q in (q for q in range(2, high) if sieve[q]):
+        n, m = 1, q
+        while m < high:
+            if m >= low:
+                out.append((m, q, n))
+            n, m = n + 1, m * q
+    return [(q, n) for _, q, n in sorted(out)]
+
+
+# every level the benchmark ladder can draw, the memory guard's 1000003, and
+# 60 seeded prime powers between the d = 1 threshold 4160 and 4 * 10^5
+WALK_LEVELS = (
+    [(2, 13), (5, 6), (3, 9)]
+    + [(q, 1) for q in [*range(10000, 10110), *range(20000, 20110)] if is_prime(q)]
+    + [(1000003, 1)]
+    + random.Random(20).sample(_prime_powers_between(4160, 4 * 10**5), 60)
+)
+
+
+def _walks_taken(monkeypatch) -> list[bool]:
+    """Record the verdict of each _walk_joins call."""
+    taken = []
+    walk = hecke_symbols._walk_joins
+
+    def spy(*args):
+        taken.append(walk(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(hecke_symbols, "_walk_joins", spy)
+    return taken
+
+
+def test_walk_matches_search(monkeypatch):
+    # the cut rows, and so every rank, are those of the search alone; the
+    # walk closes at every level past the threshold 4160 with p odd, and is
+    # not tried below it (4153, 4159), at 2^13..2^16 (below p = 2's
+    # threshold 94041) or at 2^17 and 2^18, whose S has three edges between
+    # distinct vertices
+    def matrices_and_ranks(mp, pp, imax):
+        span = functools.lru_cache(maxsize=1)(hecke_symbols._span_matrices)
+        mp.setattr(hecke_symbols, "_span_matrices", span)  # one run serves every field
+        return span(pp, imax), [hecke_span_rank(pp, imax, l) for l in (0, 2, 3, 5)]
+
+    for p, n in WALK_LEVELS + [(4153, 1), (4159, 1), (2, 17), (2, 18)]:
+        pp, imax = PrimePower(p, n), smallest_prime_excluding(p)
+        with pytest.MonkeyPatch.context() as mp:
+            taken = _walks_taken(mp)
+            walked = matrices_and_ranks(mp, pp, imax)
+        assert taken == ([True] if p > 2 and p**n >= 4160 else []), (p, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hecke_symbols, "_walk_joins", lambda *args: False)
+            assert matrices_and_ranks(mp, pp, imax) == walked, (p, n)
+
+
+@pytest.mark.parametrize("p, n", [(5, 6), (3, 9), (20011, 1), (1000003, 1), (3, 13)])
+def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
+    # each sigma and tau call of a walk that closes equals the P1Point
+    # route's, and its word, walked again on that route, crosses no edge of
+    # S and ends in the tau orbit of sigma x
+    pp = PrimePower(p, n)
+    words, calls = [], []
+    make_words = hecke_symbols._words
+
+    def words_spy(table, x):
+        for word in make_words(table, x):
+            words.append((x, word))
+            yield word
+
+    def spy(name, oracle):
+        method = getattr(P1Table, name)
+
+        def call(table, i):
+            out = method(table, i)
+            calls.append((i, out, oracle(pp, i)))
+            return out
+
+        monkeypatch.setattr(P1Table, name, call)
+
+    monkeypatch.setattr(hecke_symbols, "_words", words_spy)
+    taken = _walks_taken(monkeypatch)
+    table = P1Table(pp)
+    heads = {}
+    for z in chain(winding_image(1, table).coeffs, winding_image(2, table).coeffs):
+        y = table.sigma(z)
+        if y != z:
+            heads[min(y, z)] = max(y, z)
+    spy("sigma", pointwise_sigma)
+    spy("tau", pointwise_tau)
+    assert hecke_symbols._span_matrices(pp, 2)[0] == []
+    assert taken == [True]
+    assert calls and all(out == want for _, out, want in calls)
+    x, word = words[-1]
+    assert 0 < len(word) <= 4 * pp.modulus.bit_length() + 8
+    y = x
+    for letter in word:
+        z = pointwise_tau(pp, y)
+        if letter:
+            z = pointwise_tau(pp, z)
+        y = pointwise_sigma(pp, z)
+        assert y == z or min(y, z) not in heads
+    head = heads[x]
+    assert y in (pointwise_tau(pp, head), pointwise_tau(pp, pointwise_tau(pp, head)))
+
+
+def test_walk_declines_without_a_path():
+    # a walk counts only when it crosses no edge of removed and ends in the
+    # head's tau orbit: with every edge removed, or a head whose orbit no
+    # word reaches, no word closes
+    table = P1Table(PrimePower(5, 6))
+    x = (table.pp.modulus + 1) // 2  # 1/2, whose edge leads to -2
+    head = table.sigma(x)
+    assert hecke_symbols._walk_joins(table, x, head, {0, x})
+    assert not hecke_symbols._walk_joins(table, x, head, set(range(table.size)))
+    assert not hecke_symbols._walk_joins(table, x, table.index(-3, 1), {0, x})
+
+
+def test_walk_needs_few_table_calls(monkeypatch):
+    # at p = 1000003 the search made 27,861 P1Table.cross calls; the walk
+    # and the images together make about 300 calls of any P1Table method
+    count = [0]
+    for name in ("index", "pair", "sigma", "tau", "cross"):
+        method = getattr(P1Table, name)
+
+        def call(table, *args, method=method):
+            count[0] += 1
+            return method(table, *args)
+
+        monkeypatch.setattr(P1Table, name, call)
+    assert hecke_symbols._span_matrices(PrimePower(1000003, 1), 2) == ([], [[-1, 0], [-3, -1]])
+    assert count[0] < 2000
+
+
+def test_walk_letters_and_lift():
+    # a nonnegative product of A = [[1, 0], [1, 1]] and B = [[1, 1], [0, 1]]
+    # reads back as its word, and so does its negative
+    rng = random.Random(5)
+    letters = (((1, 0), (1, 1)), ((1, 1), (0, 1)))
+    for length in range(40):
+        word = [rng.randrange(2) for _ in range(length)]
+        w = ((1, 0), (0, 1))
+        for k in word:
+            w = hecke_symbols._mul(w, letters[k])
+        neg = tuple(tuple(-v for v in row) for row in w)
+        assert hecke_symbols._letters(w, 40) == word == hecke_symbols._letters(neg, 40)
+        assert length < 2 or hecke_symbols._letters(w, length - 1) is None
+    assert hecke_symbols._letters(((1, -1), (0, 1)), 40) is None
+    assert hecke_symbols._letters(((2, 1), (-1, 0)), 40) is None
+    # the lift is an element of SL_2(Z) whose bottom row is the point
+    for p, n in [(5, 6), (1000003, 1), (2, 11), (3, 7)]:
+        table = P1Table(PrimePower(p, n))
+        for x in [*range(40), *range(table.size - 40, table.size)]:
+            g = hecke_symbols._lift(table, x)
+            if g is not None:
+                (a, b), (c, d) = g
+                assert a * d - b * c == 1 and table.index(c, d) == x, (p, n, x)
+                assert max(abs(c), abs(d)) ** 2 <= 2 * table.size
+        if p > 2:  # 1/2 lifts to the row (1, 2)
+            assert hecke_symbols._lift(table, (table.pp.modulus + 1) // 2) == ((0, -1), (1, 2))
 
 
 def _criterion_failures(levels, d: int) -> set[int]:
@@ -319,7 +496,8 @@ def test_criterion_oesterle_table():
 
 
 def test_criterion_builds_no_permutation_or_tree(capsys, monkeypatch):
-    argvs = [["--p", "4201", "--l", "3"], ["--p", "5", "--n", "2", "--all-l-up-to", "7"]]
+    argvs = [["--p", "4201", "--l", "3"], ["--p", "4159", "--l", "3"],
+             ["--p", "5", "--n", "2", "--all-l-up-to", "7"]]
     want = []
     for argv in argvs:
         assert cli_main(["criterion", *argv, "--d", "1"]) == 0
@@ -336,11 +514,12 @@ def test_criterion_builds_no_permutation_or_tree(capsys, monkeypatch):
 
     monkeypatch.setattr(hecke_symbols, "P1Table", Spy)
     monkeypatch.setattr(rel_homology, "H1Presentation", no_presentation)
-    # 4201 is decided by bridging every edge, 25 by labelling the components
+    # 4201 is decided by the walk certificate, 4159 by bridging every edge
+    # and 25 by labelling the components
     for argv, out in zip(argvs, want):
         assert cli_main(["criterion", *argv, "--d", "1"]) == 0
         assert capsys.readouterr().out == out
-    assert [t.pp.modulus for t in tables] == [4201] + [25] * 4
+    assert [t.pp.modulus for t in tables] == [4201, 4159] + [25] * 4
     for table in tables:
         assert "sigma_perm" not in vars(table) and "tau_perm" not in vars(table)
 
