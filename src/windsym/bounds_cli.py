@@ -54,7 +54,8 @@ SCHEMA = 1
 # no such limit), and the table's output grows as d_max^2, so a run whose
 # largest value could be longer is refused with exit 2 before any value is
 # computed, on every Python alike (see _check_digits).  A level p^n is held
-# to the same limit before it is formed (see _check_level).
+# to the same limit before it is formed (see _check_level), and so are the
+# numerator and denominator of `qexp up-matrix --a-p`.
 MAX_BOUND_DIGITS = 4000
 
 
@@ -329,7 +330,7 @@ def _cmd_homology(args) -> int:
     _check_level(args.p, args.n)
     pp = PrimePower(args.p, args.n)
     l = args.l
-    if l and not is_prime(l):
+    if l is not None and not is_prime(l):  # Q is asked for by omitting --l
         raise ValueError(f"{l} is not prime")
     table = P1Table(pp)
     # one integer presentation serves every field; the record still names
@@ -493,6 +494,9 @@ def _cmd_qexp(args) -> int:
             a_p = Fraction(args.a_p)
         except ZeroDivisionError:
             raise ValueError(f"--a-p {args.a_p} has a zero denominator") from None
+        if _too_long(a_p.numerator, 1) or _too_long(a_p.denominator, 1):
+            raise ValueError(f"--a-p exceeds the limit: its numerator or denominator has more "
+                             f"than {MAX_BOUND_DIGITS} digits")
         mat = build_Up_matrix(case, a_p, args.eps_p, args.lam, args.k, p=args.prime)
         payload = {
             "schema": SCHEMA,

@@ -22,21 +22,21 @@ reach the region already joined, shows that removing those edges leaves
 the graph connected, or else labels its components exactly, so no dense
 permutation, spanning tree or quotient coordinate is built.
 
-In the guaranteed regime, when S has exactly one edge {x, sigma x} whose
-ends are distinct vertices (at d = 1 with p odd, S is the loop {0, oo}
-plus the edge {1/2, -2}), a walk certificate is tried before the search.
-A path in the graph is a word in the right actions of sigma and tau: from a
-point y, the letter A = tau.sigma = [[1, 0], [1, 1]] crosses the edge at
-y.tau and the letter B = tau^2.sigma = -[[1, 1], [0, 1]] the edge at
-y.tau^2.  x is lifted to a small coprime row (c, d) by rational
-reconstruction mod p^n and completed to g in SL_2(Z); for a few
-gamma = [[a, b], [p^n, d']] in Gamma_0(p^n), with a near p^n/phi,
-W = +-g^-1 gamma g sigma tau^e (e = 2, then 1) has bottom row
-(x.W) = (sigma x).tau^e, and when W is nonnegative it is exactly one word in
-A and B, read off by Euclid on its rows (its Stern-Brocot path), of
-O(log p^n) letters.  Walking that word on P1Table.sigma and tau, the ends
-count as joined only if no crossed edge has its tail in S and the last
-point lies in sigma x's tau orbit, so the walk is its own certificate and
+In the guaranteed regime, when the one edge of S whose ends are distinct
+vertices is {1/2, -2} (at d = 1 with p odd, S is the loop {0, oo} plus that
+edge), a walk certificate is tried before the search.  A path in the graph
+is a word in the right actions of sigma and tau: from a point y, the letter
+A = tau.sigma = [[1, 0], [1, 1]] crosses the edge at y.tau and the letter
+B = tau^2.sigma = -[[1, 1], [0, 1]] the edge at y.tau^2.  The point 1/2 is
+the bottom row of g = [[0, -1], [1, 2]] in SL_2(Z), so for
+gamma = [[a, b], [p^n, d']] in Gamma_0(p^n), with a scanned outward from
+p^n/phi, W = +-g^-1 [[1, -1], [0, 1]] gamma g sigma tau^2 has
+(1/2).W = (sigma 1/2).tau^2, and when W is nonnegative it is exactly one
+word in A and B, read off by Euclid on its rows (its Stern-Brocot path), of
+O(log p^n) letters; at every level tried past 4160 the first such word
+closes.  Walking that word on P1Table.sigma and tau, the ends count as
+joined only if no crossed edge has its tail in S and the last point lies in
+the tau orbit of sigma 1/2 = -2, so the walk is its own certificate and
 nothing about gamma is trusted.  After a fixed handful of failed words the
 search runs unchanged, so no output depends on the walk.  At p = 1000003
 the walk makes about 100 sigma and tau calls where the search made 27,861
@@ -187,10 +187,11 @@ def _all_joined(table: P1Table, removed: set[int], tails: list[int], heads: dict
     balls are dropped after it.
 
     _span_matrices tries _walk_joins before this search only in the
-    guaranteed regime and only when one edge of S joins distinct vertices
-    (at d = 1, p odd: the edge {1/2, -2}, lifted to the row (1, 2); a walk
-    is a word in A = tau.sigma, crossing the edge at y.tau, and
-    B = tau^2.sigma, crossing it at y.tau^2).  Below the threshold this
+    guaranteed regime and only when the one edge of S between distinct
+    vertices is {1/2, -2}, as at d = 1 with p odd; the walk follows words
+    W = P gamma Q built from the fixed lift g = [[0, -1], [1, 2]] of 1/2,
+    each a word in A = tau.sigma, crossing the edge at y.tau, and
+    B = tau^2.sigma, crossing it at y.tau^2.  Below the threshold this
     search costs a few hundred crossings; at d >= 2 the edges of S of small
     height hem the ends in, so most walks do not close and their failed
     words cost more than the crossings the others save (see the module
@@ -265,9 +266,13 @@ def _component_labels(table: P1Table, removed: set[int], ends: list[int]) -> lis
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-_SIGMA_TAU = {1: ((1, -1), (0, 1)), 2: ((-1, 0), (1, -1))}  # e -> sigma tau^e
-_SHIFTS = (((1, 1), (0, 1)), ((1, 0), (0, 1)), ((1, -1), (0, 1)))  # [[1, k], [0, 1]] in Gamma_0
-_WALK_SCAN = 64  # values of a tried for each e
+# W = P gamma Q for gamma in Gamma_0(p^n), with g = [[0, -1], [1, 2]] in
+# SL_2(Z), whose bottom row (1, 2) is the point 1/2: P = g^-1 [[1, -1], [0, 1]]
+# takes 1/2 to (0 : 1), which gamma fixes, and Q = g sigma tau^2 takes
+# (0 : 1) to (sigma 1/2).tau^2
+_P = ((2, -1), (-1, 1))
+_Q = ((-1, 1), (1, -2))
+_WALK_SCAN = 64  # values of a tried
 _WALK_WORDS = 12  # words walked before the search takes over
 
 
@@ -275,38 +280,6 @@ def _mul(x: Matrix, y: Matrix) -> Matrix:
     (a, b), (c, d) = x
     (e, f), (g, h) = y
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def _inverse(x: Matrix) -> Matrix:
-    (a, b), (c, d) = x
-    return ((d, -b), (-c, a))
-
-
-def _lift(table: P1Table, x: int) -> Optional[Matrix]:
-    """g in SL_2(Z) whose bottom row (c, d) is a small coprime lift of the
-    point x, or None when the reconstruction's denominator is no unit.
-
-    Rational reconstruction: Euclid on (p^n, r), stopped at the first
-    remainder num with num^2 <= p^n, gives num = den * r mod p^n with both
-    about sqrt(p^n), so (num : den) = (r : 1) when den is a unit; r is the
-    affine residue of x = (r : 1), or t of the infinite (1 : t), which is
-    (den : num).  The point 1/2 lifts to (1, 2).
-    """
-    m = table.pp.modulus
-    w, t = table.pair(x)
-    r0, num, s0, den = m, (w if x < m else t), 0, 1
-    while num * num > m:
-        q = r0 // num
-        r0, num, s0, den = num, r0 - q * num, den, s0 - q * den
-    if gcd(den, m) != 1:
-        return None
-    c, d = (num, den) if x < m else (den, num)
-    k = gcd(c, d) if c >= 0 else -gcd(c, d)  # a unit: it divides den
-    c, d = c // k, d // k  # c >= 0
-    if c == 0:
-        return ((d, 0), (0, d))
-    a = pow(d, -1, c)
-    return ((a, (a * d - 1) // c), (c, d))
 
 
 def _letters(w: Matrix, cap: int) -> Optional[list[int]]:
@@ -334,50 +307,34 @@ def _letters(w: Matrix, cap: int) -> Optional[list[int]]:
     return out
 
 
-def _words(table: P1Table, x: int) -> Iterator[list[int]]:
-    """Words W in A and B with x.W = (sigma x).tau^e,
-    e = 2 and then 1: W = +-g^-1 gamma g sigma tau^e for g from _lift and
-    gamma = [[a, b], [p^n, d]] in Gamma_0(p^n), its inverse, and both times
-    [[1, k], [0, 1]] (|k| <= 1) on either side, taken where W is
-    nonnegative, with at most 4 log2(p^n) + 8 letters.  a runs outward from
-    floor(p^n/phi), so p^n/a has small partial quotients at first and the
-    words are short."""
-    m = table.pp.modulus
-    g = _lift(table, x)
-    if g is None:
-        return
-    g_inv, cap = _inverse(g), 4 * m.bit_length() + 8
+def _words(m: int) -> Iterator[list[int]]:
+    """Words W in A and B with 1/2.W = (sigma 1/2).tau^2 at level m = p^n,
+    p odd: W = +-P gamma Q for gamma = [[a, b], [m, d]] in Gamma_0(m), taken
+    where W is nonnegative, with at most 4 log2(m) + 8 letters.  a runs
+    outward from floor(m/phi), so m/a has small partial quotients at first
+    and the words are short."""
+    cap = 4 * m.bit_length() + 8
     a0 = (isqrt(5 * m * m) - m) // 2
-    # e = 2 first: at x = 1/2, (sigma x).tau = 1 is entered only from the
-    # vertex {0, -1, oo}, whose one other edge is the loop {0, oo} of S, so
-    # no word with e = 1 closes there
-    for e in (2, 1):
-        tail = _mul(g, _SIGMA_TAU[e])
-        for k in range(_WALK_SCAN):
-            a = a0 + (k + 1) // 2 * (-1) ** k
-            if gcd(a, m) != 1:
-                continue
-            d = pow(a, -1, m)
-            gamma = ((a, (a * d - 1) // m), (m, d))
-            for h in (gamma, _inverse(gamma)):
-                for left in _SHIFTS:
-                    for right in _SHIFTS:
-                        w = _mul(_mul(g_inv, _mul(_mul(left, h), right)), tail)
-                        word = _letters(w, cap)
-                        if word is not None:
-                            yield word
+    for k in range(_WALK_SCAN):
+        a = a0 + (k + 1) // 2 * (-1) ** k
+        if gcd(a, m) != 1:
+            continue
+        d = pow(a, -1, m)
+        word = _letters(_mul(_mul(_P, ((a, (a * d - 1) // m), (m, d))), _Q), cap)
+        if word is not None:
+            yield word
 
 
 def _walk_joins(table: P1Table, x: int, head: int, removed: set[int]) -> bool:
     """Whether one of the first _WALK_WORDS words of _words, walked from x
-    on P1Table.sigma and tau, ends in head's tau orbit having crossed no
-    edge whose tail is in removed: a path from x's vertex to head's in G
-    minus S.  Letter A crosses the edge at y.tau, letter B the edge at
-    y.tau^2."""
+    (1/2, whose edge of S leads to head) on P1Table.sigma and tau, ends in
+    head's tau orbit having crossed no edge whose tail is in removed: a path
+    from x's vertex to head's in G minus S.  Letter A crosses the edge at
+    y.tau, letter B the edge at y.tau^2."""
     sigma, tau = table.sigma, table.tau
     t = tau(head)
     ends = (head, t, tau(t))
-    for word in islice(_words(table, x), _WALK_WORDS):
+    for word in islice(_words(table.pp.modulus), _WALK_WORDS):
         y = x
         for letter in word:
             z = tau(tau(y)) if letter else tau(y)
@@ -396,13 +353,14 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     hecke_span_rank): one for each of the k components of G minus S but
     the last, so none when G minus S is connected.
 
-    In the guaranteed regime p^n >= C^2 imax^6, when exactly one edge of S
-    joins two distinct vertices (the others are loops, whose ends are
-    trivially joined), a walk certificate (_walk_joins) is tried first; when
-    it closes, G minus S is connected.  Otherwise _all_joined searches, as
-    it would without the walk.  The integers serve every field.  A level
-    past MAX_P1_SIZE is refused before any image is listed or any search
-    started.
+    In the guaranteed regime p^n >= C^2 imax^6, when the one edge of S
+    joining two distinct vertices is {1/2, -2} (the others are loops, whose
+    ends are trivially joined), a walk certificate (_walk_joins) from 1/2,
+    along words of one family built from a fixed lift of 1/2, is tried
+    first; when it closes, G minus S is connected.  Otherwise _all_joined
+    searches, as it would without the walk.  The integers serve every
+    field.  A level past MAX_P1_SIZE is refused before any image is listed
+    or any search started.
     """
     table = P1Table(pp)
     table.check_size_limit()
@@ -418,8 +376,9 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     removed = set(tails)
     if pp.modulus >= _c_squared(pp.p) * imax**6:  # the guaranteed regime
         tau = table.tau
+        half = (pp.modulus + 1) // 2  # the point 1/2 when p is odd
         bridges = [x for x in tails if heads[x] not in (tau(x), tau(tau(x)))]
-        if len(bridges) == 1 and _walk_joins(table, bridges[0], heads[bridges[0]], removed):
+        if pp.p > 2 and bridges == [half] and _walk_joins(table, half, heads[half], removed):
             return [], rows
     if _all_joined(table, removed, tails, heads):
         return [], rows

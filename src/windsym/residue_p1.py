@@ -56,11 +56,13 @@ MAX_P1_SIZE = 10**7
 MAX_HECKE_R = 200
 
 # Largest L of `criterion --all-l-up-to L`.  Each prime l <= L costs one full
-# criterion run (the images and the graph search are redone per l), and
-# there are 168 of them below 1000.  On a 2-vCPU host `criterion --p 100003
-# --d 1 --all-l-up-to 1000` takes 2.5 s (0.015 s per l); at p = 1000003 one
-# l takes 0.09 s, so all 168 take about 15 s, and at p = 3032641 with d = 3,
-# where one l takes about 0.2 s, about 35 s.
+# criterion run (the images and the walk or graph search are redone per l),
+# and there are 168 of them below 1000.  At d = 1 past the threshold the walk
+# decides each l in under a millisecond: `criterion --p 1000003 --d 1
+# --all-l-up-to 1000` takes 0.15 s in a child process on a 2-vCPU host.  The
+# limit bounds the repeated d >= 2 search: at p = 266261 with d = 2,
+# `--all-l-up-to 100` takes 0.8 s against 0.12 s for `--l 3`, and all 168
+# primes 6.7 s; at p = 3032641 with d = 3, about 0.22 s per l, about 37 s.
 MAX_ALL_L = 1000
 
 

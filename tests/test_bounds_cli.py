@@ -194,8 +194,8 @@ CLI_GOLDEN = {
                   "d6dec019ab07ee2361475422c982bea21a9853d8db29c7c7115dcca97402a4e3"),
     "homology-smith": (("homology", "--p", "4201", "--l", "3", "--smith"), 0,
                        "0b0ee0e9bceb11ab9fe3bf4d3a21513f7c579d59ae8b55e1f4b09e3fb6bf0b6c"),
-    "homology-l0": (("homology", "--p", "11", "--l", "0"), 0,
-                    "35b0f099828cee970143cbe1fdabe80af13ce7d406075089c40612a1c3ceecb0"),
+    "homology-q": (("homology", "--p", "11"), 0,
+                   "35b0f099828cee970143cbe1fdabe80af13ce7d406075089c40612a1c3ceecb0"),
     "criterion-all-l": (("criterion", "--p", "4201", "--d", "1", "--all-l-up-to", "13"), 0,
                         "49f49b19d1ab47bb2b2339314ed2464cd08e9e32bf6a450f6e107f8127d08a57"),
     "criterion-2^11": (("criterion", "--p", "2", "--n", "11", "--d", "2", "--l", "3"), 0,
@@ -821,12 +821,17 @@ def test_cli_homology_record(capsys):
 
 
 def test_cli_homology_field_label(capsys):
-    for argv, label in [((), "Q"), (("--l", "0"), "Q"), (("--l", "7"), "F7")]:
+    for argv, label in [((), "Q"), (("--l", "7"), "F7")]:
         rc, out = run_cli(capsys, "homology", "--p", "11", *argv)
         assert rc == 0
         assert json.loads(out)["field"] == label
-    assert cli_main(["homology", "--p", "11", "--l", "6"]) == 2
-    assert capsys.readouterr().err == "error: 6 is not prime\n"
+    # Q is asked for by omitting --l: every non-prime --l is refused, 0 too,
+    # as criterion refuses it
+    for l in ("6", "0", "1", "-5"):
+        assert cli_main(["homology", "--p", "11", "--l", l]) == 2
+        assert capsys.readouterr() == ("", f"error: {l} is not prime\n")
+        assert cli_main(["criterion", "--p", "11", "--l", l]) == 2
+        assert capsys.readouterr() == ("", f"error: l={l} must be prime\n")
 
 
 def test_cli_homology_runs_past_the_dense_limit(capsys):
@@ -995,6 +1000,32 @@ def test_cli_refuses_oversized_up_matrix_lam_before_building(capsys, monkeypatch
     # the divides case forms no power, so its --lam is not judged
     assert cli_main(["qexp", "up-matrix", "--case", "divides", "--k", "1", "--lam", "1000000000"]) == 0
     assert json.loads(capsys.readouterr().out)["entries"] == [["1", "1"], ["0", "0"]]
+
+
+def test_cli_refuses_oversized_up_matrix_a_p_before_building(capsys, monkeypatch):
+    from windsym import qexp_hecke
+    from windsym.bounds_cli import MAX_BOUND_DIGITS
+
+    def up_matrix(a_p):
+        return cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "2", f"--a-p={a_p}",
+                         "--prime", "5"])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("built a matrix past the limit")
+
+    # a numerator or a denominator of 4000 digits runs; its charpoly prints -a_p
+    for a_p in ("9" * MAX_BOUND_DIGITS, "-1/" + "7" * MAX_BOUND_DIGITS):
+        assert up_matrix(a_p) == 0
+        assert json.loads(capsys.readouterr().out)["entries"][0][0] == a_p
+    monkeypatch.setattr(qexp_hecke, "build_Up_matrix", no_work)
+    monkeypatch.setattr(qexp_hecke, "charpoly", no_work)
+    # 4001 digits, written out or as a power of ten (Python 3.11 refused
+    # 1e5000 only when it printed the matrix, and 3.10 printed it)
+    for a_p in ("1" + "0" * MAX_BOUND_DIGITS, f"1e{MAX_BOUND_DIGITS}", "-3e5000",
+                "3/1" + "0" * MAX_BOUND_DIGITS, f"1e-{MAX_BOUND_DIGITS}"):
+        assert up_matrix(a_p) == 2
+        assert capsys.readouterr() == ("", "error: --a-p exceeds the limit: its numerator or "
+                                           f"denominator has more than {MAX_BOUND_DIGITS} digits\n")
 
 
 @pytest.mark.parametrize("argv", [["paths", "--p", "101", "--r", "2"], ["paths", "sweep", "--pn", "101"]],

@@ -359,9 +359,9 @@ def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
     words, calls = [], []
     make_words = hecke_symbols._words
 
-    def words_spy(table, x):
-        for word in make_words(table, x):
-            words.append((x, word))
+    def words_spy(m):
+        for word in make_words(m):
+            words.append(word)
             yield word
 
     def spy(name, oracle):
@@ -387,7 +387,7 @@ def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
     assert hecke_symbols._span_matrices(pp, 2)[0] == []
     assert taken == [True]
     assert calls and all(out == want for _, out, want in calls)
-    x, word = words[-1]
+    x, word = (pp.modulus + 1) // 2, words[-1]  # the walk starts at 1/2
     assert 0 < len(word) <= 4 * pp.modulus.bit_length() + 8
     y = x
     for letter in word:
@@ -443,17 +443,46 @@ def test_walk_letters_and_lift():
         assert length < 2 or hecke_symbols._letters(w, length - 1) is None
     assert hecke_symbols._letters(((1, -1), (0, 1)), 40) is None
     assert hecke_symbols._letters(((2, 1), (-1, 0)), 40) is None
-    # the lift is an element of SL_2(Z) whose bottom row is the point
-    for p, n in [(5, 6), (1000003, 1), (2, 11), (3, 7)]:
+    # the fixed lift g of 1/2 is in SL_2(Z), its bottom row indexes 1/2 at
+    # every odd level, and P = g^-1 [[1, -1], [0, 1]], Q = g sigma tau^2
+    g, g_inv = ((0, -1), (1, 2)), ((2, 1), (-1, 0))
+    sigma, tau = ((0, 1), (-1, 0)), ((0, -1), (1, -1))
+    mul = hecke_symbols._mul
+    assert mul(g, g_inv) == ((1, 0), (0, 1))
+    assert hecke_symbols._P == mul(g_inv, ((1, -1), (0, 1)))
+    assert hecke_symbols._Q == mul(mul(g, sigma), mul(tau, tau))
+    for p, n in [(5, 6), (1000003, 1), (3, 7), (3, 9), (20011, 1), (7, 2)]:
         table = P1Table(PrimePower(p, n))
-        for x in [*range(40), *range(table.size - 40, table.size)]:
-            g = hecke_symbols._lift(table, x)
-            if g is not None:
-                (a, b), (c, d) = g
-                assert a * d - b * c == 1 and table.index(c, d) == x, (p, n, x)
-                assert max(abs(c), abs(d)) ** 2 <= 2 * table.size
-        if p > 2:  # 1/2 lifts to the row (1, 2)
-            assert hecke_symbols._lift(table, (table.pp.modulus + 1) // 2) == ((0, -1), (1, 2))
+        assert table.index(*g[1]) == (table.pp.modulus + 1) // 2, (p, n)
+
+
+def test_walk_closes_with_its_first_word():
+    # called directly, the walk from 1/2 crosses no edge of S and reaches
+    # sigma(1/2)'s vertex with the first word of _words, at 200 seeded
+    # primes in (4160, 10^9), at 40 seeded odd prime powers p^n (n >= 2) in
+    # (4160, 10^6) and at powers of 3, 5 and 7 up to about 10^30; S is the
+    # loop {0, oo} and the one bridge {1/2, -2} there
+    rng = random.Random(21)
+    primes = []
+    while len(primes) < 200:
+        q = rng.randrange(4161, 10**9)
+        if is_prime(q):
+            primes.append((q, 1))
+    powers = [(p, n) for p, n in _prime_powers_between(4160, 10**6) if p > 2 and n > 1]
+    levels = primes + rng.sample(powers, 40)
+    levels += [(p, n) for p in (3, 5, 7) for n in range(2, 64) if 4160 < p**n < 10**30]
+    for p, n in levels:
+        table = P1Table(PrimePower(p, n))
+        heads = {}
+        for z in chain(winding_image(1, table).coeffs, winding_image(2, table).coeffs):
+            y = table.sigma(z)
+            if y != z:
+                heads[min(y, z)] = max(y, z)
+        half = (table.pp.modulus + 1) // 2
+        assert sorted(heads) == [0, half], (p, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hecke_symbols, "_WALK_WORDS", 1)
+            assert hecke_symbols._walk_joins(table, half, heads[half], {0, half}), (p, n)
 
 
 def _criterion_failures(levels, d: int) -> set[int]:
