@@ -1,31 +1,12 @@
-"""Closed-form bound evaluation, constants consistency, and the CLI.
+"""The windsym command line: subcommands p1, homology, criterion, paths
+(with a sweep mode), qexp and bounds.
 
-Every number here is computed in exact integer or rational arithmetic;
-re-running a subcommand with the same flags yields byte-identical output.
-
-Bounds implemented:
-
-  * order bound 2(1 + l^d) for a point surviving the good/additive/twisted
-    reduction cases, with the sharper per-case variants from the remark
-    (Weil (l^{d/2}+1)^2, multiplicative l^d - 1, additive component bound);
-  * the per-prime torsion bound: p^n <= 65 (3^d - 1)(2d)^6 for p not in
-    {2, 3}, 65 (5^d - 1)(2d)^6 for p = 3, and 129 (3^d - 1)(3d)^6 for p = 2;
-  * the independence threshold C^2 (sd)^6 with C^2 = 65 (129 for p = 2) and
-    s the smallest prime different from p;
-  * the consistency of the constants: with
-    lambda = (42119/42120)(379079/379080) one needs 64/lambda^2 <= 65 and
-    128/lambda^2 <= 129, both checked as exact rational inequalities, plus
-    the interval-size prerequisites behind lambda (p^n/D^2 >= 65 D^4 forces
-    |A| >= (42119/42120) p^n/D^2 because 65*6^4 = 2*42120, and
-    D + 2 <= (4/3) D exactly for D >= 6).
-
-The CLI dispatches to all modules: subcommands p1, homology, criterion,
-paths (with a sweep mode), qexp, and bounds.  JSON goes to stdout by
-default; `bounds --table --csv` writes the table as CSV, and the paths
-sweep always writes CSV; --out writes to a file
-(relative paths are resolved under $OUTPUT_DIR when set).  Exit codes:
-0 success, 1 when an asserted check fails (or, from the console script,
-when stdout is closed early), 2 on usage errors.
+JSON goes to stdout by default; `bounds --table --csv` writes the table as
+CSV, and the paths sweep always writes CSV; --out writes to a file
+(relative paths are resolved under $OUTPUT_DIR when set).  Every number is
+exact, so re-running a subcommand with the same flags yields byte-identical
+output.  Exit codes: 0 success, 1 when an asserted check fails (or, from
+the console script, when stdout is closed early), 2 on usage errors.
 """
 
 import argparse
@@ -33,19 +14,18 @@ import csv
 import io
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
 from typing import Iterator
 
 from .arith import is_prime, prime_power
 
-# The layer modules are imported inside the handlers that run them, so a run
-# compiles and holds only what its subcommand uses: `bounds --constants`,
-# `--table` and `--prop11` and `qexp` load no P^1 or homology code, and `p1`
-# loads only residue_p1.
+# The layer modules and windsym.bounds are imported inside the handlers that
+# run them, so a run compiles and holds only what its subcommand uses:
+# `bounds` loads no layer module, `qexp` only qexp_hecke and `p1` only
+# residue_p1.
 
 SCHEMA = 1
 
@@ -57,134 +37,6 @@ SCHEMA = 1
 # to the same limit before it is formed (see _check_level), and so are the
 # numerator and denominator of `qexp up-matrix --a-p`.
 MAX_BOUND_DIGITS = 4000
-
-
-@dataclass
-class BoundReport:
-    """One evaluated bound formula with its exact value and tagged variants."""
-
-    formula: str
-    inputs: dict
-    value: int
-    variants: dict | None = None
-    notes: str = ""
-
-    def to_json(self) -> dict:
-        out = {"schema": SCHEMA, "formula": self.formula, "inputs": self.inputs,
-               "value": self.value}
-        if self.variants:
-            out["variants"] = self.variants
-        if self.notes:
-            out["notes"] = self.notes
-        return out
-
-
-def prop11_bound(l: int, d: int) -> int:
-    """Order bound 2(1 + l^d) for the surviving reduction cases."""
-    if not is_prime(l):
-        raise ValueError("l must be prime")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return 2 * (1 + l**d)
-
-
-def prop11_report(l: int, d: int) -> BoundReport:
-    """The 2(1 + l^d) bound plus the sharper per-case variants.
-
-    The Weil variant (l^{d/2} + 1)^2 is irrational for odd d; its value is
-    reported as the exact integer floor l^d + 1 + isqrt(4 l^d) (equality for
-    even d).  Additive reduction bounds the point order by 1, 3, or 4
-    according to p >= 5, p = 3, p = 2.
-    """
-    value = prop11_bound(l, d)
-    ld = l**d
-    variants = {
-        "weil_good_reduction": ld + 1 + isqrt(4 * ld),
-        "split_multiplicative": ld - 1,
-        "twisted_multiplicative_neutral": ld + 1,
-        "twisted_multiplicative_general": 2 * (1 + ld),
-        "additive_p_ge_5": 1,
-        "additive_p_3": 3,
-        "additive_p_2": 4,
-    }
-    return BoundReport(
-        "2(1+l^d)",
-        {"l": l, "d": d},
-        value,
-        variants,
-        "weil variant reported as exact integer floor; equality when d is even",
-    )
-
-
-def cor18_bound(p: int, d: int) -> int:
-    """Torsion bound for prime-power order p^n over a degree-d field."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if p == 2:
-        return 129 * (3**d - 1) * (3 * d) ** 6
-    if p == 3:
-        return 65 * (5**d - 1) * (2 * d) ** 6
-    return 65 * (3**d - 1) * (2 * d) ** 6
-
-
-LAMBDA_FACTORS = (Fraction(42119, 42120), Fraction(379079, 379080))
-
-
-@dataclass
-class ConstantsReport:
-    lam: Fraction
-    checks: list  # (name, holds, margin as Fraction)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "lambda": str(self.lam),
-            "checks": [
-                {"name": name, "pass": ok, "margin": str(margin)}
-                for name, ok, margin in self.checks
-            ],
-            "pass": self.all_passed,
-        }
-
-
-def constants_consistency() -> ConstantsReport:
-    """Exact rational verification of the constants behind the thresholds.
-
-    lambda is the product (42119/42120)(379079/379080); the walk intervals
-    give |A||B| >= lambda p^{2n}/D^3, and the inverse-pair lemma needs
-    C' p^{3n/2}, so the thresholds work iff C'^2/lambda^2 <= C^2 in both
-    cases (C'^2 = 64 or 128, C^2 = 65 or 129).  Also re-derives the two
-    interval-size prerequisites used to introduce lambda.
-    """
-    lam = LAMBDA_FACTORS[0] * LAMBDA_FACTORS[1]
-    lam2 = lam * lam
-    checks = [
-        ("64/lambda^2 <= 65", Fraction(64) / lam2 <= 65, 65 - Fraction(64) / lam2),
-        ("128/lambda^2 <= 129", Fraction(128) / lam2 <= 129, 129 - Fraction(128) / lam2),
-        ("lambda < 1", lam < 1, 1 - lam),
-        # p^n/D^2 >= 65 D^4 >= 65*6^4 = 2*42120 for D >= 6, so subtracting 2
-        # costs at most a (1/42120)-fraction of p^n/D^2.
-        ("65*6^4 >= 2*42120 (interval A prerequisite)", 65 * 6**4 >= 2 * 42120,
-         Fraction(65 * 6**4 - 2 * 42120)),
-        ("D+2 <= (4/3)D for D >= 6 (boundary exact)", 3 * (6 + 2) <= 4 * 6,
-         Fraction(4 * 6 - 3 * (6 + 2))),
-    ]
-    # the linear inequality 3(D+2) <= 4D has positive slope in D, so the
-    # boundary check at D = 6 settles every D >= 6; spot-check anyway.
-    spot = all(3 * (d + 2) <= 4 * d for d in range(6, 200))
-    checks.append(("D+2 <= (4/3)D for 6 <= D < 200 (spot check)", spot, Fraction(0)))
-    return ConstantsReport(lam, checks)
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
 
 
 def _json_batches(payload) -> Iterator[str]:
@@ -235,6 +87,17 @@ def _too_long(base: int, exp: int, factor: int = 1) -> bool:
     if exp < 1 or exp * b + abs(factor).bit_length() <= 3 * MAX_BOUND_DIGITS:
         return False
     return exp * (b - 1) > 4 * MAX_BOUND_DIGITS or abs(factor * base**exp) >= 10**MAX_BOUND_DIGITS
+
+
+def _exponent_too_long(text: str) -> bool:
+    """Whether a literal such as 1e5 writes an exponent past MAX_BOUND_DIGITS
+    plus its length, read before Fraction forms 10^exp: a nonzero value with
+    such an exponent has a numerator or denominator past the limit anyway."""
+    exp = re.search(r"e[-+]?([\d_]+)\s*\Z", text, re.IGNORECASE)
+    if exp is None:
+        return False
+    digits, most = exp[1].replace("_", "").lstrip("0"), MAX_BOUND_DIGITS + len(text)
+    return len(digits) > len(str(most)) or int(digits or 0) > most
 
 
 def _check_digits(flag: str, d: int, l: int = 1) -> None:
@@ -413,6 +276,12 @@ def _walk_both(pp, r):
 def _cmd_paths(args) -> int:
     from .residue_p1 import MAX_HECKE_R, PrimePower
 
+    if args.mode == "sweep":
+        # None unless given before sweep, whose --d and --out have own dests
+        for dest in ("p", "n", "r", "d", "out"):
+            if getattr(args, dest) is not None:
+                raise ValueError(f"--{dest} applies only to paths without sweep")
+        args.d, args.out = args.sweep_d, args.sweep_out
     if args.d is not None and args.d < 1:
         raise ValueError("D must be >= 1")
     if args.mode == "sweep":
@@ -421,8 +290,9 @@ def _cmd_paths(args) -> int:
     if args.p is None or args.r is None:
         raise ValueError("paths: need --p and --r (or the sweep subcommand)")
     _check_cap("--r", args.r, MAX_HECKE_R)
-    _check_level(args.p, args.n)
-    pp = PrimePower(args.p, args.n)
+    n = 1 if args.n is None else args.n
+    _check_level(args.p, n)
+    pp = PrimePower(args.p, n)
     d_param = args.r if args.d is None else args.d
     chains = _walk_both(pp, args.r)
     reports = [_chain_report(c, pp, args.r, d_param) for c in chains]
@@ -491,10 +361,10 @@ def _cmd_qexp(args) -> int:
             raise ValueError(f"--lam {args.lam} exceeds the limit: eps_p p^(lam-1) would print "
                              f"more than {MAX_BOUND_DIGITS} digits")
         try:
-            a_p = Fraction(args.a_p)
+            a_p = None if _exponent_too_long(args.a_p) else Fraction(args.a_p)
         except ZeroDivisionError:
             raise ValueError(f"--a-p {args.a_p} has a zero denominator") from None
-        if _too_long(a_p.numerator, 1) or _too_long(a_p.denominator, 1):
+        if a_p is None or _too_long(a_p.numerator, 1) or _too_long(a_p.denominator, 1):
             raise ValueError(f"--a-p exceeds the limit: its numerator or denominator has more "
                              f"than {MAX_BOUND_DIGITS} digits")
         mat = build_Up_matrix(case, a_p, args.eps_p, args.lam, args.k, p=args.prime)
@@ -534,25 +404,24 @@ def _bounds_flags(args) -> None:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
+
     _bounds_flags(args)
     if args.constants:
-        rep = constants_consistency()
+        rep = bounds.constants_consistency()
         _emit(rep.to_json(), args)
         return 0 if rep.all_passed else 1
     if args.prop11:
         _check_digits("--d", args.d, args.l)
-        _emit(prop11_report(args.l, args.d).to_json(), args)
+        _emit(bounds.prop11_report(args.l, args.d).to_json(), args)
         return 0
     if args.threshold:
-        from .hecke_symbols import criterion_threshold
-
-        l = 5 if args.p == 3 else 3
+        l = bounds.auxiliary_prime(args.p)
         _check_digits("--d", args.d, l if args.original_order else 1)
-        thr = criterion_threshold(args.p, args.d)
-        payload = thr.to_json()
+        payload = bounds.criterion_threshold(args.p, args.d).to_json()
         if args.original_order:
             payload["l"] = l
-            payload["original_order_bound"] = thr.threshold * (l**args.d - 1)
+            payload["original_order_bound"] = bounds.cor18_bound(args.p, args.d)
         _emit(payload, args)
         return 0
     # --table, the one mode left
@@ -562,7 +431,7 @@ def _cmd_bounds(args) -> int:
     _check_digits("--d-max", dmax, 5)
     header = ["d", "p_not_2_3", "p_3", "p_2"]
     rows = [
-        [d, cor18_bound(5, d), cor18_bound(3, d), cor18_bound(2, d)]
+        [d, bounds.cor18_bound(5, d), bounds.cor18_bound(3, d), bounds.cor18_bound(2, d)]
         for d in range(1, dmax + 1)
     ]
     if args.csv:
@@ -579,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", help="write output to this file (under $OUTPUT_DIR if relative)")
+    def add_out(p, dest="out"):
+        p.add_argument("--out", dest=dest, metavar="OUT",
+                       help="write output to this file (under $OUTPUT_DIR if relative)")
 
     p1 = sub.add_parser("p1", help="enumerate P^1(Z/p^n Z)")
     p1.add_argument("--p", type=int, required=True)
@@ -608,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     paths = sub.add_parser("paths", help="chain walks avoiding Sigma_r")
     paths.add_argument("--p", type=int)
-    paths.add_argument("--n", type=int, default=1)
+    paths.add_argument("--n", type=int)
     paths.add_argument("--r", type=int)
     paths.add_argument("--d", type=int, default=None, help="bound parameter D (default r)")
     add_out(paths)
@@ -619,9 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--pn", type=int, nargs="+", required=True, help="prime powers")
     sweep.add_argument("--r-min", type=int, default=1)
     sweep.add_argument("--r-max", type=int, default=6)
-    sweep.add_argument("--d", type=int, default=None)
+    sweep.add_argument("--d", type=int, dest="sweep_d", metavar="D")
     sweep.add_argument("--csv", action="store_true", help="accepted; the sweep always writes CSV")
-    add_out(sweep)
+    add_out(sweep, "sweep_out")
     sweep.set_defaults(func=_cmd_paths, mode="sweep")
 
     qx = sub.add_parser("qexp", help="operator calculus on truncated series")
@@ -692,13 +562,6 @@ def main() -> None:
 
 
 __all__ = [
-    "BoundReport",
-    "ConstantsReport",
-    "prop11_bound",
-    "prop11_report",
-    "cor18_bound",
-    "constants_consistency",
-    "LAMBDA_FACTORS",
     "MAX_BOUND_DIGITS",
     "build_parser",
     "cli_main",

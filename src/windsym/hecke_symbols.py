@@ -14,12 +14,12 @@ The rank test checks F_l-linear independence of T_1{0,oo}, ..., T_{sd}{0,oo}
 in H_1(X_0(p^n), cusps), with s the smallest prime different from p; that
 independence is the sufficient criterion ruling out degree-d points of
 prime-power order, and it is guaranteed once p^n clears the threshold
-C^2 (sd)^6 with C^2 = 65 (129 when p = 2).  It is decided on the few edges
-the images touch, in the graph of tau orbits and sigma 2-orbits that
-presents H_1 (see rel_homology): a bidirectional search per edge, which
-crosses each graph edge by one P1Table.cross call and stops once both ends
-reach the region already joined, shows that removing those edges leaves
-the graph connected, or else labels its components exactly, so no dense
+C^2 (sd)^6 of windsym.bounds.  It is decided on the few edges the images
+touch, in the graph of tau orbits and sigma 2-orbits that presents H_1
+(see rel_homology): a bidirectional search per edge, which crosses each
+graph edge by one P1Table.cross call and stops once both ends reach the
+region already joined, shows that removing those edges leaves the graph
+connected, or else labels its components exactly, so no dense
 permutation, spanning tree or quotient coordinate is built.
 
 In the guaranteed regime, when the one edge of S whose ends are distinct
@@ -33,12 +33,12 @@ gamma = [[a, b], [p^n, d']] in Gamma_0(p^n), with a scanned outward from
 p^n/phi, W = +-g^-1 [[1, -1], [0, 1]] gamma g sigma tau^2 has
 (1/2).W = (sigma 1/2).tau^2, and when W is nonnegative it is exactly one
 word in A and B, read off by Euclid on its rows (its Stern-Brocot path), of
-O(log p^n) letters; at every level tried past 4160 the first such word
-closes.  Walking that word on P1Table.sigma and tau, the ends count as
-joined only if no crossed edge has its tail in S and the last point lies in
-the tau orbit of sigma 1/2 = -2, so the walk is its own certificate and
-nothing about gamma is trusted.  After a fixed handful of failed words the
-search runs unchanged, so no output depends on the walk.  At p = 1000003
+O(log p^n) letters.  Only the first such word is walked; it closes at
+every level tried past 4160.  Walking it on P1Table.sigma and tau, the ends
+count as joined only if no crossed edge has its tail in S and the last
+point lies in the tau orbit of sigma 1/2 = -2, so the walk is its own
+certificate and nothing about gamma is trusted.  When it does not close,
+the search runs unchanged, so no output depends on the walk.  At p = 1000003
 the walk makes about 100 sigma and tau calls where the search made 27,861
 crossings, and at p = 9999991 about 110 against 203,064.  Two gates, read
 off the input, keep it where the search is costly and the walk closes:
@@ -46,17 +46,19 @@ below the threshold the search costs a few hundred crossings (about 250 on
 average at the odd prime powers in (25, 4160)); at d >= 2 the edges of S
 of small height hem the ends in, so most walks do not close (at p = 266261,
 3 of the 5 edges between distinct vertices at d = 2 and 10 of 11 at d = 3),
-and their failed words cost more than the crossings the others save
-(0.042 s for the search alone, against 0.056 s and 0.104 s walking first).
+and their failed walks cost more than the crossings the others save (with
+up to twelve words per edge, 0.042 s for the search alone, against 0.056 s
+and 0.104 s walking first).
 """
 
 from array import array
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
-from .arith import is_prime, smallest_prime_excluding
+from .arith import is_prime
+from .bounds import c_squares, criterion_threshold
 from .residue_p1 import MAX_HECKE_R, P1Table, PrimePower
 
 
@@ -185,17 +187,6 @@ def _all_joined(table: P1Table, removed: set[int], tails: list[int], heads: dict
     both sides weigh alike.  A ball that runs out has swept its whole
     component without the other end: G minus S is split.  Each edge's
     balls are dropped after it.
-
-    _span_matrices tries _walk_joins before this search only in the
-    guaranteed regime and only when the one edge of S between distinct
-    vertices is {1/2, -2}, as at d = 1 with p odd; the walk follows words
-    W = P gamma Q built from the fixed lift g = [[0, -1], [1, 2]] of 1/2,
-    each a word in A = tau.sigma, crossing the edge at y.tau, and
-    B = tau^2.sigma, crossing it at y.tau^2.  Below the threshold this
-    search costs a few hundred crossings; at d >= 2 the edges of S of small
-    height hem the ends in, so most walks do not close and their failed
-    words cost more than the crossings the others save (see the module
-    docstring).
     """
     cross = table.cross
     region = bytearray((table.size >> 3) + 1)  # J: vertex w is bit w & 7 of byte w >> 3
@@ -273,7 +264,6 @@ Matrix = tuple[tuple[int, int], tuple[int, int]]
 _P = ((2, -1), (-1, 1))
 _Q = ((-1, 1), (1, -2))
 _WALK_SCAN = 64  # values of a tried
-_WALK_WORDS = 12  # words walked before the search takes over
 
 
 def _mul(x: Matrix, y: Matrix) -> Matrix:
@@ -326,25 +316,23 @@ def _words(m: int) -> Iterator[list[int]]:
 
 
 def _walk_joins(table: P1Table, x: int, head: int, removed: set[int]) -> bool:
-    """Whether one of the first _WALK_WORDS words of _words, walked from x
-    (1/2, whose edge of S leads to head) on P1Table.sigma and tau, ends in
-    head's tau orbit having crossed no edge whose tail is in removed: a path
-    from x's vertex to head's in G minus S.  Letter A crosses the edge at
-    y.tau, letter B the edge at y.tau^2."""
+    """Whether the first word of _words, walked from x (1/2, whose edge of S
+    leads to head) on P1Table.sigma and tau, ends in head's tau orbit having
+    crossed no edge whose tail is in removed: a path from x's vertex to
+    head's in G minus S.  Letter A crosses the edge at y.tau, letter B the
+    edge at y.tau^2."""
+    word = next(_words(table.pp.modulus), None)
+    if word is None:
+        return False
     sigma, tau = table.sigma, table.tau
+    y = x
+    for letter in word:
+        z = tau(tau(y)) if letter else tau(y)
+        y = sigma(z)
+        if y != z and min(y, z) in removed:
+            return False
     t = tau(head)
-    ends = (head, t, tau(t))
-    for word in islice(_words(table.pp.modulus), _WALK_WORDS):
-        y = x
-        for letter in word:
-            z = tau(tau(y)) if letter else tau(y)
-            y = sigma(z)
-            if y != z and min(y, z) in removed:
-                break
-        else:
-            if y in ends:
-                return True
-    return False
+    return y in (head, t, tau(t))
 
 
 def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -355,12 +343,10 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
 
     In the guaranteed regime p^n >= C^2 imax^6, when the one edge of S
     joining two distinct vertices is {1/2, -2} (the others are loops, whose
-    ends are trivially joined), a walk certificate (_walk_joins) from 1/2,
-    along words of one family built from a fixed lift of 1/2, is tried
-    first; when it closes, G minus S is connected.  Otherwise _all_joined
-    searches, as it would without the walk.  The integers serve every
-    field.  A level past MAX_P1_SIZE is refused before any image is listed
-    or any search started.
+    ends are trivially joined), the walk of _walk_joins is tried first (see
+    the module docstring); when it closes, G minus S is connected.
+    Otherwise _all_joined searches.  The integers serve every field.  A
+    level past MAX_P1_SIZE is refused before any image or search.
     """
     table = P1Table(pp)
     table.check_size_limit()
@@ -374,7 +360,7 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     tails = sorted(heads)
     rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
     removed = set(tails)
-    if pp.modulus >= _c_squared(pp.p) * imax**6:  # the guaranteed regime
+    if pp.modulus >= c_squares(pp.p)[1] * imax**6:  # the guaranteed regime
         tau = table.tau
         half = (pp.modulus + 1) // 2  # the point 1/2 when p is odd
         bridges = [x for x in tails if heads[x] not in (tau(x), tau(tau(x)))]
@@ -425,43 +411,6 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
         return 0
     cuts, rows = _span_matrices(pp, imax)
     return _coordinate_rank(cuts + rows, l) - len(cuts)
-
-
-@dataclass
-class CriterionThreshold:
-    """The level C^2 (sd)^6 from which the rank test is guaranteed to pass."""
-
-    p: int
-    d: int
-    s: int
-    c_squared: int
-    threshold: int
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "p": self.p,
-            "d": self.d,
-            "s": self.s,
-            "c_squared": self.c_squared,
-            "threshold": self.threshold,
-        }
-
-
-def _c_squared(p: int) -> int:
-    """C^2 of the threshold C^2 (sd)^6."""
-    return 129 if p == 2 else 65
-
-
-def criterion_threshold(p: int, d: int) -> CriterionThreshold:
-    """Independence threshold C^2 (sd)^6, s the smallest prime != p."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    s = smallest_prime_excluding(p)
-    c2 = _c_squared(p)
-    return CriterionThreshold(p, d, s, c2, c2 * (s * d) ** 6)
 
 
 @dataclass
@@ -534,12 +483,10 @@ def check_kamienny_condition3(p: int, n: int, d: int, l: int) -> CriterionReport
 __all__ = [
     "SymbolVector",
     "SigmaRSet",
-    "CriterionThreshold",
     "CriterionReport",
     "admissible_pairs",
     "winding_image",
     "sigma_r_set",
     "hecke_span_rank",
-    "criterion_threshold",
     "check_kamienny_condition3",
 ]

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import ceil_isqrt
+from .bounds import c_squares
 from .hecke_symbols import SigmaRSet
 from .residue_p1 import P1Table, PrimePower
 
@@ -227,7 +228,7 @@ class Lemma53Requirement:
 
 
 def lemma53_requirement(pp: PrimePower) -> Lemma53Requirement:
-    c2 = 128 if pp.p == 2 else 64
+    c2 = c_squares(pp.p)[0]
     label = "8*sqrt(2)" if pp.p == 2 else "8"
     p3n = pp.p ** (3 * pp.n)
     return Lemma53Requirement(label, c2, p3n, ceil_isqrt(c2 * p3n))

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from windsym.arith import sigma1
-from windsym.bounds_cli import constants_consistency, cor18_bound
+from windsym.bounds import constants_consistency, cor18_bound
 from windsym.hecke_symbols import sigma_r_set, winding_image
 from windsym.qexp_hecke import (
     CASE_COPRIME,

@@ -21,16 +21,16 @@ import pytest
 from hypothesis import given, settings
 
 import windsym
-from windsym.bounds_cli import (
+from windsym.bounds import (
     LAMBDA_FACTORS,
-    cli_main,
     constants_consistency,
     cor18_bound,
+    criterion_threshold,
     prop11_bound,
     prop11_report,
 )
+from windsym.bounds_cli import cli_main
 from windsym.arith import factorize, iroot, is_prime, prime_power
-from windsym.hecke_symbols import criterion_threshold
 from windsym.rel_homology import invariant_generators, smith_invariants
 from windsym.residue_p1 import P1Table, PrimePower
 from oracles import prime_powers
@@ -97,7 +97,7 @@ def test_threshold_agrees_with_criterion_report():
     from windsym import hecke_symbols
     from windsym.hecke_symbols import check_kamienny_condition3
 
-    # one formula: the CLI re-exports the criterion's own threshold
+    # one formula: the criterion reads the threshold of windsym.bounds
     assert criterion_threshold is hecke_symbols.criterion_threshold
     for p, d in [(5, 1), (2, 1), (3, 2), (11, 1)]:
         thr = criterion_threshold(p, d)
@@ -232,14 +232,13 @@ def test_cli_bounds_table_csv(capsys):
 
 
 def test_cli_bounds_refuses_two_modes_before_computing(capsys, monkeypatch):
-    from windsym import bounds_cli, hecke_symbols
+    from windsym import bounds
 
     def no_work(*args):
         raise AssertionError("computed a bound with two modes given")
 
-    for name in ("prop11_report", "constants_consistency", "cor18_bound"):
-        monkeypatch.setattr(bounds_cli, name, no_work)
-    monkeypatch.setattr(hecke_symbols, "criterion_threshold", no_work)
+    for name in ("prop11_report", "constants_consistency", "cor18_bound", "criterion_threshold"):
+        monkeypatch.setattr(bounds, name, no_work)
     modes = ["--table", "--constants", "--prop11", "--threshold"]
     for first, second in itertools.combinations(modes, 2):
         assert cli_main(["bounds", first, second]) == 2
@@ -294,6 +293,20 @@ def test_cli_bounds_threshold_original_order(capsys):
     assert rep["threshold"] == 4160
     assert rep["original_order_bound"] == 4160 * 2  # (3^1 - 1)
     assert rep["original_order_bound"] == cor18_bound(5, 1)
+
+
+def test_cli_table_columns_equal_the_original_order_bound(capsys):
+    # one Cor. 1.8 value: each column of the table, for d <= 8, is the
+    # threshold times l^d - 1 that `bounds --threshold --original-order` prints
+    rc, out = run_cli(capsys, "bounds", "--table", "--d-max", "8")
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert [row[0] for row in rows] == list(range(1, 9))
+    for d, *columns in rows:
+        for p, value in zip((5, 3, 2), columns):
+            rc, out = run_cli(capsys, "bounds", "--threshold", "--p", str(p), "--d", str(d),
+                              "--original-order")
+            assert rc == 0 and json.loads(out)["original_order_bound"] == value, (p, d)
 
 
 def test_cli_homology_smith(capsys):
@@ -700,7 +713,7 @@ LOADED_BY = [
     (["p1", "--p", "11", "--verify"], {"residue_p1"}),
     (["homology", "--p", "11", "--l", "3"], {"residue_p1", "rel_homology"}),
     (["criterion", "--p", "11", "--d", "1", "--l", "3"], P1_AND_IMAGES),
-    (["bounds", "--threshold", "--p", "5", "--d", "1"], P1_AND_IMAGES),
+    (["bounds", "--threshold", "--p", "5", "--d", "1"], set()),
     (["paths", "--p", "101", "--r", "2"], P1_AND_IMAGES | {"winding_paths"}),
 ]
 
@@ -856,15 +869,14 @@ def test_cli_homology_runs_past_the_dense_limit(capsys):
 
 
 def test_cli_bounds_refuses_too_many_digits_before_computing(capsys, monkeypatch):
-    from windsym import bounds_cli, hecke_symbols
+    from windsym import bounds, bounds_cli
     from windsym.bounds_cli import MAX_BOUND_DIGITS
 
     def no_work(*args):
         raise AssertionError("computed a bound past the limit")
 
-    monkeypatch.setattr(bounds_cli, "cor18_bound", no_work)
-    monkeypatch.setattr(bounds_cli, "prop11_report", no_work)
-    monkeypatch.setattr(hecke_symbols, "criterion_threshold", no_work)
+    for name in ("cor18_bound", "prop11_report", "criterion_threshold"):
+        monkeypatch.setattr(bounds, name, no_work)
     for argv, flag in [
         (["--table", "--d-max", "7000"], "--d-max 7000"),
         (["--prop11", "--l", "3", "--d", "10000"], "--d 10000"),
@@ -1028,6 +1040,24 @@ def test_cli_refuses_oversized_up_matrix_a_p_before_building(capsys, monkeypatch
                                            f"denominator has more than {MAX_BOUND_DIGITS} digits\n")
 
 
+def test_cli_refuses_a_long_written_a_p_exponent_before_parsing(capsys, monkeypatch):
+    from windsym import bounds_cli
+
+    def no_parse(*args):
+        raise AssertionError("parsed an --a-p whose exponent is past the limit")
+
+    # Fraction would form 10^exp (12 s for 1e10000000); a zero mantissa is
+    # refused alike
+    monkeypatch.setattr(bounds_cli, "Fraction", no_parse)
+    for a_p in ("1e10000000", "1e-10000000", "0e10000000", "1E+4_010"):
+        assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "2", f"--a-p={a_p}"]) == 2
+        assert capsys.readouterr() == ("", "error: --a-p exceeds the limit: its numerator or "
+                                           "denominator has more than 4000 digits\n")
+    monkeypatch.undo()
+    rc, out = run_cli(capsys, "qexp", "up-matrix", "--case", "coprime", "--k", "2", "--a-p", "1e3999")
+    assert rc == 0 and json.loads(out)["entries"][0][0] == "1" + "0" * 3999
+
+
 @pytest.mark.parametrize("argv", [["paths", "--p", "101", "--r", "2"], ["paths", "sweep", "--pn", "101"]],
                          ids=["paths", "sweep"])
 def test_cli_paths_refuses_d_below_one_before_any_walk(capsys, monkeypatch, argv):
@@ -1041,6 +1071,32 @@ def test_cli_paths_refuses_d_below_one_before_any_walk(capsys, monkeypatch, argv
     for d in ("0", "-1"):
         assert cli_main([*argv, "--d", d]) == 2
         assert capsys.readouterr() == ("", "error: D must be >= 1\n")
+
+
+@pytest.mark.parametrize("flag", [["--p", "5"], ["--n", "2"], ["--r", "3"], ["--d", "3"], ["--out"]],
+                         ids=["p", "n", "r", "d", "out"])
+def test_cli_paths_refuses_its_own_flags_before_sweep(capsys, monkeypatch, tmp_path, flag):
+    from windsym import winding_paths
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a chain with a paths flag before sweep")
+
+    # the sweep reads none of them, so each is refused rather than dropped
+    target = tmp_path / "f.csv"
+    if flag == ["--out"]:
+        flag = ["--out", str(target)]
+    for name in ("walk_chain_A", "walk_chain_B", "walk_chain_B_prime"):
+        monkeypatch.setattr(winding_paths, name, no_walk)
+    assert cli_main(["paths", *flag, "sweep", "--pn", "7", "--r-max", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag[0]} applies only to paths without sweep\n")
+    assert not target.exists()
+    monkeypatch.undo()
+    # given after sweep, --d and --out are the sweep's own: chain A at r = 1
+    # reads 7/3 - 3 - 2 with D = 3
+    assert cli_main(["paths", "sweep", "--pn", "7", "--r-max", "2", "--d", "3",
+                     "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_text().splitlines()[1] == "7,1,1,A,4,-8/3,"
 
 
 @pytest.mark.parametrize("target", [Path("missing") / "x.json", Path(".")], ids=["missing-dir", "a-dir"])
@@ -1098,14 +1154,13 @@ BOUNDS_READS = {
 
 
 def test_cli_bounds_refuses_flags_its_mode_does_not_read(capsys, monkeypatch):
-    from windsym import bounds_cli, hecke_symbols
+    from windsym import bounds
 
     def no_work(*args):
         raise AssertionError("computed a bound with a flag the mode does not read")
 
-    for name in ("prop11_report", "constants_consistency", "cor18_bound"):
-        monkeypatch.setattr(bounds_cli, name, no_work)
-    monkeypatch.setattr(hecke_symbols, "criterion_threshold", no_work)
+    for name in ("prop11_report", "constants_consistency", "cor18_bound", "criterion_threshold"):
+        monkeypatch.setattr(bounds, name, no_work)
     for mode, reads in BOUNDS_READS.items():
         for flag, value in BOUNDS_FLAGS.items():
             if flag in reads:

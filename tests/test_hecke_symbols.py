@@ -353,8 +353,8 @@ def test_walk_matches_search(monkeypatch):
 @pytest.mark.parametrize("p, n", [(5, 6), (3, 9), (20011, 1), (1000003, 1), (3, 13)])
 def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
     # each sigma and tau call of a walk that closes equals the P1Point
-    # route's, and its word, walked again on that route, crosses no edge of
-    # S and ends in the tau orbit of sigma x
+    # route's, and its word, the only one drawn, walked again on that route,
+    # crosses no edge of S and ends in the tau orbit of sigma x
     pp = PrimePower(p, n)
     words, calls = [], []
     make_words = hecke_symbols._words
@@ -363,6 +363,7 @@ def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
         for word in make_words(m):
             words.append(word)
             yield word
+            raise AssertionError("drew a second word")
 
     def spy(name, oracle):
         method = getattr(P1Table, name)
@@ -387,7 +388,8 @@ def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
     assert hecke_symbols._span_matrices(pp, 2)[0] == []
     assert taken == [True]
     assert calls and all(out == want for _, out, want in calls)
-    x, word = (pp.modulus + 1) // 2, words[-1]  # the walk starts at 1/2
+    [word] = words
+    x = (pp.modulus + 1) // 2  # the walk starts at 1/2
     assert 0 < len(word) <= 4 * pp.modulus.bit_length() + 8
     y = x
     for letter in word:
@@ -480,9 +482,7 @@ def test_walk_closes_with_its_first_word():
                 heads[min(y, z)] = max(y, z)
         half = (table.pp.modulus + 1) // 2
         assert sorted(heads) == [0, half], (p, n)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hecke_symbols, "_WALK_WORDS", 1)
-            assert hecke_symbols._walk_joins(table, half, heads[half], {0, half}), (p, n)
+        assert hecke_symbols._walk_joins(table, half, heads[half], {0, half}), (p, n)
 
 
 def _criterion_failures(levels, d: int) -> set[int]:
