@@ -31,6 +31,12 @@ def auxiliary_prime(p: int) -> int:
     return 5 if p == 3 else 3
 
 
+def regime_threshold(p: int, imax: int) -> int:
+    """C^2 imax^6: from this level p^n on, T_1..T_imax{0,oo} are guaranteed
+    independent (imax = sd in the criterion)."""
+    return c_squares(p)[1] * imax**6
+
+
 @dataclass
 class BoundReport:
     """One evaluated bound formula with its exact value and tagged variants."""
@@ -116,8 +122,7 @@ def criterion_threshold(p: int, d: int) -> CriterionThreshold:
     if d < 1:
         raise ValueError("d must be >= 1")
     s = smallest_prime_excluding(p)
-    c2 = c_squares(p)[1]
-    return CriterionThreshold(p, d, s, c2, c2 * (s * d) ** 6)
+    return CriterionThreshold(p, d, s, c_squares(p)[1], regime_threshold(p, s * d))
 
 
 def cor18_bound(p: int, d: int) -> int:
@@ -184,5 +189,5 @@ def constants_consistency() -> ConstantsReport:
 __all__ = [
     "BoundReport", "ConstantsReport", "CriterionThreshold", "LAMBDA_FACTORS",
     "auxiliary_prime", "c_squares", "constants_consistency", "cor18_bound",
-    "criterion_threshold", "prop11_bound", "prop11_report",
+    "criterion_threshold", "prop11_bound", "prop11_report", "regime_threshold",
 ]

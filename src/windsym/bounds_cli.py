@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .arith import is_prime, prime_power
+from .arith import is_prime, prime_power, smallest_prime_excluding
 
 # The layer modules and windsym.bounds are imported inside the handlers that
 # run them, so a run compiles and holds only what its subcommand uses:
@@ -100,11 +100,18 @@ def _exponent_too_long(text: str) -> bool:
     return len(digits) > len(str(most)) or int(digits or 0) > most
 
 
+_PRIME_CLASSES = (5, 3, 2)  # p not 2 or 3, p = 3, p = 2: the table's columns
+
+
 def _check_digits(flag: str, d: int, l: int = 1) -> None:
     """Refuse a d whose bounds could print more than MAX_BOUND_DIGITS digits:
-    every value `bounds` prints is at most 129 (3d)^6 l^d, with l the base
-    of its power (5 for the table, 1 for the threshold alone)."""
-    if _too_long(l, d, 129 * (3 * d) ** 6):
+    every value `bounds` prints is at most T l^d, with T the largest
+    threshold C^2 (sd)^6 of windsym.bounds over the prime classes and l the
+    base of its power (1 for the threshold alone)."""
+    from . import bounds
+
+    top = max(bounds.regime_threshold(p, smallest_prime_excluding(p) * d) for p in _PRIME_CLASSES)
+    if _too_long(l, d, top):
         raise ValueError(f"{flag} {d} exceeds the limit: the bounds would print more than "
                          f"{MAX_BOUND_DIGITS} digits")
 
@@ -116,6 +123,17 @@ def _check_level(p: int, n: int) -> None:
     if _too_long(p, n):
         raise ValueError(f"--n {n} exceeds the limit: p^n would have more than "
                          f"{MAX_BOUND_DIGITS} digits")
+
+
+def _flags_apply(args, defaults: dict, reads, where) -> None:
+    """The one rule for flags a mode does not read: each flag of defaults is
+    None unless given; one given outside reads is refused before any work,
+    and one not given takes its default."""
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in reads:
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to {where(dest)}")
 
 
 def _check_cap(flag: str, value: int, limit: int) -> None:
@@ -278,9 +296,8 @@ def _cmd_paths(args) -> int:
 
     if args.mode == "sweep":
         # None unless given before sweep, whose --d and --out have own dests
-        for dest in ("p", "n", "r", "d", "out"):
-            if getattr(args, dest) is not None:
-                raise ValueError(f"--{dest} applies only to paths without sweep")
+        _flags_apply(args, dict.fromkeys(("p", "n", "r", "d", "out")), (),
+                     lambda _: "paths without sweep")
         args.d, args.out = args.sweep_d, args.sweep_out
     if args.d is not None and args.d < 1:
         raise ValueError("D must be >= 1")
@@ -331,6 +348,10 @@ def _cmd_paths_sweep(args) -> int:
     return 1 if bad else 0
 
 
+# The flags only `qexp up-matrix --case coprime` reads: its entry eps_p p^(lam-1)
+_COPRIME_DEFAULTS = {"eps_p": 1, "lam": 2, "prime": 2}
+
+
 def _cmd_qexp(args) -> int:
     from .qexp_hecke import (
         CASE_COPRIME,
@@ -354,10 +375,12 @@ def _cmd_qexp(args) -> int:
         _emit(payload, args)
         return 0 if rel.all_passed and ident.passed and rel.witness_found else 1
     if args.mode == "up-matrix":
+        coprime = _COPRIME_DEFAULTS if args.case == "coprime" else ()
+        _flags_apply(args, _COPRIME_DEFAULTS, coprime, lambda _: "--case coprime")
         _check_cap("--k", args.k, MAX_UP_MATRIX_K)
         case = CASE_DIVIDES if args.case == "divides" else CASE_COPRIME
         # the charpoly prints 1, -a_p and the entry eps_p p^(lam-1)
-        if case == CASE_COPRIME and _too_long(args.prime, args.lam - 1, args.eps_p):
+        if _too_long(args.prime, args.lam - 1, args.eps_p):
             raise ValueError(f"--lam {args.lam} exceeds the limit: eps_p p^(lam-1) would print "
                              f"more than {MAX_BOUND_DIGITS} digits")
         try:
@@ -391,22 +414,12 @@ _BOUNDS_READS = {
 _BOUNDS_DEFAULTS = {"d_max": 5, "csv": False, "d": 1, "l": 3, "p": 5, "original_order": False}
 
 
-def _bounds_flags(args) -> None:
-    """Refuse a flag the chosen mode does not read, then fill in the
-    defaults of those not given (each flag is None unless given)."""
-    mode = next(m for m in _BOUNDS_READS if getattr(args, m))
-    for dest, default in _BOUNDS_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif dest not in _BOUNDS_READS[mode]:
-            modes = " and ".join(f"--{m}" for m, reads in _BOUNDS_READS.items() if dest in reads)
-            raise ValueError(f"--{dest.replace('_', '-')} applies only to {modes}")
-
-
 def _cmd_bounds(args) -> int:
     from . import bounds
 
-    _bounds_flags(args)
+    mode = next(m for m in _BOUNDS_READS if getattr(args, m))
+    _flags_apply(args, _BOUNDS_DEFAULTS, _BOUNDS_READS[mode],
+                 lambda dest: " and ".join(f"--{m}" for m, r in _BOUNDS_READS.items() if dest in r))
     if args.constants:
         rep = bounds.constants_consistency()
         _emit(rep.to_json(), args)
@@ -428,12 +441,9 @@ def _cmd_bounds(args) -> int:
     dmax = args.d_max
     if dmax < 1:
         raise ValueError("--d-max must be >= 1")
-    _check_digits("--d-max", dmax, 5)
+    _check_digits("--d-max", dmax, max(map(bounds.auxiliary_prime, _PRIME_CLASSES)))
     header = ["d", "p_not_2_3", "p_3", "p_2"]
-    rows = [
-        [d, bounds.cor18_bound(5, d), bounds.cor18_bound(3, d), bounds.cor18_bound(2, d)]
-        for d in range(1, dmax + 1)
-    ]
+    rows = [[d, *(bounds.cor18_bound(p, d) for p in _PRIME_CLASSES)] for d in range(1, dmax + 1)]
     if args.csv:
         _emit(_csv_text(header, rows), args)
     else:
@@ -506,9 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     um.add_argument("--case", choices=["divides", "coprime"], required=True)
     um.add_argument("--k", type=int, required=True)
     um.add_argument("--a-p", default="1", help="eigenvalue a_p (rational)")
-    um.add_argument("--eps-p", type=int, default=1)
-    um.add_argument("--lam", type=int, default=2)
-    um.add_argument("--prime", type=int, default=2, help="the prime p")
+    um.add_argument("--eps-p", type=int, help="--case coprime only (default 1)")
+    um.add_argument("--lam", type=int, help="--case coprime only (default 2)")
+    um.add_argument("--prime", type=int, help="the prime p: --case coprime only (default 2)")
     add_out(um)
     um.set_defaults(func=_cmd_qexp)
 

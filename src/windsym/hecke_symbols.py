@@ -58,7 +58,7 @@ from math import gcd, isqrt
 from typing import Iterator, Optional
 
 from .arith import is_prime
-from .bounds import c_squares, criterion_threshold
+from .bounds import criterion_threshold, regime_threshold
 from .residue_p1 import MAX_HECKE_R, P1Table, PrimePower
 
 
@@ -68,19 +68,6 @@ class SymbolVector:
 
     table: P1Table
     coeffs: dict[int, int] = dc_field(default_factory=dict)
-
-    def add_term(self, idx: int, c: int) -> None:
-        v = self.coeffs.get(idx, 0) + c
-        if v:
-            self.coeffs[idx] = v
-        elif idx in self.coeffs:
-            del self.coeffs[idx]
-
-    def total(self) -> int:
-        return sum(self.coeffs.values())
-
-    def support(self) -> set[int]:
-        return set(self.coeffs)
 
 
 def admissible_pairs(k: int) -> Iterator[tuple[int, int, int]]:
@@ -106,12 +93,12 @@ def winding_image(r: int, table: P1Table) -> SymbolVector:
     """The vector of T_r{0, oo} in Z[P^1]."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    out = SymbolVector(table)
+    coeffs = {}  # multiplicities are positive, so no sum reaches zero
     for w, t, mult in admissible_pairs(r):
         idx = table.index(w, t)
         if idx is not None:
-            out.add_term(idx, mult)
-    return out
+            coeffs[idx] = coeffs.get(idx, 0) + mult
+    return SymbolVector(table, coeffs)
 
 
 @dataclass(frozen=True)
@@ -122,14 +109,10 @@ class SigmaRSet:
     members: frozenset[int]
     leading_index: int
 
-    def __contains__(self, idx: int) -> bool:
-        return idx in self.members
-
 
 def sigma_r_set(r: int, table: P1Table) -> SigmaRSet:
     if r < 1:
         raise ValueError("r must be >= 1")
-    # multiplicities are positive, so no class of an image cancels
     members = set().union(*(winding_image(k, table).coeffs for k in range(1, r + 1)))
     leading = table.index(1, r)
     if leading is None:
@@ -360,7 +343,7 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     tails = sorted(heads)
     rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
     removed = set(tails)
-    if pp.modulus >= c_squares(pp.p)[1] * imax**6:  # the guaranteed regime
+    if pp.modulus >= regime_threshold(pp.p, imax):  # the guaranteed regime
         tau = table.tau
         half = (pp.modulus + 1) // 2  # the point 1/2 when p is odd
         bridges = [x for x in tails if heads[x] not in (tau(x), tau(tau(x)))]
@@ -415,19 +398,30 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
 
 @dataclass
 class CriterionReport:
-    """Outcome of the independence test (criterion condition) for one (p, n, d, l)."""
+    """Outcome of the independence test (criterion condition) for one
+    (p, n, d, l): the rank achieved and the threshold C^2 (sd)^6 are stored,
+    and the required rank sd, the verdict and whether p^n clears the
+    threshold are read off them."""
 
     p: int
     n: int
     d: int
     s: int
     l: int
-    required_rank: int
     achieved_rank: int
-    passed: bool
     threshold: int
-    threshold_satisfied: bool
-    l_equals_p: bool
+
+    @property
+    def required_rank(self) -> int:
+        return self.s * self.d
+
+    @property
+    def passed(self) -> bool:
+        return self.achieved_rank == self.required_rank
+
+    @property
+    def threshold_satisfied(self) -> bool:
+        return self.p**self.n >= self.threshold
 
     def to_json(self) -> dict:
         out = {
@@ -443,7 +437,7 @@ class CriterionReport:
             "threshold": self.threshold,
             "threshold_satisfied": self.threshold_satisfied,
         }
-        if self.l_equals_p:
+        if self.l == self.p:
             out["warning"] = "l equals p; the test is normally run with l != p"
         return out
 
@@ -465,19 +459,7 @@ def check_kamienny_condition3(p: int, n: int, d: int, l: int) -> CriterionReport
     if required > MAX_HECKE_R:
         raise ValueError(f"s*d = {required} exceeds the limit {MAX_HECKE_R}")
     achieved = hecke_span_rank(pp, required, l)
-    return CriterionReport(
-        p=p,
-        n=n,
-        d=d,
-        s=thr.s,
-        l=l,
-        required_rank=required,
-        achieved_rank=achieved,
-        passed=achieved == required,
-        threshold=thr.threshold,
-        threshold_satisfied=pp.modulus >= thr.threshold,
-        l_equals_p=l == p,
-    )
+    return CriterionReport(p, n, d, thr.s, l, achieved, thr.threshold)
 
 
 __all__ = [

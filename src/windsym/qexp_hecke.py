@@ -56,6 +56,7 @@ which is all the calculus needs; general cyclotomic characters stay behind
 this interface.
 """
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,7 +106,7 @@ class Quad:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quad(self.disc, self.a - o.a, self.b - o.b)
+        return self + (-o)
 
     def __rsub__(self, other):
         return -self + other
@@ -345,29 +346,24 @@ class QExpansion:
         ):
             raise ValueError("series have different order, weight, or character")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op applied coefficientwise; reliable to the lesser of the two."""
         if not isinstance(other, QExpansion):
             return NotImplemented
         self._compatible(other)
         return QExpansion(
-            tuple(x + y for x, y in zip(self.coeffs, other.coeffs)),
+            tuple(map(op, self.coeffs, other.coeffs)),
             self.order,
             min(self.reliable, other.reliable),
             self.weight,
             self.eps,
         )
 
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
     def __sub__(self, other):
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        self._compatible(other)
-        return QExpansion(
-            tuple(x - y for x, y in zip(self.coeffs, other.coeffs)),
-            self.order,
-            min(self.reliable, other.reliable),
-            self.weight,
-            self.eps,
-        )
+        return self._combine(other, operator.sub)
 
     def __rmul__(self, scalar):
         return QExpansion(
@@ -836,6 +832,12 @@ class OldclassMatrix:
         return self.k + 1
 
 
+def _jordan_chain(n: int, start: int) -> list:
+    """The n x n zero matrix with ones on the superdiagonal from row start
+    on: one nilpotent Jordan block on the basis vectors from start."""
+    return [[int(start <= i == j - 1) for j in range(n)] for i in range(n)]
+
+
 def build_Up_matrix(
     case: str, a_p, eps_p: int, lam: int, k: int, p: int | None = None
 ) -> OldclassMatrix:
@@ -852,10 +854,7 @@ def build_Up_matrix(
         raise ValueError("lam must be >= 1")
     if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = k + 1
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        entries[i][i + 1] = 1
+    entries = _jordan_chain(k + 1, 0)
     entries[0][0] = a_p
     if case == CASE_DIVIDES:
         return OldclassMatrix("M1", k, entries)
@@ -871,12 +870,9 @@ def m3_matrix(alpha, beta, k: int) -> OldclassMatrix:
     """Canonical form diag(alpha, beta) + nilpotent block of size k-1 (M3)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = k + 1
-    entries = [[0] * n for _ in range(n)]
+    entries = _jordan_chain(k + 1, 2)
     entries[0][0] = alpha
     entries[1][1] = beta
-    for i in range(2, n - 1):
-        entries[i][i + 1] = 1
     return OldclassMatrix("M3", k, entries)
 
 
@@ -884,13 +880,9 @@ def m4_matrix(a_p, k: int) -> OldclassMatrix:
     """Canonical form [[a_p/2, 1], [0, a_p/2]] + nilpotent block (M4)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = k + 1
-    entries = [[0] * n for _ in range(n)]
-    entries[0][0] = _div_scalar(a_p, 2)
+    entries = _jordan_chain(k + 1, 2)
+    entries[0][0] = entries[1][1] = _div_scalar(a_p, 2)
     entries[0][1] = 1
-    entries[1][1] = _div_scalar(a_p, 2)
-    for i in range(2, n - 1):
-        entries[i][i + 1] = 1
     return OldclassMatrix("M4", k, entries)
 
 
@@ -956,21 +948,15 @@ def _rank_field(rows) -> int:
     return rank
 
 
-def _rational_sqrt(x: Fraction):
-    """Exact square root of a rational, or None."""
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _sqrt_decompose(x: Fraction) -> tuple[int, Fraction]:
-    """(D, s) with sqrt(x) = s*sqrt(D), D squarefree; x must not be a square."""
+    """(D, s) with sqrt(x) = s*sqrt(D), D squarefree, for a nonzero rational
+    x: D = 1 exactly when x is a rational square, and then s = sqrt(x)."""
     v = x.numerator * x.denominator
     sign = -1 if v < 0 else 1
     v = abs(v)
+    r = isqrt(v)
+    if sign > 0 and r * r == v:  # x = v / den^2
+        return 1, Fraction(r, x.denominator)
     s, d = 1, 1
     for p, e in factorize(v).items():
         s *= p ** (e // 2)
@@ -1023,14 +1009,11 @@ def jordan_structure(matrix) -> JordanReport:
         if disc == 0:
             eigs.append(-b / 2)
         else:
-            s = _rational_sqrt(disc)
-            if s is not None:
-                eigs.extend([(-b + s) / 2, (-b - s) / 2])
+            d, sc = _sqrt_decompose(disc)
+            if d == 1:
+                eigs.extend([(-b + sc) / 2, (-b - sc) / 2])
             else:
-                d, sc = _sqrt_decompose(disc)
-                eigs.extend(
-                    [Quad(d, -b / 2, sc / 2), Quad(d, -b / 2, -sc / 2)]
-                )
+                eigs.extend([Quad(d, -b / 2, sc / 2), Quad(d, -b / 2, -sc / 2)])
     elif deg > 2:
         raise NotImplementedError("characteristic polynomial not of oldclass shape")
     if m0 > 0:
@@ -1151,10 +1134,8 @@ def jordan_basis_trivial_char(a_p: int, k: int) -> JordanBasisReport:
             col[0] -= a_p if j % 2 == 1 else 1
         cols.append(col)
     c_mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    jordan = [[0] * n for _ in range(n)]
+    jordan = _jordan_chain(n, 1)
     jordan[0][0] = a_p
-    for i in range(1, n - 1):
-        jordan[i][i + 1] = 1
     if k == 0:
         m1 = [[a_p]]
     else:

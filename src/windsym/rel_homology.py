@@ -82,36 +82,18 @@ class RelationSpan:
 
 
 def invariant_generators(table: P1Table) -> RelationSpan:
-    """Orbit-sum generators of the sigma- and tau-invariant submodules."""
-    sigma_rows = []
-    seen: set[int] = set()
-    for x in range(table.size):
-        if x in seen:
-            continue
-        y = table.sigma_perm[x]
-        if y == x:
-            sigma_rows.append({x: 1})
-            seen.add(x)
-        else:
-            sigma_rows.append({x: 1, y: 1})
-            seen.update((x, y))
-    tau_rows = []
-    seen = set()
-    for x in range(table.size):
-        if x in seen:
-            continue
-        y = table.tau_perm[x]
-        if y == x:
-            tau_rows.append({x: 1})
-            seen.add(x)
-        else:
-            z = table.tau_perm[y]
-            row: dict[int, int] = {}
-            for v in (x, y, z):
-                row[v] = row.get(v, 0) + 1
-            tau_rows.append(row)
-            seen.update((x, y, z))
-    return RelationSpan(table.size, tuple(sigma_rows), tuple(tau_rows))
+    """Orbit-sum generators of the sigma- and tau-invariant submodules, one
+    row per orbit at its least point x, in the order of x.  An orbit has one
+    point or all of sigma's two or tau's three, so a fixed point's row is
+    {x: 1}."""
+    sigma, tau = table.sigma_perm, table.tau_perm
+    sigma_rows = tuple({x: 1, sigma[x]: 1} for x in range(table.size) if x <= sigma[x])
+    tau_rows = tuple(
+        {x: 1, tau[x]: 1, tau[tau[x]]: 1}
+        for x in range(table.size)
+        if x <= tau[x] and x <= tau[tau[x]]
+    )
+    return RelationSpan(table.size, sigma_rows, tau_rows)
 
 
 def elliptic_point_counts(pp: PrimePower) -> tuple[int, int]:

@@ -908,6 +908,25 @@ def test_cli_bounds_refuses_too_many_digits_before_computing(capsys, monkeypatch
     assert "--d-max 4 exceeds the limit" in capsys.readouterr().err
 
 
+def test_cli_digit_guard_follows_the_bounds_module(capsys, monkeypatch):
+    """The guard judges the formula windsym.bounds prints: with C^2 raised
+    there, a d_max the unraised guard admits is refused."""
+    from windsym import bounds, bounds_cli
+
+    monkeypatch.setattr(bounds_cli, "MAX_BOUND_DIGITS", 10)
+    assert cli_main(["bounds", "--table", "--d-max", "3"]) == 0
+    capsys.readouterr()
+    c_squares = bounds.c_squares
+    monkeypatch.setattr(bounds, "c_squares", lambda p: (c_squares(p)[0], 10 * c_squares(p)[1]))
+    assert cli_main(["bounds", "--table", "--d-max", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: --d-max 3 exceeds the limit: the bounds would "
+                                       "print more than 10 digits\n")
+    # the raised values still fit wherever the guard admits them
+    rc, out = run_cli(capsys, "bounds", "--table", "--d-max", "2")
+    assert rc == 0
+    assert max(len(str(v)) for row in json.loads(out)["rows"] for v in row[1:]) <= 10
+
+
 def test_cli_refuses_oversized_qexp_order_before_drawing(capsys, monkeypatch):
     from windsym import qexp_hecke
     from windsym.qexp_hecke import MAX_QEXP_ORDER
@@ -979,11 +998,31 @@ def test_cli_refuses_oversized_up_matrix_k_before_building(capsys, monkeypatch):
 
 def test_cli_up_matrix_refuses_lam_below_one(capsys):
     # p^(lam - 1) would be a float: --lam 0 used to print "-0.2"
-    for case in ("coprime", "divides"):
-        for lam in ("0", "-1"):
-            argv = ["qexp", "up-matrix", "--case", case, "--k", "2", "--prime", "5", "--lam", lam]
-            assert cli_main(argv) == 2
-            assert capsys.readouterr() == ("", "error: lam must be >= 1\n")
+    for lam in ("0", "-1"):
+        argv = ["qexp", "up-matrix", "--case", "coprime", "--k", "2", "--prime", "5", "--lam", lam]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", "error: lam must be >= 1\n")
+        # the divides case reads no --lam, so it refuses the flag itself
+        assert cli_main(["qexp", "up-matrix", "--case", "divides", "--k", "2", "--lam", lam]) == 2
+        assert capsys.readouterr() == ("", "error: --lam applies only to --case coprime\n")
+
+
+def test_cli_up_matrix_divides_refuses_the_coprime_flags_before_building(capsys, monkeypatch):
+    from windsym import qexp_hecke
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("built a matrix with a flag it does not read")
+
+    rc, out = run_cli(capsys, "qexp", "up-matrix", "--case", "divides", "--k", "2", "--a-p", "3")
+    assert rc == 0
+    assert json.loads(out)["entries"] == [["3", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]]
+    monkeypatch.setattr(qexp_hecke, "build_Up_matrix", no_work)
+    monkeypatch.setattr(qexp_hecke, "charpoly", no_work)
+    # refused even at its default value, as a bounds flag is
+    for flag, value in (("--eps-p", "5"), ("--lam", "9"), ("--prime", "3"), ("--eps-p", "1"),
+                        ("--lam", "2"), ("--prime", "2")):
+        assert cli_main(["qexp", "up-matrix", "--case", "divides", "--k", "2", flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} applies only to --case coprime\n")
 
 
 def test_cli_refuses_oversized_up_matrix_lam_before_building(capsys, monkeypatch):
@@ -1008,10 +1047,9 @@ def test_cli_refuses_oversized_up_matrix_lam_before_building(capsys, monkeypatch
         lam = argv[3]
         assert capsys.readouterr() == ("", f"error: --lam {lam} exceeds the limit: eps_p p^(lam-1) "
                                            f"would print more than {MAX_BOUND_DIGITS} digits\n")
-    monkeypatch.undo()
-    # the divides case forms no power, so its --lam is not judged
-    assert cli_main(["qexp", "up-matrix", "--case", "divides", "--k", "1", "--lam", "1000000000"]) == 0
-    assert json.loads(capsys.readouterr().out)["entries"] == [["1", "1"], ["0", "0"]]
+    # the divides case forms no power: its --lam is refused as a flag it does not read
+    assert cli_main(["qexp", "up-matrix", "--case", "divides", "--k", "1", "--lam", "1000000000"]) == 2
+    assert capsys.readouterr() == ("", "error: --lam applies only to --case coprime\n")
 
 
 def test_cli_refuses_oversized_up_matrix_a_p_before_building(capsys, monkeypatch):

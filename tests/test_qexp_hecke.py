@@ -578,6 +578,18 @@ def test_jordan_census_m2_rational_roots():
     assert rep.sizes_for(F(0)) == (1,)
 
 
+def test_jordan_census_m2_rational_roots_with_a_denominator():
+    # a_p = 7/2, theta = -2: the discriminant 49/4 + 8 = 81/4 is a square
+    # with a denominator, so the roots 4 and -1/2 stay rational
+    mat = build_Up_matrix(CASE_COPRIME, F(7, 2), -1, 2, 3, p=2)
+    rep = jordan_structure(mat)
+    assert rep.sizes_for(F(4)) == (1,)
+    assert rep.sizes_for(F(-1, 2)) == (1,)
+    assert rep.sizes_for(F(0)) == (2,)
+    assert rep.block_count == 3
+    assert not any(isinstance(eig, Quad) for eig, _ in rep.blocks)
+
+
 def test_jordan_census_m2_double_root_is_m4_shape():
     # weight 3, p = 2: theta = 4, a_p = 4 gives a_p^2 = 4 theta, double
     # root 2 in one 2x2 block; matches the canonical M4 form
