@@ -37,6 +37,12 @@ def regime_threshold(p: int, imax: int) -> int:
     return c_squares(p)[1] * imax**6
 
 
+def degree_threshold(p: int, d: int) -> int:
+    """C^2 (sd)^6, s the smallest prime != p: the regime threshold at
+    imax = sd, unchecked, so a guard can bound it before any report."""
+    return regime_threshold(p, smallest_prime_excluding(p) * d)
+
+
 @dataclass
 class BoundReport:
     """One evaluated bound formula with its exact value and tagged variants."""
@@ -121,8 +127,8 @@ def criterion_threshold(p: int, d: int) -> CriterionThreshold:
         raise ValueError("p must be prime")
     if d < 1:
         raise ValueError("d must be >= 1")
-    s = smallest_prime_excluding(p)
-    return CriterionThreshold(p, d, s, c_squares(p)[1], regime_threshold(p, s * d))
+    return CriterionThreshold(p, d, smallest_prime_excluding(p), c_squares(p)[1],
+                              degree_threshold(p, d))
 
 
 def cor18_bound(p: int, d: int) -> int:
@@ -189,5 +195,6 @@ def constants_consistency() -> ConstantsReport:
 __all__ = [
     "BoundReport", "ConstantsReport", "CriterionThreshold", "LAMBDA_FACTORS",
     "auxiliary_prime", "c_squares", "constants_consistency", "cor18_bound",
-    "criterion_threshold", "prop11_bound", "prop11_report", "regime_threshold",
+    "criterion_threshold", "degree_threshold", "prop11_bound", "prop11_report",
+    "regime_threshold",
 ]

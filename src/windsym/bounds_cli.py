@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .arith import is_prime, prime_power, smallest_prime_excluding
+from .arith import is_prime, prime_power
 
 # The layer modules and windsym.bounds are imported inside the handlers that
 # run them, so a run compiles and holds only what its subcommand uses:
@@ -110,7 +110,7 @@ def _check_digits(flag: str, d: int, l: int = 1) -> None:
     base of its power (1 for the threshold alone)."""
     from . import bounds
 
-    top = max(bounds.regime_threshold(p, smallest_prime_excluding(p) * d) for p in _PRIME_CLASSES)
+    top = max(bounds.degree_threshold(p, d) for p in _PRIME_CLASSES)
     if _too_long(l, d, top):
         raise ValueError(f"{flag} {d} exceeds the limit: the bounds would print more than "
                          f"{MAX_BOUND_DIGITS} digits")
@@ -348,10 +348,6 @@ def _cmd_paths_sweep(args) -> int:
     return 1 if bad else 0
 
 
-# The flags only `qexp up-matrix --case coprime` reads: its entry eps_p p^(lam-1)
-_COPRIME_DEFAULTS = {"eps_p": 1, "lam": 2, "prime": 2}
-
-
 def _cmd_qexp(args) -> int:
     from .qexp_hecke import (
         CASE_COPRIME,
@@ -375,12 +371,10 @@ def _cmd_qexp(args) -> int:
         _emit(payload, args)
         return 0 if rel.all_passed and ident.passed and rel.witness_found else 1
     if args.mode == "up-matrix":
-        coprime = _COPRIME_DEFAULTS if args.case == "coprime" else ()
-        _flags_apply(args, _COPRIME_DEFAULTS, coprime, lambda _: "--case coprime")
         _check_cap("--k", args.k, MAX_UP_MATRIX_K)
         case = CASE_DIVIDES if args.case == "divides" else CASE_COPRIME
         # the charpoly prints 1, -a_p and the entry eps_p p^(lam-1)
-        if _too_long(args.prime, args.lam - 1, args.eps_p):
+        if case == CASE_COPRIME and _too_long(args.prime, args.lam - 1, args.eps_p):
             raise ValueError(f"--lam {args.lam} exceeds the limit: eps_p p^(lam-1) would print "
                              f"more than {MAX_BOUND_DIGITS} digits")
         try:
@@ -516,9 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     um.add_argument("--case", choices=["divides", "coprime"], required=True)
     um.add_argument("--k", type=int, required=True)
     um.add_argument("--a-p", default="1", help="eigenvalue a_p (rational)")
-    um.add_argument("--eps-p", type=int, help="--case coprime only (default 1)")
-    um.add_argument("--lam", type=int, help="--case coprime only (default 2)")
-    um.add_argument("--prime", type=int, help="the prime p: --case coprime only (default 2)")
+    um.add_argument("--eps-p", type=int, default=1)
+    um.add_argument("--lam", type=int, default=2)
+    um.add_argument("--prime", type=int, default=2, help="the prime p")
     add_out(um)
     um.set_defaults(func=_cmd_qexp)
 
