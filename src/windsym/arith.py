@@ -209,6 +209,38 @@ def ceil_isqrt(v: int) -> int:
     return s if s * s == v else s + 1
 
 
+def rank(rows: list[list[int]], char: int) -> int:
+    """Rank of small dense integer rows over Q (char 0) or F_l (char l): the
+    package's one row elimination, for the criterion and the Jordan census.
+
+    Each step replaces a row by pivot * row - entry * pivot_row, taken mod l
+    over F_l.  Over Q this is fraction-free (Bareiss) elimination: dividing
+    by the previous pivot is exact, so entries stay integers of the size of
+    a minor and no division ever rounds.
+    """
+    rows = [[x % char for x in r] if char else list(r) for r in rows]
+    rows = [r for r in rows if any(r)]
+    found = 0
+    prev = 1
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(found, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[found], rows[piv] = rows[piv], rows[found]
+        pr = rows[found]
+        pv = pr[c]
+        for i in range(found + 1, len(rows)):
+            f = rows[i][c]
+            new = [pv * x - f * y for x, y in zip(rows[i], pr)]
+            rows[i] = [v % char for v in new] if char else [v // prev for v in new]
+        prev = pv
+        found += 1
+        if found == len(rows):
+            break
+    return found
+
+
 __all__ = [
     "is_prime",
     "factorize",
@@ -221,5 +253,6 @@ __all__ = [
     "smallest_prime_excluding",
     "kronecker",
     "ceil_isqrt",
+    "rank",
     "gcd",
 ]

@@ -57,7 +57,7 @@ from itertools import chain
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
-from .arith import is_prime
+from .arith import is_prime, rank
 from .bounds import criterion_threshold, regime_threshold
 from .residue_p1 import MAX_HECKE_R, P1Table, PrimePower
 
@@ -119,37 +119,6 @@ def sigma_r_set(r: int, table: P1Table) -> SigmaRSet:
         raise RuntimeError(f"(1, {r}) defines no point of P^1")
     members.discard(leading)
     return SigmaRSet(r, frozenset(members), leading)
-
-
-def _coordinate_rank(rows: list[list[int]], char: int) -> int:
-    """Rank of small dense integer coordinate rows over Q (char 0) or F_l.
-
-    Each elimination step replaces a row by pivot * row - entry * pivot_row,
-    taken mod l over F_l.  Over Q this is fraction-free (Bareiss) elimination:
-    dividing by the previous pivot is exact, so entries stay integers of the
-    size of a minor and no division ever rounds.
-    """
-    rows = [[x % char for x in r] if char else list(r) for r in rows]
-    rows = [r for r in rows if any(r)]
-    rank = 0
-    prev = 1
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        pv = pr[c]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            new = [pv * x - f * y for x, y in zip(rows[i], pr)]
-            rows[i] = [v % char for v in new] if char else [v // prev for v in new]
-        prev = pv
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def _all_joined(table: P1Table, removed: set[int], tails: list[int], heads: dict[int, int]) -> bool:
@@ -280,12 +249,12 @@ def _letters(w: Matrix, cap: int) -> Optional[list[int]]:
     return out
 
 
-def _words(m: int) -> Iterator[list[int]]:
-    """Words W in A and B with 1/2.W = (sigma 1/2).tau^2 at level m = p^n,
-    p odd: W = +-P gamma Q for gamma = [[a, b], [m, d]] in Gamma_0(m), taken
-    where W is nonnegative, with at most 4 log2(m) + 8 letters.  a runs
-    outward from floor(m/phi), so m/a has small partial quotients at first
-    and the words are short."""
+def _first_word(m: int) -> Optional[list[int]]:
+    """The first word W in A and B with 1/2.W = (sigma 1/2).tau^2 at level
+    m = p^n, p odd, or None: W = +-P gamma Q for gamma = [[a, b], [m, d]] in
+    Gamma_0(m), taken where W is nonnegative, with at most 4 log2(m) + 8
+    letters.  a runs outward from floor(m/phi) over _WALK_SCAN values, so
+    m/a has small partial quotients at first and the words are short."""
     cap = 4 * m.bit_length() + 8
     a0 = (isqrt(5 * m * m) - m) // 2
     for k in range(_WALK_SCAN):
@@ -295,16 +264,17 @@ def _words(m: int) -> Iterator[list[int]]:
         d = pow(a, -1, m)
         word = _letters(_mul(_mul(_P, ((a, (a * d - 1) // m), (m, d))), _Q), cap)
         if word is not None:
-            yield word
+            return word
+    return None
 
 
 def _walk_joins(table: P1Table, x: int, head: int, removed: set[int]) -> bool:
-    """Whether the first word of _words, walked from x (1/2, whose edge of S
+    """Whether the word of _first_word, walked from x (1/2, whose edge of S
     leads to head) on P1Table.sigma and tau, ends in head's tau orbit having
     crossed no edge whose tail is in removed: a path from x's vertex to
     head's in G minus S.  Letter A crosses the edge at y.tau, letter B the
     edge at y.tau^2."""
-    word = next(_words(table.pp.modulus), None)
+    word = _first_word(table.pp.modulus)
     if word is None:
         return False
     sigma, tau = table.sigma, table.tau
@@ -393,7 +363,7 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     if imax == 0:
         return 0
     cuts, rows = _span_matrices(pp, imax)
-    return _coordinate_rank(cuts + rows, l) - len(cuts)
+    return rank(cuts + rows, l) - len(cuts)
 
 
 @dataclass

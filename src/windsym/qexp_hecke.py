@@ -49,11 +49,12 @@ character, and the block-diagonal structure for general co-level are checked
 on genuine truncated series, not just on the matrices.
 
 Coefficient rings: exact rationals (fractions.Fraction), the quadratic
-extension Q(sqrt(D)) (class Quad), and polynomials over Q in one
-indeterminate (class PolyQ) for symbolic eigenvalue checks.  All three
-support ring operations, equality, and exact division by nonzero integers,
-which is all the calculus needs; general cyclotomic characters stay behind
-this interface.
+extension Q(sqrt(D)) (class Quad, any nonsquare D, compared by value), and
+polynomials over Q in one indeterminate (class PolyQ) for symbolic
+eigenvalue checks.  All three support ring operations, equality, and exact
+division by nonzero integers, which is all the calculus needs.  Matrices
+stay rational: the Jordan census takes its ranks over Q (arith.rank), and
+Quad only names the irrational roots.
 """
 
 import operator
@@ -61,9 +62,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .arith import divisors, factorize, is_prime, kronecker
+from .arith import divisors, factorize, is_prime, kronecker, rank
 
 # ---------------------------------------------------------------------------
 # Coefficient rings
@@ -71,22 +72,33 @@ from .arith import divisors, factorize, is_prime, kronecker
 
 
 class Quad:
-    """Element a + b*sqrt(disc) of Q(sqrt(disc)), disc squarefree, not 0 or 1."""
+    """Element a + b*sqrt(disc) of Q(sqrt(disc)), disc a nonsquare integer.
+
+    Radicands whose product is a square name one field, whose elements
+    compare, hash and combine by value: Quad(-28, 1, 1/2) == Quad(-7, 1, 1),
+    as b*sqrt(disc) is fixed by b^2 disc and the sign of b.  Mixing any
+    other two fields is refused."""
 
     __slots__ = ("disc", "a", "b")
 
     def __init__(self, disc: int, a=0, b=0):
-        if disc in (0, 1):
-            raise ValueError("disc must not be 0 or 1")
+        if disc >= 0 and isqrt(disc) ** 2 == disc:
+            raise ValueError("disc must not be a square")
         self.disc = disc
         self.a = Fraction(a)
         self.b = Fraction(b)
 
     def _coerce(self, other):
+        """other over d = self.disc, or None: a radicand e with d e = r^2 has
+        sqrt(e) = (r/|d|) sqrt(d); r/d is wrong when d and e are negative."""
         if isinstance(other, Quad):
-            if other.disc != self.disc:
+            if other.disc == self.disc:
+                return other
+            de = self.disc * other.disc
+            r = isqrt(max(de, 0))
+            if r * r != de:
                 raise ValueError("mixing different quadratic fields")
-            return other
+            return Quad(self.disc, other.a, other.b * Fraction(r, abs(self.disc)))
         if isinstance(other, (int, Fraction)):
             return Quad(self.disc, other)
         return None
@@ -130,28 +142,23 @@ class Quad:
         return Quad(self.disc, self.a / nrm, -self.b / nrm)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return Quad(self.disc, self.a / other, self.b / other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inv()
 
+    def _key(self):
+        return self.a, self.b * self.b * self.disc, (self.b > 0) - (self.b < 0)
+
     def __eq__(self, other):
-        if isinstance(other, Quad):
-            return (
-                self.disc == other.disc and self.a == other.a and self.b == other.b
-            ) or (self.b == 0 and other.b == 0 and self.a == other.a)
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            other = Quad(self.disc, other)
+        if isinstance(other, Quad):
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.disc, self.a, self.b))
+        return hash(self.a) if self.b == 0 else hash(self._key())
 
     def __repr__(self):
         if self.b == 0:
@@ -478,15 +485,6 @@ def _op_T_prime_power(p: int, e: int, f: QExpansion) -> QExpansion:
     return cur
 
 
-def random_series(
-    rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
-) -> QExpansion:
-    coeffs = [
-        Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(order)
-    ]
-    return QExpansion(tuple(coeffs), order, order, weight, eps)
-
-
 # lcm(1..12): every denominator random_series draws divides it.
 SERIES_DENOMINATOR_LCM = 27720
 
@@ -494,13 +492,21 @@ SERIES_DENOMINATOR_LCM = 27720
 def _integral_series(
     rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
 ) -> QExpansion:
-    """L * random_series(rng, ...) with L = SERIES_DENOMINATOR_LCM, as ints:
-    the same draws in the same order, so the same rng state afterwards."""
+    """Integer coefficients n * (L // d), L = SERIES_DENOMINATOR_LCM, for
+    n and d drawn uniformly from -20..20 and 1..12, n first."""
     coeffs = [
         rng.randint(-20, 20) * (SERIES_DENOMINATOR_LCM // rng.randint(1, 12))
         for _ in range(order)
     ]
     return QExpansion(tuple(coeffs), order, order, weight, eps)
+
+
+def random_series(
+    rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
+) -> QExpansion:
+    """Coefficients n/d by the draws of _integral_series, divided by L: the
+    same values and the same rng state afterwards."""
+    return Fraction(1, SERIES_DENOMINATOR_LCM) * _integral_series(rng, order, weight, eps)
 
 
 def formal_eigenform(
@@ -926,45 +932,6 @@ def charpoly(matrix) -> list:
     return coeffs
 
 
-def _rank_field(rows) -> int:
-    """Rank of a dense matrix whose entries form a field (Fraction or Quad)."""
-    rows = [row[:] for row in rows]
-    if not rows:
-        return 0
-    rank = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pr[c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _sqrt_decompose(x: Fraction) -> tuple[int, Fraction]:
-    """(D, s) with sqrt(x) = s*sqrt(D), D squarefree, for a nonzero rational
-    x: D = 1 exactly when x is a rational square, and then s = sqrt(x)."""
-    v = x.numerator * x.denominator
-    sign = -1 if v < 0 else 1
-    v = abs(v)
-    r = isqrt(v)
-    if sign > 0 and r * r == v:  # x = v / den^2
-        return 1, Fraction(r, x.denominator)
-    s, d = 1, 1
-    for p, e in factorize(v).items():
-        s *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    return sign * d, Fraction(s, x.denominator)
-
-
 @dataclass
 class JordanReport:
     """Jordan census: eigenvalues with their block sizes, largest first."""
@@ -983,61 +950,58 @@ class JordanReport:
 
 
 def jordan_structure(matrix) -> JordanReport:
-    """Jordan block census of a rational matrix whose characteristic
+    """Jordan block census of a rational matrix A whose characteristic
     polynomial is a power of X times a factor of degree at most two (the
-    shape every oldclass matrix here has).  Irrational eigenvalue pairs are
-    handled inside the quadratic extension they generate."""
+    shape every oldclass matrix here has), read over Q.
+
+    For each monic irreducible factor f of the characteristic polynomial (X,
+    X - lambda, or an irreducible quadratic), f(A) is invertible on the other
+    roots' generalized eigenspaces and conjugate roots have the same blocks,
+    so each root of f has (rank f(A)^{j-1} - rank f(A)^j) / deg f blocks of
+    size at least j, by arith.rank on L f(A) (L clears its denominators) and
+    its powers.  The roots of an irreducible X^2 + bX + c whose discriminant
+    is u/v in lowest terms are named Quad(u v, -b/2, +-1/(2v)): nothing is
+    factorised and no matrix over Q(sqrt(u v)) is built.
+    """
     a = matrix.entries if isinstance(matrix, OldclassMatrix) else matrix
     a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
-    for row in a:
-        for x in row:
-            if not isinstance(x, Fraction):
-                raise ValueError("jordan_structure expects rational entries")
-    n = len(a)
+    if not all(isinstance(x, Fraction) for row in a for x in row):
+        raise ValueError("jordan_structure expects rational entries")
     cp = charpoly(a)
-    m0 = 0
-    while cp[m0] == 0:
-        m0 += 1
+    m0 = next(i for i, c in enumerate(cp) if c != 0)
     rest = cp[m0:]
-    deg = len(rest) - 1
-    eigs: list = []
-    if deg == 1:
-        eigs.append(-rest[0])
-    elif deg == 2:
-        b, c = rest[1], rest[0]
+    factors = []  # (coefficients c_0..c_{k-1} of a monic factor, its roots)
+    if len(rest) == 2:
+        factors.append((rest[:1], [-rest[0]]))
+    elif len(rest) == 3:
+        c, b = rest[0], rest[1]
         disc = b * b - 4 * c
-        if disc == 0:
-            eigs.append(-b / 2)
+        v = disc.numerator * disc.denominator
+        r = isqrt(max(v, 0))
+        if r * r == v:  # rational roots, one when disc = 0
+            sc = Fraction(r, disc.denominator)
+            factors += [([-x], [x]) for x in dict.fromkeys(((-b + sc) / 2, (-b - sc) / 2))]
         else:
-            d, sc = _sqrt_decompose(disc)
-            if d == 1:
-                eigs.extend([(-b + sc) / 2, (-b - sc) / 2])
-            else:
-                eigs.extend([Quad(d, -b / 2, sc / 2), Quad(d, -b / 2, -sc / 2)])
-    elif deg > 2:
+            h = Fraction(1, 2 * disc.denominator)
+            factors.append((rest[:2], [Quad(v, -b / 2, h), Quad(v, -b / 2, -h)]))
+    elif len(rest) > 3:
         raise NotImplementedError("characteristic polynomial not of oldclass shape")
     if m0 > 0:
-        eigs.append(Fraction(0))
-    quad_disc = next((e.disc for e in eigs if isinstance(e, Quad)), None)
-    if quad_disc is not None:
-        a = [[Quad(quad_disc, x) for x in row] for row in a]
+        factors.append(([0], [Fraction(0)]))
     blocks = []
-    for eig in eigs:
-        shifted = _mat_add_scalar(a, -eig)
-        ranks = [n]
-        power = shifted
-        while True:
-            r = _rank_field(power)
-            ranks.append(r)
-            if ranks[-2] == r:
-                break
-            power = _matmul(power, shifted)
-        ranks.append(ranks[-1])
-        sizes = []
-        for j in range(1, len(ranks) - 1):
-            exactly_j = (ranks[j - 1] - ranks[j]) - (ranks[j] - ranks[j + 1])
-            sizes.extend([j] * exactly_j)
-        blocks.append((eig, tuple(sorted(sizes, reverse=True))))
+    for low, roots in factors:
+        f_a = _mat_add_scalar(a, low[-1])  # f(A) by Horner
+        for c in reversed(low[:-1]):
+            f_a = _mat_add_scalar(_matmul(a, f_a), c)
+        den = lcm(*(x.denominator for row in f_a for x in row))
+        f_a = [[x.numerator * (den // x.denominator) for x in row] for row in f_a]
+        ranks, power = [len(a), rank(f_a, 0)], f_a
+        while ranks[-2] != ranks[-1]:
+            power = _matmul(power, f_a)
+            ranks.append(rank(power, 0))
+        at_least = [(r - s) // len(low) for r, s in zip(ranks, ranks[1:])]  # blocks of size >= j
+        sizes = tuple(sum(g >= i for g in at_least) for i in range(1, at_least[0] + 1))
+        blocks += [(root, sizes) for root in roots]
     return JordanReport(blocks)
 
 

@@ -109,12 +109,12 @@ def test_criterion_3_independence_in_guaranteed_regime():
         pp = PrimePower(4201, 1)
         assert pp.modulus > 65 * (2 * 1) ** 6  # 4201 > 4160: guaranteed regime
         table = P1Table(pp)
-        from windsym.hecke_symbols import _coordinate_rank
+        from windsym.arith import rank
 
         pres = build_presentation(table)
         rows = [reduce_vector(winding_image(i, table), pres) for i in (1, 2)]
         for char in (3, 5, 7, 0):  # F_3, F_5, F_7, Q
-            assert _coordinate_rank(rows, char) == 2, char
+            assert rank(rows, char) == 2, char
 
 
 def test_criterion_4_path_bounds_grid():

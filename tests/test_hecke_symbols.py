@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from windsym import hecke_symbols, rel_homology
-from windsym.arith import factorize, is_prime, smallest_prime_excluding
+from windsym.arith import factorize, is_prime, rank, smallest_prime_excluding
 from windsym.bounds_cli import cli_main
 from windsym.hecke_symbols import (
-    _coordinate_rank,
     admissible_pairs,
     check_kamienny_condition3,
     hecke_span_rank,
@@ -121,11 +120,11 @@ def test_hecke_span_rank_examples():
 
 def test_coordinate_rank_is_exact():
     # float division would see the second row as a multiple of the first
-    assert _coordinate_rank([[3, 3 * 2**60 + 1], [1, 2**60]], 0) == 2
-    assert _coordinate_rank([[3, 3 * 2**60], [1, 2**60]], 0) == 1
-    assert _coordinate_rank([[0, 2, 4], [0, 3, 6], [1, 0, 1]], 0) == 2
-    assert _coordinate_rank([[2, 4], [1, 3]], 2) == 1
-    assert _coordinate_rank([[0, 0], [5, 10]], 5) == 0
+    assert rank([[3, 3 * 2**60 + 1], [1, 2**60]], 0) == 2
+    assert rank([[3, 3 * 2**60], [1, 2**60]], 0) == 1
+    assert rank([[0, 2, 4], [0, 3, 6], [1, 0, 1]], 0) == 2
+    assert rank([[2, 4], [1, 3]], 2) == 1
+    assert rank([[0, 0], [5, 10]], 5) == 0
 
 
 def test_hecke_span_rank_monotone_and_field_bound():
@@ -200,7 +199,7 @@ def test_span_rank_against_forest_route(monkeypatch):
     for m, d in sorted(runs["fallback"]):
         ((p, n),) = factorize(m).items()
         cuts, _ = hecke_symbols._span_matrices(PrimePower(p, n), smallest_prime_excluding(p) * d)
-        assert [_coordinate_rank(cuts, l) for l in (0, 2)] == [len(cuts)] * 2, (m, d)
+        assert [rank(cuts, l) for l in (0, 2)] == [len(cuts)] * 2, (m, d)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -357,13 +356,11 @@ def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
     # crosses no edge of S and ends in the tau orbit of sigma x
     pp = PrimePower(p, n)
     words, calls = [], []
-    make_words = hecke_symbols._words
+    first_word = hecke_symbols._first_word
 
-    def words_spy(m):
-        for word in make_words(m):
-            words.append(word)
-            yield word
-            raise AssertionError("drew a second word")
+    def first_word_spy(m):
+        words.append(first_word(m))
+        return words[-1]
 
     def spy(name, oracle):
         method = getattr(P1Table, name)
@@ -375,7 +372,7 @@ def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
 
         monkeypatch.setattr(P1Table, name, call)
 
-    monkeypatch.setattr(hecke_symbols, "_words", words_spy)
+    monkeypatch.setattr(hecke_symbols, "_first_word", first_word_spy)
     taken = _walks_taken(monkeypatch)
     table = P1Table(pp)
     heads = {}
@@ -460,7 +457,7 @@ def test_walk_letters_and_lift():
 
 def test_walk_closes_with_its_first_word():
     # called directly, the walk from 1/2 crosses no edge of S and reaches
-    # sigma(1/2)'s vertex with the first word of _words, at 200 seeded
+    # sigma(1/2)'s vertex with the word of _first_word, at 200 seeded
     # primes in (4160, 10^9), at 40 seeded odd prime powers p^n (n >= 2) in
     # (4160, 10^6) and at powers of 3, 5 and 7 up to about 10^30; S is the
     # loop {0, oo} and the one bridge {1/2, -2} there

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -70,6 +71,30 @@ def test_quad_arithmetic():
         a + Quad(7, 1)
     with pytest.raises(ZeroDivisionError):
         Quad(5, 0, 0).inv()
+
+
+def test_quad_refuses_a_square_radicand():
+    for disc in (0, 1, 4, 9, 10**12):
+        with pytest.raises(ValueError, match="square"):
+            Quad(disc, 0, 1)
+    assert Quad(-4, 0, 1) * Quad(-4, 0, 1) == -4  # -4 is no square
+
+
+def test_quad_compares_by_value_across_square_factors():
+    # sqrt(-28) = 2 sqrt(-7), so both are 1 + sqrt(-7)
+    a, b = Quad(-28, 1, F(1, 2)), Quad(-7, 1, 1)
+    assert a == b and hash(a) == hash(b)
+    assert a + b == Quad(-7, 2, 2) and b + a == Quad(-28, 2, 1)
+    assert a * b == Quad(-7, -6, 2) == b * a
+    assert a - b == 0 and a / b == 1
+    assert Quad(8, 0, F(1, 2)) == Quad(2, 0, 1) and Quad(-8, 0, F(1, 2)) == Quad(-2, 0, 1)
+    assert Quad(5, 1, 1) != Quad(5, 1, -1)
+    assert Quad(5, 0, 1) != Quad(-5, 0, 1)
+    assert len({Quad(-7, 1, 1), Quad(-28, 1, F(1, 2)), Quad(-63, 1, F(1, 3))}) == 1
+    with pytest.raises(ValueError, match="different quadratic fields"):
+        Quad(-7, 0, 1) + Quad(7, 0, 1)
+    with pytest.raises(ValueError, match="different quadratic fields"):
+        Quad(2, 0, 1) * Quad(6, 0, 1)
 
 
 def test_polyq_arithmetic():
@@ -588,6 +613,44 @@ def test_jordan_census_m2_rational_roots_with_a_denominator():
     assert rep.sizes_for(F(0)) == (2,)
     assert rep.block_count == 3
     assert not any(isinstance(eig, Quad) for eig, _ in rep.blocks)
+
+
+def test_jordan_census_m2_radicand_with_a_square_factor():
+    # a_p = 2, theta = 2^3: X^2 - 2X + 8 has discriminant -28 = 4 * -7, so
+    # the roots 1 +- sqrt(-7) are named over -28 and found by value
+    mat = build_Up_matrix(CASE_COPRIME, F(2), 1, 4, 3, p=2)
+    rep = jordan_structure(mat)
+    assert rep.sizes_for(Quad(-7, 1, 1)) == (1,)
+    assert rep.sizes_for(Quad(-7, 1, -1)) == (1,)
+    assert rep.sizes_for(F(0)) == (2,)
+    assert rep.block_count == 3
+
+
+def test_jordan_census_of_a_25_digit_discriminant_is_fast():
+    # a_p = 10^12 + 39, theta = 3: the discriminant a_p^2 - 12 has 25 digits,
+    # which the census never factors
+    start = time.perf_counter()
+    rep = jordan_structure(build_Up_matrix(CASE_COPRIME, F(10**12 + 39), 1, 2, 1, p=3))
+    assert time.perf_counter() - start < 1
+    assert [sizes for _, sizes in rep.blocks] == [(1,), (1,)]
+    assert all(isinstance(root, Quad) for root, _ in rep.blocks)
+
+
+def test_jordan_census_m2_matches_closed_form():
+    # U_p in case M2 has charpoly (X^2 - a_p X + theta) X^{k-1}: each root of
+    # the quadratic is a root there and has one block, of size 2 when the
+    # two coincide (M4), and 0 has one block of size k - 1 (M3)
+    rng = random.Random(24)
+    for _ in range(60):
+        p, eps, lam, k = rng.choice([2, 3, 5, 7]), rng.choice([-1, 1]), rng.randint(1, 3), rng.randint(1, 6)
+        theta = eps * p ** (lam - 1)
+        a_p = rng.choice([F(rng.randint(-30, 30), rng.randint(1, 4)), 2 * F(rng.choice([1, -1]) * p ** (lam - 1))])
+        rep = jordan_structure(build_Up_matrix(CASE_COPRIME, a_p, eps, lam, k, p=p))
+        roots = [root for root, _ in rep.blocks if root != 0]
+        assert all(root * root - a_p * root + theta == 0 for root in roots), (a_p, theta)
+        want = [(2,)] if a_p * a_p == 4 * theta else [(1,), (1,)]
+        assert [rep.sizes_for(root) for root in roots] == want, (a_p, theta)
+        assert rep.sizes_for(F(0)) == ((k - 1,) if k > 1 else ())
 
 
 def test_jordan_census_m2_double_root_is_m4_shape():

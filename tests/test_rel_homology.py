@@ -22,8 +22,8 @@ from windsym.rel_homology import (
     reduce_vector,
     smith_invariants,
 )
-from windsym.arith import factorize
-from windsym.hecke_symbols import _coordinate_rank, winding_image
+from windsym.arith import factorize, rank
+from windsym.hecke_symbols import winding_image
 from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
     EchelonPresentation,
@@ -215,7 +215,7 @@ def test_forest_against_echelon_oracle():
         for char in (0, 2, 3, 5, 7):
             oracle = EchelonPresentation(rel, char)
             assert pres.quotient_dim == oracle.quotient_dim, (p, n, char)
-            ranks = [_coordinate_rank(rows[:k], char) for k in range(1, 7)]
+            ranks = [rank(rows[:k], char) for k in range(1, 7)]
             assert ranks == prefix_ranks([oracle.reduce(im) for im in images], char), (p, n, char)
         if table.size <= 400:
             dense = [[row.get(c, 0) for c in range(rel.n_cols)] for row in rel.rows]
@@ -272,7 +272,7 @@ def test_forest_against_echelon_oracle_random_levels(case):
     for char in (0, 2, 3, 5, 7):
         oracle = EchelonPresentation(rel, char)
         assert pres.quotient_dim == oracle.quotient_dim, char
-        ranks = [_coordinate_rank(rows[:k], char) for k in range(1, 7)]
+        ranks = [rank(rows[:k], char) for k in range(1, 7)]
         assert ranks == prefix_ranks([oracle.reduce(im) for im in images], char), char
 
 
