@@ -213,15 +213,16 @@ def _cmd_homology(args) -> int:
     l = args.l
     if l is not None and not is_prime(l):  # Q is asked for by omitting --l
         raise ValueError(f"{l} is not prime")
-    table = P1Table(pp)
+    pres = H1Presentation(P1Table(pp))
     # one integer presentation serves every field; the record still names
-    # the field asked for, in the key position it has always had
+    # the field asked for
     report = {"schema": SCHEMA, "p": pp.p, "n": pp.n, "field": f"F{l}" if l else "Q",
-              **H1Presentation(table).summary()}
+              "p1_size": pres.p1_size, "relation_rank": pres.relation_rank,
+              "quotient_dim": pres.quotient_dim}
     if args.smith:
         # the relations are totally unimodular (rel_homology.smith_invariants
         # certifies it), so the list is relation_rank ~ 5|P^1|/6 ones
-        table.check_size_limit()
+        pres.table.check_size_limit()
         report["smith_invariants"] = [1] * report["relation_rank"]
         report["torsion_free"] = True
     _emit(report, args)
@@ -233,15 +234,11 @@ def _cmd_criterion(args) -> int:
     from .residue_p1 import MAX_ALL_L
 
     if args.all_l_up_to is not None:
-        if args.l is not None:
-            raise ValueError("--l and --all-l-up-to cannot be given together")
         if args.all_l_up_to < 2:
             raise ValueError("--all-l-up-to must be >= 2")
         _check_cap("--all-l-up-to", args.all_l_up_to, MAX_ALL_L)
         ls = [l for l in range(2, args.all_l_up_to + 1) if is_prime(l)]
     else:
-        if args.l is None:
-            raise ValueError("need --l or --all-l-up-to")
         ls = [args.l]
     _check_level(args.p, args.n)
     reports = [check_kamienny_condition3(args.p, args.n, args.d, l) for l in ls]
@@ -294,16 +291,8 @@ def _walk_both(pp, r):
 def _cmd_paths(args) -> int:
     from .residue_p1 import MAX_HECKE_R, PrimePower
 
-    if args.mode == "sweep":
-        # None unless given before sweep, whose --d and --out have own dests
-        _flags_apply(args, dict.fromkeys(("p", "n", "r", "d", "out")), (),
-                     lambda _: "paths without sweep")
-        args.d, args.out = args.sweep_d, args.sweep_out
-    if args.d is not None and args.d < 1:
+    if args.d is not None and args.d < 1:  # D = r applies only when --d is not given
         raise ValueError("D must be >= 1")
-    if args.mode == "sweep":
-        _check_cap("--r-max", args.r_max, MAX_HECKE_R)
-        return _cmd_paths_sweep(args)
     if args.p is None or args.r is None:
         raise ValueError("paths: need --p and --r (or the sweep subcommand)")
     _check_cap("--r", args.r, MAX_HECKE_R)
@@ -326,6 +315,15 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_paths_sweep(args) -> int:
+    from .residue_p1 import MAX_HECKE_R
+
+    # None unless given before sweep, whose --d and --out have own dests
+    _flags_apply(args, dict.fromkeys(("p", "n", "r", "d", "out")), (),
+                 lambda _: "paths without sweep")
+    args.d, args.out = args.sweep_d, args.sweep_out
+    if args.d is not None and args.d < 1:
+        raise ValueError("D must be >= 1")
+    _check_cap("--r-max", args.r_max, MAX_HECKE_R)
     if args.r_min > args.r_max:
         raise ValueError(f"--r-min {args.r_min} exceeds --r-max {args.r_max}")
     rows = []
@@ -348,53 +346,49 @@ def _cmd_paths_sweep(args) -> int:
     return 1 if bad else 0
 
 
-def _cmd_qexp(args) -> int:
+def _cmd_qexp_relations(args) -> int:
     from .qexp_hecke import (
-        CASE_COPRIME,
-        CASE_DIVIDES,
         MAX_QEXP_ORDER,
         MAX_QEXP_TRIALS,
-        MAX_UP_MATRIX_K,
-        build_Up_matrix,
-        charpoly,
         verify_coefficient_identity,
         verify_relations,
     )
 
-    if args.mode == "verify-relations":
-        _check_cap("--order", args.order, MAX_QEXP_ORDER)
-        _check_cap("--trials", args.trials, MAX_QEXP_TRIALS)
-        rel = verify_relations(order=args.order, trials=args.trials, seed=args.seed)
-        ident = verify_coefficient_identity(order=max(args.order, 30), seed=args.seed)
-        payload = rel.to_json()
-        payload["coefficient_identity"] = ident.to_json()
-        _emit(payload, args)
-        return 0 if rel.all_passed and ident.passed and rel.witness_found else 1
-    if args.mode == "up-matrix":
-        _check_cap("--k", args.k, MAX_UP_MATRIX_K)
-        case = CASE_DIVIDES if args.case == "divides" else CASE_COPRIME
-        # the charpoly prints 1, -a_p and the entry eps_p p^(lam-1)
-        if case == CASE_COPRIME and _too_long(args.prime, args.lam - 1, args.eps_p):
-            raise ValueError(f"--lam {args.lam} exceeds the limit: eps_p p^(lam-1) would print "
-                             f"more than {MAX_BOUND_DIGITS} digits")
-        try:
-            a_p = None if _exponent_too_long(args.a_p) else Fraction(args.a_p)
-        except ZeroDivisionError:
-            raise ValueError(f"--a-p {args.a_p} has a zero denominator") from None
-        if a_p is None or _too_long(a_p.numerator, 1) or _too_long(a_p.denominator, 1):
-            raise ValueError(f"--a-p exceeds the limit: its numerator or denominator has more "
-                             f"than {MAX_BOUND_DIGITS} digits")
-        mat = build_Up_matrix(case, a_p, args.eps_p, args.lam, args.k, p=args.prime)
-        payload = {
-            "schema": SCHEMA,
-            "case": mat.case,
-            "k": mat.k,
-            "entries": [[str(x) for x in row] for row in mat.entries],
-            "charpoly": [str(c) for c in charpoly(mat)],
-        }
-        _emit(payload, args)
-        return 0
-    raise ValueError(f"unknown qexp mode {args.mode!r}")
+    _check_cap("--order", args.order, MAX_QEXP_ORDER)
+    _check_cap("--trials", args.trials, MAX_QEXP_TRIALS)
+    rel = verify_relations(order=args.order, trials=args.trials, seed=args.seed)
+    ident = verify_coefficient_identity(order=max(args.order, 30), seed=args.seed)
+    payload = rel.to_json()
+    payload["coefficient_identity"] = ident.to_json()
+    _emit(payload, args)
+    return 0 if rel.all_passed and ident.passed and rel.witness_found else 1
+
+
+def _cmd_qexp_up_matrix(args) -> int:
+    from .qexp_hecke import CASE_COPRIME, MAX_UP_MATRIX_K, build_Up_matrix, charpoly
+
+    _check_cap("--k", args.k, MAX_UP_MATRIX_K)
+    # the charpoly prints 1, -a_p and the entry eps_p p^(lam-1)
+    if args.case == CASE_COPRIME and _too_long(args.prime, args.lam - 1, args.eps_p):
+        raise ValueError(f"--lam {args.lam} exceeds the limit: eps_p p^(lam-1) would print "
+                         f"more than {MAX_BOUND_DIGITS} digits")
+    try:
+        a_p = None if _exponent_too_long(args.a_p) else Fraction(args.a_p)
+    except ZeroDivisionError:
+        raise ValueError(f"--a-p {args.a_p} has a zero denominator") from None
+    if a_p is None or _too_long(a_p.numerator, 1) or _too_long(a_p.denominator, 1):
+        raise ValueError(f"--a-p exceeds the limit: its numerator or denominator has more "
+                         f"than {MAX_BOUND_DIGITS} digits")
+    mat = build_Up_matrix(args.case, a_p, args.eps_p, args.lam, args.k, p=args.prime)
+    payload = {
+        "schema": SCHEMA,
+        "case": mat.case,
+        "k": mat.k,
+        "entries": [[str(x) for x in row] for row in mat.entries],
+        "charpoly": [str(c) for c in charpoly(mat)],
+    }
+    _emit(payload, args)
+    return 0
 
 
 # The flags each `bounds` mode reads; a mode refuses the others when given.
@@ -411,18 +405,18 @@ _BOUNDS_DEFAULTS = {"d_max": 5, "csv": False, "d": 1, "l": 3, "p": 5, "original_
 def _cmd_bounds(args) -> int:
     from . import bounds
 
-    mode = next(m for m in _BOUNDS_READS if getattr(args, m))
+    mode = args.bounds_mode
     _flags_apply(args, _BOUNDS_DEFAULTS, _BOUNDS_READS[mode],
                  lambda dest: " and ".join(f"--{m}" for m, r in _BOUNDS_READS.items() if dest in r))
-    if args.constants:
+    if mode == "constants":
         rep = bounds.constants_consistency()
         _emit(rep.to_json(), args)
         return 0 if rep.all_passed else 1
-    if args.prop11:
+    if mode == "prop11":
         _check_digits("--d", args.d, args.l)
         _emit(bounds.prop11_report(args.l, args.d).to_json(), args)
         return 0
-    if args.threshold:
+    if mode == "threshold":
         l = bounds.auxiliary_prime(args.p)
         _check_digits("--d", args.d, l if args.original_order else 1)
         payload = bounds.criterion_threshold(args.p, args.d).to_json()
@@ -475,8 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     cri.add_argument("--p", type=int, required=True)
     cri.add_argument("--n", type=int, default=1)
     cri.add_argument("--d", type=int, default=1)
-    cri.add_argument("--l", type=int, default=None)
-    cri.add_argument("--all-l-up-to", type=int, default=None)
+    # exactly one of the two: both, or neither, is refused by argparse
+    ls = cri.add_mutually_exclusive_group(required=True)
+    ls.add_argument("--l", type=int, default=None)
+    ls.add_argument("--all-l-up-to", type=int, default=None)
     add_out(cri)
     cri.set_defaults(func=_cmd_criterion)
 
@@ -486,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     paths.add_argument("--r", type=int)
     paths.add_argument("--d", type=int, default=None, help="bound parameter D (default r)")
     add_out(paths)
-    paths.set_defaults(func=_cmd_paths, mode=None)
+    paths.set_defaults(func=_cmd_paths)
     psub = paths.add_subparsers(dest="mode")
     sweep = psub.add_parser("sweep", help="grid sweep; always writes CSV",
                            description="Walk both chains over a grid of prime powers and r; the summary is always CSV, with or without --csv.")
@@ -496,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--d", type=int, dest="sweep_d", metavar="D")
     sweep.add_argument("--csv", action="store_true", help="accepted; the sweep always writes CSV")
     add_out(sweep, "sweep_out")
-    sweep.set_defaults(func=_cmd_paths, mode="sweep")
+    sweep.set_defaults(func=_cmd_paths_sweep)
 
     qx = sub.add_parser("qexp", help="operator calculus on truncated series")
     qsub = qx.add_subparsers(dest="mode", required=True)
@@ -505,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--trials", type=int, default=50)
     vr.add_argument("--seed", type=int, default=0)
     add_out(vr)
-    vr.set_defaults(func=_cmd_qexp)
+    vr.set_defaults(func=_cmd_qexp_relations)
     um = qsub.add_parser("up-matrix", help="print an oldclass U_p matrix exactly")
     um.add_argument("--case", choices=["divides", "coprime"], required=True)
     um.add_argument("--k", type=int, required=True)
@@ -514,15 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     um.add_argument("--lam", type=int, default=2)
     um.add_argument("--prime", type=int, default=2, help="the prime p")
     add_out(um)
-    um.set_defaults(func=_cmd_qexp)
+    um.set_defaults(func=_cmd_qexp_up_matrix)
 
     bnd = sub.add_parser("bounds", help="closed-form bound evaluation")
     # exactly one mode: two are refused by argparse rather than one dropped
     mode = bnd.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--table", action="store_true", help="per-prime bound table")
-    mode.add_argument("--constants", action="store_true", help="constants consistency")
-    mode.add_argument("--prop11", action="store_true")
-    mode.add_argument("--threshold", action="store_true")
+    for name, text in (("table", "per-prime bound table"), ("constants", "constants consistency"),
+                       ("prop11", None), ("threshold", None)):
+        mode.add_argument(f"--{name}", action="store_const", const=name, dest="bounds_mode",
+                          help=text)
     # None unless given, so a mode can refuse the flags it does not read
     bnd.add_argument("--d-max", type=int, default=None, help="--table only (default 5)")
     bnd.add_argument("--csv", action="store_true", default=None, help="CSV output (--table only)")

@@ -22,13 +22,15 @@ region already joined, shows that removing those edges leaves the graph
 connected, or else labels its components exactly, so no dense
 permutation, spanning tree or quotient coordinate is built.
 
-In the guaranteed regime, when the one edge of S whose ends are distinct
-vertices is {1/2, -2} (at d = 1 with p odd, S is the loop {0, oo} plus that
-edge), a walk certificate is tried before the search.  A path in the graph
-is a word in the right actions of sigma and tau: from a point y, the letter
-A = tau.sigma = [[1, 0], [1, 1]] crosses the edge at y.tau and the letter
-B = tau^2.sigma = -[[1, 1], [0, 1]] the edge at y.tau^2.  The point 1/2 is
-the bottom row of g = [[0, -1], [1, 2]] in SL_2(Z), so for
+At d = 1 with p odd (imax = 2) S is always the same two edges, read off
+the images rather than searched for: T_1 and T_2 touch only the points 0
+and 1/2, so S is the loop {0, oo}, whose ends share the tau orbit
+{0, -1, oo}, and the edge {1/2, -2}, whose ends never do.  There, in the
+guaranteed regime, a walk certificate is tried before the search.  A path
+in the graph is a word in the right actions of sigma and tau: from a point
+y, the letter A = tau.sigma = [[1, 0], [1, 1]] crosses the edge at y.tau
+and the letter B = tau^2.sigma = -[[1, 1], [0, 1]] the edge at y.tau^2.
+The point 1/2 is the bottom row of g = [[0, -1], [1, 2]] in SL_2(Z), so for
 gamma = [[a, b], [p^n, d']] in Gamma_0(p^n), with a scanned outward from
 p^n/phi, W = +-g^-1 [[1, -1], [0, 1]] gamma g sigma tau^2 has
 (1/2).W = (sigma 1/2).tau^2, and when W is nonnegative it is exactly one
@@ -39,8 +41,8 @@ count as joined only if no crossed edge has its tail in S and the last
 point lies in the tau orbit of sigma 1/2 = -2, so the walk is its own
 certificate and nothing about gamma is trusted.  When it does not close,
 the search runs unchanged, so no output depends on the walk.  At p = 1000003
-the walk makes about 100 sigma and tau calls where the search made 27,861
-crossings, and at p = 9999991 about 110 against 203,064.  Two gates, read
+the whole criterion makes 92 sigma and tau calls where the search made
+27,861 crossings, and at p = 9999991 102 against 203,064.  Two gates, read
 off the input, keep it where the search is costly and the walk closes:
 below the threshold the search costs a few hundred crossings (about 250 on
 average at the odd prime powers in (25, 4160)); at d >= 2 the edges of S
@@ -114,9 +116,7 @@ def sigma_r_set(r: int, table: P1Table) -> SigmaRSet:
     if r < 1:
         raise ValueError("r must be >= 1")
     members = set().union(*(winding_image(k, table).coeffs for k in range(1, r + 1)))
-    leading = table.index(1, r)
-    if leading is None:
-        raise RuntimeError(f"(1, {r}) defines no point of P^1")
+    leading = table.index(1, r)  # 1 is a unit, so (1 : r) is always a point
     members.discard(leading)
     return SigmaRSet(r, frozenset(members), leading)
 
@@ -294,10 +294,10 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     hecke_span_rank): one for each of the k components of G minus S but
     the last, so none when G minus S is connected.
 
-    In the guaranteed regime p^n >= C^2 imax^6, when the one edge of S
-    joining two distinct vertices is {1/2, -2} (the others are loops, whose
-    ends are trivially joined), the walk of _walk_joins is tried first (see
-    the module docstring); when it closes, G minus S is connected.
+    At imax = 2 (d = 1) with p odd, S is always the loop {0, oo} and the
+    edge {1/2, -2}, so in the guaranteed regime p^n >= C^2 imax^6 the walk
+    of _walk_joins from 1/2 is tried first (see the module docstring); when
+    it closes, G minus S is connected.
     Otherwise _all_joined searches.  The integers serve every field.  A
     level past MAX_P1_SIZE is refused before any image or search.
     """
@@ -313,11 +313,9 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     tails = sorted(heads)
     rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
     removed = set(tails)
-    if pp.modulus >= regime_threshold(pp.p, imax):  # the guaranteed regime
-        tau = table.tau
-        half = (pp.modulus + 1) // 2  # the point 1/2 when p is odd
-        bridges = [x for x in tails if heads[x] not in (tau(x), tau(tau(x)))]
-        if pp.p > 2 and bridges == [half] and _walk_joins(table, half, heads[half], removed):
+    if imax == 2 and pp.p > 2 and pp.modulus >= regime_threshold(pp.p, imax):
+        half = (pp.modulus + 1) // 2  # the point 1/2, the tail of the one bridge
+        if _walk_joins(table, half, heads[half], removed):
             return [], rows
     if _all_joined(table, removed, tails, heads):
         return [], rows
@@ -352,9 +350,9 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     _component_labels labels the components of the edges' ends, exactly.
     Both cross each graph edge by one O(1) P1Table.cross call (one modular
     inversion), which names the vertex beyond and lists its other edges,
-    and read no dense permutation.  In the guaranteed regime a walk of
-    O(log p^n) sigma and tau steps can join the one edge of S between
-    distinct vertices first (see _span_matrices).
+    and read no dense permutation.  At d = 1 with p odd, in the guaranteed
+    regime, a walk of O(log p^n) sigma and tau steps can join the one edge
+    of S between distinct vertices first (see _span_matrices).
     """
     if l and not is_prime(l):
         raise ValueError(f"{l} is not prime")

@@ -82,6 +82,8 @@ class Quad:
     __slots__ = ("disc", "a", "b")
 
     def __init__(self, disc: int, a=0, b=0):
+        if not isinstance(disc, int):
+            raise ValueError("disc must be an integer")
         if disc >= 0 and isqrt(disc) ** 2 == disc:
             raise ValueError("disc must not be a square")
         self.disc = disc
@@ -271,8 +273,9 @@ class PolyQ:
 @dataclass(frozen=True)
 class DirichletCharacter:
     """Character handle with integer values: trivial, or quadratic via the
-    Kronecker symbol of a fundamental discriminant.  eps(n) = 0 whenever
-    gcd(n, modulus) > 1."""
+    Kronecker symbol of a fundamental discriminant, whose absolute value
+    divides the modulus (that symbol has period |disc|, so eps is then a
+    character mod modulus).  eps(n) = 0 whenever gcd(n, modulus) > 1."""
 
     modulus: int
     disc: int = 1
@@ -280,8 +283,15 @@ class DirichletCharacter:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
-        if self.disc != 1 and (self.disc in (0, 1) or self.disc % 4 not in (0, 1)):
+        disc = self.disc
+        if disc == 1:
+            return
+        # fundamental: squarefree and 1 mod 4, or 4m with m squarefree and 2 or 3 mod 4
+        core = disc if disc % 4 == 1 else disc // 4 if disc % 16 in (8, 12) else 0
+        if core == 0 or any(e > 1 for e in factorize(abs(core)).values()):
             raise ValueError("disc must be a fundamental discriminant")
+        if self.modulus % abs(disc):
+            raise ValueError(f"|disc| = {abs(disc)} does not divide the modulus {self.modulus}")
 
     @classmethod
     def trivial(cls, modulus: int = 1) -> "DirichletCharacter":
@@ -799,12 +809,14 @@ def verify_coefficient_identity(
     and N is submultiplicative over the coprime factors T_n composes.  So
     both sides lie in [-B, B] with B = 20 L max_n N(T_n).
     """
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
     if order < nmax:
         raise ValueError("order must be >= nmax")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     width = _lane_width(
-        _SERIES_BOUND * max((_hecke_norm(n, weight) for n in range(1, nmax + 1)), default=1)
+        _SERIES_BOUND * max(_hecke_norm(n, weight) for n in range(1, nmax + 1))
     )
     (first,) = _first_failures(
         [lambda f: (make_qexp([op_T(n, f).coeff(1) for n in range(1, nmax + 1)]), make_qexp(f.coeffs[:nmax]))],
@@ -1037,6 +1049,8 @@ def kernel_vector_check(f: QExpansion, p: int, order: int) -> KernelCheckReport:
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
+    if order < 1:
+        raise ValueError("order must be >= 1")
     theta = f.eps(p) * p ** (f.weight - 1)
     if theta == 0:
         raise ValueError("eps(p) = 0: the kernel combination needs p coprime to the modulus")

@@ -223,17 +223,6 @@ class H1Presentation:
             grow(pi[u] + g[z])
         return [g[x] - pi[h] + pi[t] for x, h, t in zip(*free)]
 
-    def summary(self) -> dict:
-        """JSON-ready record of the presentation's shape."""
-        return {
-            "schema": 1,
-            "p": self.table.pp.p,
-            "n": self.table.pp.n,
-            "p1_size": self.p1_size,
-            "relation_rank": self.relation_rank,
-            "quotient_dim": self.quotient_dim,
-        }
-
 
 def build_presentation(table: P1Table) -> H1Presentation:
     return H1Presentation(table)

@@ -625,6 +625,17 @@ def test_prime_power_matches_trial_division():
     assert all(r**q <= x < (r + 1) ** q for r, q in zip(roots, qs))
 
 
+def test_is_prime_extends_its_witnesses_at_the_proven_limit(monkeypatch):
+    # the limit itself is a strong pseudoprime to all 12 proven bases, so
+    # only the wider witness set used from it on finds it composite
+    from windsym import arith
+
+    limit = arith._MR_LIMIT
+    assert not is_prime(limit)
+    monkeypatch.setattr(arith, "_MR_LIMIT", limit + 1)  # the 12 bases alone
+    assert arith.is_prime(limit)
+
+
 def test_prime_power_refuses_a_small_factor_quickly():
     # 3,996 digits, no perfect power, every prime factor above 255: one
     # Miller-Rabin round on it took 6.1 s; a gcd with the primes below 2^16
@@ -681,10 +692,15 @@ def test_cli_refuses_l_with_all_l_up_to_before_any_work(capsys, monkeypatch):
         raise AssertionError("checked an l although the flags conflict")
 
     monkeypatch.setattr(hecke_symbols, "check_kamienny_condition3", no_work)
-    # either order on the command line, and whether or not --l is in the sweep
+    # either order on the command line, and whether or not --l is in the sweep;
+    # argparse refuses the pair, and neither flag, as it does two bounds modes
     for argv in (["--l", "3", "--all-l-up-to", "5"], ["--all-l-up-to", "5", "--l", "7"]):
         assert cli_main(["criterion", "--p", "11", *argv]) == 2
-        assert capsys.readouterr() == ("", "error: --l and --all-l-up-to cannot be given together\n")
+        out, err = capsys.readouterr()
+        first, second = argv[0], argv[2]
+        assert out == "" and f"argument {second}: not allowed with argument {first}" in err
+    assert cli_main(["criterion", "--p", "11"]) == 2
+    assert "one of the arguments --l --all-l-up-to is required" in capsys.readouterr().err
 
 
 # Runs one subcommand (argv as JSON in sys.argv[1]; none: import only) in a
@@ -1075,6 +1091,13 @@ def test_cli_refuses_a_long_written_a_p_exponent_before_parsing(capsys, monkeypa
     monkeypatch.undo()
     rc, out = run_cli(capsys, "qexp", "up-matrix", "--case", "coprime", "--k", "2", "--a-p", "1e3999")
     assert rc == 0 and json.loads(out)["entries"][0][0] == "1" + "0" * 3999
+
+
+def test_cli_paths_refuses_a_missing_or_empty_r(capsys):
+    assert cli_main(["paths", "--p", "101"]) == 2
+    assert capsys.readouterr() == ("", "error: paths: need --p and --r (or the sweep subcommand)\n")
+    assert cli_main(["paths", "--p", "101", "--r", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: r must be >= 1\n")
 
 
 @pytest.mark.parametrize("argv", [["paths", "--p", "101", "--r", "2"], ["paths", "sweep", "--pn", "101"]],

@@ -250,8 +250,8 @@ def test_search_matches_pointwise_route(p, n, d, monkeypatch):
 def test_search_crosses_each_edge_once():
     # at the first prime past the d = 2 threshold 266240 the search makes
     # 11,652 crossings, one P1Table.cross call each; reading every vertex
-    # once to expand it and again to name it took 35,721 calls.  S has five
-    # edges between distinct vertices there, so no walk is tried
+    # once to expand it and again to name it took 35,721 calls.  The walk is
+    # tried only at d = 1, so none is tried here
     with pytest.MonkeyPatch.context() as mp:
         taken = _walks_taken(mp)
         (cuts, _), trace = _record_crossings(P1Table.cross, PrimePower(266261, 1), 4)
@@ -330,9 +330,8 @@ def _walks_taken(monkeypatch) -> list[bool]:
 def test_walk_matches_search(monkeypatch):
     # the cut rows, and so every rank, are those of the search alone; the
     # walk closes at every level past the threshold 4160 with p odd, and is
-    # not tried below it (4153, 4159), at 2^13..2^16 (below p = 2's
-    # threshold 94041) or at 2^17 and 2^18, whose S has three edges between
-    # distinct vertices
+    # not tried below it (4153, 4159) or at p = 2 (2^13..2^18): it is tried
+    # only at d = 1 with p odd
     def matrices_and_ranks(mp, pp, imax):
         span = functools.lru_cache(maxsize=1)(hecke_symbols._span_matrices)
         mp.setattr(hecke_symbols, "_span_matrices", span)  # one run serves every field

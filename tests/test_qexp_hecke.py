@@ -80,6 +80,13 @@ def test_quad_refuses_a_square_radicand():
     assert Quad(-4, 0, 1) * Quad(-4, 0, 1) == -4  # -4 is no square
 
 
+def test_quad_refuses_a_non_integer_radicand():
+    # Quad(-2.5, 1, 1) squared printed -3/2 + 2*sqrt(-2.5)
+    for disc in (-2.5, F(-5, 2), F(-3), 2.0):
+        with pytest.raises(ValueError, match="integer"):
+            Quad(disc, 1, 1)
+
+
 def test_quad_compares_by_value_across_square_factors():
     # sqrt(-28) = 2 sqrt(-7), so both are 1 + sqrt(-7)
     a, b = Quad(-28, 1, F(1, 2)), Quad(-7, 1, 1)
@@ -121,6 +128,27 @@ def test_dirichlet_characters():
         assert chi(a) == chi(a + 4)
     with pytest.raises(ValueError):
         DirichletCharacter.quadratic(3)  # 3 = 3 mod 4: not fundamental
+
+
+def test_quadratic_character_refuses_a_disc_that_is_not_fundamental():
+    # each is 0 or 1 mod 4, but has a square factor (4m with m = 0 or 1 mod 4)
+    for disc in (4, 9, 16, 20, -16, 25, -12 * 4, 8 * 9):
+        with pytest.raises(ValueError, match="fundamental"):
+            DirichletCharacter.quadratic(disc)
+    for disc in QUADRATIC_DISCS + [-15, 24, -24, 28, -20, 1]:
+        DirichletCharacter.quadratic(disc)
+
+
+def test_character_refuses_a_disc_that_does_not_divide_its_modulus():
+    # (5|.) "mod 3" had chi(1) = 1 but chi(7) = -1: no character mod 3
+    with pytest.raises(ValueError, match="does not divide the modulus 3"):
+        DirichletCharacter(3, 5)
+    with pytest.raises(ValueError, match="does not divide"):
+        DirichletCharacter(12, -8)
+    # a multiple of |disc| keeps the period of the modulus
+    for modulus, disc in ((15, 5), (24, -8), (12, -3), (28, -7)):
+        chi = DirichletCharacter(modulus, disc)
+        assert all(chi(n) == chi(n + modulus) for n in range(-40, 40)), (modulus, disc)
 
 
 # -- operators ---------------------------------------------------------------
@@ -432,6 +460,14 @@ def test_coefficient_identity_report():
     assert rep.passed, rep.failure
 
 
+def test_coefficient_identity_refuses_an_empty_range():
+    # nmax below 1 compares no coefficient, so it is no pass
+    for nmax in (0, -3):
+        with pytest.raises(ValueError, match="nmax must be >= 1"):
+            verify_coefficient_identity(nmax=nmax, order=40, trials=2)
+    assert verify_coefficient_identity(nmax=1, order=40, trials=2).passed
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(st.integers(1, 40), st.integers(0, 40), st.integers(1, 12), st.integers(0, 10**6),
        st.integers(1, 6), characters(), st.integers(1, 4))
@@ -558,6 +594,15 @@ def test_charpoly_symbolic(k):
     for _ in range(k - 1):
         expected = _poly_mul_coeffs(expected, [0, 1])
     assert [PolyQ(0) + c for c in got] == [PolyQ(0) + c for c in expected]
+
+
+def test_charpoly_of_an_integer_matrix_stays_exact():
+    # Faddeev-LeVerrier divides the trace by k; an int trace must become a
+    # Fraction, never a float
+    got = charpoly([[1, 2], [3, 4]])
+    assert got == [-2, -5, 1]
+    assert all(isinstance(c, (int, Fraction)) for c in got)
+    assert all(isinstance(c, (int, Fraction)) for c in charpoly([[1, 1], [1, 0]]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -720,6 +765,14 @@ def test_kernel_vector_precondition_failure():
     rep = kernel_vector_check(f, 2, order=40)
     assert not rep.precondition_ok
     assert not rep.passed
+
+
+def test_kernel_vector_check_refuses_an_empty_order():
+    f = formal_eigenform(300, {5: F(1)})
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            kernel_vector_check(f, 5, order=order)
+    assert kernel_vector_check(f, 5, order=1).passed
 
 
 def test_kernel_vector_needs_unit_eps():
