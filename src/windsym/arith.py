@@ -144,14 +144,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def sigma0(n: int) -> int:
-    """Number of divisors."""
-    out = 1
-    for e in factorize(n).values():
-        out *= e + 1
-    return out
-
-
 def sigma1(n: int) -> int:
     """Sum of divisors."""
     out = 1
@@ -247,12 +239,10 @@ __all__ = [
     "iroot",
     "prime_power",
     "divisors",
-    "sigma0",
     "sigma1",
     "euler_phi",
     "smallest_prime_excluding",
     "kronecker",
     "ceil_isqrt",
     "rank",
-    "gcd",
 ]

@@ -127,8 +127,8 @@ def criterion_threshold(p: int, d: int) -> CriterionThreshold:
         raise ValueError("p must be prime")
     if d < 1:
         raise ValueError("d must be >= 1")
-    return CriterionThreshold(p, d, smallest_prime_excluding(p), c_squares(p)[1],
-                              degree_threshold(p, d))
+    s = smallest_prime_excluding(p)
+    return CriterionThreshold(p, d, s, c_squares(p)[1], regime_threshold(p, s * d))
 
 
 def cor18_bound(p: int, d: int) -> int:

@@ -136,6 +136,13 @@ def _flags_apply(args, defaults: dict, reads, where) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} applies only to {where(dest)}")
 
 
+def _check_min(flag: str, value: int | None, low: int) -> None:
+    """Refuse a value below the least one its flag admits, naming the flag;
+    a flag not given (None) is not judged."""
+    if value is not None and value < low:
+        raise ValueError(f"{flag} must be >= {low}")
+
+
 def _check_cap(flag: str, value: int, limit: int) -> None:
     """Refuse a value above its layer's limit.  Each handler imports the
     limit from its layer module when it runs, so a lowered one is obeyed."""
@@ -234,12 +241,12 @@ def _cmd_criterion(args) -> int:
     from .residue_p1 import MAX_ALL_L
 
     if args.all_l_up_to is not None:
-        if args.all_l_up_to < 2:
-            raise ValueError("--all-l-up-to must be >= 2")
+        _check_min("--all-l-up-to", args.all_l_up_to, 2)
         _check_cap("--all-l-up-to", args.all_l_up_to, MAX_ALL_L)
         ls = [l for l in range(2, args.all_l_up_to + 1) if is_prime(l)]
     else:
         ls = [args.l]
+    _check_min("--d", args.d, 1)
     _check_level(args.p, args.n)
     reports = [check_kamienny_condition3(args.p, args.n, args.d, l) for l in ls]
     # the shape follows the flag, not the number of primes up to L
@@ -291,10 +298,10 @@ def _walk_both(pp, r):
 def _cmd_paths(args) -> int:
     from .residue_p1 import MAX_HECKE_R, PrimePower
 
-    if args.d is not None and args.d < 1:  # D = r applies only when --d is not given
-        raise ValueError("D must be >= 1")
+    _check_min("--d", args.d, 1)  # D = r applies only when --d is not given
     if args.p is None or args.r is None:
         raise ValueError("paths: need --p and --r (or the sweep subcommand)")
+    _check_min("--r", args.r, 1)
     _check_cap("--r", args.r, MAX_HECKE_R)
     n = 1 if args.n is None else args.n
     _check_level(args.p, n)
@@ -321,9 +328,9 @@ def _cmd_paths_sweep(args) -> int:
     _flags_apply(args, dict.fromkeys(("p", "n", "r", "d", "out")), (),
                  lambda _: "paths without sweep")
     args.d, args.out = args.sweep_d, args.sweep_out
-    if args.d is not None and args.d < 1:
-        raise ValueError("D must be >= 1")
+    _check_min("--d", args.d, 1)
     _check_cap("--r-max", args.r_max, MAX_HECKE_R)
+    _check_min("--r-min", args.r_min, 1)
     if args.r_min > args.r_max:
         raise ValueError(f"--r-min {args.r_min} exceeds --r-max {args.r_max}")
     rows = []
@@ -354,7 +361,9 @@ def _cmd_qexp_relations(args) -> int:
         verify_relations,
     )
 
+    _check_min("--order", args.order, 8)  # the least order verify_relations takes
     _check_cap("--order", args.order, MAX_QEXP_ORDER)
+    _check_min("--trials", args.trials, 1)
     _check_cap("--trials", args.trials, MAX_QEXP_TRIALS)
     rel = verify_relations(order=args.order, trials=args.trials, seed=args.seed)
     ident = verify_coefficient_identity(order=max(args.order, 30), seed=args.seed)
@@ -367,7 +376,9 @@ def _cmd_qexp_relations(args) -> int:
 def _cmd_qexp_up_matrix(args) -> int:
     from .qexp_hecke import CASE_COPRIME, MAX_UP_MATRIX_K, build_Up_matrix, charpoly
 
+    _check_min("--k", args.k, 1)
     _check_cap("--k", args.k, MAX_UP_MATRIX_K)
+    _check_min("--lam", args.lam, 1)
     # the charpoly prints 1, -a_p and the entry eps_p p^(lam-1)
     if args.case == CASE_COPRIME and _too_long(args.prime, args.lam - 1, args.eps_p):
         raise ValueError(f"--lam {args.lam} exceeds the limit: eps_p p^(lam-1) would print "
@@ -408,6 +419,7 @@ def _cmd_bounds(args) -> int:
     mode = args.bounds_mode
     _flags_apply(args, _BOUNDS_DEFAULTS, _BOUNDS_READS[mode],
                  lambda dest: " and ".join(f"--{m}" for m, r in _BOUNDS_READS.items() if dest in r))
+    _check_min("--d", args.d, 1)  # given only to a mode that reads it, else its default 1
     if mode == "constants":
         rep = bounds.constants_consistency()
         _emit(rep.to_json(), args)
@@ -427,8 +439,7 @@ def _cmd_bounds(args) -> int:
         return 0
     # --table, the one mode left
     dmax = args.d_max
-    if dmax < 1:
-        raise ValueError("--d-max must be >= 1")
+    _check_min("--d-max", dmax, 1)
     _check_digits("--d-max", dmax, max(map(bounds.auxiliary_prime, _PRIME_CLASSES)))
     header = ["d", "p_not_2_3", "p_3", "p_2"]
     rows = [[d, *(bounds.cor18_bound(p, d) for p in _PRIME_CLASSES)] for d in range(1, dmax + 1)]
@@ -562,6 +573,7 @@ def main() -> None:
 
 
 __all__ = [
+    "SCHEMA",
     "MAX_BOUND_DIGITS",
     "build_parser",
     "cli_main",

@@ -207,7 +207,7 @@ def _component_labels(table: P1Table, removed: set[int], ends: list[int]) -> lis
     return out
 
 
-Matrix = tuple[tuple[int, int], tuple[int, int]]
+_Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 # W = P gamma Q for gamma in Gamma_0(p^n), with g = [[0, -1], [1, 2]] in
 # SL_2(Z), whose bottom row (1, 2) is the point 1/2: P = g^-1 [[1, -1], [0, 1]]
@@ -218,13 +218,13 @@ _Q = ((-1, 1), (1, -2))
 _WALK_SCAN = 64  # values of a tried
 
 
-def _mul(x: Matrix, y: Matrix) -> Matrix:
+def _mul(x: _Matrix, y: _Matrix) -> _Matrix:
     (a, b), (c, d) = x
     (e, f), (g, h) = y
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _letters(w: Matrix, cap: int) -> Optional[list[int]]:
+def _letters(w: _Matrix, cap: int) -> Optional[list[int]]:
     """The word in A = [[1, 0], [1, 1]] (0) and B = [[1, 1], [0, 1]] (1)
     equal to +-w, first letter first, or None when neither w nor -w is
     nonnegative or the word has more than cap letters.  A nonnegative
@@ -415,12 +415,13 @@ def check_kamienny_condition3(p: int, n: int, d: int, l: int) -> CriterionReport
 
     The threshold flag records whether p^n >= C^2 (sd)^6, the regime where
     independence is guaranteed; outside it the report still carries the
-    computed rank without asserting anything.  An s*d above MAX_HECKE_R, or
-    a level whose |P^1| exceeds MAX_P1_SIZE, is refused with ValueError
-    before any image is listed or any search started.
+    computed rank without asserting anything.  An l that is not prime
+    (hecke_span_rank proves it), an s*d above MAX_HECKE_R, or a level whose
+    |P^1| exceeds MAX_P1_SIZE, is refused with ValueError before any image
+    is listed or any search started.
     """
-    if not is_prime(l):
-        raise ValueError(f"l={l} must be prime")
+    if l < 2:  # 0 would ask hecke_span_rank for Q; it refuses every other non-prime l
+        raise ValueError(f"{l} is not prime")
     pp = PrimePower(p, n)
     thr = criterion_threshold(p, d)
     required = thr.s * d

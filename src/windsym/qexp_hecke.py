@@ -44,9 +44,12 @@ normalized eigen-series f: the matrix is (M1) with head entry a_p and a
 superdiagonal of ones when p divides the underlying level M, and (M2) with
 head column (a_p, -eps(p)p^{lambda-1}) when it does not; the characteristic
 polynomial in the second case is (X^2 - a_p X + eps(p)p^{lambda-1}) X^{k-1}.
-Jordan data, kernel vectors, the alternating Jordan basis in trivial
-character, and the block-diagonal structure for general co-level are checked
-on genuine truncated series, not just on the matrices.
+build_Up_matrix is the one construction of these matrices.  The Jordan
+census is read off them, and the kernel vector is checked on genuine
+truncated series.  The forms derived from them, the canonical M3/M4, the
+alternating Jordan basis in trivial character and the block-diagonal
+structure for general co-level, are checked in tests/test_qexp_hecke.py on
+build_Up_matrix's matrices and, for the blocks, on genuine series.
 
 Coefficient rings: exact rationals (fractions.Fraction), the quadratic
 extension Q(sqrt(D)) (class Quad, any nonsquare D, compared by value), and
@@ -64,7 +67,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt, lcm
 
-from .arith import divisors, factorize, is_prime, kronecker, rank
+from .arith import factorize, is_prime, kronecker, rank
 
 # ---------------------------------------------------------------------------
 # Coefficient rings
@@ -186,10 +189,6 @@ class PolyQ:
     def gen(cls) -> "PolyQ":
         return cls((0, 1))
 
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1
-
     def _coerce(self, other):
         if isinstance(other, PolyQ):
             return other
@@ -308,10 +307,6 @@ class DirichletCharacter:
             return 1
         return kronecker(self.disc, n)
 
-    @property
-    def parity(self) -> int:
-        return self(-1)
-
 
 TRIVIAL_CHARACTER = DirichletCharacter.trivial(1)
 
@@ -403,10 +398,6 @@ def make_qexp(coeffs, order=None, weight=2, eps=TRIVIAL_CHARACTER, reliable=None
     return QExpansion(tuple(coeffs), order, reliable, weight, eps)
 
 
-def agree_to_reliable(f: QExpansion, g: QExpansion) -> bool:
-    return first_disagreement(f, g) is None
-
-
 def first_disagreement(f: QExpansion, g: QExpansion):
     """First n within the shared reliable range where the series differ,
     as (n, f_n, g_n); None when they agree."""
@@ -417,11 +408,6 @@ def first_disagreement(f: QExpansion, g: QExpansion):
     for n, (x, y) in enumerate(zip(a, b), 1):
         if x != y:
             return (n, x, y)
-
-
-def is_zero_to_reliable(f: QExpansion, up_to: int | None = None) -> bool:
-    r = f.reliable if up_to is None else min(up_to, f.reliable)
-    return all(f.raw(n) == 0 for n in range(1, r + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -517,33 +503,6 @@ def random_series(
     """Coefficients n/d by the draws of _integral_series, divided by L: the
     same values and the same rng state afterwards."""
     return Fraction(1, SERIES_DENOMINATOR_LCM) * _integral_series(rng, order, weight, eps)
-
-
-def formal_eigenform(
-    order: int,
-    ap_values: dict,
-    weight: int = 2,
-    eps: DirichletCharacter = TRIVIAL_CHARACTER,
-) -> QExpansion:
-    """Normalized series (a_1 = 1) built from prescribed prime coefficients
-    by the Hecke recursion and multiplicativity, so t_p f = a_p f holds
-    exactly for every prime p (with a_p = 0 where unspecified)."""
-    a: list = [0] * (order + 1)
-    a[1] = 1
-    for n in range(2, order + 1):
-        p = min(factorize(n))
-        pk, rest = p, n // p
-        while rest % p == 0:
-            pk *= p
-            rest //= p
-        if rest > 1:
-            a[n] = a[pk] * a[rest]
-        elif pk == p:
-            a[n] = ap_values.get(p, 0)
-        else:
-            fac = eps(p) * p ** (weight - 1)
-            a[n] = a[p] * a[pk // p] - fac * a[pk // (p * p)]
-    return QExpansion(tuple(a[1:]), order, order, weight, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -838,22 +797,12 @@ CASE_COPRIME = "coprime"  # p coprime to M: U_p = a_p - eps(p)p^{lambda-1} B_p o
 
 @dataclass
 class OldclassMatrix:
-    """Matrix of U_p on the oldclass basis {f, B_p f, ..., B_{p^k} f} (cases
-    M1/M2), or a canonical form with a 2x2 head block (M3/M4)."""
+    """Matrix of U_p on the oldclass basis {f, B_p f, ..., B_{p^k} f}
+    (cases M1/M2)."""
 
     case: str
     k: int
     entries: list
-
-    @property
-    def size(self) -> int:
-        return self.k + 1
-
-
-def _jordan_chain(n: int, start: int) -> list:
-    """The n x n zero matrix with ones on the superdiagonal from row start
-    on: one nilpotent Jordan block on the basis vectors from start."""
-    return [[int(start <= i == j - 1) for j in range(n)] for i in range(n)]
 
 
 def build_Up_matrix(
@@ -872,7 +821,7 @@ def build_Up_matrix(
         raise ValueError("lam must be >= 1")
     if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    entries = _jordan_chain(k + 1, 0)
+    entries = [[int(i == j - 1) for j in range(k + 1)] for i in range(k + 1)]
     entries[0][0] = a_p
     if case == CASE_DIVIDES:
         return OldclassMatrix("M1", k, entries)
@@ -882,26 +831,6 @@ def build_Up_matrix(
         entries[1][0] = -(eps_p * p ** (lam - 1))
         return OldclassMatrix("M2", k, entries)
     raise ValueError(f"unknown case {case!r}; use 'divides' or 'coprime'")
-
-
-def m3_matrix(alpha, beta, k: int) -> OldclassMatrix:
-    """Canonical form diag(alpha, beta) + nilpotent block of size k-1 (M3)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    entries = _jordan_chain(k + 1, 2)
-    entries[0][0] = alpha
-    entries[1][1] = beta
-    return OldclassMatrix("M3", k, entries)
-
-
-def m4_matrix(a_p, k: int) -> OldclassMatrix:
-    """Canonical form [[a_p/2, 1], [0, a_p/2]] + nilpotent block (M4)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    entries = _jordan_chain(k + 1, 2)
-    entries[0][0] = entries[1][1] = _div_scalar(a_p, 2)
-    entries[0][1] = 1
-    return OldclassMatrix("M4", k, entries)
 
 
 def _div_scalar(x, k: int):
@@ -955,10 +884,6 @@ class JordanReport:
             if e == eig:
                 return sizes
         return ()
-
-    @property
-    def block_count(self) -> int:
-        return sum(len(sz) for _, sz in self.blocks)
 
 
 def jordan_structure(matrix) -> JordanReport:
@@ -1018,7 +943,7 @@ def jordan_structure(matrix) -> JordanReport:
 
 
 # ---------------------------------------------------------------------------
-# Kernel vectors, Jordan basis, oldclass blocks on genuine series
+# Kernel vectors on genuine series
 # ---------------------------------------------------------------------------
 
 
@@ -1070,7 +995,7 @@ def kernel_vector_check(f: QExpansion, p: int, order: int) -> KernelCheckReport:
         raise ValueError(
             f"series too short: U_{p} image reliable to {w.reliable} < {order}"
         )
-    kernel_ok = is_zero_to_reliable(w, order)
+    kernel_ok = all(c == 0 for c in w.coeffs[:order])
     m4_case = a_p * a_p == 4 * theta
     m4_ok = None
     if m4_case:
@@ -1084,94 +1009,6 @@ def kernel_vector_check(f: QExpansion, p: int, order: int) -> KernelCheckReport:
     return KernelCheckReport(True, kernel_ok, m4_case, m4_ok, order)
 
 
-@dataclass
-class JordanBasisReport:
-    """Alternating basis {f, B_p f - a_p f, B_{p^2} f - f, ...} for the
-    trivial-character case p || M, with the Jordan matrix it produces."""
-
-    a_p: int
-    k: int
-    basis: list  # columns, coordinates on {f, B_p f, ..., B_{p^k} f}
-    jordan: list
-    verified: bool
-
-
-def jordan_basis_trivial_char(a_p: int, k: int) -> JordanBasisReport:
-    """Change of basis putting U_p (case p || M, trivial character, a_p = +-1)
-    in Jordan form; verified by exact matrix conjugation M C = C J."""
-    if a_p not in (1, -1):
-        raise ValueError("a_p must be +1 or -1 in the trivial-character case p || M")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    n = k + 1
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        col[j] = 1
-        if j >= 1:
-            col[0] -= a_p if j % 2 == 1 else 1
-        cols.append(col)
-    c_mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    jordan = _jordan_chain(n, 1)
-    jordan[0][0] = a_p
-    if k == 0:
-        m1 = [[a_p]]
-    else:
-        m1 = build_Up_matrix(CASE_DIVIDES, a_p, 0, 2, k).entries
-    verified = _matmul(m1, c_mat) == _matmul(c_mat, jordan)
-    return JordanBasisReport(a_p, k, cols, jordan, verified)
-
-
-@dataclass
-class OldclassBlocks:
-    """Block-diagonal description of U_q on the divisor-indexed basis
-    {B_d f : d | co_level}, grouped as B^{q,d} = {B_d f, B_{dq} f, ...,
-    B_{dq^m} f} for d running over divisors of co_level/q^m."""
-
-    q: int
-    m: int
-    co_level: int
-    group_leads: list  # divisors d of co_level / q^m, ascending
-    basis: list  # all divisor labels in block order
-    block: OldclassMatrix
-    block_count: int
-
-    @property
-    def block_size(self) -> int:
-        return self.m + 1
-
-    def full_matrix(self) -> list:
-        n = self.block_count * self.block_size
-        out = [[0] * n for _ in range(n)]
-        for g in range(self.block_count):
-            off = g * self.block_size
-            for i in range(self.block_size):
-                for j in range(self.block_size):
-                    out[off + i][off + j] = self.block.entries[i][j]
-        return out
-
-
-def oldclass_blocks(
-    q: int, co_level: int, a_q, case: str, lam: int = 2, eps_q: int = 1
-) -> OldclassBlocks:
-    """U_q on an oldclass of co-level n (= N/M): block diagonal with
-    sigma_0(n / q^m) identical single-prime blocks, q^m the exact power of q
-    in n.  The block shape depends only on the case, not on the divisor d."""
-    if not is_prime(q):
-        raise ValueError("q must be prime")
-    if co_level % q != 0:
-        raise ValueError("q must divide the co-level")
-    m = 0
-    rest = co_level
-    while rest % q == 0:
-        m += 1
-        rest //= q
-    leads = divisors(rest)
-    basis = [d * q**j for d in leads for j in range(m + 1)]
-    block = build_Up_matrix(case, a_q, eps_q, lam, m, p=q)
-    return OldclassBlocks(q, m, co_level, leads, basis, block, len(leads))
-
-
 __all__ = [
     "Quad",
     "PolyQ",
@@ -1179,15 +1016,13 @@ __all__ = [
     "TRIVIAL_CHARACTER",
     "QExpansion",
     "make_qexp",
-    "agree_to_reliable",
     "first_disagreement",
-    "is_zero_to_reliable",
     "op_B",
     "op_t",
     "op_U",
     "op_T",
     "random_series",
-    "formal_eigenform",
+    "SERIES_DENOMINATOR_LCM",
     "RelationCheck",
     "RelationReport",
     "verify_relations",
@@ -1199,15 +1034,9 @@ __all__ = [
     "CASE_COPRIME",
     "OldclassMatrix",
     "build_Up_matrix",
-    "m3_matrix",
-    "m4_matrix",
     "charpoly",
     "JordanReport",
     "jordan_structure",
     "KernelCheckReport",
     "kernel_vector_check",
-    "JordanBasisReport",
-    "jordan_basis_trivial_char",
-    "OldclassBlocks",
-    "oldclass_blocks",
 ]

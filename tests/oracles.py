@@ -16,6 +16,8 @@ coefficient-by-coefficient q-expansion operators that the slice kernels
 replaced, the Fraction-series relation suite that the integer L*f
 streaming replaced, the one-trial-at-a-time coefficient identity that lane
 packing replaced, and the closed formula for the coefficients of T_n.
+It also builds the test inputs of the oldclass checks: eigen-series from
+prescribed prime coefficients (formal_eigenform).
 """
 
 import random
@@ -800,3 +802,30 @@ def per_trial_coefficient_identity(
     return RelationCheck(
         "a_1(T_n f) = a_n(f)", f"n <= {nmax}", trials, failure == "", failure
     )
+
+
+def formal_eigenform(
+    order: int,
+    ap_values: dict,
+    weight: int = 2,
+    eps: DirichletCharacter = TRIVIAL_CHARACTER,
+) -> QExpansion:
+    """Normalized series (a_1 = 1) built from prescribed prime coefficients
+    by the Hecke recursion and multiplicativity, so t_p f = a_p f holds
+    exactly for every prime p (with a_p = 0 where unspecified)."""
+    a: list = [0] * (order + 1)
+    a[1] = 1
+    for n in range(2, order + 1):
+        p = min(factorize(n))
+        pk, rest = p, n // p
+        while rest % p == 0:
+            pk *= p
+            rest //= p
+        if rest > 1:
+            a[n] = a[pk] * a[rest]
+        elif pk == p:
+            a[n] = ap_values.get(p, 0)
+        else:
+            fac = eps(p) * p ** (weight - 1)
+            a[n] = a[p] * a[pk // p] - fac * a[pk // (p * p)]
+    return QExpansion(tuple(a[1:]), order, order, weight, eps)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -466,7 +467,7 @@ def test_cli_usage_errors(capsys):
     # no trial would check nothing, so it is refused rather than reported as a pass
     for trials in ("0", "-1"):
         assert cli_main(["qexp", "verify-relations", "--order", "20", "--trials", trials]) == 2
-        assert capsys.readouterr() == ("", "error: trials must be >= 1\n")
+        assert capsys.readouterr() == ("", "error: --trials must be >= 1\n")
     # a zero denominator is bad input, not a crash
     assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "3", "--a-p", "1/0",
                      "--prime", "5"]) == 2
@@ -784,6 +785,22 @@ def test_readme_names_every_limit_with_its_value():
     assert exported == set(named)
 
 
+def test_each_module_exports_exactly_its_public_definitions():
+    # a name a deletion leaves in __all__, or a public definition left out
+    # of it, fails here; an imported name belongs to the module it is from
+    for info in pkgutil.iter_modules(windsym.__path__):
+        module = importlib.import_module(f"windsym.{info.name}")
+        defined = set()
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        public = sorted(name for name in defined if not name.startswith("_"))
+        assert sorted(getattr(module, "__all__", ())) == public, info.name
+
+
 def test_cli_reruns_byte_identical(capsys):
     _, first = run_cli(capsys, "criterion", "--p", "13", "--n", "1", "--d", "1", "--l", "3")
     _, second = run_cli(capsys, "criterion", "--p", "13", "--n", "1", "--d", "1", "--l", "3")
@@ -855,12 +872,46 @@ def test_cli_homology_field_label(capsys):
         assert rc == 0
         assert json.loads(out)["field"] == label
     # Q is asked for by omitting --l: every non-prime --l is refused, 0 too,
-    # as criterion refuses it
+    # with the text criterion prints
     for l in ("6", "0", "1", "-5"):
-        assert cli_main(["homology", "--p", "11", "--l", l]) == 2
-        assert capsys.readouterr() == ("", f"error: {l} is not prime\n")
-        assert cli_main(["criterion", "--p", "11", "--l", l]) == 2
-        assert capsys.readouterr() == ("", f"error: l={l} must be prime\n")
+        for command in ("homology", "criterion"):
+            assert cli_main([command, "--p", "11", "--l", l]) == 2
+            assert capsys.readouterr() == ("", f"error: {l} is not prime\n")
+
+
+def test_criterion_proves_each_input_once(capsys, monkeypatch):
+    from windsym import arith, bounds, bounds_cli, hecke_symbols, residue_p1
+
+    calls = []
+    exact = arith.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return exact(n)
+
+    for module in (arith, bounds, bounds_cli, hecke_symbols, residue_p1):
+        monkeypatch.setattr(module, "is_prime", counted)
+    # p by PrimePower and by criterion_threshold, s = 2 by the one search
+    # for the smallest prime other than p, and l by hecke_span_rank
+    rc, _ = run_cli(capsys, "criterion", "--p", "11", "--l", "3")
+    assert rc == 0 and calls == [11, 11, 2, 3]
+
+
+@pytest.mark.parametrize("argv, flag, low", [
+    (["criterion", "--p", "11", "--d", "0", "--l", "3"], "--d", 1),
+    (["criterion", "--p", "11", "--d", "-2", "--all-l-up-to", "5"], "--d", 1),
+    (["bounds", "--prop11", "--d", "0"], "--d", 1),
+    (["bounds", "--threshold", "--d", "-1"], "--d", 1),
+    (["qexp", "verify-relations", "--order", "7"], "--order", 8),
+    (["qexp", "verify-relations", "--order", "20", "--trials", "0"], "--trials", 1),
+    (["qexp", "up-matrix", "--case", "coprime", "--k", "0"], "--k", 1),
+    (["qexp", "up-matrix", "--case", "divides", "--k", "2", "--lam", "0"], "--lam", 1),
+    (["paths", "sweep", "--pn", "101", "--r-min", "-3"], "--r-min", 1),
+], ids=["criterion", "criterion-all-l", "prop11", "threshold", "order", "trials", "k", "lam",
+        "r-min"])
+def test_cli_minimums_name_their_flag(capsys, argv, flag, low):
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} must be >= {low}\n")
 
 
 def test_cli_homology_runs_past_the_dense_limit(capsys):
@@ -1018,7 +1069,7 @@ def test_cli_up_matrix_refuses_lam_below_one(capsys):
         for lam in ("0", "-1"):
             argv = ["qexp", "up-matrix", "--case", case, "--k", "2", "--prime", "5", "--lam", lam]
             assert cli_main(argv) == 2
-            assert capsys.readouterr() == ("", "error: lam must be >= 1\n")
+            assert capsys.readouterr() == ("", "error: --lam must be >= 1\n")
 
 
 def test_cli_refuses_oversized_up_matrix_lam_before_building(capsys, monkeypatch):
@@ -1097,7 +1148,9 @@ def test_cli_paths_refuses_a_missing_or_empty_r(capsys):
     assert cli_main(["paths", "--p", "101"]) == 2
     assert capsys.readouterr() == ("", "error: paths: need --p and --r (or the sweep subcommand)\n")
     assert cli_main(["paths", "--p", "101", "--r", "0"]) == 2
-    assert capsys.readouterr() == ("", "error: r must be >= 1\n")
+    assert capsys.readouterr() == ("", "error: --r must be >= 1\n")
+    assert cli_main(["paths", "sweep", "--pn", "101", "--r-min", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --r-min must be >= 1\n")
 
 
 @pytest.mark.parametrize("argv", [["paths", "--p", "101", "--r", "2"], ["paths", "sweep", "--pn", "101"]],
@@ -1112,7 +1165,7 @@ def test_cli_paths_refuses_d_below_one_before_any_walk(capsys, monkeypatch, argv
         monkeypatch.setattr(winding_paths, name, no_walk)
     for d in ("0", "-1"):
         assert cli_main([*argv, "--d", d]) == 2
-        assert capsys.readouterr() == ("", "error: D must be >= 1\n")
+        assert capsys.readouterr() == ("", "error: --d must be >= 1\n")
 
 
 @pytest.mark.parametrize("flag", [["--p", "5"], ["--n", "2"], ["--r", "3"], ["--d", "3"], ["--out"]],
