@@ -16,31 +16,39 @@ written as it is encoded and that list encoded in one piece, so it fails
 when the output is joined in memory again (or the relation rows come
 back).
 
-- The criterion at p = 1000003, and at the first primes past the d = 2
-  and d = 3 thresholds 65 (2d)^6 = 266240 and 3032640, p = 266261 (rank 4
-  of 4 over F_5) and p = 3032641 (rank 6 of 6 over F_5): each is decided
-  by a graph search on the few edges the Hecke images touch, which reads
-  no permutation, holds in its frontier only the far points of edges not
-  yet crossed, and marks the region already joined in a bitset of |P^1|/8
-  bytes, so all three stay within 2 MB of the interpreter's 17.4 MB.  The
-  dense sigma, tau and spanning tree they replaced peaked at 45, 25 and
-  126 MB.
+- The criterion at p = 1000003 with d = 1, where the walk below decides,
+  and at the first primes past the d = 2 and d = 3 thresholds
+  65 (2d)^6 = 266240 and 3032640, p = 266261 (rank 4 of 4 over F_5) and
+  p = 3032641 (rank 6 of 6 over F_5).  Those two are decided by one search
+  of their pivot edges, the edge of each T_r on which the paper's proof
+  rests: 10,872 and 49,929 crossings, against 11,652 and 63,575 for the
+  search over every edge the Hecke images touch, with no component label
+  and no elimination.  The search reads no permutation, holds in its
+  frontier only the far points of edges not yet crossed, and marks the
+  region already joined in a bitset of |P^1|/8 bytes, so all three stay
+  within 2.1 MB of the interpreter's 17.4 MB.  The dense sigma, tau and
+  spanning tree they replaced peaked at 45, 25 and 126 MB.
+- The criterion at p = 1000003 with d = 2 (rank 4 of 4 over F_3): the
+  pivot search decides it in 26,761 crossings at about 18.6 MB.  Labelling
+  the components there, with a 4-byte label of |P^1| entries, took
+  25.5 MB, so its limit of 21 MB fails when the pivots stop deciding and
+  the labels are built.
 - The criterion at p = 266261 with d = 2 for every prime l <= 100: the
-  images and the graph search are redone for each of the 25 primes, so it
-  stays near 17.3 MB like one l, but takes about 0.8 s in a child process
-  against 0.12 s for `--l 3`; the printed wall time is the cost of that
+  images and the pivot search are redone for each of the 25 primes, so it
+  stays near 17.6 MB like one l, but takes about 0.6 s in a child process
+  against 0.1 s for `--l 5`; the printed wall time is the cost of that
   repeated search.
 - The criterion at p = 9999991 with d = 1 (rank 2 of 2 over F_3): in the
-  guaranteed regime its one edge of S between distinct vertices is joined
+  guaranteed regime its one pivot edge between distinct vertices is joined
   by a walk of O(log p) sigma and tau steps, about 17.5 MB and 0.13 s in a
   child process, against 39.6 MB and 0.9 s for the graph search (203,064
   crossings), so its limit of 25 MB fails when the walk stops closing.
 - The criterion at p = 9999991 (d = 2, rank 4 of 4 over F_3), the largest
-  admitted prime, where that bitset is largest (1.25 MB): about 26.4 MB,
-  against 25.6 MB for the search that read each vertex twice and kept no
-  bitset, and 93 MB with a dense sigma built at that level, so its limit
-  of 30 MB also fails on the fallback's 4-byte label array of |P^1|
-  entries.
+  admitted prime, where that bitset is largest (1.25 MB): its pivot search
+  makes 139,852 crossings at about 29.0 MB, against 197,242 crossings and
+  26.4 MB for the search over every edge of S, whose balls stayed smaller,
+  and 93 MB with a dense sigma built at that level, so its limit of 30 MB
+  also fails on the 4-byte label array of |P^1| entries.
 - The homology record at p = 1000003: its shape is counted from the
   elliptic points, so it builds no permutation and stays at the
   interpreter's 17.4 MB; counting it off a dense sigma took 24.3 MB, and
@@ -78,6 +86,8 @@ CASES = [
      "5485130389c083525a412dd59b6991e2db6d3d02a195e50005a371fa32d717d7", 22),
     (["criterion", "--p", "3032641", "--d", "3", "--l", "5"],
      "f15d0a8abd43e4bd4ec86eeaf5d29819c7af9e56447550520e5b1d6c16152e06", 22),
+    (["criterion", "--p", "1000003", "--d", "2", "--l", "3"],
+     "76f1708ed896f89a435ab42c7026ccc61475d5147db65a4855f45e1e6dc63367", 21),
     (["criterion", "--p", "266261", "--d", "2", "--all-l-up-to", "100"],
      "025d2ac3839d8867e2391fc16837550a4f17609611c4970bd479dd523eece3eb", 22),
     (["criterion", "--p", "9999991", "--d", "1", "--l", "3"],

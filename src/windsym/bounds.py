@@ -66,7 +66,7 @@ class BoundReport:
 def prop11_bound(l: int, d: int) -> int:
     """Order bound 2(1 + l^d) for the surviving reduction cases."""
     if not is_prime(l):
-        raise ValueError("l must be prime")
+        raise ValueError(f"{l} is not prime")
     if d < 1:
         raise ValueError("d must be >= 1")
     return 2 * (1 + l**d)

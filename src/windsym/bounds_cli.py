@@ -117,9 +117,10 @@ def _check_digits(flag: str, d: int, l: int = 1) -> None:
 
 
 def _check_level(p: int, n: int) -> None:
-    """Refuse a level p^n of more than MAX_BOUND_DIGITS digits before p^n is
-    formed (Python 3.11 cannot print one past 4300 digits, and p^n itself
-    grows without bound in n)."""
+    """Refuse an --n below 1, and a level p^n of more than MAX_BOUND_DIGITS
+    digits before p^n is formed (Python 3.11 cannot print one past 4300
+    digits, and p^n itself grows without bound in n)."""
+    _check_min("--n", n, 1)
     if _too_long(p, n):
         raise ValueError(f"--n {n} exceeds the limit: p^n would have more than "
                          f"{MAX_BOUND_DIGITS} digits")

@@ -14,25 +14,40 @@ The rank test checks F_l-linear independence of T_1{0,oo}, ..., T_{sd}{0,oo}
 in H_1(X_0(p^n), cusps), with s the smallest prime different from p; that
 independence is the sufficient criterion ruling out degree-d points of
 prime-power order, and it is guaranteed once p^n clears the threshold
-C^2 (sd)^6 of windsym.bounds.  It is decided on the few edges the images
-touch, in the graph of tau orbits and sigma 2-orbits that presents H_1
-(see rel_homology): a bidirectional search per edge, which crosses each
-graph edge by one P1Table.cross call and stops once both ends reach the
-region already joined, shows that removing those edges leaves the graph
-connected, or else labels its components exactly, so no dense
-permutation, spanning tree or quotient coordinate is built.
+C^2 (sd)^6 of windsym.bounds.  It is decided on the few edges S the images
+touch, in the graph G of tau orbits and sigma 2-orbits that presents H_1
+(see rel_homology), so no dense permutation, spanning tree or quotient
+coordinate is built.
+
+The paper's proof reads the rank off one leading class per operator, and
+the test reads it the same way.  T_r has coefficient +-1 on its pivot edge
+e_r (the loop {0, oo} for r = 1, the edge [1/r | -r] past it), and no T_i
+with i < r touches e_r.  This is checked on the images: among the prime
+powers below 3000 with d <= 3 it fails at 36 pairs (p^n, d), each with
+p^n < sd(sd + 1), the largest 64 at d = 3.  When the two ends of each
+pivot edge are joined in G minus S, the rank is sd over Q and over every
+F_l, with no elimination.  One bidirectional search decides that: it
+crosses each graph edge by one P1Table.cross call and stops once both ends
+reach the region already joined.  The pivots e_2..e_sd are searched, all
+of S removed (e_1 is a loop).  That costs less than a search of every edge
+of S, which it replaces: 1,075 crossings against 1,760 at 2^13 (d = 1),
+10,872 against 11,652 at p = 266261 (d = 2), 26,761 against 37,774 at
+p = 1000003 (d = 2) and 49,929 against 63,575 at p = 3032641 (d = 3).  A
+level where a pivot splits has its components labelled exactly, and its
+rank eliminated once per field; a level where the pivot structure fails
+is first searched on every edge of S.
 
 At d = 1 with p odd (imax = 2) S is always the same two edges, read off
 the images rather than searched for: T_1 and T_2 touch only the points 0
 and 1/2, so S is the loop {0, oo}, whose ends share the tau orbit
-{0, -1, oo}, and the edge {1/2, -2}, whose ends never do.  There, in the
-guaranteed regime, a walk certificate is tried before the search.  A path
-in the graph is a word in the right actions of sigma and tau: from a point
-y, the letter A = tau.sigma = [[1, 0], [1, 1]] crosses the edge at y.tau
-and the letter B = tau^2.sigma = -[[1, 1], [0, 1]] the edge at y.tau^2.
-The point 1/2 is the bottom row of g = [[0, -1], [1, 2]] in SL_2(Z), so for
-gamma = [[a, b], [p^n, d']] in Gamma_0(p^n), with a scanned outward from
-p^n/phi, W = +-g^-1 [[1, -1], [0, 1]] gamma g sigma tau^2 has
+{0, -1, oo}, and the pivot e_2 = {1/2, -2}, whose ends never do.  There, in
+the guaranteed regime, a walk certificate joins e_2 before any search.  A
+path in the graph is a word in the right actions of sigma and tau: from a
+point y, the letter A = tau.sigma = [[1, 0], [1, 1]] crosses the edge at
+y.tau and the letter B = tau^2.sigma = -[[1, 1], [0, 1]] the edge at
+y.tau^2.  The point 1/2 is the bottom row of g = [[0, -1], [1, 2]] in
+SL_2(Z), so for gamma = [[a, b], [p^n, d']] in Gamma_0(p^n), with a scanned
+outward from p^n/phi, W = +-g^-1 [[1, -1], [0, 1]] gamma g sigma tau^2 has
 (1/2).W = (sigma 1/2).tau^2, and when W is nonnegative it is exactly one
 word in A and B, read off by Euclid on its rows (its Stern-Brocot path), of
 O(log p^n) letters.  Only the first such word is walked; it closes at
@@ -40,11 +55,11 @@ every level tried past 4160.  Walking it on P1Table.sigma and tau, the ends
 count as joined only if no crossed edge has its tail in S and the last
 point lies in the tau orbit of sigma 1/2 = -2, so the walk is its own
 certificate and nothing about gamma is trusted.  When it does not close,
-the search runs unchanged, so no output depends on the walk.  At p = 1000003
-the whole criterion makes 92 sigma and tau calls where the search made
-27,861 crossings, and at p = 9999991 102 against 203,064.  Two gates, read
-off the input, keep it where the search is costly and the walk closes:
-below the threshold the search costs a few hundred crossings (about 250 on
+the pivots are searched as at any other level, so no output depends on
+the walk.  At p = 1000003 the whole criterion makes 92 sigma and tau calls
+where the search made 27,861 crossings, and at p = 9999991 102 against
+203,064.  Two gates, read off the input, keep it where the search is
+costly and the walk closes: below the threshold the search costs a few hundred crossings (about 250 on
 average at the odd prime powers in (25, 4160)); at d >= 2 the edges of S
 of small height hem the ends in, so most walks do not close (at p = 266261,
 3 of the 5 edges between distinct vertices at d = 2 and 10 of 11 at d = 3),
@@ -288,18 +303,44 @@ def _walk_joins(table: P1Table, x: int, head: int, removed: set[int]) -> bool:
     return y in (head, t, tau(t))
 
 
-def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[list[int]]]:
+def _pivots(table: P1Table, tails: list[int], rows: list[list[int]]) -> Optional[list[int]]:
+    """The tails of the pivot edges e_1..e_imax, one per image row, when the
+    rows are triangular on them with +-1 pivots, else None.  e_1 is the loop
+    {0, oo}, through the class (0 : 1) of T_1{0,oo}; past it e_r is the edge
+    [1/r | -r] through T_r's leading class (1 : r).  Row r must be +-1 on
+    e_r, and rows 1..r-1 zero there.  This is the paper's leading-class
+    argument; it can fail below p^n = imax (imax + 1), where small
+    rationals meet mod p^n."""
+    column = {x: j for j, x in enumerate(tails)}
+    out = []
+    for r, row in enumerate(rows, 1):
+        x = table.index(0, 1) if r == 1 else table.index(1, r)
+        j = column.get(min(x, table.sigma(x)))  # None when sigma fixes x
+        if j is None or row[j] not in (1, -1) or any(earlier[j] for earlier in rows[: r - 1]):
+            return None
+        out.append(tails[j])
+    return out
+
+
+def _span_matrices(pp: PrimePower, imax: int) -> tuple[Optional[list[list[int]]], list[list[int]]]:
     """(cut rows, image rows) of T_1..T_imax{0,oo} over the edges S that
     the images touch, one column per edge in tail order (see
-    hecke_span_rank): one for each of the k components of G minus S but
-    the last, so none when G minus S is connected.
+    hecke_span_rank): one cut row for each of the k components of G minus S
+    but the last, so none when G minus S is connected, and None in place of
+    the cut rows when the pivot edges decide the rank, which is then imax
+    over every field.
 
-    At imax = 2 (d = 1) with p odd, S is always the loop {0, oo} and the
-    edge {1/2, -2}, so in the guaranteed regime p^n >= C^2 imax^6 the walk
-    of _walk_joins from 1/2 is tried first (see the module docstring); when
-    it closes, G minus S is connected.
-    Otherwise _all_joined searches.  The integers serve every field.  A
-    level past MAX_P1_SIZE is refused before any image or search.
+    When _pivots finds the rows triangular with +-1 pivots, a pivot edge
+    whose ends are joined in G minus S meets no cut row, so when every one
+    is joined the pivot columns alone give rank imax.  At imax = 2 (d = 1)
+    with p odd, in the guaranteed regime p^n >= C^2 imax^6, the walk of
+    _walk_joins from 1/2 tries the one pivot that is not a loop first (see
+    the module docstring); otherwise one _all_joined searches the pivots,
+    with all of S removed.  A pivot left split is an edge of S whose ends
+    are split, so the components are labelled at once.  Only when the rows
+    are not triangular does _all_joined search all of S before the labels.
+    The integers serve every field.  A level past MAX_P1_SIZE is refused
+    before any image or search.
     """
     table = P1Table(pp)
     table.check_size_limit()
@@ -313,11 +354,15 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[list[list[int]], list[lis
     tails = sorted(heads)
     rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
     removed = set(tails)
+    pivots = _pivots(table, tails, rows)
     if imax == 2 and pp.p > 2 and pp.modulus >= regime_threshold(pp.p, imax):
         half = (pp.modulus + 1) // 2  # the point 1/2, the tail of the one bridge
         if _walk_joins(table, half, heads[half], removed):
-            return [], rows
-    if _all_joined(table, removed, tails, heads):
+            return (None if pivots else []), rows
+    if pivots:
+        if _all_joined(table, removed, pivots[1:], heads):  # e_1 is a loop
+            return None, rows
+    elif _all_joined(table, removed, tails, heads):
         return [], rows
     label = _component_labels(table, removed, [e for x in tails for e in (x, heads[x])])
     cuts = [
@@ -343,16 +388,22 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     they sum to zero and any k - 1 are independent over every field: the
     rank is rank(k - 1 cut rows + image rows) - (k - 1), over |S| columns.
 
-    G is connected (sigma and tau generate SL_2(Z)), so when every edge of
-    S has its ends joined in G minus S, by the bidirectional searches of
-    _all_joined, G minus S is connected too: k = 1, there is no cut row,
-    and the rank is that of the image rows alone.  Otherwise
-    _component_labels labels the components of the edges' ends, exactly.
-    Both cross each graph edge by one O(1) P1Table.cross call (one modular
-    inversion), which names the vertex beyond and lists its other edges,
-    and read no dense permutation.  At d = 1 with p odd, in the guaranteed
-    regime, a walk of O(log p^n) sigma and tau steps can join the one edge
-    of S between distinct vertices first (see _span_matrices).
+    The paper's proof gives each T_r a pivot edge e_r of S on which it has
+    coefficient +-1 and no T_i with i < r has any (see _pivots).  A cut row
+    is zero on an edge whose ends lie in one component, so when the ends of
+    every pivot edge are joined in G minus S the image rows are triangular
+    with unit diagonal on columns no cut row touches: the rank is imax over
+    Q and every F_l, and no cut row is built and no elimination runs.  One
+    bidirectional search of _all_joined decides it, or at d = 1 with p odd,
+    in the guaranteed regime, a walk of O(log p^n) sigma and tau steps (see
+    _span_matrices).  Otherwise _component_labels labels the components of
+    the ends of S exactly, and the rank comes from one elimination per
+    field; where the pivot structure itself fails, the search runs over all
+    of S first, and when it joins every edge G minus S is connected (G is,
+    as sigma and tau generate SL_2(Z)), so k = 1 and there is no cut row.
+    The search and the labels cross each graph edge by one O(1)
+    P1Table.cross call (one modular inversion), which names the vertex
+    beyond and lists its other edges, and read no dense permutation.
     """
     if l and not is_prime(l):
         raise ValueError(f"{l} is not prime")
@@ -361,6 +412,8 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     if imax == 0:
         return 0
     cuts, rows = _span_matrices(pp, imax)
+    if cuts is None:
+        return imax
     return rank(cuts + rows, l) - len(cuts)
 
 

@@ -872,10 +872,10 @@ def test_cli_homology_field_label(capsys):
         assert rc == 0
         assert json.loads(out)["field"] == label
     # Q is asked for by omitting --l: every non-prime --l is refused, 0 too,
-    # with the text criterion prints
-    for l in ("6", "0", "1", "-5"):
-        for command in ("homology", "criterion"):
-            assert cli_main([command, "--p", "11", "--l", l]) == 2
+    # with the text criterion and bounds --prop11 print
+    for l in ("4", "6", "0", "1", "-5"):
+        for command in (["homology", "--p", "11"], ["criterion", "--p", "11"], ["bounds", "--prop11"]):
+            assert cli_main([*command, "--l", l]) == 2
             assert capsys.readouterr() == ("", f"error: {l} is not prime\n")
 
 
@@ -907,8 +907,12 @@ def test_criterion_proves_each_input_once(capsys, monkeypatch):
     (["qexp", "up-matrix", "--case", "coprime", "--k", "0"], "--k", 1),
     (["qexp", "up-matrix", "--case", "divides", "--k", "2", "--lam", "0"], "--lam", 1),
     (["paths", "sweep", "--pn", "101", "--r-min", "-3"], "--r-min", 1),
+    (["p1", "--p", "11", "--n", "0"], "--n", 1),
+    (["homology", "--p", "11", "--n", "0", "--l", "3"], "--n", 1),
+    (["criterion", "--p", "11", "--n", "0", "--l", "3"], "--n", 1),
+    (["paths", "--p", "11", "--n", "-1", "--r", "2"], "--n", 1),
 ], ids=["criterion", "criterion-all-l", "prop11", "threshold", "order", "trials", "k", "lam",
-        "r-min"])
+        "r-min", "p1-n", "homology-n", "criterion-n", "paths-n"])
 def test_cli_minimums_name_their_flag(capsys, argv, flag, low):
     assert cli_main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {flag} must be >= {low}\n")

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from itertools import chain
@@ -155,20 +156,48 @@ def _forest_ranks(pp: PrimePower, imax: int) -> dict[int, list[int]]:
     return {l: prefix_ranks(rows, l) for l in CHARS}
 
 
+PRIMES_BELOW_100 = [l for l in range(100) if is_prime(l)]
+
+
+def _all_s_route(span_matrices, pp: PrimePower, imax: int):
+    """span_matrices(pp, imax) with the pivot structure ignored: the search
+    over all of S (the walk first where it applies), then the labels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke_symbols, "_pivots", lambda *args: None)
+        return span_matrices(pp, imax)
+
+
 def _share_and_record_search(monkeypatch) -> dict[str, set]:
     """Share each level's search across the fields, and record the (p^n, d)
-    whose edges were all bridged and those that needed the component
-    labels (only they have cut rows)."""
-    runs = {"bridged": set(), "fallback": set()}
-    search = functools.lru_cache(maxsize=1)(hecke_symbols._span_matrices)
+    by the route that decided them: every pivot edge joined ("pivots"), the
+    pivot structure failing and every edge of S joined ("bridged"), or the
+    component labels ("fallback", the only ones with cut rows), and those
+    whose rows are not triangular on the pivots ("no pivots").  Wherever
+    the pivots decide, the route over all of S must give rank(cuts + rows)
+    - #cuts = sd over Q and every prime l < 100, on the same image rows."""
+    runs = {"pivots": set(), "bridged": set(), "fallback": set(), "no pivots": set()}
+    span, pivots = hecke_symbols._span_matrices, hecke_symbols._pivots
+    search = functools.lru_cache(maxsize=1)(span)
+
+    def pivots_spy(table, tails, rows):
+        out = pivots(table, tails, rows)
+        if out is None:
+            runs["no pivots"].add((table.pp.modulus, len(rows) // smallest_prime_excluding(table.pp.p)))
+        return out
 
     def span_matrices(pp, imax):
         cuts, rows = search(pp, imax)
-        d = imax // smallest_prime_excluding(pp.p)
-        runs["fallback" if cuts else "bridged"].add((pp.modulus, d))
+        level = (pp.modulus, imax // smallest_prime_excluding(pp.p))
+        if cuts is None and level not in runs["pivots"]:
+            all_cuts, all_rows = _all_s_route(span, pp, imax)
+            assert all_rows == rows, level
+            for l in (0, *PRIMES_BELOW_100):
+                assert rank(all_cuts + rows, l) - len(all_cuts) == imax, (level, l)
+        runs["pivots" if cuts is None else "fallback" if cuts else "bridged"].add(level)
         return cuts, rows
 
     monkeypatch.setattr(hecke_symbols, "_span_matrices", span_matrices)
+    monkeypatch.setattr(hecke_symbols, "_pivots", pivots_spy)
     return runs
 
 
@@ -187,14 +216,30 @@ def test_span_rank_against_forest_route(monkeypatch):
     for m in levels:
         ((p, n),) = factorize(m).items()
         _check_against_forest(PrimePower(p, n), (1, 2, 3))
-    fallback = {d: {m for m, e in runs["fallback"] if e == d} for d in (1, 2, 3)}
-    # G minus S splits only at small levels; removing more edges splits more
+    routes = {
+        name: {d: {m for m, e in decided if e == d} for d in (1, 2, 3)}
+        for name, decided in runs.items()
+    }
+    fallback = routes["fallback"]
+    # G minus S splits only at small levels; removing more edges splits more.
+    # 64 at d = 2 and 256 at d = 3 split, but no pivot edge does there
     assert fallback[1] == {3, 4, 7, 8, 9, 13, 16, 25}
-    assert (len(fallback[2]), max(fallback[2])) == (24, 121)
-    assert (len(fallback[3]), max(fallback[3])) == (41, 256)
+    assert (len(fallback[2]), max(fallback[2])) == (23, 121)
+    assert (len(fallback[3]), max(fallback[3])) == (40, 169)
     assert fallback[1] <= fallback[2] <= fallback[3]
+    # the rows fail to be triangular on the pivots only where p^n <
+    # sd(sd + 1), so that T_1..T_sd can meet mod p^n (p = 2 has s = 3)
+    assert routes["no pivots"] == {
+        1: {2, 5},
+        2: {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 32},
+        3: {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 64},
+    }
+    for m, d in runs["no pivots"]:
+        s = smallest_prime_excluding(factorize(m).popitem()[0])
+        assert m < s * d * (s * d + 1), (m, d)
+    assert routes["bridged"] == {1: {2, 5}, 2: {2}, 3: {2}}
     for d in (1, 2, 3):
-        assert {m for m, e in runs["bridged"] if e == d} == set(levels) - fallback[d]
+        assert routes["pivots"][d] == set(levels) - fallback[d] - routes["bridged"][d]
     # hecke_span_rank subtracts len(cuts): the k - 1 cut rows are independent
     for m, d in sorted(runs["fallback"]):
         ((p, n),) = factorize(m).items()
@@ -247,16 +292,63 @@ def test_search_matches_pointwise_route(p, n, d, monkeypatch):
     assert trace
 
 
-def test_search_crosses_each_edge_once():
-    # at the first prime past the d = 2 threshold 266240 the search makes
-    # 11,652 crossings, one P1Table.cross call each; reading every vertex
-    # once to expand it and again to name it took 35,721 calls.  The walk is
-    # tried only at d = 1, so none is tried here
-    with pytest.MonkeyPatch.context() as mp:
-        taken = _walks_taken(mp)
-        (cuts, _), trace = _record_crossings(P1Table.cross, PrimePower(266261, 1), 4)
-    assert cuts == [] and taken == []
-    assert len(trace) <= 12000
+def test_search_crosses_each_edge_once(monkeypatch):
+    # one search of the pivot edges e_2..e_sd, all of S removed, decides
+    # each level, with one P1Table.cross call per crossing.  At the first
+    # prime past the d = 2 threshold 266240 it makes 10,872 crossings: the
+    # search over all of S made 11,652, and reading every vertex once to
+    # expand it and again to name it took 35,721 calls.  At 2^13,
+    # 1000003 (d = 2) and 3032641 (d = 3) the search over all of S made
+    # 1,760, 37,774 and 63,575.  The walk is tried only at d = 1 with p
+    # odd, so none is tried here
+    count = [0]
+    cross = P1Table.cross
+
+    def spy(table, x, removed):
+        count[0] += 1
+        return cross(table, x, removed)
+
+    monkeypatch.setattr(P1Table, "cross", spy)
+    taken = _walks_taken(monkeypatch)
+    for p, n, d, crossings in [(266261, 1, 2, 10872), (2, 13, 1, 1075), (1000003, 1, 2, 26761),
+                               (3032641, 1, 3, 49929)]:
+        count[0] = 0
+        cuts, _ = hecke_symbols._span_matrices(PrimePower(p, n), smallest_prime_excluding(p) * d)
+        assert cuts is None and taken == []
+        assert count[0] == crossings, (p, n, d)
+
+
+def test_pivots_decide_without_labels_or_elimination(capsys, monkeypatch):
+    # where every pivot edge is joined the rank is sd over every field: one
+    # search of e_2..e_sd runs, and no label or elimination.  Where a pivot
+    # splits, the labels and the elimination run; the search over all of S
+    # does not, since the split pivot is one of its edges.  At 2 and 5 the
+    # rows are not triangular on the pivots, so S is searched whole
+    calls = []
+    for name in ("_all_joined", "_component_labels", "rank"):
+        method = getattr(hecke_symbols, name)
+
+        def call(*args, name=name, method=method):
+            calls.append((name, len(args[2])) if name == "_all_joined" else name)
+            return method(*args)
+
+        monkeypatch.setattr(hecke_symbols, name, call)
+    for argv, s, d in [(["--p", "2", "--n", "13", "--d", "1"], 3, 1),
+                       (["--p", "266261", "--d", "2"], 2, 2)]:
+        calls.clear()
+        assert cli_main(["criterion", *argv, "--l", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["achieved_rank"] == s * d
+        assert calls == [("_all_joined", s * d - 1)], argv
+    # at 2 and 5, S is the loop {0, oo} alone, which T_2 meets too
+    for m in (3, 4, 7, 8, 9, 13, 16, 25, 2, 5):
+        ((p, n),) = factorize(m).items()
+        s = smallest_prime_excluding(p)
+        calls.clear()
+        assert hecke_span_rank(PrimePower(p, n), s, 3) < s, m
+        if m in (2, 5):
+            assert calls == [("_all_joined", 1), "rank"], m
+        else:
+            assert calls == [("_all_joined", s - 1), "_component_labels", "rank"], m
 
 
 def test_joined_verdict_does_not_depend_on_edge_order():
@@ -328,10 +420,11 @@ def _walks_taken(monkeypatch) -> list[bool]:
 
 
 def test_walk_matches_search(monkeypatch):
-    # the cut rows, and so every rank, are those of the search alone; the
-    # walk closes at every level past the threshold 4160 with p odd, and is
-    # not tried below it (4153, 4159) or at p = 2 (2^13..2^18): it is tried
-    # only at d = 1 with p odd
+    # the matrices, and so every rank, are those of the search alone: the
+    # pivots decide every level here, by the walk or by the search; the walk
+    # closes at every level past the threshold 4160 with p odd, and is not
+    # tried below it (4153, 4159) or at p = 2 (2^13..2^18): it is tried only
+    # at d = 1 with p odd
     def matrices_and_ranks(mp, pp, imax):
         span = functools.lru_cache(maxsize=1)(hecke_symbols._span_matrices)
         mp.setattr(hecke_symbols, "_span_matrices", span)  # one run serves every field
@@ -343,6 +436,7 @@ def test_walk_matches_search(monkeypatch):
             taken = _walks_taken(mp)
             walked = matrices_and_ranks(mp, pp, imax)
         assert taken == ([True] if p > 2 and p**n >= 4160 else []), (p, n)
+        assert walked[0][0] is None, (p, n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hecke_symbols, "_walk_joins", lambda *args: False)
             assert matrices_and_ranks(mp, pp, imax) == walked, (p, n)
@@ -381,7 +475,7 @@ def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
             heads[min(y, z)] = max(y, z)
     spy("sigma", pointwise_sigma)
     spy("tau", pointwise_tau)
-    assert hecke_symbols._span_matrices(pp, 2)[0] == []
+    assert hecke_symbols._span_matrices(pp, 2)[0] is None  # the pivots decide
     assert taken == [True]
     assert calls and all(out == want for _, out, want in calls)
     [word] = words
@@ -422,7 +516,7 @@ def test_walk_needs_few_table_calls(monkeypatch):
             return method(table, *args)
 
         monkeypatch.setattr(P1Table, name, call)
-    assert hecke_symbols._span_matrices(PrimePower(1000003, 1), 2) == ([], [[-1, 0], [-3, -1]])
+    assert hecke_symbols._span_matrices(PrimePower(1000003, 1), 2) == (None, [[-1, 0], [-3, -1]])
     assert count[0] < 2000
 
 
@@ -539,8 +633,8 @@ def test_criterion_builds_no_permutation_or_tree(capsys, monkeypatch):
 
     monkeypatch.setattr(hecke_symbols, "P1Table", Spy)
     monkeypatch.setattr(rel_homology, "H1Presentation", no_presentation)
-    # 4201 is decided by the walk certificate, 4159 by bridging every edge
-    # and 25 by labelling the components
+    # 4201 is decided by the walk certificate, 4159 by searching the pivot
+    # edges and 25 by labelling the components
     for argv, out in zip(argvs, want):
         assert cli_main(["criterion", *argv, "--d", "1"]) == 0
         assert capsys.readouterr().out == out
