@@ -21,9 +21,8 @@ back).
   65 (2d)^6 = 266240 and 3032640, p = 266261 (rank 4 of 4 over F_5) and
   p = 3032641 (rank 6 of 6 over F_5).  Those two are decided by one search
   of their pivot edges, the edge of each T_r on which the paper's proof
-  rests: 10,872 and 49,929 crossings, against 11,652 and 63,575 for the
-  search over every edge the Hecke images touch, with no component label
-  and no elimination.  The search reads no permutation, holds in its
+  rests: 10,872 and 49,929 crossings, with no component label and no
+  elimination.  The search reads no permutation, holds in its
   frontier only the far points of edges not yet crossed, and marks the
   region already joined in a bitset of |P^1|/8 bytes, so all three stay
   within 2.1 MB of the interpreter's 17.4 MB.  The dense sigma, tau and
@@ -45,10 +44,9 @@ back).
   crossings), so its limit of 25 MB fails when the walk stops closing.
 - The criterion at p = 9999991 (d = 2, rank 4 of 4 over F_3), the largest
   admitted prime, where that bitset is largest (1.25 MB): its pivot search
-  makes 139,852 crossings at about 29.0 MB, against 197,242 crossings and
-  26.4 MB for the search over every edge of S, whose balls stayed smaller,
-  and 93 MB with a dense sigma built at that level, so its limit of 30 MB
-  also fails on the 4-byte label array of |P^1| entries.
+  makes 139,852 crossings at about 29.0 MB, against 93 MB with a dense
+  sigma built at that level, so its limit of 30 MB also fails on the
+  4-byte label array of |P^1| entries.
 - The homology record at p = 1000003: its shape is counted from the
   elliptic points, so it builds no permutation and stays at the
   interpreter's 17.4 MB; counting it off a dense sigma took 24.3 MB, and

@@ -124,7 +124,7 @@ class CriterionThreshold:
 def criterion_threshold(p: int, d: int) -> CriterionThreshold:
     """Independence threshold C^2 (sd)^6, s the smallest prime != p."""
     if not is_prime(p):
-        raise ValueError("p must be prime")
+        raise ValueError(f"{p} is not prime")
     if d < 1:
         raise ValueError("d must be >= 1")
     s = smallest_prime_excluding(p)

@@ -388,6 +388,8 @@ def _cmd_qexp_up_matrix(args) -> int:
         a_p = None if _exponent_too_long(args.a_p) else Fraction(args.a_p)
     except ZeroDivisionError:
         raise ValueError(f"--a-p {args.a_p} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--a-p {args.a_p} is not a rational number") from None
     if a_p is None or _too_long(a_p.numerator, 1) or _too_long(a_p.denominator, 1):
         raise ValueError(f"--a-p exceeds the limit: its numerator or denominator has more "
                          f"than {MAX_BOUND_DIGITS} digits")

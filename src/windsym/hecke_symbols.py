@@ -26,16 +26,15 @@ with i < r touches e_r.  This is checked on the images: among the prime
 powers below 3000 with d <= 3 it fails at 36 pairs (p^n, d), each with
 p^n < sd(sd + 1), the largest 64 at d = 3.  When the two ends of each
 pivot edge are joined in G minus S, the rank is sd over Q and over every
-F_l, with no elimination.  One bidirectional search decides that: it
-crosses each graph edge by one P1Table.cross call and stops once both ends
-reach the region already joined.  The pivots e_2..e_sd are searched, all
-of S removed (e_1 is a loop).  That costs less than a search of every edge
-of S, which it replaces: 1,075 crossings against 1,760 at 2^13 (d = 1),
-10,872 against 11,652 at p = 266261 (d = 2), 26,761 against 37,774 at
-p = 1000003 (d = 2) and 49,929 against 63,575 at p = 3032641 (d = 3).  A
-level where a pivot splits has its components labelled exactly, and its
-rank eliminated once per field; a level where the pivot structure fails
-is first searched on every edge of S.
+F_l, with no elimination.  So the rank takes one of two routes.  Where the
+rows are triangular on the pivots, one bidirectional search of e_2..e_sd
+(e_1 is a loop), all of S removed, looks for those joins: it crosses each
+graph edge by one P1Table.cross call and stops once both ends reach the
+region already joined, in 1,075 crossings at 2^13 (d = 1), 10,872 at
+p = 266261 (d = 2), 26,761 at p = 1000003 (d = 2) and 49,929 at
+p = 3032641 (d = 3).  Where a pivot splits, or the rows are not
+triangular, the components of the ends of S are labelled exactly and the
+rank is eliminated once per field.
 
 At d = 1 with p odd (imax = 2) S is always the same two edges, read off
 the images rather than searched for: T_1 and T_2 touch only the points 0
@@ -325,22 +324,21 @@ def _pivots(table: P1Table, tails: list[int], rows: list[list[int]]) -> Optional
 def _span_matrices(pp: PrimePower, imax: int) -> tuple[Optional[list[list[int]]], list[list[int]]]:
     """(cut rows, image rows) of T_1..T_imax{0,oo} over the edges S that
     the images touch, one column per edge in tail order (see
-    hecke_span_rank): one cut row for each of the k components of G minus S
-    but the last, so none when G minus S is connected, and None in place of
-    the cut rows when the pivot edges decide the rank, which is then imax
-    over every field.
+    hecke_span_rank).  The cut rows are None when the pivot edges decide
+    the rank, which is then imax over every field, else one row for each of
+    the k components of G minus S but the last.
 
-    When _pivots finds the rows triangular with +-1 pivots, a pivot edge
-    whose ends are joined in G minus S meets no cut row, so when every one
-    is joined the pivot columns alone give rank imax.  At imax = 2 (d = 1)
-    with p odd, in the guaranteed regime p^n >= C^2 imax^6, the walk of
-    _walk_joins from 1/2 tries the one pivot that is not a loop first (see
-    the module docstring); otherwise one _all_joined searches the pivots,
-    with all of S removed.  A pivot left split is an edge of S whose ends
-    are split, so the components are labelled at once.  Only when the rows
-    are not triangular does _all_joined search all of S before the labels.
-    The integers serve every field.  A level past MAX_P1_SIZE is refused
-    before any image or search.
+    Two routes.  When _pivots finds the rows triangular with +-1 pivots, a
+    pivot edge whose ends are joined in G minus S meets no cut row, so when
+    every one is joined the pivot columns alone give rank imax.  At
+    imax = 2 (d = 1) with p > 2 (there is no point 1/2 at p = 2), in the
+    guaranteed regime p^n >= C^2 imax^6, the walk of _walk_joins from 1/2
+    tries the one pivot that is not a loop first (see the module
+    docstring); otherwise one _all_joined searches the pivots, with all of
+    S removed.  When a pivot is left split, or the rows are not triangular,
+    the components are labelled and the cut rows built.  The integers
+    serve every field.  A level past MAX_P1_SIZE is refused before any
+    image or search.
     """
     table = P1Table(pp)
     table.check_size_limit()
@@ -355,15 +353,13 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[Optional[list[list[int]]]
     rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
     removed = set(tails)
     pivots = _pivots(table, tails, rows)
-    if imax == 2 and pp.p > 2 and pp.modulus >= regime_threshold(pp.p, imax):
-        half = (pp.modulus + 1) // 2  # the point 1/2, the tail of the one bridge
-        if _walk_joins(table, half, heads[half], removed):
-            return (None if pivots else []), rows
     if pivots:
+        if imax == 2 and pp.p > 2 and pp.modulus >= regime_threshold(pp.p, imax):
+            half = (pp.modulus + 1) // 2  # the point 1/2, the tail of the one bridge
+            if _walk_joins(table, half, heads[half], removed):
+                return None, rows
         if _all_joined(table, removed, pivots[1:], heads):  # e_1 is a loop
             return None, rows
-    elif _all_joined(table, removed, tails, heads):
-        return [], rows
     label = _component_labels(table, removed, [e for x in tails for e in (x, heads[x])])
     cuts = [
         [(h == k) - (t == k) for t, h in zip(label[0::2], label[1::2])]
@@ -396,12 +392,10 @@ def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     Q and every F_l, and no cut row is built and no elimination runs.  One
     bidirectional search of _all_joined decides it, or at d = 1 with p odd,
     in the guaranteed regime, a walk of O(log p^n) sigma and tau steps (see
-    _span_matrices).  Otherwise _component_labels labels the components of
+    _span_matrices).  Otherwise, where a pivot splits or the rows are not
+    triangular on the pivots, _component_labels labels the components of
     the ends of S exactly, and the rank comes from one elimination per
-    field; where the pivot structure itself fails, the search runs over all
-    of S first, and when it joins every edge G minus S is connected (G is,
-    as sigma and tau generate SL_2(Z)), so k = 1 and there is no cut row.
-    The search and the labels cross each graph edge by one O(1)
+    field.  The search and the labels cross each graph edge by one O(1)
     P1Table.cross call (one modular inversion), which names the vertex
     beyond and lists its other edges, and read no dense permutation.
     """

@@ -42,7 +42,7 @@ from .arith import is_prime
 # searches the graph from the few edges the Hecke images touch, and for it
 # the limit bounds that search, whose cost grows with the level (about 0.2 s
 # at |P^1| = 3032642 with d = 3 on a 2-vCPU host, each edge crossed by one
-# P1Table.cross call) and whose fallback labels components in one 4-byte
+# P1Table.cross call) and whose other route labels components in one 4-byte
 # array of |P^1| entries.  `homology --smith` prints relation_rank
 # ~ 5|P^1|/6 ones, which the limit bounds; the `homology` record itself is
 # counted from the elliptic points, so it runs at any level.
@@ -50,9 +50,9 @@ MAX_P1_SIZE = 10**7
 
 # Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and
 # s*d for `criterion` (T_1..T_sd{0,oo}).  Listing them costs O(r^4) at any
-# level; at r = 200 `paths --p 101 --r 200` and `criterion --p 11 --d 100`
-# each take about 9 s on a 2-vCPU host, and r = 400 would take about 16
-# times that.
+# level: `paths --p 101 --r 200` and `criterion --p 11 --d 100` each take
+# 5-7 s on a 2-vCPU host.  `paths sweep` lists Sigma_r afresh for each r up
+# to --r-max, so O(r^5) per level: `--pn 101 --r-max 200` takes about 220 s.
 MAX_HECKE_R = 200
 
 # Largest L of `criterion --all-l-up-to L`.  Each prime l <= L costs one full

@@ -472,6 +472,10 @@ def test_cli_usage_errors(capsys):
     assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "3", "--a-p", "1/0",
                      "--prime", "5"]) == 2
     assert capsys.readouterr() == ("", "error: --a-p 1/0 has a zero denominator\n")
+    # as is a literal that is no rational number, by a text that names the flag
+    for a_p in ("abc", "inf"):
+        assert cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "2", "--a-p", a_p]) == 2
+        assert capsys.readouterr() == ("", f"error: --a-p {a_p} is not a rational number\n")
     # a table with no rows is refused rather than printed empty
     for d_max in ("0", "-1"):
         assert cli_main(["bounds", "--table", "--d-max", d_max]) == 2
@@ -877,6 +881,11 @@ def test_cli_homology_field_label(capsys):
         for command in (["homology", "--p", "11"], ["criterion", "--p", "11"], ["bounds", "--prop11"]):
             assert cli_main([*command, "--l", l]) == 2
             assert capsys.readouterr() == ("", f"error: {l} is not prime\n")
+    # a non-prime --p is refused with the same text by every mode that reads it
+    for p in ("4", "-3", "1"):
+        for command in (["p1"], ["criterion", "--l", "3"], ["bounds", "--threshold"]):
+            assert cli_main([*command, "--p", p]) == 2
+            assert capsys.readouterr() == ("", f"error: {p} is not prime\n")
 
 
 def test_criterion_proves_each_input_once(capsys, monkeypatch):

@@ -159,9 +159,9 @@ def _forest_ranks(pp: PrimePower, imax: int) -> dict[int, list[int]]:
 PRIMES_BELOW_100 = [l for l in range(100) if is_prime(l)]
 
 
-def _all_s_route(span_matrices, pp: PrimePower, imax: int):
-    """span_matrices(pp, imax) with the pivot structure ignored: the search
-    over all of S (the walk first where it applies), then the labels."""
+def _labels_route(span_matrices, pp: PrimePower, imax: int):
+    """span_matrices(pp, imax) with the pivot structure ignored: the
+    component labels and their cut rows, with no search or walk."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hecke_symbols, "_pivots", lambda *args: None)
         return span_matrices(pp, imax)
@@ -169,35 +169,43 @@ def _all_s_route(span_matrices, pp: PrimePower, imax: int):
 
 def _share_and_record_search(monkeypatch) -> dict[str, set]:
     """Share each level's search across the fields, and record the (p^n, d)
-    by the route that decided them: every pivot edge joined ("pivots"), the
-    pivot structure failing and every edge of S joined ("bridged"), or the
-    component labels ("fallback", the only ones with cut rows), and those
-    whose rows are not triangular on the pivots ("no pivots").  Wherever
-    the pivots decide, the route over all of S must give rank(cuts + rows)
-    - #cuts = sd over Q and every prime l < 100, on the same image rows."""
-    runs = {"pivots": set(), "bridged": set(), "fallback": set(), "no pivots": set()}
-    span, pivots = hecke_symbols._span_matrices, hecke_symbols._pivots
+    by the route that decided them: every pivot edge joined ("pivots"), or
+    the component labels, which find G minus S connected ("connected", no
+    cut row) or split ("split"), and those whose rows are not triangular
+    on the pivots ("no pivots").  _all_joined is only ever given the pivot
+    tails e_2..e_sd of the level being decided.  Wherever the pivots
+    decide, the labels route must give rank(cuts + rows) - #cuts = sd over
+    Q and every prime l < 100, on the same image rows."""
+    runs = {"pivots": set(), "connected": set(), "split": set(), "no pivots": set()}
+    span, pivots, all_joined = hecke_symbols._span_matrices, hecke_symbols._pivots, hecke_symbols._all_joined
     search = functools.lru_cache(maxsize=1)(span)
+    found = [None]  # what _pivots last returned
 
     def pivots_spy(table, tails, rows):
-        out = pivots(table, tails, rows)
-        if out is None:
+        found[0] = pivots(table, tails, rows)
+        if found[0] is None:
             runs["no pivots"].add((table.pp.modulus, len(rows) // smallest_prime_excluding(table.pp.p)))
-        return out
+        return found[0]
+
+    def all_joined_spy(table, removed, tails, heads):
+        assert found[0] is not None and tails == found[0][1:], table.pp
+        return all_joined(table, removed, tails, heads)
 
     def span_matrices(pp, imax):
         cuts, rows = search(pp, imax)
         level = (pp.modulus, imax // smallest_prime_excluding(pp.p))
         if cuts is None and level not in runs["pivots"]:
-            all_cuts, all_rows = _all_s_route(span, pp, imax)
+            found[0] = None
+            all_cuts, all_rows = _labels_route(span, pp, imax)
             assert all_rows == rows, level
             for l in (0, *PRIMES_BELOW_100):
                 assert rank(all_cuts + rows, l) - len(all_cuts) == imax, (level, l)
-        runs["pivots" if cuts is None else "fallback" if cuts else "bridged"].add(level)
+        runs["pivots" if cuts is None else "split" if cuts else "connected"].add(level)
         return cuts, rows
 
     monkeypatch.setattr(hecke_symbols, "_span_matrices", span_matrices)
     monkeypatch.setattr(hecke_symbols, "_pivots", pivots_spy)
+    monkeypatch.setattr(hecke_symbols, "_all_joined", all_joined_spy)
     return runs
 
 
@@ -220,13 +228,13 @@ def test_span_rank_against_forest_route(monkeypatch):
         name: {d: {m for m, e in decided if e == d} for d in (1, 2, 3)}
         for name, decided in runs.items()
     }
-    fallback = routes["fallback"]
+    split = routes["split"]
     # G minus S splits only at small levels; removing more edges splits more.
     # 64 at d = 2 and 256 at d = 3 split, but no pivot edge does there
-    assert fallback[1] == {3, 4, 7, 8, 9, 13, 16, 25}
-    assert (len(fallback[2]), max(fallback[2])) == (23, 121)
-    assert (len(fallback[3]), max(fallback[3])) == (40, 169)
-    assert fallback[1] <= fallback[2] <= fallback[3]
+    assert split[1] == {3, 4, 7, 8, 9, 13, 16, 25}
+    assert (len(split[2]), max(split[2])) == (23, 121)
+    assert (len(split[3]), max(split[3])) == (40, 169)
+    assert split[1] <= split[2] <= split[3]
     # the rows fail to be triangular on the pivots only where p^n <
     # sd(sd + 1), so that T_1..T_sd can meet mod p^n (p = 2 has s = 3)
     assert routes["no pivots"] == {
@@ -237,11 +245,13 @@ def test_span_rank_against_forest_route(monkeypatch):
     for m, d in runs["no pivots"]:
         s = smallest_prime_excluding(factorize(m).popitem()[0])
         assert m < s * d * (s * d + 1), (m, d)
-    assert routes["bridged"] == {1: {2, 5}, 2: {2}, 3: {2}}
+    # the labels find G minus S connected only where the pivots fail
+    assert routes["connected"] == {1: {2, 5}, 2: {2}, 3: {2}}
     for d in (1, 2, 3):
-        assert routes["pivots"][d] == set(levels) - fallback[d] - routes["bridged"][d]
+        assert routes["connected"][d] <= routes["no pivots"][d] <= split[d] | routes["connected"][d]
+        assert routes["pivots"][d] == set(levels) - split[d] - routes["connected"][d]
     # hecke_span_rank subtracts len(cuts): the k - 1 cut rows are independent
-    for m, d in sorted(runs["fallback"]):
+    for m, d in sorted(runs["split"]):
         ((p, n),) = factorize(m).items()
         cuts, _ = hecke_symbols._span_matrices(PrimePower(p, n), smallest_prime_excluding(p) * d)
         assert [rank(cuts, l) for l in (0, 2)] == [len(cuts)] * 2, (m, d)
@@ -295,12 +305,10 @@ def test_search_matches_pointwise_route(p, n, d, monkeypatch):
 def test_search_crosses_each_edge_once(monkeypatch):
     # one search of the pivot edges e_2..e_sd, all of S removed, decides
     # each level, with one P1Table.cross call per crossing.  At the first
-    # prime past the d = 2 threshold 266240 it makes 10,872 crossings: the
-    # search over all of S made 11,652, and reading every vertex once to
-    # expand it and again to name it took 35,721 calls.  At 2^13,
-    # 1000003 (d = 2) and 3032641 (d = 3) the search over all of S made
-    # 1,760, 37,774 and 63,575.  The walk is tried only at d = 1 with p
-    # odd, so none is tried here
+    # prime past the d = 2 threshold 266240 it makes 10,872 crossings, where
+    # reading every vertex once to expand it and again to name it took
+    # 35,721 calls.  The walk is tried only at d = 1 with p odd, so none is
+    # tried here
     count = [0]
     cross = P1Table.cross
 
@@ -321,9 +329,9 @@ def test_search_crosses_each_edge_once(monkeypatch):
 def test_pivots_decide_without_labels_or_elimination(capsys, monkeypatch):
     # where every pivot edge is joined the rank is sd over every field: one
     # search of e_2..e_sd runs, and no label or elimination.  Where a pivot
-    # splits, the labels and the elimination run; the search over all of S
-    # does not, since the split pivot is one of its edges.  At 2 and 5 the
-    # rows are not triangular on the pivots, so S is searched whole
+    # splits, the labels and the elimination run after it.  At 2 and 5 the
+    # rows are not triangular on the pivots, so only the labels and the
+    # elimination run
     calls = []
     for name in ("_all_joined", "_component_labels", "rank"):
         method = getattr(hecke_symbols, name)
@@ -346,7 +354,7 @@ def test_pivots_decide_without_labels_or_elimination(capsys, monkeypatch):
         calls.clear()
         assert hecke_span_rank(PrimePower(p, n), s, 3) < s, m
         if m in (2, 5):
-            assert calls == [("_all_joined", 1), "rank"], m
+            assert calls == ["_component_labels", "rank"], m
         else:
             assert calls == [("_all_joined", s - 1), "_component_labels", "rank"], m
 
