@@ -58,6 +58,10 @@ back).
   23 MB; the same bytes encoded in one piece by json.dumps took 86 MB, and
   building the relation rows and certifying them (invariant_generators and
   smith_invariants, with both dense permutations) 356 MB.
+- `paths sweep --pn 101 --r-max 200`, the documented MAX_HECKE_R run:
+  Sigma_r grows by T_r{0,oo} alone, so each of T_1..T_200{0,oo} is listed
+  once, in about 5.5 s and 17.7 MB in a child process; listing Sigma_r
+  afresh for each r took 223 s.  Its limit is the homology cases' 21 MB.
 - The relation checks at order 20000 over 100 trials: the lane-packed
   blocks keep it near 21 MB, as one trial at a time did; packing all trials
   into one block took about 36 MB.  It holds no index array, so its limit
@@ -98,22 +102,31 @@ CASES = [
      "251c92ab624731862941822e82cd034df3821dda07367f18c92db9e9a97a2f67", 21),
     (["homology", "--p", "1000003", "--l", "3", "--smith"],
      "44bb20d77d9a8170c5ac8353c6ef781ef704cb4825305025a741486dbd06fd06", 40),
+    (["paths", "sweep", "--pn", "101", "--r-max", "200"],
+     "0213c6d8595a162ac0e3cb3ec8c0f0166a160543cbdf28ae5e91adde8f478eaf", 21),
     (["qexp", "verify-relations", "--order", "20000", "--trials", "100", "--seed", "0"],
      "cf38919af26eb1573da0e49fb0e61c64114302313d72a672605dfcdf5ba0c92f", 30),
 ]
 
 
 def run(argv: list, env: dict) -> tuple:
-    """(exit code, stdout, stderr, peak RSS in MB) of one child."""
+    """(exit code, stdout sha256, stderr, peak RSS in MB) of one child.
+
+    A child's ru_maxrss starts from the guard's own peak, since the child
+    is spawned from the guard's memory before it execs, so stdout is hashed
+    as it is read and never held: holding the 5.8 MB of `homology --smith`
+    raised every later case's reading to 23 MB."""
+    digest = hashlib.sha256()
     with tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, "-m", "windsym", *argv],
                                 stdout=subprocess.PIPE, stderr=err, env=env)
-        out = proc.stdout.read()
+        while chunk := proc.stdout.read(1 << 16):
+            digest.update(chunk)
         proc.stdout.close()
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         err.seek(0)
-        return proc.returncode, out, err.read().decode(), usage.ru_maxrss / 1024
+        return proc.returncode, digest.hexdigest(), err.read().decode(), usage.ru_maxrss / 1024
 
 
 def main() -> int:
@@ -122,9 +135,8 @@ def main() -> int:
     failures = []
     for argv, want, limit_mb in CASES:
         start = time.perf_counter()
-        code, out, err, peak_mb = run(argv, env)
+        code, digest, err, peak_mb = run(argv, env)
         wall_s = time.perf_counter() - start
-        digest = hashlib.sha256(out).hexdigest()
         name = " ".join(argv)
         print(f"{name}: exit {code}, stdout sha256 {digest}, "
               f"wall {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")

@@ -261,39 +261,37 @@ def _cmd_criterion(args) -> int:
     return 1 if bad else 0
 
 
-def _chain_report(chain, pp, r, d_param):
-    from .winding_paths import CHAIN_B, CHAIN_B_PRIME, interval_bound
-
-    bound = interval_bound(chain.label, pp, d_param)
-    # the second chain's leading-term isolation degenerates at r = 1, so its
-    # bound is not asserted there
-    applicable = bound > 0 and not (chain.label in (CHAIN_B, CHAIN_B_PRIME) and r == 1)
-    holds = chain.interval_length >= bound if applicable else None
-    return {
-        "chain": chain.label,
-        "start_index": chain.start_index,
-        "interval_len": chain.interval_length,
-        "visited": chain.visited_count,
-        "stop_reason": chain.stop_reason,
-        "bound": str(bound),
-        "bound_applicable": applicable,
-        "bound_holds": holds,
-    }
-
-
-def _walk_both(pp, r):
-    from .hecke_symbols import sigma_r_set
+def _chain_reports(pp, r_min, r_max, d):
+    """(r, D, reports) for r = r_min..r_max at level pp, with D = r unless d
+    is given: chain A, and chain B or, where p divides r, B', walked on
+    Sigma_r.  One P1Table serves every r, and Sigma_r grows by T_r{0,oo}
+    alone (sigma_r_sets), so each image is listed once."""
+    from .hecke_symbols import sigma_r_sets
     from .residue_p1 import P1Table
-    from .winding_paths import walk_chain_A, walk_chain_B, walk_chain_B_prime
+    from .winding_paths import CHAIN_A, interval_bound, walk_chain_A, walk_chain_B, walk_chain_B_prime
 
     table = P1Table(pp)
-    sig = sigma_r_set(r, table)
-    chains = [walk_chain_A(r, table, sig)]
-    if r % pp.p == 0:
-        chains.append(walk_chain_B_prime(r, table, sig))
-    else:
-        chains.append(walk_chain_B(r, table, sig))
-    return chains
+    for sig in sigma_r_sets(table, r_min, r_max):
+        r = sig.r
+        d_param = r if d is None else d
+        second = walk_chain_B_prime if r % pp.p == 0 else walk_chain_B
+        reports = []
+        for chain in (walk_chain_A(r, table, sig), second(r, table, sig)):
+            bound = interval_bound(chain.label, pp, d_param)
+            # the second chain's leading-term isolation degenerates at r = 1,
+            # so its bound is not asserted there
+            applicable = bound > 0 and not (chain.label != CHAIN_A and r == 1)
+            reports.append({
+                "chain": chain.label,
+                "start_index": chain.start_index,
+                "interval_len": chain.interval_length,
+                "visited": chain.visited_count,
+                "stop_reason": chain.stop_reason,
+                "bound": str(bound),
+                "bound_applicable": applicable,
+                "bound_holds": chain.interval_length >= bound if applicable else None,
+            })
+        yield r, d_param, reports
 
 
 def _cmd_paths(args) -> int:
@@ -307,17 +305,8 @@ def _cmd_paths(args) -> int:
     n = 1 if args.n is None else args.n
     _check_level(args.p, n)
     pp = PrimePower(args.p, n)
-    d_param = args.r if args.d is None else args.d
-    chains = _walk_both(pp, args.r)
-    reports = [_chain_report(c, pp, args.r, d_param) for c in chains]
-    payload = {
-        "schema": SCHEMA,
-        "p": pp.p,
-        "n": pp.n,
-        "r": args.r,
-        "d": d_param,
-        "chains": reports,
-    }
+    (r, d_param, reports), = _chain_reports(pp, args.r, args.r, args.d)
+    payload = {"schema": SCHEMA, "p": pp.p, "n": pp.n, "r": r, "d": d_param, "chains": reports}
     _emit(payload, args)
     return 1 if any(rep["bound_holds"] is False for rep in reports) else 0
 
@@ -334,24 +323,17 @@ def _cmd_paths_sweep(args) -> int:
     _check_min("--r-min", args.r_min, 1)
     if args.r_min > args.r_max:
         raise ValueError(f"--r-min {args.r_min} exceeds --r-max {args.r_max}")
-    rows = []
-    bad = False
-    for value in args.pn:
-        pp = _parse_prime_power(value)
-        for r in range(args.r_min, args.r_max + 1):
-            d_param = r if args.d is None else args.d
-            for chain in _walk_both(pp, r):
-                rep = _chain_report(chain, pp, r, d_param)
-                ok = rep["bound_holds"]
-                rows.append(
-                    [pp.p, pp.n, r, rep["chain"], rep["interval_len"], rep["bound"],
-                     "" if ok is None else str(ok).lower()]
-                )
-                if ok is False:
-                    bad = True
+    levels = [_parse_prime_power(value) for value in args.pn]
+    rows = [
+        [pp.p, pp.n, r, rep["chain"], rep["interval_len"], rep["bound"],
+         "" if rep["bound_holds"] is None else str(rep["bound_holds"]).lower()]
+        for pp in levels
+        for r, _, reports in _chain_reports(pp, args.r_min, args.r_max, args.d)
+        for rep in reports
+    ]
     text = _csv_text(["p", "n", "r", "chain", "interval_len", "bound", "pass"], rows)
     _emit(text, args)
-    return 1 if bad else 0
+    return 1 if any(row[-1] == "false" for row in rows) else 0
 
 
 def _cmd_qexp_relations(args) -> int:

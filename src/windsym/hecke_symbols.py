@@ -6,9 +6,12 @@ p | gcd(w, t) are dropped.  Admissible tuples satisfy u + t - 1 <= r (from
 ut - vw >= ut - (u-1)(t-1)), so enumeration is O(r^3) and independent of the
 level.
 
-Sigma_r collects every class occurring for some determinant value in 1..r,
-minus the leading class (1, r).  The written lower bound 0 on the determinant
-is unreachable under the strict inequalities, so determinants run over 1..r.
+Sigma_r is the set of classes of T_1{0,oo}, ..., T_r{0,oo} less the leading
+class (1, r); the written lower bound 0 on the determinant is unreachable
+under the strict inequalities, so determinants run over 1..r.  As Sigma_r is
+Sigma_{r-1} with (1, r-1) put back, the classes of T_r{0,oo} added and (1, r)
+taken out, sigma_r_sets lists each image once: every Sigma_r up to r_max
+costs O(r_max^4), as Sigma_{r_max} alone does.
 
 The rank test checks F_l-linear independence of T_1{0,oo}, ..., T_{sd}{0,oo}
 in H_1(X_0(p^n), cusps), with s the smallest prime different from p; that
@@ -126,13 +129,22 @@ class SigmaRSet:
     leading_index: int
 
 
-def sigma_r_set(r: int, table: P1Table) -> SigmaRSet:
-    if r < 1:
+def sigma_r_sets(table: P1Table, r_min: int, r_max: int) -> Iterator[SigmaRSet]:
+    """Sigma_r for r = r_min..r_max in turn: one union grows by the classes
+    of T_r{0,oo} alone at each r from 1, so each image is listed once."""
+    if r_min < 1:
         raise ValueError("r must be >= 1")
-    members = set().union(*(winding_image(k, table).coeffs for k in range(1, r + 1)))
-    leading = table.index(1, r)  # 1 is a unit, so (1 : r) is always a point
-    members.discard(leading)
-    return SigmaRSet(r, frozenset(members), leading)
+    classes = set()
+    for r in range(1, r_max + 1):
+        classes.update(winding_image(r, table).coeffs)
+        if r >= r_min:
+            leading = table.index(1, r)  # 1 is a unit, so (1 : r) is always a point
+            yield SigmaRSet(r, frozenset(classes - {leading}), leading)
+
+
+def sigma_r_set(r: int, table: P1Table) -> SigmaRSet:
+    """Sigma_r alone: the one-r case of sigma_r_sets."""
+    return next(sigma_r_sets(table, r, r))
 
 
 def _all_joined(table: P1Table, removed: set[int], tails: list[int], heads: dict[int, int]) -> bool:
@@ -485,6 +497,7 @@ __all__ = [
     "admissible_pairs",
     "winding_image",
     "sigma_r_set",
+    "sigma_r_sets",
     "hecke_span_rank",
     "check_kamienny_condition3",
 ]

@@ -51,8 +51,9 @@ MAX_P1_SIZE = 10**7
 # Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and
 # s*d for `criterion` (T_1..T_sd{0,oo}).  Listing them costs O(r^4) at any
 # level: `paths --p 101 --r 200` and `criterion --p 11 --d 100` each take
-# 5-7 s on a 2-vCPU host.  `paths sweep` lists Sigma_r afresh for each r up
-# to --r-max, so O(r^5) per level: `--pn 101 --r-max 200` takes about 220 s.
+# 5-7 s on a 2-vCPU host.  `paths sweep` grows Sigma_r by T_r alone, so it
+# too costs O(r^4) per level for r up to --r-max: `--pn 101 --r-max 200`
+# takes 5.3-5.7 s (it took 223-242 s while each r listed Sigma_r afresh).
 MAX_HECKE_R = 200
 
 # Largest L of `criterion --all-l-up-to L`.  Each prime l <= L costs one full

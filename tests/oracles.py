@@ -42,6 +42,7 @@ from windsym.qexp_hecke import (
     make_qexp,
     random_series,
 )
+from windsym.hecke_symbols import SigmaRSet, winding_image
 from windsym.residue_p1 import P1Table, PrimePower
 from windsym.winding_paths import (
     CHAIN_A,
@@ -575,6 +576,15 @@ def crossing(orbit: tuple[int, ...], far: tuple[int, ...], removed) -> tuple[int
 def pointwise_cross(table: P1Table, x: int, removed) -> tuple[int, tuple[int, ...]]:
     """P1Table.cross on the pointwise route."""
     return crossing(*pointwise_vertex(table, x), removed)
+
+
+def sigma_r_union(r: int, table: P1Table) -> SigmaRSet:
+    """Sigma_r on the union route: the supports of T_1..T_r{0,oo}, each
+    listed afresh for this r, less the leading class (1, r)."""
+    members = set().union(*(winding_image(k, table).coeffs for k in range(1, r + 1)))
+    leading = table.index(1, r)
+    members.discard(leading)
+    return SigmaRSet(r, frozenset(members), leading)
 
 
 def chain_definition(label: str, r: int, m: int) -> tuple[int, int, bool]:

@@ -168,6 +168,64 @@ def test_cli_paths_sweep_csv(capsys):
     assert len(lines) == 1 + 2 * 3 * 2  # two levels, three r values, two chains
 
 
+def test_cli_paths_lists_each_image_once_per_level(capsys, monkeypatch):
+    from windsym import hecke_symbols, residue_p1
+    from windsym.residue_p1 import MAX_HECKE_R
+
+    listed, built = [], []
+    image, table_class = hecke_symbols.winding_image, residue_p1.P1Table
+
+    def spy_image(r, table):
+        listed.append((table.pp.modulus, r))
+        return image(r, table)
+
+    def spy_table(pp):
+        built.append(pp.modulus)
+        return table_class(pp)
+
+    monkeypatch.setattr(hecke_symbols, "winding_image", spy_image)
+    monkeypatch.setattr(residue_p1, "P1Table", spy_table)
+    # one table per level, and T_1..T_6{0,oo} listed once each for the six
+    # Sigma_r, from any --r-min
+    for r_min in ("1", "4"):
+        assert cli_main(["paths", "sweep", "--pn", "101", "343", "--r-min", r_min, "--r-max", "6"]) == 0
+        assert listed == [(m, r) for m in (101, 343) for r in range(1, 7)]
+        assert built == [101, 343]
+        listed.clear(), built.clear()
+    assert cli_main(["paths", "--p", "101", "--r", "6"]) == 0
+    assert (listed, built) == ([(101, r) for r in range(1, 7)], [101])
+    listed.clear(), built.clear()
+    capsys.readouterr()
+    # a refused flag or level lists nothing, even after a good --pn
+    assert cli_main(["paths", "sweep", "--pn", "101", "--r-max", str(MAX_HECKE_R + 1)]) == 2
+    assert cli_main(["paths", "sweep", "--pn", "101", "12"]) == 2
+    assert capsys.readouterr().err == (f"error: --r-max {MAX_HECKE_R + 1} exceeds the limit "
+                                       f"{MAX_HECKE_R}\nerror: 12 is not a prime power\n")
+    assert (listed, built) == ([], [])
+
+
+@pytest.mark.parametrize("d", [(), ("--d", "4")], ids=["D=r", "D=4"])
+def test_cli_paths_sweep_rows_are_the_paths_records(capsys, d):
+    # B' runs where p divides r: at 2^11 on even r, at 3^7 on r = 3, 6, 9, 12
+    # and at 7^3 on r = 7; no golden pins r > 6
+    levels = [(101, 1), (7, 3), (2, 11), (3, 7)]
+    want, codes = [], []
+    for p, n in levels:
+        for r in range(1, 13):
+            code, out = run_cli(capsys, "paths", "--p", str(p), "--n", str(n), "--r", str(r), *d)
+            rec = json.loads(out)
+            assert rec["d"] == (int(d[1]) if d else r)
+            codes.append(code)
+            want += [[rec["p"], rec["n"], rec["r"], c["chain"], c["interval_len"], c["bound"],
+                      "" if c["bound_holds"] is None else str(c["bound_holds"]).lower()]
+                     for c in rec["chains"]]
+    rc, out = run_cli(capsys, "paths", "sweep", "--pn", *(str(p**n) for p, n in levels),
+                      "--r-max", "12", *d)
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["p", "n", "r", "chain", "interval_len", "bound", "pass"], *[list(map(str, w)) for w in want]]
+    assert rc == max(codes)
+
+
 # stdout sha256 and exit code of `paths` runs, pinned from the step-by-step
 # walker so that the closed-form stops reproduce its output byte for byte
 PATHS_GOLDEN = [

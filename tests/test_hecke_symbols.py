@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from windsym import hecke_symbols, rel_homology
-from windsym.arith import factorize, is_prime, rank, smallest_prime_excluding
+from windsym.arith import factorize, is_prime, prime_power, rank, smallest_prime_excluding
 from windsym.bounds_cli import cli_main
 from windsym.hecke_symbols import (
     admissible_pairs,
     check_kamienny_condition3,
     hecke_span_rank,
     sigma_r_set,
+    sigma_r_sets,
     winding_image,
 )
 from windsym.rel_homology import H1Presentation
@@ -26,6 +27,7 @@ from oracles import (
     pointwise_tau,
     prefix_ranks,
     prime_powers,
+    sigma_r_union,
     winding_pairs_bruteforce,
 )
 
@@ -86,6 +88,29 @@ def test_sigma_r_monotone():
         cur = sigma_r_set(r, table)
         nxt = sigma_r_set(r + 1, table)
         assert cur.members <= nxt.members | {nxt.leading_index}
+
+
+def test_sigma_r_sets_match_the_union_route():
+    # at every prime power below 500, each Sigma_r of the grown union, r = 1..15,
+    # against T_1..T_r{0,oo} listed afresh; a later r_min yields the same tail
+    for m in range(2, 500):
+        if (found := prime_power(m)) is None:
+            continue
+        table = P1Table(PrimePower(*found))
+        grown = list(sigma_r_sets(table, 1, 15))
+        assert grown == [sigma_r_union(r, table) for r in range(1, 16)], m
+        assert list(sigma_r_sets(table, 6, 15)) == grown[5:]
+        assert sigma_r_set(15, table) == grown[-1]
+
+
+def test_sigma_r_sets_refuses_r_below_1_and_yields_nothing_on_an_empty_range():
+    table = get_table(11, 1)
+    for r in (0, -3):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            sigma_r_set(r, table)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            next(sigma_r_sets(table, r, 5))
+    assert list(sigma_r_sets(table, 5, 4)) == []
 
 
 @pytest.mark.parametrize("p, n", [(11, 1), (3, 5), (1999, 1)])
