@@ -66,6 +66,10 @@ back).
   blocks keep it near 21 MB, as one trial at a time did; packing all trials
   into one block took about 36 MB.  It holds no index array, so its limit
   is not between two measured peaks.
+- The relation checks at order 300 over 1000 trials, the documented
+  MAX_QEXP_TRIALS run: 38 blocks of 27 trials, one trial alive at a time,
+  so it stays near the interpreter's 17.6 MB; its limit is the homology
+  cases' 21 MB, and its digest pins the series that the draws make.
 
     python .github/scripts/memory_guard.py [SRC_DIR]
 
@@ -106,6 +110,8 @@ CASES = [
      "0213c6d8595a162ac0e3cb3ec8c0f0166a160543cbdf28ae5e91adde8f478eaf", 21),
     (["qexp", "verify-relations", "--order", "20000", "--trials", "100", "--seed", "0"],
      "cf38919af26eb1573da0e49fb0e61c64114302313d72a672605dfcdf5ba0c92f", 30),
+    (["qexp", "verify-relations", "--order", "300", "--trials", "1000", "--seed", "0"],
+     "7dd51e68b1a87dce7fe606b1dcac26c696b54ea6d73e7c6407a70f9f0de94e67", 21),
 ]
 
 

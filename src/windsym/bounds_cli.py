@@ -348,6 +348,7 @@ def _cmd_qexp_relations(args) -> int:
     _check_cap("--order", args.order, MAX_QEXP_ORDER)
     _check_min("--trials", args.trials, 1)
     _check_cap("--trials", args.trials, MAX_QEXP_TRIALS)
+    _check_min("--seed", args.seed, 0)  # Random(-s) draws the series of Random(s)
     rel = verify_relations(order=args.order, trials=args.trials, seed=args.seed)
     ident = verify_coefficient_identity(order=max(args.order, 30), seed=args.seed)
     payload = rel.to_json()
@@ -537,6 +538,9 @@ def cli_main(argv) -> int:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2
     try:
+        # an empty --out would otherwise be read as none, and print to stdout
+        if "" in (getattr(args, "out", None), getattr(args, "sweep_out", None)):
+            raise ValueError("--out must not be empty")
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -481,28 +481,28 @@ def _op_T_prime_power(p: int, e: int, f: QExpansion) -> QExpansion:
     return cur
 
 
-# lcm(1..12): every denominator random_series draws divides it.
+# lcm(1..12): the denominator d of every drawn coefficient n/d divides it.
 SERIES_DENOMINATOR_LCM = 27720
+
+# L // d at index d = 1..12 (index 0 is never drawn).
+_QUOTIENTS = (0, *(SERIES_DENOMINATOR_LCM // d for d in range(1, 13)))
 
 
 def _integral_series(
     rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
 ) -> QExpansion:
     """Integer coefficients n * (L // d), L = SERIES_DENOMINATOR_LCM, for
-    n and d drawn uniformly from -20..20 and 1..12, n first."""
-    coeffs = [
-        rng.randint(-20, 20) * (SERIES_DENOMINATOR_LCM // rng.randint(1, 12))
-        for _ in range(order)
-    ]
+    n and d drawn uniformly from -20..20 and 1..12, n first: L times the
+    series whose coefficients are the fractions n/d.
+
+    Each draw is the rng.randrange call that rng.randint(-20, 20) and
+    rng.randint(1, 12) make (CPython 3.10-3.13 implement randint(a, b) as
+    randrange(a, b + 1)), so the values, their order and the rng state
+    afterwards are those of the two randint calls, without their extra
+    frame; L // d is read from _QUOTIENTS."""
+    randrange = rng.randrange
+    coeffs = [randrange(-20, 21) * _QUOTIENTS[randrange(1, 13)] for _ in range(order)]
     return QExpansion(tuple(coeffs), order, order, weight, eps)
-
-
-def random_series(
-    rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
-) -> QExpansion:
-    """Coefficients n/d by the draws of _integral_series, divided by L: the
-    same values and the same rng state afterwards."""
-    return Fraction(1, SERIES_DENOMINATOR_LCM) * _integral_series(rng, order, weight, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +573,7 @@ _RELATION_SUITE = [
 ]
 
 
-# |a_n| <= 20 for random_series's numerators, so |a_n(L f)| <= _SERIES_BOUND.
+# |n| <= 20 for _integral_series's numerators, so |a_n(L f)| <= _SERIES_BOUND.
 _SERIES_BOUND = 20 * SERIES_DENOMINATOR_LCM
 
 # Coefficient lanes per packed block: a block packs at most
@@ -585,14 +585,15 @@ _LANE_BUDGET = 2**13
 
 # Largest --order of `qexp verify-relations`.  Past _LANE_BUDGET a block
 # holds one trial, so a run costs about trials times a superlinear function
-# of the order: order 20000 over 100 trials takes about 8 s and 21 MB on a
-# 2-vCPU host, and order 10^6 over one trial ran past 30 s.
+# of the order: order 20000 over 100 trials takes 4.8-5.5 s and 20.4 MB in a
+# child process on a 2-vCPU host, and order 10^6 over one trial ran past 30 s.
 MAX_QEXP_ORDER = 20000
 
 # Largest --trials of `qexp verify-relations`.  A run's cost is linear in the
-# trials at a fixed order: on a 2-vCPU host 1000 trials take 0.55 s at order
-# 300 and 10^5 take 3 s at order 8, while at order MAX_QEXP_ORDER each 100
-# trials take about 8 s, so 1000 trials there take about 80 s.
+# trials at a fixed order: in a child process on a 2-vCPU host 1000 trials
+# take 0.36-0.58 s at order 300 and 10^5 take 1.6-1.7 s at order 8, while at
+# order MAX_QEXP_ORDER each 100 trials take about 5 s, so 1000 trials there
+# take about 50 s.
 MAX_QEXP_TRIALS = 1000
 
 # Largest --k of `qexp up-matrix`.  charpoly (Faddeev-LeVerrier) takes k + 1
@@ -635,11 +636,10 @@ def _packed_series(
 ) -> QExpansion:
     """sum_i 2^{width(count-1-i)} * _integral_series(rng, ...)_i, folded by
     Horner as the trials are drawn, so one trial is alive at a time."""
-    acc = list(_integral_series(rng, order, weight, eps).coeffs)
+    acc = _integral_series(rng, order, weight, eps).coeffs
     for _ in range(count - 1):
         f = _integral_series(rng, order, weight, eps)
-        for k, c in enumerate(f.coeffs):
-            acc[k] = (acc[k] << width) + c
+        acc = [(a << width) + c for a, c in zip(acc, f.coeffs)]
     return QExpansion(tuple(acc), order, order, weight, eps)
 
 
@@ -647,11 +647,11 @@ def _first_failures(sides, width: int, order: int, trials: int, seed: int, weigh
     """For each side function f -> (lhs, rhs), the first failing trial as
     (i, first_disagreement(lhs, rhs)), or None when every trial agrees.
 
-    The trials are L*f for the series of random_series(random.Random(seed),
-    ...), packed in blocks as the module docstring describes.  Only the
-    cases that have not failed yet run on a block.  A case whose packed
-    sides differ on a block where no single trial fails it is not Z-linear,
-    and RuntimeError is raised.
+    The trials are the series _integral_series(random.Random(seed), ...)
+    draws in turn, packed in blocks as the module docstring describes.
+    Only the cases that have not failed yet run on a block.  A case whose
+    packed sides differ on a block where no single trial fails it is not
+    Z-linear, and RuntimeError is raised.
     """
     rng = random.Random(seed)
     failures = [None] * len(sides)
@@ -697,10 +697,10 @@ def verify_relations(
     t_p B_d = B_d t_p genuinely needs gcd(p, d) = 1 (p = d = 3 fails at the
     first coefficient already for f = x).
 
-    The series are those of random_series(random.Random(seed), ...), each
-    scaled by L = lcm(1..12) to integers: the operators are Q-linear, so a
-    relation holds on f exactly when it holds on L*f, and a failure prints
-    the coefficients divided back by L.
+    The series f have coefficients n/d drawn from random.Random(seed), and
+    _integral_series draws them scaled by L = lcm(1..12) to integers: the
+    operators are Q-linear, so a relation holds on f exactly when it holds
+    on L*f, and a failure prints the coefficients divided back by L.
 
     Each case of the suite is one side function of the lane-packed engine
     _first_failures, which checks all trials of a block at once on
@@ -1021,7 +1021,6 @@ __all__ = [
     "op_t",
     "op_U",
     "op_T",
-    "random_series",
     "SERIES_DENOMINATOR_LCM",
     "RelationCheck",
     "RelationReport",

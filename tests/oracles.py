@@ -14,8 +14,10 @@ the criterion search's crossing primitive P1Table.cross replaced, the
 step-by-step walker that the closed-form chain stops replaced, the
 coefficient-by-coefficient q-expansion operators that the slice kernels
 replaced, the Fraction-series relation suite that the integer L*f
-streaming replaced, the one-trial-at-a-time coefficient identity that lane
-packing replaced, and the closed formula for the coefficients of T_n.
+streaming replaced, the two randint draws per Fraction coefficient that the
+integer series draw replaced (random_series), the one-trial-at-a-time
+coefficient identity that lane packing replaced, and the closed formula for
+the coefficients of T_n.
 It also builds the test inputs of the oldclass checks: eigen-series from
 prescribed prime coefficients (formal_eigenform).
 """
@@ -40,7 +42,6 @@ from windsym.qexp_hecke import (
     RelationReport,
     _integral_series,
     make_qexp,
-    random_series,
 )
 from windsym.hecke_symbols import SigmaRSet, winding_image
 from windsym.residue_p1 import P1Table, PrimePower
@@ -742,6 +743,16 @@ def hecke_T_formula(n: int, f: QExpansion, m: int):
     for d in divisors(gcd(m, n)):
         total = total + f.eps(d) * d ** (f.weight - 1) * f.coeff(m * n // (d * d))
     return total
+
+
+def random_series(
+    rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
+) -> QExpansion:
+    """Coefficients n/d, n and d drawn by rng.randint from -20..20 and
+    1..12, n first: the series qexp_hecke._integral_series draws times L,
+    by the rule it is meant to keep, with the same rng state afterwards."""
+    coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(order)]
+    return QExpansion(tuple(coeffs), order, order, weight, eps)
 
 
 def fraction_verify_relations(

@@ -978,8 +978,9 @@ def test_criterion_proves_each_input_once(capsys, monkeypatch):
     (["homology", "--p", "11", "--n", "0", "--l", "3"], "--n", 1),
     (["criterion", "--p", "11", "--n", "0", "--l", "3"], "--n", 1),
     (["paths", "--p", "11", "--n", "-1", "--r", "2"], "--n", 1),
+    (["qexp", "verify-relations", "--order", "20", "--trials", "1", "--seed", "-5"], "--seed", 0),
 ], ids=["criterion", "criterion-all-l", "prop11", "threshold", "order", "trials", "k", "lam",
-        "r-min", "p1-n", "homology-n", "criterion-n", "paths-n"])
+        "r-min", "p1-n", "homology-n", "criterion-n", "paths-n", "seed"])
 def test_cli_minimums_name_their_flag(capsys, argv, flag, low):
     assert cli_main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {flag} must be >= {low}\n")
@@ -1272,6 +1273,26 @@ def test_cli_out_that_cannot_be_written_exits_2(tmp_path, capsys, target):
     got = capsys.readouterr()
     assert got.out == "" and got.err.startswith(f"error: cannot write --out {out}: ")
     assert got.err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--constants", "--out", ""],
+    ["p1", "--p", "5", "--out=", "--verify"],
+    ["paths", "sweep", "--pn", "101", "--out", ""],
+    ["paths", "--out", "", "sweep", "--pn", "101"],
+    ["qexp", "verify-relations", "--order", "20", "--out", ""],
+], ids=["bounds", "p1", "paths-sweep", "before-sweep", "qexp"])
+def test_cli_empty_out_exits_2_before_any_work(capsys, monkeypatch, argv):
+    from windsym import bounds_cli
+
+    def no_work(args):
+        raise AssertionError("a handler ran with an empty --out")
+
+    for name in dir(bounds_cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(bounds_cli, name, no_work)
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --out must not be empty\n")
 
 
 def test_module_entry_point():

@@ -28,7 +28,6 @@ from windsym.qexp_hecke import (
     op_T,
     op_U,
     op_t,
-    random_series,
     verify_coefficient_identity,
     verify_relations,
 )
@@ -42,6 +41,7 @@ from oracles import (
     fraction_verify_relations,
     hecke_T_formula,
     per_trial_coefficient_identity,
+    random_series,
 )
 
 F = Fraction
