@@ -69,7 +69,9 @@ back).
 - The relation checks at order 300 over 1000 trials, the documented
   MAX_QEXP_TRIALS run: 38 blocks of 27 trials, one trial alive at a time,
   so it stays near the interpreter's 17.6 MB; its limit is the homology
-  cases' 21 MB, and its digest pins the series that the draws make.
+  cases' 21 MB.  Its digest pins the verdicts, not the series: the command
+  prints no drawn value unless a check fails, so the draw itself is pinned
+  by digest in tests/test_qexp_hecke.py.
 
     python .github/scripts/memory_guard.py [SRC_DIR]
 

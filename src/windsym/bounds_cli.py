@@ -367,6 +367,9 @@ def _cmd_qexp_up_matrix(args) -> int:
     if args.case == CASE_COPRIME and _too_long(args.prime, args.lam - 1, args.eps_p):
         raise ValueError(f"--lam {args.lam} exceeds the limit: eps_p p^(lam-1) would print "
                          f"more than {MAX_BOUND_DIGITS} digits")
+    # eps is trivial or quadratic, so at a prime not dividing its modulus eps(p) = +-1
+    if args.case == CASE_COPRIME and args.eps_p not in (1, -1):
+        raise ValueError(f"--eps-p {args.eps_p} must be 1 or -1 under --case coprime")
     try:
         a_p = None if _exponent_too_long(args.a_p) else Fraction(args.a_p)
     except ZeroDivisionError:

@@ -495,13 +495,14 @@ def _integral_series(
     n and d drawn uniformly from -20..20 and 1..12, n first: L times the
     series whose coefficients are the fractions n/d.
 
-    Each draw is the rng.randrange call that rng.randint(-20, 20) and
-    rng.randint(1, 12) make (CPython 3.10-3.13 implement randint(a, b) as
-    randrange(a, b + 1)), so the values, their order and the rng state
-    afterwards are those of the two randint calls, without their extra
-    frame; L // d is read from _QUOTIENTS."""
-    randrange = rng.randrange
-    coeffs = [randrange(-20, 21) * _QUOTIENTS[randrange(1, 13)] for _ in range(order)]
+    Each draw is the rng._randbelow call that rng.randint(-20, 20) and
+    rng.randint(1, 12) end in (CPython 3.10-3.13 implement randint(a, b)
+    as randrange(a, b + 1), and randrange(a, b) as a + _randbelow(b - a)),
+    so the values, their order and the rng state afterwards are those of
+    the two randint calls, without their argument checks and extra
+    frames; L // d is read from _QUOTIENTS."""
+    randbelow = rng._randbelow
+    coeffs = [(randbelow(41) - 20) * _QUOTIENTS[randbelow(12) + 1] for _ in range(order)]
     return QExpansion(tuple(coeffs), order, order, weight, eps)
 
 
@@ -585,15 +586,16 @@ _LANE_BUDGET = 2**13
 
 # Largest --order of `qexp verify-relations`.  Past _LANE_BUDGET a block
 # holds one trial, so a run costs about trials times a superlinear function
-# of the order: order 20000 over 100 trials takes 4.8-5.5 s and 20.4 MB in a
-# child process on a 2-vCPU host, and order 10^6 over one trial ran past 30 s.
+# of the order: order 20000 over 100 trials takes 3.6-4.4 s (one run of 7
+# read 5.4 s) and 20.7 MB in a child process on a shared 2-vCPU host, and
+# order 10^6 over one trial ran past 30 s.
 MAX_QEXP_ORDER = 20000
 
 # Largest --trials of `qexp verify-relations`.  A run's cost is linear in the
-# trials at a fixed order: in a child process on a 2-vCPU host 1000 trials
-# take 0.36-0.58 s at order 300 and 10^5 take 1.6-1.7 s at order 8, while at
-# order MAX_QEXP_ORDER each 100 trials take about 5 s, so 1000 trials there
-# take about 50 s.
+# trials at a fixed order: in a child process on a shared 2-vCPU host 1000
+# trials take 0.36-0.41 s at order 300 and 10^5 take 1.5-2.0 s at order 8,
+# while at order MAX_QEXP_ORDER each 100 trials take about 4 s, so 1000
+# trials there take about 40 s.
 MAX_QEXP_TRIALS = 1000
 
 # Largest --k of `qexp up-matrix`.  charpoly (Faddeev-LeVerrier) takes k + 1

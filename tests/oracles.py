@@ -15,9 +15,9 @@ step-by-step walker that the closed-form chain stops replaced, the
 coefficient-by-coefficient q-expansion operators that the slice kernels
 replaced, the Fraction-series relation suite that the integer L*f
 streaming replaced, the two randint draws per Fraction coefficient that the
-integer series draw replaced (random_series), the one-trial-at-a-time
-coefficient identity that lane packing replaced, and the closed formula for
-the coefficients of T_n.
+integer series draw, one rng._randbelow call per value, replaced
+(random_series), the one-trial-at-a-time coefficient identity that lane
+packing replaced, and the closed formula for the coefficients of T_n.
 It also builds the test inputs of the oldclass checks: eigen-series from
 prescribed prime coefficients (formal_eigenform).
 """

@@ -1172,6 +1172,29 @@ def test_cli_refuses_oversized_up_matrix_lam_before_building(capsys, monkeypatch
     assert json.loads(capsys.readouterr().out)["entries"] == [["1", "1"], ["0", "0"]]
 
 
+def test_cli_up_matrix_refuses_eps_p_other_than_one_or_minus_one_under_coprime(capsys, monkeypatch):
+    from windsym import qexp_hecke
+
+    def up_matrix(eps_p):
+        return cli_main(["qexp", "up-matrix", "--case", "coprime", "--k", "2", "--prime", "5",
+                         "--eps-p", eps_p])
+
+    # the characters are trivial or quadratic, so eps(p) = +-1 at p coprime to the modulus
+    for eps_p in ("1", "-1"):
+        assert up_matrix(eps_p) == 0
+        assert json.loads(capsys.readouterr().out)["entries"][1][0] == str(-int(eps_p) * 5)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("built a matrix for an eps_p that is not +-1")
+
+    monkeypatch.setattr(qexp_hecke, "build_Up_matrix", no_work)
+    monkeypatch.setattr(qexp_hecke, "charpoly", no_work)
+    for eps_p in ("7", "0", "-2", "2"):
+        assert up_matrix(eps_p) == 2
+        assert capsys.readouterr() == ("", f"error: --eps-p {eps_p} must be 1 or -1 under "
+                                           "--case coprime\n")
+
+
 def test_cli_refuses_oversized_up_matrix_a_p_before_building(capsys, monkeypatch):
     from windsym import qexp_hecke
     from windsym.bounds_cli import MAX_BOUND_DIGITS
