@@ -47,6 +47,11 @@ back).
   makes 139,852 crossings at about 29.0 MB, against 93 MB with a dense
   sigma built at that level, so its limit of 30 MB also fails on the
   4-byte label array of |P^1| entries.
+- `p1 --verify` at p = 1000003, the one command that builds the dense
+  permutations: sigma_perm and tau_perm are 4-byte arrays of |P^1| entries,
+  4 MB each, and the run peaks at about 24.8 MB and 1.7-2.6 s in a child
+  process.  Its limit of 28 MB fails when one more such array is held
+  beside them, or when either permutation is a list of ints.
 - The homology record at p = 1000003: its shape is counted from the
   elliptic points, so it builds no permutation and stays at the
   interpreter's 17.4 MB; counting it off a dense sigma took 24.3 MB, and
@@ -102,6 +107,8 @@ CASES = [
      "18ef157d37d936f1ecfab95376394c80e98c541c588d037a9a888e77e7ee9f0c", 25),
     (["criterion", "--p", "9999991", "--d", "2", "--l", "3"],
      "4f5473b7cc1c8da399ec83624a3a19adf9149b7ce711a7541bfcc8f1ff183bb6", 30),
+    (["p1", "--p", "1000003", "--verify"],
+     "798fc9f3f3163fb89d5ec54c9511e39dbf41417304ee75d6b28a6007f5c14866", 28),
     (["homology", "--p", "1000003", "--l", "3"],
      "039d8812475d752d50b3aac83bb8d823892ce2e31ebf87f16df70bb2638075f8", 21),
     (["homology", "--p", "10000019", "--l", "3"],

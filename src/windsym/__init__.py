@@ -4,7 +4,7 @@ prime-power level.
 Subpackages by concern:
 
   residue_p1     P^1(Z/p^n Z) as indices: index/pair arithmetic, sigma/tau actions
-  rel_homology   relative homology presentation, Smith certificate, cusp classes
+  rel_homology   relative homology presentation, Smith certificate
   hecke_symbols  T_r{0,oo} images, Sigma_r, rank over F_l (l = 0 for Q)
   winding_paths  obstruction-avoiding chain walks, inverse-pair search
   qexp_hecke     operator calculus on truncated q-expansions

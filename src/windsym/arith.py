@@ -137,28 +137,6 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return (n, e) if is_prime(n) else None
 
 
-def divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def sigma1(n: int) -> int:
-    """Sum of divisors."""
-    out = 1
-    for p, e in factorize(n).items():
-        out *= (p ** (e + 1) - 1) // (p - 1)
-    return out
-
-
-def euler_phi(n: int) -> int:
-    out = n
-    for p in factorize(n):
-        out = out // p * (p - 1)
-    return out
-
-
 def smallest_prime_excluding(p: int) -> int:
     """Smallest prime different from p."""
     q = 2
@@ -238,9 +216,6 @@ __all__ = [
     "factorize",
     "iroot",
     "prime_power",
-    "divisors",
-    "sigma1",
-    "euler_phi",
     "smallest_prime_excluding",
     "kronecker",
     "ceil_isqrt",

@@ -37,12 +37,6 @@ def regime_threshold(p: int, imax: int) -> int:
     return c_squares(p)[1] * imax**6
 
 
-def degree_threshold(p: int, d: int) -> int:
-    """C^2 (sd)^6, s the smallest prime != p: the regime threshold at
-    imax = sd, unchecked, so a guard can bound it before any report."""
-    return regime_threshold(p, smallest_prime_excluding(p) * d)
-
-
 @dataclass
 class BoundReport:
     """One evaluated bound formula with its exact value and tagged variants."""
@@ -195,6 +189,6 @@ def constants_consistency() -> ConstantsReport:
 __all__ = [
     "BoundReport", "ConstantsReport", "CriterionThreshold", "LAMBDA_FACTORS",
     "auxiliary_prime", "c_squares", "constants_consistency", "cor18_bound",
-    "criterion_threshold", "degree_threshold", "prop11_bound", "prop11_report",
+    "criterion_threshold", "prop11_bound", "prop11_report",
     "regime_threshold",
 ]

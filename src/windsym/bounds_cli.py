@@ -110,7 +110,7 @@ def _check_digits(flag: str, d: int, l: int = 1) -> None:
     base of its power (1 for the threshold alone)."""
     from . import bounds
 
-    top = max(bounds.degree_threshold(p, d) for p in _PRIME_CLASSES)
+    top = max(bounds.criterion_threshold(p, d).threshold for p in _PRIME_CLASSES)
     if _too_long(l, d, top):
         raise ValueError(f"{flag} {d} exceeds the limit: the bounds would print more than "
                          f"{MAX_BOUND_DIGITS} digits")
@@ -382,9 +382,9 @@ def _cmd_qexp_up_matrix(args) -> int:
     mat = build_Up_matrix(args.case, a_p, args.eps_p, args.lam, args.k, p=args.prime)
     payload = {
         "schema": SCHEMA,
-        "case": mat.case,
-        "k": mat.k,
-        "entries": [[str(x) for x in row] for row in mat.entries],
+        "case": "M2" if args.case == CASE_COPRIME else "M1",
+        "k": args.k,
+        "entries": [[str(x) for x in row] for row in mat],
         "charpoly": [str(c) for c in charpoly(mat)],
     }
     _emit(payload, args)

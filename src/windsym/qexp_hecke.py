@@ -51,13 +51,16 @@ alternating Jordan basis in trivial character and the block-diagonal
 structure for general co-level, are checked in tests/test_qexp_hecke.py on
 build_Up_matrix's matrices and, for the blocks, on genuine series.
 
-Coefficient rings: exact rationals (fractions.Fraction), the quadratic
-extension Q(sqrt(D)) (class Quad, any nonsquare D, compared by value), and
-polynomials over Q in one indeterminate (class PolyQ) for symbolic
-eigenvalue checks.  All three support ring operations, equality, and exact
-division by nonzero integers, which is all the calculus needs.  Matrices
-stay rational: the Jordan census takes its ranks over Q (arith.rank), and
-Quad only names the irrational roots.
+Coefficient rings: exact rationals (fractions.Fraction) and the quadratic
+extension Q(sqrt(D)) (class Quad, any nonsquare D, compared by value).
+Both support ring operations, equality, and exact division by nonzero
+integers, which is all the calculus needs.  Matrices stay rational: the
+Jordan census takes its ranks over Q (arith.rank), and Quad only names the
+irrational roots.
+
+No command runs jordan_structure or kernel_vector_check: they check the
+paper's lemma on U_p over the oldclass span (cases M1-M4), for the tests
+and the acceptance suite.
 """
 
 import operator
@@ -80,7 +83,11 @@ class Quad:
     Radicands whose product is a square name one field, whose elements
     compare, hash and combine by value: Quad(-28, 1, 1/2) == Quad(-7, 1, 1),
     as b*sqrt(disc) is fixed by b^2 disc and the sign of b.  Mixing any
-    other two fields is refused."""
+    other two fields is refused.
+
+    It names the roots of X^2 - a_p X + eps(p) p^{lambda-1} that the
+    oldclass lemma's case M3 puts on the diagonal when they are irrational
+    (see jordan_structure)."""
 
     __slots__ = ("disc", "a", "b")
 
@@ -169,99 +176,6 @@ class Quad:
         if self.b == 0:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.disc})"
-
-
-class PolyQ:
-    """Polynomial over Q in one indeterminate y; supports the ring
-    operations plus exact division by nonzero scalars."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=()):
-        if isinstance(coeffs, (int, Fraction)):
-            coeffs = (coeffs,)
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = tuple(c)
-
-    @classmethod
-    def gen(cls) -> "PolyQ":
-        return cls((0, 1))
-
-    def _coerce(self, other):
-        if isinstance(other, PolyQ):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PolyQ(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.c), len(o.c))
-        a = list(self.c) + [Fraction(0)] * (n - len(self.c))
-        for i, v in enumerate(o.c):
-            a[i] += v
-        return PolyQ(a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyQ([-x for x in self.c])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.c or not o.c:
-            return PolyQ(())
-        out = [Fraction(0)] * (len(self.c) + len(o.c) - 1)
-        for i, x in enumerate(self.c):
-            for j, y in enumerate(o.c):
-                out[i + j] += x * y
-        return PolyQ(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other != 0:
-            return PolyQ([x / other for x in self.c])
-        return NotImplemented
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.c == o.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        terms = []
-        for i, v in enumerate(self.c):
-            if v == 0:
-                continue
-            if i == 0:
-                terms.append(str(v))
-            elif i == 1:
-                terms.append(f"{v}*y")
-            else:
-                terms.append(f"{v}*y^{i}")
-        return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -797,20 +711,11 @@ CASE_DIVIDES = "divides"  # p | M: U_p restricted from level M
 CASE_COPRIME = "coprime"  # p coprime to M: U_p = a_p - eps(p)p^{lambda-1} B_p on f
 
 
-@dataclass
-class OldclassMatrix:
-    """Matrix of U_p on the oldclass basis {f, B_p f, ..., B_{p^k} f}
-    (cases M1/M2)."""
-
-    case: str
-    k: int
-    entries: list
-
-
 def build_Up_matrix(
     case: str, a_p, eps_p: int, lam: int, k: int, p: int | None = None
-) -> OldclassMatrix:
-    """U_p on the oldclass basis, columns giving the images of basis vectors.
+) -> list:
+    """Rows of the matrix of U_p on the oldclass basis {f, B_p f, ...,
+    B_{p^k} f}, columns giving the images of basis vectors.
 
     case "divides" (p | M): head entry a_p, superdiagonal of ones (M1).
     case "coprime" (p coprime to M): head column (a_p, -eps_p * p^{lam-1}),
@@ -826,12 +731,12 @@ def build_Up_matrix(
     entries = [[int(i == j - 1) for j in range(k + 1)] for i in range(k + 1)]
     entries[0][0] = a_p
     if case == CASE_DIVIDES:
-        return OldclassMatrix("M1", k, entries)
+        return entries
     if case == CASE_COPRIME:
         if p is None:
             raise ValueError("case 'coprime' needs the prime p")
         entries[1][0] = -(eps_p * p ** (lam - 1))
-        return OldclassMatrix("M2", k, entries)
+        return entries
     raise ValueError(f"unknown case {case!r}; use 'divides' or 'coprime'")
 
 
@@ -859,11 +764,10 @@ def charpoly(matrix) -> list:
     """Characteristic polynomial coefficients [c_0, ..., c_n] (monic) of a
     square matrix over any exact ring with division by integers
     (Faddeev-LeVerrier)."""
-    a = matrix.entries if isinstance(matrix, OldclassMatrix) else matrix
-    n = len(a)
+    n = len(matrix)
     coeffs: list = [0] * (n + 1)
     coeffs[n] = 1
-    mk = [row[:] for row in a]
+    mk = [row[:] for row in matrix]
     for k in range(1, n + 1):
         tr = mk[0][0]
         for i in range(1, n):
@@ -871,7 +775,7 @@ def charpoly(matrix) -> list:
         ck = -_div_scalar(tr, k)
         coeffs[n - k] = ck
         if k < n:
-            mk = _matmul(a, _mat_add_scalar(mk, ck))
+            mk = _matmul(matrix, _mat_add_scalar(mk, ck))
     return coeffs
 
 
@@ -901,9 +805,12 @@ def jordan_structure(matrix) -> JordanReport:
     its powers.  The roots of an irreducible X^2 + bX + c whose discriminant
     is u/v in lowest terms are named Quad(u v, -b/2, +-1/(2v)): nothing is
     factorised and no matrix over Q(sqrt(u v)) is built.
+
+    This checks the paper's lemma on U_p over the oldclass span {B_{p^j} f}:
+    the census of M1 (p dividing the level), and of M2, whose Jordan form is
+    M3 (distinct roots) or M4 (a double root) beside a nilpotent block.
     """
-    a = matrix.entries if isinstance(matrix, OldclassMatrix) else matrix
-    a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
+    a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in matrix]
     if not all(isinstance(x, Fraction) for row in a for x in row):
         raise ValueError("jordan_structure expects rational entries")
     cp = charpoly(a)
@@ -973,6 +880,9 @@ def kernel_vector_check(f: QExpansion, p: int, order: int) -> KernelCheckReport:
     When a_p^2 = 4 theta, additionally checks that a_p f - 2 theta B_p f is
     a U_p eigenvector for the eigenvalue a_p/2 (the M4 branch; excluded for
     weight 2 and trivial character, but kept).
+
+    These are the kernel and eigenvectors of the paper's lemma on U_p over
+    the oldclass span (cases M2-M4), checked on genuine series.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -1013,7 +923,6 @@ def kernel_vector_check(f: QExpansion, p: int, order: int) -> KernelCheckReport:
 
 __all__ = [
     "Quad",
-    "PolyQ",
     "DirichletCharacter",
     "TRIVIAL_CHARACTER",
     "QExpansion",
@@ -1033,7 +942,6 @@ __all__ = [
     "MAX_UP_MATRIX_K",
     "CASE_DIVIDES",
     "CASE_COPRIME",
-    "OldclassMatrix",
     "build_Up_matrix",
     "charpoly",
     "JordanReport",

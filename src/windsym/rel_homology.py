@@ -1,4 +1,4 @@
-"""Relative homology of X_0(p^n) presented on Manin symbols, plus cusp classes.
+"""Relative homology of X_0(p^n) presented on Manin symbols.
 
 The presentation comes from the exact sequence
 
@@ -48,18 +48,16 @@ which is totally unimodular, so every nonzero Smith invariant is 1.
 smith_invariants checks that pattern on invariant_generators' rows, for
 the tests; `homology --smith` prints the relation_rank ones it certifies.
 
-The cusp half of the module decides Gamma_0(N)-equivalence of cusps and
-applies Hecke correspondences T_r (gcd(r, N) = 1) to cusp classes via the
-matrix set {(r/delta, -beta; 0, delta) : delta | r, 0 <= beta < delta}.
+The Gamma_0(N) cusp classes and their Hecke action, which only the tests
+read, live in tests/oracles.py.
 """
 
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from operator import lt
 
-from .arith import divisors, euler_phi, kronecker
+from .arith import kronecker
 from .residue_p1 import P1Table, PrimePower
 
 
@@ -85,7 +83,10 @@ def invariant_generators(table: P1Table) -> RelationSpan:
     """Orbit-sum generators of the sigma- and tau-invariant submodules, one
     row per orbit at its least point x, in the order of x.  An orbit has one
     point or all of sigma's two or tau's three, so a fixed point's row is
-    {x: 1}."""
+    {x: 1}.
+
+    Kept for the traced replay and the tests' second route (ROADMAP item 8).
+    """
     sigma, tau = table.sigma_perm, table.tau_perm
     sigma_rows = tuple({x: 1, sigma[x]: 1} for x in range(table.size) if x <= sigma[x])
     tau_rows = tuple(
@@ -225,11 +226,18 @@ class H1Presentation:
 
 
 def build_presentation(table: P1Table) -> H1Presentation:
+    """The presentation of H_1(X_0(p^n), cusps) on table.
+
+    Kept for the traced replay and the tests' second route (ROADMAP item 8).
+    """
     return H1Presentation(table)
 
 
 def reduce_vector(v, pres: H1Presentation) -> list[int]:
-    """Reduce a SymbolVector (or raw index->coefficient dict) to quotient coordinates."""
+    """Reduce a SymbolVector (or raw index->coefficient dict) to quotient coordinates.
+
+    Kept for the traced replay and the tests' second route (ROADMAP item 8).
+    """
     coeffs = getattr(v, "coeffs", v)
     vt = getattr(v, "table", None)
     if vt is not None and vt.size != pres.p1_size:
@@ -246,6 +254,8 @@ def smith_invariants(rel: RelationSpan) -> list[int]:
     and an edge per column.  Such a matrix is totally unimodular: every
     nonzero elementary divisor is 1, and there are #rows - #components of
     them.  Raises ValueError when the pattern does not hold.
+
+    Kept for the traced replay and the tests' second route (ROADMAP item 8).
     """
     owners = []
     for family, rows in (("sigma", rel.sigma_rows), ("tau", rel.tau_rows)):
@@ -277,110 +287,12 @@ def smith_invariants(rel: RelationSpan) -> list[int]:
     return [1] * joins
 
 
-# ---------------------------------------------------------------------------
-# Cusps of X_0(N)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cusp:
-    """A cusp a/c of P^1(Q) in lowest terms, c >= 0; infinity is (1, 0)."""
-
-    a: int
-    c: int
-
-    def __post_init__(self):
-        if gcd(self.a, self.c) != 1:
-            raise ValueError("cusp must be in lowest terms")
-        if self.c < 0 or (self.c == 0 and self.a != 1):
-            raise ValueError("cusp not normalized (want c > 0, or (1, 0))")
-
-    @classmethod
-    def of(cls, a: int, c: int) -> "Cusp":
-        if a == 0 and c == 0:
-            raise ValueError("(0, 0) is not a cusp")
-        g = gcd(a, c)
-        a, c = a // g, c // g
-        if c < 0 or (c == 0 and a < 0):
-            a, c = -a, -c
-        return cls(a, c)
-
-    def __str__(self):
-        return "oo" if self.c == 0 else f"{self.a}/{self.c}"
-
-
-def cusp_equivalent(x: Cusp, y: Cusp, n_level: int) -> bool:
-    """Gamma_0(N)-equivalence of cusps by the standard arithmetic criterion:
-
-    a1/c1 ~ a2/c2 iff s1*c2 == s2*c1 mod gcd(c1*c2, N) where ai*si == 1 (mod ci).
-    """
-    if n_level < 1:
-        raise ValueError("level must be positive")
-    g = gcd(x.c * y.c, n_level)
-    s1 = _inverse_mod_or_one(x.a, x.c)
-    s2 = _inverse_mod_or_one(y.a, y.c)
-    return (s1 * y.c - s2 * x.c) % g == 0
-
-
-def _inverse_mod_or_one(a: int, c: int) -> int:
-    if c == 0:
-        return 1
-    if c == 1:
-        return 0
-    return pow(a % c, -1, c)
-
-
-def cusp_representatives(n_level: int) -> list[Cusp]:
-    """One representative per Gamma_0(N) cusp class: a/c for c | N with
-    a running over units modulo gcd(c, N/c), lifted coprime to c."""
-    reps = []
-    for c in divisors(n_level):
-        g = gcd(c, n_level // c)
-        for x in range(g):
-            if gcd(x, g) != 1:
-                continue
-            a = x
-            while gcd(a, c) != 1:
-                a += g
-            reps.append(Cusp.of(a, c))
-    if len(reps) != sum(euler_phi(gcd(c, n_level // c)) for c in divisors(n_level)):
-        raise RuntimeError(f"cusp count of X_0({n_level}) disagrees with sum phi(gcd(c, N/c))")
-    return reps
-
-
-def hecke_cusp_action(n_level: int, r: int, x: Cusp) -> list[tuple[Cusp, int]]:
-    """Images of a cusp under the T_r correspondence on X_0(N), classified
-    up to Gamma_0(N)-equivalence.
-
-    Applies every matrix (r/delta, -beta; 0, delta) with delta | r and
-    0 <= beta < delta; the total image count is sigma_1(r).  Requires
-    gcd(r, N) = 1.
-    """
-    if gcd(r, n_level) != 1:
-        raise ValueError(f"r={r} must be coprime to the level {n_level}")
-    classes: list[tuple[Cusp, int]] = []
-    for delta in divisors(r):
-        for beta in range(delta):
-            img = Cusp.of((r // delta) * x.a - beta * x.c, delta * x.c)
-            for i, (rep, cnt) in enumerate(classes):
-                if cusp_equivalent(img, rep, n_level):
-                    classes[i] = (rep, cnt + 1)
-                    break
-            else:
-                classes.append((img, 1))
-    return classes
-
-
 __all__ = [
     "RelationSpan",
     "H1Presentation",
     "elliptic_point_counts",
-    "Cusp",
     "invariant_generators",
     "build_presentation",
     "reduce_vector",
     "smith_invariants",
-    "cusp_equivalent",
-    "cusp_representatives",
-    "hecke_cusp_action",
 ]

@@ -182,6 +182,10 @@ def find_inverse_pair(pair: IntervalPair, pp: PrimePower) -> tuple[int, int] | N
 
     Scans the smaller interval (the map y <-> z is an involution), so the
     cost is O(min(|A|,|B|) log p^n).  Returns None when no pair exists.
+
+    This checks Lemma 5.3 of the paper: such a pair exists once |A||B| is
+    at least C' p^{3n/2} (lemma53_requirement).  No command runs it; the
+    tests and the benchmark's traced replay do.
     """
     m = pp.modulus
     for start, length in ((pair.a_start, pair.a_len), (pair.b_start, pair.b_len)):
@@ -228,6 +232,9 @@ class Lemma53Requirement:
 
 
 def lemma53_requirement(pp: PrimePower) -> Lemma53Requirement:
+    """The hypothesis |A||B| >= C' p^{3n/2} of Lemma 5.3, under which
+    find_inverse_pair must find a pair (C' from bounds.c_squares).  No
+    command reads it; the tests do."""
     c2 = c_squares(pp.p)[0]
     label = "8*sqrt(2)" if pp.p == 2 else "8"
     p3n = pp.p ** (3 * pp.n)

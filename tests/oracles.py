@@ -20,6 +20,12 @@ integer series draw, one rng._randbelow call per value, replaced
 packing replaced, and the closed formula for the coefficients of T_n.
 It also builds the test inputs of the oldclass checks: eigen-series from
 prescribed prime coefficients (formal_eigenform).
+
+It holds as well the code that only the tests run: the Gamma_0(N) cusp
+classes and the Hecke action T_r on them (Cusp, cusp_representatives,
+cusp_equivalent, hecke_cusp_action), the divisor functions behind them and
+the classical counts (divisors, euler_phi, sigma1), and the polynomial ring
+over Q of the symbolic characteristic-polynomial checks (PolyQ).
 """
 
 import random
@@ -33,7 +39,7 @@ from typing import Optional
 from hypothesis import strategies as st
 
 from windsym import qexp_hecke
-from windsym.arith import divisors, euler_phi, factorize, is_prime, kronecker
+from windsym.arith import factorize, is_prime, kronecker
 from windsym.qexp_hecke import (
     TRIVIAL_CHARACTER,
     DirichletCharacter,
@@ -57,6 +63,28 @@ from windsym.winding_paths import (
 @lru_cache(maxsize=None)
 def get_table(p: int, n: int):
     return P1Table(PrimePower(p, n))
+
+
+def divisors(n: int) -> list[int]:
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def sigma1(n: int) -> int:
+    """Sum of divisors."""
+    out = 1
+    for p, e in factorize(n).items():
+        out *= (p ** (e + 1) - 1) // (p - 1)
+    return out
+
+
+def euler_phi(n: int) -> int:
+    out = n
+    for p in factorize(n):
+        out = out // p * (p - 1)
+    return out
 
 
 def cusp_count_x0(n_level: int) -> int:
@@ -164,6 +192,98 @@ def eta_product_level11(order: int) -> list:
     return [Fraction(f[n - 1]) for n in range(1, order + 1)]
 
 
+# ---------------------------------------------------------------------------
+# Cusps of X_0(N)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cusp:
+    """A cusp a/c of P^1(Q) in lowest terms, c >= 0; infinity is (1, 0)."""
+
+    a: int
+    c: int
+
+    def __post_init__(self):
+        if gcd(self.a, self.c) != 1:
+            raise ValueError("cusp must be in lowest terms")
+        if self.c < 0 or (self.c == 0 and self.a != 1):
+            raise ValueError("cusp not normalized (want c > 0, or (1, 0))")
+
+    @classmethod
+    def of(cls, a: int, c: int) -> "Cusp":
+        if a == 0 and c == 0:
+            raise ValueError("(0, 0) is not a cusp")
+        g = gcd(a, c)
+        a, c = a // g, c // g
+        if c < 0 or (c == 0 and a < 0):
+            a, c = -a, -c
+        return cls(a, c)
+
+    def __str__(self):
+        return "oo" if self.c == 0 else f"{self.a}/{self.c}"
+
+
+def cusp_equivalent(x: Cusp, y: Cusp, n_level: int) -> bool:
+    """Gamma_0(N)-equivalence of cusps by the standard arithmetic criterion:
+
+    a1/c1 ~ a2/c2 iff s1*c2 == s2*c1 mod gcd(c1*c2, N) where ai*si == 1 (mod ci).
+    """
+    if n_level < 1:
+        raise ValueError("level must be positive")
+    g = gcd(x.c * y.c, n_level)
+    s1 = _inverse_mod_or_one(x.a, x.c)
+    s2 = _inverse_mod_or_one(y.a, y.c)
+    return (s1 * y.c - s2 * x.c) % g == 0
+
+
+def _inverse_mod_or_one(a: int, c: int) -> int:
+    if c == 0:
+        return 1
+    if c == 1:
+        return 0
+    return pow(a % c, -1, c)
+
+
+def cusp_representatives(n_level: int) -> list[Cusp]:
+    """One representative per Gamma_0(N) cusp class: a/c for c | N with
+    a running over units modulo gcd(c, N/c), lifted coprime to c."""
+    reps = []
+    for c in divisors(n_level):
+        g = gcd(c, n_level // c)
+        for x in range(g):
+            if gcd(x, g) != 1:
+                continue
+            a = x
+            while gcd(a, c) != 1:
+                a += g
+            reps.append(Cusp.of(a, c))
+    return reps
+
+
+def hecke_cusp_action(n_level: int, r: int, x: Cusp) -> list[tuple[Cusp, int]]:
+    """Images of a cusp under the T_r correspondence on X_0(N), classified
+    up to Gamma_0(N)-equivalence.
+
+    Applies every matrix (r/delta, -beta; 0, delta) with delta | r and
+    0 <= beta < delta; the total image count is sigma_1(r).  Requires
+    gcd(r, N) = 1.
+    """
+    if gcd(r, n_level) != 1:
+        raise ValueError(f"r={r} must be coprime to the level {n_level}")
+    classes: list[tuple[Cusp, int]] = []
+    for delta in divisors(r):
+        for beta in range(delta):
+            img = Cusp.of((r // delta) * x.a - beta * x.c, delta * x.c)
+            for i, (rep, cnt) in enumerate(classes):
+                if cusp_equivalent(img, rep, n_level):
+                    classes[i] = (rep, cnt + 1)
+                    break
+            else:
+                classes.append((img, 1))
+    return classes
+
+
 def gamma0_matrices(n_level: int, amax: int = 12, gmax: int = 12, tmax: int = 12):
     """Explicit elements of Gamma_0(N) with bounded entries."""
     mats = []
@@ -187,8 +307,6 @@ def gamma0_matrices(n_level: int, amax: int = 12, gmax: int = 12, tmax: int = 12
 
 
 def apply_mat_to_cusp(mat, cusp):
-    from windsym.rel_homology import Cusp
-
     a, b, c, d = mat
     return Cusp.of(a * cusp.a + b * cusp.c, c * cusp.a + d * cusp.c)
 
@@ -823,6 +941,99 @@ def per_trial_coefficient_identity(
     return RelationCheck(
         "a_1(T_n f) = a_n(f)", f"n <= {nmax}", trials, failure == "", failure
     )
+
+
+class PolyQ:
+    """Polynomial over Q in one indeterminate y; supports the ring
+    operations plus exact division by nonzero scalars."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs=()):
+        if isinstance(coeffs, (int, Fraction)):
+            coeffs = (coeffs,)
+        c = [Fraction(x) for x in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        self.c = tuple(c)
+
+    @classmethod
+    def gen(cls) -> "PolyQ":
+        return cls((0, 1))
+
+    def _coerce(self, other):
+        if isinstance(other, PolyQ):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return PolyQ(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n = max(len(self.c), len(o.c))
+        a = list(self.c) + [Fraction(0)] * (n - len(self.c))
+        for i, v in enumerate(o.c):
+            a[i] += v
+        return PolyQ(a)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PolyQ([-x for x in self.c])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not self.c or not o.c:
+            return PolyQ(())
+        out = [Fraction(0)] * (len(self.c) + len(o.c) - 1)
+        for i, x in enumerate(self.c):
+            for j, y in enumerate(o.c):
+                out[i + j] += x * y
+        return PolyQ(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other != 0:
+            return PolyQ([x / other for x in self.c])
+        return NotImplemented
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.c == o.c
+
+    def __hash__(self):
+        return hash(self.c)
+
+    def __repr__(self):
+        if not self.c:
+            return "0"
+        terms = []
+        for i, v in enumerate(self.c):
+            if v == 0:
+                continue
+            if i == 0:
+                terms.append(str(v))
+            elif i == 1:
+                terms.append(f"{v}*y")
+            else:
+                terms.append(f"{v}*y^{i}")
+        return " + ".join(terms)
 
 
 def formal_eigenform(

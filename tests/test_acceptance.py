@@ -9,13 +9,11 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from windsym.arith import sigma1
 from windsym.bounds import constants_consistency, cor18_bound
 from windsym.hecke_symbols import sigma_r_set, winding_image
 from windsym.qexp_hecke import (
     CASE_COPRIME,
     CASE_DIVIDES,
-    PolyQ,
     Quad,
     build_Up_matrix,
     charpoly,
@@ -26,11 +24,7 @@ from windsym.qexp_hecke import (
     verify_relations,
 )
 from windsym.rel_homology import (
-    Cusp,
     build_presentation,
-    cusp_equivalent,
-    cusp_representatives,
-    hecke_cusp_action,
     invariant_generators,
     reduce_vector,
     smith_invariants,
@@ -47,12 +41,18 @@ from windsym.winding_paths import (
     walk_chain_B_prime,
 )
 from oracles import (
+    Cusp,
+    PolyQ,
     apply_mat_to_cusp,
     bruteforce_cusp_equivalent,
     cusp_count_x0,
+    cusp_equivalent,
+    cusp_representatives,
     eta_product_level11,
     gamma0_matrices,
     genus_x0,
+    hecke_cusp_action,
+    sigma1,
 )
 
 F = Fraction

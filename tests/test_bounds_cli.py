@@ -1014,8 +1014,14 @@ def test_cli_bounds_refuses_too_many_digits_before_computing(capsys, monkeypatch
     def no_work(*args):
         raise AssertionError("computed a bound past the limit")
 
-    for name in ("cor18_bound", "prop11_report", "criterion_threshold"):
+    for name in ("cor18_bound", "prop11_report"):
         monkeypatch.setattr(bounds, name, no_work)
+    # the guard reads the thresholds of the prime classes 5, 3 and 2 itself;
+    # the report's own, at p = 7, must not be formed
+    threshold_ps = []
+    threshold = bounds.criterion_threshold
+    monkeypatch.setattr(bounds, "criterion_threshold",
+                        lambda p, d: threshold_ps.append(p) or threshold(p, d))
     for argv, flag in [
         (["--table", "--d-max", "7000"], "--d-max 7000"),
         (["--prop11", "--l", "3", "--d", "10000"], "--d 10000"),
@@ -1025,6 +1031,7 @@ def test_cli_bounds_refuses_too_many_digits_before_computing(capsys, monkeypatch
         assert cli_main(["bounds", *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {flag} exceeds the limit: the bounds would "
                                            f"print more than {MAX_BOUND_DIGITS} digits\n")
+    assert set(threshold_ps) == {5, 3, 2}
     monkeypatch.undo()
 
     # 2(1 + 3^d) is the largest value prop11 prints: admitted at d = 8323,

