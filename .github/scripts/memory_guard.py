@@ -67,16 +67,17 @@ back).
   Sigma_r grows by T_r{0,oo} alone, so each of T_1..T_200{0,oo} is listed
   once, in about 5.5 s and 17.7 MB in a child process; listing Sigma_r
   afresh for each r took 223 s.  Its limit is the homology cases' 21 MB.
-- The relation checks at order 20000 over 100 trials: the lane-packed
-  blocks keep it near 21 MB, as one trial at a time did; packing all trials
-  into one block took about 36 MB.  It holds no index array, so its limit
-  is not between two measured peaks.
+- The relation checks at order 20000 over 100 trials: a block holds one
+  trial there, so it stays near 19.3 MB (3.0-4.4 s in a child process);
+  packing all trials into one block took about 36 MB.  It holds no index
+  array, so its limit is not between two measured peaks.
 - The relation checks at order 300 over 1000 trials, the documented
-  MAX_QEXP_TRIALS run: 38 blocks of 27 trials, one trial alive at a time,
-  so it stays near the interpreter's 17.6 MB; its limit is the homology
-  cases' 21 MB.  Its digest pins the verdicts, not the series: the command
-  prints no drawn value unless a check fails, so the draw itself is pinned
-  by digest in tests/test_qexp_hecke.py.
+  MAX_QEXP_TRIALS run: 37 blocks of 27 trials and one of 1, each drawn
+  straight into its lanes, so it stays at 17.5-17.8 MB, about the
+  interpreter's own peak, in about 0.25 s in a child process; its limit is
+  the homology cases' 21 MB.  Its digest pins the verdicts, not the
+  series: the command prints no drawn value unless a check fails, so the
+  draw itself is pinned by digest in tests/test_qexp_hecke.py.
 
     python .github/scripts/memory_guard.py [SRC_DIR]
 

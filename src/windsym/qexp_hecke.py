@@ -25,15 +25,18 @@ denominator of the random series, in integer arithmetic: a relation holds
 on f exactly when it holds on L*f.
 
 Both checks run on one engine, _first_failures, which packs the trials
-f_0..f_{k-1} into lanes of W bits, P = sum_i 2^{W(k-1-i)} L f_i; each side
-of a check, being Z-linear in f, maps P to the packing of its values on the
-trials.  When every coefficient of either side lies in [-B, B] on every
-trial and 2B < 2^{W-1}, two packings are equal exactly when every lane
-agrees, so one comparison on P checks all k trials.  A block packs at most
+f_0..f_{k-1} into lanes of W bits, P = sum_i 2^{W(k-1-i)} L f_i, drawn
+straight into the lanes (_packed_series); each side of a check, being
+Z-linear in f, maps P to the packing of its values on the trials.  When
+every coefficient of either side lies in [-B, B] on every trial and
+2B < 2^{W-1}, two packings are equal exactly when every lane agrees, so one
+comparison on P checks all k trials.  A block packs at most
 max(1, _LANE_BUDGET // order) trials, which keeps memory O(order) whatever
 the number of trials; a block whose packed sides differ is replayed one
 trial at a time to name each failing check's first trial, and no block is
-drawn once every check has failed.
+drawn once every check has failed.  The draw is most of the cost: about
+three quarters (0.67-0.79 over 20 seeds) of an order-300, 100-trial
+`qexp verify-relations` run.
 
 Composite operators follow T_{p^{k+1}} = T_p T_{p^k} - eps(p) p^{lambda-1}
 T_{p^{k-1}} on prime powers and multiplicativity across coprime factors,
@@ -67,7 +70,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, isqrt, lcm
 
 from .arith import factorize, is_prime, kronecker, rank
@@ -402,22 +405,34 @@ SERIES_DENOMINATOR_LCM = 27720
 _QUOTIENTS = (0, *(SERIES_DENOMINATOR_LCM // d for d in range(1, 13)))
 
 
-def _integral_series(
-    rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
+def _packed_series(
+    rng: random.Random, count: int, width: int, order: int, weight: int, eps
 ) -> QExpansion:
-    """Integer coefficients n * (L // d), L = SERIES_DENOMINATOR_LCM, for
-    n and d drawn uniformly from -20..20 and 1..12, n first: L times the
-    series whose coefficients are the fractions n/d.
+    """sum_i 2^{width(count-1-i)} L f_i for the count trials f_i drawn in
+    turn (see _integral_series), each shifted into the lanes by Horner as
+    its coefficients are drawn: no trial is held apart from the block.
 
     Each draw is the rng._randbelow call that rng.randint(-20, 20) and
     rng.randint(1, 12) end in (CPython 3.10-3.13 implement randint(a, b)
     as randrange(a, b + 1), and randrange(a, b) as a + _randbelow(b - a)),
     so the values, their order and the rng state afterwards are those of
-    the two randint calls, without their argument checks and extra
-    frames; L // d is read from _QUOTIENTS."""
+    the two randint calls per coefficient, without their argument checks
+    and extra frames; L // d is read from _QUOTIENTS."""
     randbelow = rng._randbelow
-    coeffs = [(randbelow(41) - 20) * _QUOTIENTS[randbelow(12) + 1] for _ in range(order)]
-    return QExpansion(tuple(coeffs), order, order, weight, eps)
+    acc = [0] * order
+    for _ in range(count):
+        acc = [(a << width) + (randbelow(41) - 20) * _QUOTIENTS[randbelow(12) + 1] for a in acc]
+    return QExpansion(tuple(acc), order, order, weight, eps)
+
+
+def _integral_series(
+    rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
+) -> QExpansion:
+    """Integer coefficients n * (L // d), L = SERIES_DENOMINATOR_LCM, for
+    n and d drawn uniformly from -20..20 and 1..12, n first: L times the
+    series whose coefficients are the fractions n/d.  The one-lane call of
+    _packed_series, which holds the draw."""
+    return _packed_series(rng, 1, 0, order, weight, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +515,16 @@ _LANE_BUDGET = 2**13
 
 # Largest --order of `qexp verify-relations`.  Past _LANE_BUDGET a block
 # holds one trial, so a run costs about trials times a superlinear function
-# of the order: order 20000 over 100 trials takes 3.6-4.4 s (one run of 7
-# read 5.4 s) and 20.7 MB in a child process on a shared 2-vCPU host, and
-# order 10^6 over one trial ran past 30 s.
+# of the order: order 20000 over 100 trials takes 3.0-4.4 s and 19.2-19.3 MB
+# in a child process on a shared 2-vCPU host (5 runs), and order 10^6 over
+# one trial ran past 30 s (an older measurement, not re-run).
 MAX_QEXP_ORDER = 20000
 
 # Largest --trials of `qexp verify-relations`.  A run's cost is linear in the
 # trials at a fixed order: in a child process on a shared 2-vCPU host 1000
-# trials take 0.36-0.41 s at order 300 and 10^5 take 1.5-2.0 s at order 8,
-# while at order MAX_QEXP_ORDER each 100 trials take about 4 s, so 1000
-# trials there take about 40 s.
+# trials take 0.24 s at order 300 and 10^5 take 1.1 s at order 8 (3 runs
+# each), while at order MAX_QEXP_ORDER each 100 trials take 3.0-4.4 s, so
+# 1000 trials there take about 30-45 s.
 MAX_QEXP_TRIALS = 1000
 
 # Largest --k of `qexp up-matrix`.  charpoly (Faddeev-LeVerrier) takes k + 1
@@ -524,10 +539,12 @@ def _lane_width(bound: int) -> int:
     return (2 * bound).bit_length() + 1
 
 
-def _suite_bound(cases, order: int, weight: int) -> int:
+@lru_cache(maxsize=64)
+def _suite_bound(cases: tuple, order: int, weight: int) -> int:
     """Largest coefficient of either side of any case on the constant series
     _SERIES_BOUND under the trivial character: a bound on every side's
-    coefficients on every L*f (see verify_relations)."""
+    coefficients on every L*f (see verify_relations).  Cached by (cases,
+    order, weight), so a suite with other cases gets a bound of its own."""
     top = make_qexp([_SERIES_BOUND] * order, weight=weight)
     return max(
         abs(c) for _, params, make in cases for side in make(*params, top) for c in side.coeffs
@@ -545,18 +562,6 @@ def _hecke_norm(n: int, weight: int) -> int:
             prev, cur = cur, (1 + q) * cur + q * prev
         out *= cur
     return out
-
-
-def _packed_series(
-    rng: random.Random, count: int, width: int, order: int, weight: int, eps
-) -> QExpansion:
-    """sum_i 2^{width(count-1-i)} * _integral_series(rng, ...)_i, folded by
-    Horner as the trials are drawn, so one trial is alive at a time."""
-    acc = _integral_series(rng, order, weight, eps).coeffs
-    for _ in range(count - 1):
-        f = _integral_series(rng, order, weight, eps)
-        acc = [(a << width) + c for a, c in zip(acc, f.coeffs)]
-    return QExpansion(tuple(acc), order, order, weight, eps)
 
 
 def _first_failures(sides, width: int, order: int, trials: int, seed: int, weight: int, eps) -> list:
@@ -633,11 +638,11 @@ def verify_relations(
         raise ValueError("order must be >= 8")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cases = [
+    cases = tuple(
         (name, params, make)
         for name, param_list, make in _RELATION_SUITE
         for params in param_list
-    ]
+    )
     width = _lane_width(_suite_bound(cases, order, weight))
     firsts = _first_failures(
         [partial(make, *params) for _, params, make in cases], width, order, trials, seed, weight, eps
@@ -677,10 +682,13 @@ def verify_coefficient_identity(
 
     The identity is one case whose two sides are the order-nmax series
     (a_1(T_n f))_n and (a_n(f))_n, so the first disagreement names the n a
-    failing trial fails at.  The lane width comes from the Hecke-recursion
-    norm N(T_n), a bound on the sum of absolute entries in any row of T_n
-    for any character with values in {-1, 0, 1}: with q = p^{lambda-1},
-    N(T_p) = 1 + q, N(T_{p^{k+1}}) <= (1 + q) N(T_{p^k}) + q N(T_{p^{k-1}}),
+    failing trial fails at.  a_1(T_n f) reads only a_1..a_n, so T_n runs on
+    the head a_1..a_nmax of each series, where coeff(1) still refuses a
+    coefficient past the reliable order.  The lane width comes from the
+    Hecke-recursion norm N(T_n), a bound on the sum of absolute entries in
+    any row of T_n for any character with values in {-1, 0, 1}: with
+    q = p^{lambda-1}, N(T_p) = 1 + q,
+    N(T_{p^{k+1}}) <= (1 + q) N(T_{p^k}) + q N(T_{p^{k-1}}),
     and N is submultiplicative over the coprime factors T_n composes.  So
     both sides lie in [-B, B] with B = 20 L max_n N(T_n).
     """
@@ -693,10 +701,12 @@ def verify_coefficient_identity(
     width = _lane_width(
         _SERIES_BOUND * max(_hecke_norm(n, weight) for n in range(1, nmax + 1))
     )
-    (first,) = _first_failures(
-        [lambda f: (make_qexp([op_T(n, f).coeff(1) for n in range(1, nmax + 1)]), make_qexp(f.coeffs[:nmax]))],
-        width, order, trials, seed, weight, eps,
-    )
+
+    def sides(f):
+        head = QExpansion(f.coeffs[:nmax], nmax, nmax, weight, eps)
+        return make_qexp([op_T(n, head).coeff(1) for n in range(1, nmax + 1)]), make_qexp(head.coeffs)
+
+    (first,) = _first_failures([sides], width, order, trials, seed, weight, eps)
     failure = "" if first is None else f"trial {first[0]}: n={first[1][0]}"
     return RelationCheck(
         "a_1(T_n f) = a_n(f)", f"n <= {nmax}", trials, first is None, failure

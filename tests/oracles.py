@@ -17,7 +17,9 @@ replaced, the Fraction-series relation suite that the integer L*f
 streaming replaced, the two randint draws per Fraction coefficient that the
 integer series draw, one rng._randbelow call per value, replaced
 (random_series), the one-trial-at-a-time coefficient identity that lane
-packing replaced, and the closed formula for the coefficients of T_n.
+packing replaced, the Horner fold of whole drawn trials that the packed
+draw straight into the lanes replaced (horner_packed_series), and the
+closed formula for the coefficients of T_n.
 It also builds the test inputs of the oldclass checks: eigen-series from
 prescribed prime coefficients (formal_eigenform).
 
@@ -911,6 +913,18 @@ def fraction_verify_relations(
         witness_params="t_3 B_3 vs B_3 t_3 on f = x",
         witness_found=witness is not None,
     )
+
+
+def horner_packed_series(
+    rng: random.Random, count: int, width: int, order: int, weight: int, eps
+) -> QExpansion:
+    """sum_i 2^{width(count-1-i)} * _integral_series(rng, ...)_i, folded by
+    Horner as the trials are drawn, so one trial is alive at a time."""
+    acc = _integral_series(rng, order, weight, eps).coeffs
+    for _ in range(count - 1):
+        f = _integral_series(rng, order, weight, eps)
+        acc = [(a << width) + c for a, c in zip(acc, f.coeffs)]
+    return QExpansion(tuple(acc), order, order, weight, eps)
 
 
 def per_trial_coefficient_identity(

@@ -267,6 +267,15 @@ CLI_GOLDEN = {
     "qexp-verify-300": (("qexp", "verify-relations", "--order", "300", "--trials", "100",
                          "--seed", "12345"), 0,
                         "b720fa63dddc42216f74b594e5c8eec685217b9b783831a1921ce5dcd8e0e6b6"),
+    # pinned from the lane-packed checks that folded whole drawn trials: at
+    # order 8 the identity runs at order 30, above the relation order; at
+    # order 300, 28 trials are a block of 27 and a block of 1
+    "qexp-verify-order-8": (("qexp", "verify-relations", "--order", "8", "--trials", "40",
+                             "--seed", "2"), 0,
+                            "e5b770ca4ef7c177834efe7848bd7dd87cf2babf27fb24de7698513e89d5e791"),
+    "qexp-verify-27+1": (("qexp", "verify-relations", "--order", "300", "--trials", "28",
+                          "--seed", "5"), 0,
+                         "fcbf82a345548052d2f51539c3f234b9112c54d608fc7449bcb61d290f842cc8"),
     "qexp-up-matrix-readme": (("qexp", "up-matrix", "--case", "coprime", "--k", "3",
                                "--a-p", "3/2", "--prime", "5"), 0,
                               "86892fb7096deb80e88aae4e1663a44fcd46fff0da2fb92c13a3a9701e639554"),

@@ -41,6 +41,7 @@ from oracles import (
     formal_eigenform,
     fraction_verify_relations,
     hecke_T_formula,
+    horner_packed_series,
     per_trial_coefficient_identity,
     random_series,
 )
@@ -323,6 +324,19 @@ def test_integral_series_draw_is_pinned(seed, order, digest, after):
     assert rng.random() == after
 
 
+# The oracle folds whole trials drawn by _integral_series, which the tests
+# above pin; the packed draw must give the same block and leave the rng where
+# the oracle does, since a failing block is replayed from its start state.
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(8, 400), st.integers(1, 40), st.integers(0, 96), st.integers(0, 10**6),
+       st.integers(1, 6), characters())
+def test_packed_series_matches_horner_oracle(order, count, width, seed, weight, eps):
+    rng, rng_oracle = random.Random(seed), random.Random(seed)
+    got = qexp_hecke._packed_series(rng, count, width, order, weight, eps)
+    assert got == horner_packed_series(rng_oracle, count, width, order, weight, eps)
+    assert rng.getstate() == rng_oracle.getstate()
+
+
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(st.integers(8, 40), st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 6),
        characters())
@@ -411,12 +425,43 @@ def test_lane_bounds_dominate_every_side(order, weight, eps, data):
     m = qexp_hecke._SERIES_BOUND
     signs = st.lists(st.sampled_from([-m, 0, m]), min_size=order, max_size=order)
     f = QExpansion(tuple(data.draw(signs)), order, order, weight, eps)
-    cases = [(n, params, make) for n, pl, make in qexp_hecke._RELATION_SUITE for params in pl]
+    cases = tuple((n, params, make) for n, pl, make in qexp_hecke._RELATION_SUITE for params in pl)
     bound = qexp_hecke._suite_bound(cases, order, weight)
     for _, params, make in cases:
         assert all(abs(c) <= bound for side in make(*params, f) for c in side.coeffs)
     for n in range(1, order + 1):
         assert all(abs(c) <= m * qexp_hecke._hecke_norm(n, weight) for c in op_T(n, f).coeffs)
+
+
+def test_planted_suite_gets_a_width_of_its_own(monkeypatch):
+    # the bound is cached by (cases, order, weight): a suite patched in after
+    # the real one ran at the same order and weight must not reuse its width
+    order, weight = 400, 2
+    widths = []
+    exact = qexp_hecke._first_failures
+
+    def spy(sides, width, *args):
+        widths.append(width)
+        return exact(sides, width, *args)
+
+    def fresh_width():
+        cases = tuple((n, params, make) for n, pl, make in qexp_hecke._RELATION_SUITE
+                      for params in pl)
+        return qexp_hecke._lane_width(qexp_hecke._suite_bound.__wrapped__(cases, order, weight))
+
+    monkeypatch.setattr(qexp_hecke, "_first_failures", spy)
+    real = fresh_width()
+    assert verify_relations(order, trials=2, seed=0, weight=weight).all_passed
+    # N(t_5 t_7 t_11) = 6 * 8 * 12 at weight 2, past every real side's 6 * 8
+    planted = [("planted: t_p t_q t_r = t_r t_q t_p", [(5, 7, 11)], lambda p, q, r, f: (
+        op_t(p, op_t(q, op_t(r, f))), op_t(r, op_t(q, op_t(p, f)))))]
+    with monkeypatch.context() as m:
+        m.setattr(qexp_hecke, "_RELATION_SUITE", qexp_hecke._RELATION_SUITE + planted)
+        wide = fresh_width()
+        assert verify_relations(order, trials=2, seed=0, weight=weight).all_passed
+    assert verify_relations(order, trials=2, seed=0, weight=weight).all_passed
+    assert wide > real
+    assert widths == [real, wide, real]
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -526,15 +571,16 @@ def test_op_T_that_is_not_z_linear_is_refused(monkeypatch):
 
 
 def _count_draws(monkeypatch) -> list:
-    calls = []
-    exact = qexp_hecke._integral_series
+    """The trial count of every draw, a block's or one replayed trial's."""
+    counts = []
+    exact = qexp_hecke._packed_series
 
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
+    def counted(rng, count, *args):
+        counts.append(count)
+        return exact(rng, count, *args)
 
-    monkeypatch.setattr(qexp_hecke, "_integral_series", counted)
-    return calls
+    monkeypatch.setattr(qexp_hecke, "_packed_series", counted)
+    return counts
 
 
 def test_no_block_is_drawn_once_every_relation_has_failed(monkeypatch):
@@ -544,10 +590,10 @@ def test_no_block_is_drawn_once_every_relation_has_failed(monkeypatch):
     planted = [("planted: t_p B_d = B_d t_p", [(3, 3)],
                 lambda p, d, f: (op_t(p, op_B(d, f)), op_B(d, op_t(p, f))))]
     monkeypatch.setattr(qexp_hecke, "_RELATION_SUITE", planted)
-    calls = _count_draws(monkeypatch)
+    counts = _count_draws(monkeypatch)
     got = verify_relations(order, trials, seed)
     assert [c.failure for c in got.checks] == ["trial 0: coefficient 1: -1/2 != 0"]
-    assert len(calls) == 3 + 3  # block 0 and its replay, no later block
+    assert counts == [3, 1, 1, 1]  # block 0 and its replay, no later block
 
 
 def test_no_block_is_drawn_once_the_coefficient_identity_has_failed(monkeypatch):
@@ -561,10 +607,10 @@ def test_no_block_is_drawn_once_the_coefficient_identity_has_failed(monkeypatch)
         return g + phi(f) * make_qexp([1], order=f.order, weight=f.weight, eps=f.eps) if n == 7 else g
 
     monkeypatch.setattr(qexp_hecke, "op_T", faulty)
-    calls = _count_draws(monkeypatch)
+    counts = _count_draws(monkeypatch)
     got = verify_coefficient_identity(nmax=30, order=order, trials=trials, seed=seed)
     assert got.failure == "trial 4: n=7"
-    assert len(calls) == 3 + 3 + 3  # blocks 0 and 1 and the replay of block 1
+    assert counts == [3, 3, 1, 1, 1]  # blocks 0 and 1 and the replay of block 1
 
 
 def test_formal_eigenform_is_eigen_everywhere():
