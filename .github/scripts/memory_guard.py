@@ -68,13 +68,13 @@ back).
   once, in about 5.5 s and 17.7 MB in a child process; listing Sigma_r
   afresh for each r took 223 s.  Its limit is the homology cases' 21 MB.
 - The relation checks at order 20000 over 100 trials: a block holds one
-  trial there, so it stays near 19.3 MB (3.0-4.4 s in a child process);
+  trial there, so it stays at 19.1-19.3 MB (2.9-3.4 s in a child process);
   packing all trials into one block took about 36 MB.  It holds no index
   array, so its limit is not between two measured peaks.
 - The relation checks at order 300 over 1000 trials, the documented
   MAX_QEXP_TRIALS run: 37 blocks of 27 trials and one of 1, each drawn
-  straight into its lanes, so it stays at 17.5-17.8 MB, about the
-  interpreter's own peak, in about 0.25 s in a child process; its limit is
+  straight into its lanes, so it stays at 17.5-17.9 MB, about the
+  interpreter's own peak, in 0.25-0.28 s in a child process; its limit is
   the homology cases' 21 MB.  Its digest pins the verdicts, not the
   series: the command prints no drawn value unless a check fails, so the
   draw itself is pinned by digest in tests/test_qexp_hecke.py.

@@ -350,7 +350,7 @@ def _cmd_qexp_relations(args) -> int:
     _check_cap("--trials", args.trials, MAX_QEXP_TRIALS)
     _check_min("--seed", args.seed, 0)  # Random(-s) draws the series of Random(s)
     rel = verify_relations(order=args.order, trials=args.trials, seed=args.seed)
-    ident = verify_coefficient_identity(order=max(args.order, 30), seed=args.seed)
+    ident = verify_coefficient_identity(seed=args.seed)
     payload = rel.to_json()
     payload["coefficient_identity"] = ident.to_json()
     _emit(payload, args)

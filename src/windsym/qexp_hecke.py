@@ -35,7 +35,7 @@ max(1, _LANE_BUDGET // order) trials, which keeps memory O(order) whatever
 the number of trials; a block whose packed sides differ is replayed one
 trial at a time to name each failing check's first trial, and no block is
 drawn once every check has failed.  The draw is most of the cost: about
-three quarters (0.67-0.79 over 20 seeds) of an order-300, 100-trial
+three quarters (0.65-0.77 over 20 seeds) of an order-300, 100-trial
 `qexp verify-relations` run.
 
 Composite operators follow T_{p^{k+1}} = T_p T_{p^k} - eps(p) p^{lambda-1}
@@ -70,7 +70,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import gcd, isqrt, lcm
 
 from .arith import factorize, is_prime, kronecker, rank
@@ -515,16 +515,16 @@ _LANE_BUDGET = 2**13
 
 # Largest --order of `qexp verify-relations`.  Past _LANE_BUDGET a block
 # holds one trial, so a run costs about trials times a superlinear function
-# of the order: order 20000 over 100 trials takes 3.0-4.4 s and 19.2-19.3 MB
-# in a child process on a shared 2-vCPU host (5 runs), and order 10^6 over
+# of the order: order 20000 over 100 trials takes 2.9-3.4 s and 19.1-19.3 MB
+# in a child process on a shared 2-vCPU host (4 runs), and order 10^6 over
 # one trial ran past 30 s (an older measurement, not re-run).
 MAX_QEXP_ORDER = 20000
 
 # Largest --trials of `qexp verify-relations`.  A run's cost is linear in the
 # trials at a fixed order: in a child process on a shared 2-vCPU host 1000
-# trials take 0.24 s at order 300 and 10^5 take 1.1 s at order 8 (3 runs
-# each), while at order MAX_QEXP_ORDER each 100 trials take 3.0-4.4 s, so
-# 1000 trials there take about 30-45 s.
+# trials take 0.25-0.28 s at order 300 and 10^5 take 1.2-1.8 s at order 8
+# (3 runs each), while at order MAX_QEXP_ORDER each 100 trials take
+# 2.9-3.4 s, so 1000 trials there take about 30-35 s.
 MAX_QEXP_TRIALS = 1000
 
 # Largest --k of `qexp up-matrix`.  charpoly (Faddeev-LeVerrier) takes k + 1
@@ -539,12 +539,10 @@ def _lane_width(bound: int) -> int:
     return (2 * bound).bit_length() + 1
 
 
-@lru_cache(maxsize=64)
-def _suite_bound(cases: tuple, order: int, weight: int) -> int:
+def _suite_bound(cases, order: int, weight: int) -> int:
     """Largest coefficient of either side of any case on the constant series
     _SERIES_BOUND under the trivial character: a bound on every side's
-    coefficients on every L*f (see verify_relations).  Cached by (cases,
-    order, weight), so a suite with other cases gets a bound of its own."""
+    coefficients on every L*f (see verify_relations)."""
     top = make_qexp([_SERIES_BOUND] * order, weight=weight)
     return max(
         abs(c) for _, params, make in cases for side in make(*params, top) for c in side.coeffs
@@ -638,11 +636,11 @@ def verify_relations(
         raise ValueError("order must be >= 8")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cases = tuple(
+    cases = [
         (name, params, make)
         for name, param_list, make in _RELATION_SUITE
         for params in param_list
-    )
+    ]
     width = _lane_width(_suite_bound(cases, order, weight))
     firsts = _first_failures(
         [partial(make, *params) for _, params, make in cases], width, order, trials, seed, weight, eps
@@ -671,7 +669,7 @@ def verify_relations(
 
 def verify_coefficient_identity(
     nmax: int = 30,
-    order: int = 200,
+    order: int | None = None,
     trials: int = 10,
     seed: int = 1,
     weight: int = 2,
@@ -682,8 +680,9 @@ def verify_coefficient_identity(
 
     The identity is one case whose two sides are the order-nmax series
     (a_1(T_n f))_n and (a_n(f))_n, so the first disagreement names the n a
-    failing trial fails at.  a_1(T_n f) reads only a_1..a_n, so T_n runs on
-    the head a_1..a_nmax of each series, where coeff(1) still refuses a
+    failing trial fails at.  a_1(T_n f) reads only a_1..a_n, so the trials
+    are drawn at order nmax unless an order is given, and T_n runs on the
+    head a_1..a_nmax of each series, where coeff(1) still refuses a
     coefficient past the reliable order.  The lane width comes from the
     Hecke-recursion norm N(T_n), a bound on the sum of absolute entries in
     any row of T_n for any character with values in {-1, 0, 1}: with
@@ -694,6 +693,8 @@ def verify_coefficient_identity(
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    if order is None:
+        order = nmax
     if order < nmax:
         raise ValueError("order must be >= nmax")
     if trials < 1:

@@ -43,6 +43,7 @@ from hypothesis import strategies as st
 from windsym import qexp_hecke
 from windsym.arith import factorize, is_prime, kronecker
 from windsym.qexp_hecke import (
+    SERIES_DENOMINATOR_LCM,
     TRIVIAL_CHARACTER,
     DirichletCharacter,
     QExpansion,
@@ -918,12 +919,14 @@ def fraction_verify_relations(
 def horner_packed_series(
     rng: random.Random, count: int, width: int, order: int, weight: int, eps
 ) -> QExpansion:
-    """sum_i 2^{width(count-1-i)} * _integral_series(rng, ...)_i, folded by
-    Horner as the trials are drawn, so one trial is alive at a time."""
-    acc = _integral_series(rng, order, weight, eps).coeffs
-    for _ in range(count - 1):
-        f = _integral_series(rng, order, weight, eps)
-        acc = [(a << width) + c for a, c in zip(acc, f.coeffs)]
+    """sum_i 2^{width(count-1-i)} L f_i for the count trials f_i that
+    random_series draws in turn, folded by Horner one whole trial at a time:
+    the block qexp_hecke._packed_series draws, by the randint rule and the
+    lane fold it is meant to keep."""
+    acc = [0] * order
+    for _ in range(count):
+        f = random_series(rng, order, weight, eps)
+        acc = [(a << width) + int(c * SERIES_DENOMINATOR_LCM) for a, c in zip(acc, f.coeffs)]
     return QExpansion(tuple(acc), order, order, weight, eps)
 
 

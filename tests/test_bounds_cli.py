@@ -1105,6 +1105,25 @@ def test_cli_refuses_oversized_qexp_order_before_drawing(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: --order 41 exceeds the limit 40\n"
 
 
+def test_cli_draws_the_identity_trials_at_the_order_it_reads(capsys, monkeypatch):
+    # a_1(T_n f) for n <= 30 reads a_1..a_30, so only the relations draw at
+    # --order; the identity's 10 trials are drawn at order 30 in one block
+    from windsym import qexp_hecke
+
+    orders = []
+    exact = qexp_hecke._packed_series
+
+    def spy(rng, count, width, order, *args):
+        orders.append((count, order))
+        return exact(rng, count, width, order, *args)
+
+    monkeypatch.setattr(qexp_hecke, "_packed_series", spy)
+    assert cli_main(["qexp", "verify-relations", "--order", "300", "--trials", "28",
+                     "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert orders == [(27, 300), (1, 300), (10, 30)]
+
+
 def test_cli_refuses_too_many_qexp_trials_before_drawing(capsys, monkeypatch):
     from windsym import qexp_hecke
     from windsym.qexp_hecke import MAX_QEXP_TRIALS
