@@ -25,18 +25,21 @@ denominator of the random series, in integer arithmetic: a relation holds
 on f exactly when it holds on L*f.
 
 Both checks run on one engine, _first_failures, which packs the trials
-f_0..f_{k-1} into lanes of W bits, P = sum_i 2^{W(k-1-i)} L f_i, drawn
-straight into the lanes (_packed_series); each side of a check, being
-Z-linear in f, maps P to the packing of its values on the trials.  When
-every coefficient of either side lies in [-B, B] on every trial and
-2B < 2^{W-1}, two packings are equal exactly when every lane agrees, so one
-comparison on P checks all k trials.  A block packs at most
-max(1, _LANE_BUDGET // order) trials, which keeps memory O(order) whatever
-the number of trials; a block whose packed sides differ is replayed one
-trial at a time to name each failing check's first trial, and no block is
-drawn once every check has failed.  The draw is most of the cost: about
-three quarters (0.65-0.77 over 20 seeds) of an order-300, 100-trial
-`qexp verify-relations` run.
+f_0..f_{k-1} into byte-aligned lanes of W bits (W a multiple of 8),
+P = sum_i 2^{W(k-1-i)} L f_i, read from bytes: each drawn coefficient is
+looked up as its biased W-bit lane in a table built once per check, and
+each position's k lanes become one integer by one int.from_bytes
+(_packed_series); each side of a check, being Z-linear in f, maps P to the
+packing of its values on the trials.  When every coefficient of either
+side lies in [-B, B] on every trial and 2B < 2^{W-1}, two packings are
+equal exactly when every lane agrees, so one comparison on P checks all k
+trials.  A block packs at most max(1, _LANE_BUDGET // order) trials, which
+keeps memory O(order) whatever the number of trials; a block whose packed
+sides differ is replayed one trial at a time to name each failing check's
+first trial, and no block is drawn once every check has failed.  The draw
+is most of the cost: about two thirds (0.61-0.70 over 20 seeds) of an
+order-300, 100-trial `qexp verify-relations` run, and the rng's _randbelow
+calls are about nine tenths of the draw.
 
 Composite operators follow T_{p^{k+1}} = T_p T_{p^k} - eps(p) p^{lambda-1}
 T_{p^{k-1}} on prime powers and multiplicativity across coprime factors,
@@ -71,6 +74,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import gcd, isqrt, lcm
 
 from .arith import factorize, is_prime, kronecker, rank
@@ -401,28 +405,53 @@ def _op_T_prime_power(p: int, e: int, f: QExpansion) -> QExpansion:
 # lcm(1..12): the denominator d of every drawn coefficient n/d divides it.
 SERIES_DENOMINATOR_LCM = 27720
 
-# L // d at index d = 1..12 (index 0 is never drawn).
-_QUOTIENTS = (0, *(SERIES_DENOMINATOR_LCM // d for d in range(1, 13)))
+# |n| <= 20 for _integral_series's numerators, so |a_n(L f)| <= _SERIES_BOUND.
+_SERIES_BOUND = 20 * SERIES_DENOMINATOR_LCM
+
+
+def _lane_table(width: int) -> list:
+    """The lane of every draw, indexed [randbelow(41)][randbelow(12)]: the
+    width // 8 big-endian bytes of n * (L // d) + 2^(width-1), n = -20..20
+    and d = 1..12 (see _packed_series).
+
+    Refuses a width that is not a multiple of 8 or that leaves some draw
+    outside [0, 2^width), as |n * (L // d)| <= _SERIES_BOUND needs
+    _SERIES_BOUND < 2^(width-1)."""
+    if width % 8 or _SERIES_BOUND.bit_length() >= width:
+        raise ValueError(f"lane width {width} is not a multiple of 8 that holds every draw")
+    bias = 1 << (width - 1)
+    return [
+        [((n - 20) * (SERIES_DENOMINATOR_LCM // d) + bias).to_bytes(width // 8, "big")
+         for d in range(1, 13)]
+        for n in range(41)
+    ]
 
 
 def _packed_series(
-    rng: random.Random, count: int, width: int, order: int, weight: int, eps
+    rng: random.Random, count: int, width: int, order: int, weight: int, eps, table=None
 ) -> QExpansion:
     """sum_i 2^{width(count-1-i)} L f_i for the count trials f_i drawn in
-    turn (see _integral_series), each shifted into the lanes by Horner as
-    its coefficients are drawn: no trial is held apart from the block.
+    turn (see _integral_series), packed from bytes: each draw reads its
+    biased lane from table (_lane_table(width) unless the caller built it
+    once for many blocks), the block is drawn trial-major into one list,
+    and the count lanes of position j, joined (a one-trial block's draw is
+    its one lane already) and read as one big-endian integer, are the
+    packing plus that of count zero draws, which is subtracted.
 
     Each draw is the rng._randbelow call that rng.randint(-20, 20) and
     rng.randint(1, 12) end in (CPython 3.10-3.13 implement randint(a, b)
     as randrange(a, b + 1), and randrange(a, b) as a + _randbelow(b - a)),
     so the values, their order and the rng state afterwards are those of
     the two randint calls per coefficient, without their argument checks
-    and extra frames; L // d is read from _QUOTIENTS."""
+    and extra frames."""
+    if table is None:
+        table = _lane_table(width)
     randbelow = rng._randbelow
-    acc = [0] * order
-    for _ in range(count):
-        acc = [(a << width) + (randbelow(41) - 20) * _QUOTIENTS[randbelow(12) + 1] for a in acc]
-    return QExpansion(tuple(acc), order, order, weight, eps)
+    draws = [table[randbelow(41)][randbelow(12)] for _ in range(count * order)]
+    columns = draws if count == 1 else [b"".join(draws[j::order]) for j in range(order)]
+    zeros = int.from_bytes(table[20][0] * count, "big")  # count lanes of n = 0
+    lanes = tuple([v - zeros for v in map(int.from_bytes, columns, repeat("big"))])
+    return QExpansion(lanes, order, order, weight, eps)
 
 
 def _integral_series(
@@ -431,8 +460,8 @@ def _integral_series(
     """Integer coefficients n * (L // d), L = SERIES_DENOMINATOR_LCM, for
     n and d drawn uniformly from -20..20 and 1..12, n first: L times the
     series whose coefficients are the fractions n/d.  The one-lane call of
-    _packed_series, which holds the draw."""
-    return _packed_series(rng, 1, 0, order, weight, eps)
+    _packed_series at the narrowest width that holds the draw, 24 bits."""
+    return _packed_series(rng, 1, 24, order, weight, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -503,28 +532,27 @@ _RELATION_SUITE = [
 ]
 
 
-# |n| <= 20 for _integral_series's numerators, so |a_n(L f)| <= _SERIES_BOUND.
-_SERIES_BOUND = 20 * SERIES_DENOMINATOR_LCM
-
 # Coefficient lanes per packed block: a block packs at most
-# max(1, _LANE_BUDGET // order) trials.  At order 300 that is 27 trials,
-# which already shares out the per-coefficient interpreter cost; wider
-# blocks run no faster and only add memory (2**16 doubled the tracemalloc
-# peak of an order-300, 100-trial verify op).
+# max(1, _LANE_BUDGET // order) trials, so a block's memory is O(order)
+# whatever the trials.  At order 300 that is 27 trials, which shares out
+# most of the per-block interpreter cost: an order-300, 100-trial verify op
+# takes 17.2 ms in-process at 2**13, against 19.6 ms at 2**12 and 15.7 ms
+# at 2**14 (medians over 40 seeds, shared 2-vCPU host), while its
+# tracemalloc peak grows from 315 KB to 446 KB at 2**14 and 619 KB at 2**16.
 _LANE_BUDGET = 2**13
 
 # Largest --order of `qexp verify-relations`.  Past _LANE_BUDGET a block
 # holds one trial, so a run costs about trials times a superlinear function
-# of the order: order 20000 over 100 trials takes 2.9-3.4 s and 19.1-19.3 MB
+# of the order: order 20000 over 100 trials takes 2.7-3.2 s and 19.0-19.1 MB
 # in a child process on a shared 2-vCPU host (4 runs), and order 10^6 over
 # one trial ran past 30 s (an older measurement, not re-run).
 MAX_QEXP_ORDER = 20000
 
 # Largest --trials of `qexp verify-relations`.  A run's cost is linear in the
 # trials at a fixed order: in a child process on a shared 2-vCPU host 1000
-# trials take 0.25-0.28 s at order 300 and 10^5 take 1.2-1.8 s at order 8
-# (3 runs each), while at order MAX_QEXP_ORDER each 100 trials take
-# 2.9-3.4 s, so 1000 trials there take about 30-35 s.
+# trials take 0.20-0.24 s at order 300 (4 runs) and 10^5 take 0.35-0.38 s at
+# order 8 (3 runs), while at order MAX_QEXP_ORDER each 100 trials take
+# 2.7-3.2 s, so 1000 trials there take about 27-32 s.
 MAX_QEXP_TRIALS = 1000
 
 # Largest --k of `qexp up-matrix`.  charpoly (Faddeev-LeVerrier) takes k + 1
@@ -534,9 +562,10 @@ MAX_UP_MATRIX_K = 30
 
 
 def _lane_width(bound: int) -> int:
-    """Smallest W with 2 * bound < 2^(W-1): lanes holding values in
-    [-bound, bound] then agree exactly when their packings do."""
-    return (2 * bound).bit_length() + 1
+    """Smallest multiple of 8, W, with 2 * bound < 2^(W-1): lanes holding
+    values in [-bound, bound] then agree exactly when their packings do,
+    and _packed_series packs them from whole bytes."""
+    return ((2 * bound).bit_length() // 8 + 1) * 8
 
 
 def _suite_bound(cases, order: int, weight: int) -> int:
@@ -573,6 +602,7 @@ def _first_failures(sides, width: int, order: int, trials: int, seed: int, weigh
     Z-linear, and RuntimeError is raised.
     """
     rng = random.Random(seed)
+    table = _lane_table(width)
     failures = [None] * len(sides)
     size = max(1, _LANE_BUDGET // order)
     for start in range(0, trials, size):
@@ -580,7 +610,7 @@ def _first_failures(sides, width: int, order: int, trials: int, seed: int, weigh
             break
         stop = min(start + size, trials)
         state = rng.getstate()
-        packed = _packed_series(rng, stop - start, width, order, weight, eps)
+        packed = _packed_series(rng, stop - start, width, order, weight, eps, table)
         bad = [
             j
             for j, side in enumerate(sides)
@@ -591,7 +621,7 @@ def _first_failures(sides, width: int, order: int, trials: int, seed: int, weigh
         replay = random.Random()
         replay.setstate(state)
         for i in range(start, stop):
-            f = _integral_series(replay, order, weight, eps)
+            f = _packed_series(replay, 1, width, order, weight, eps, table)
             for j in bad:
                 if failures[j] is None:
                     diff = first_disagreement(*sides[j](f))
@@ -628,9 +658,10 @@ def verify_relations(
     has nonnegative entries that dominate the true ones (eps takes values in
     {-1, 0, 1}), so each case run once on the constant series M bounds
     either side on every trial by the largest coefficient B, and W is the
-    smallest width with 2B < 2^{W-1}.  A block whose packed sides differ is
-    replayed one trial at a time, which names each failing check's first
-    trial (linearity guarantees one); a failed check skips later blocks.
+    smallest multiple of 8 with 2B < 2^{W-1}.  A block whose packed sides
+    differ is replayed one trial at a time, which names each failing
+    check's first trial (linearity guarantees one); a failed check skips
+    later blocks.
     """
     if order < 8:
         raise ValueError("order must be >= 8")

@@ -17,8 +17,8 @@ replaced, the Fraction-series relation suite that the integer L*f
 streaming replaced, the two randint draws per Fraction coefficient that the
 integer series draw, one rng._randbelow call per value, replaced
 (random_series), the one-trial-at-a-time coefficient identity that lane
-packing replaced, the Horner fold of whole drawn trials that the packed
-draw straight into the lanes replaced (horner_packed_series), and the
+packing replaced, the Horner fold of whole drawn trials that the lanes
+packed from bytes replaced (horner_packed_series), and the
 closed formula for the coefficients of T_n.
 It also builds the test inputs of the oldclass checks: eigen-series from
 prescribed prime coefficients (formal_eigenform).
@@ -921,8 +921,8 @@ def horner_packed_series(
 ) -> QExpansion:
     """sum_i 2^{width(count-1-i)} L f_i for the count trials f_i that
     random_series draws in turn, folded by Horner one whole trial at a time:
-    the block qexp_hecke._packed_series draws, by the randint rule and the
-    lane fold it is meant to keep."""
+    the block qexp_hecke._packed_series packs from bytes, by the randint
+    rule and the shift-and-add it is meant to equal."""
     acc = [0] * order
     for _ in range(count):
         f = random_series(rng, order, weight, eps)

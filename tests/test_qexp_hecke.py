@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from windsym import qexp_hecke
+from windsym.bounds_cli import cli_main
 from windsym.qexp_hecke import (
     CASE_COPRIME,
     CASE_DIVIDES,
     SERIES_DENOMINATOR_LCM,
+    TRIVIAL_CHARACTER,
     DirichletCharacter,
     QExpansion,
     Quad,
@@ -326,15 +328,25 @@ def test_integral_series_draw_is_pinned(seed, order, digest, after):
 
 # The oracle draws each trial by the randint rule and folds it into the lanes
 # whole; the packed draw must give the same block and leave the rng where the
-# oracle does, since a failing block is replayed from its start state.
+# oracle does, since a failing block is replayed from its start state.  The
+# widths are those _packed_series accepts: byte-aligned and holding the draw.
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.integers(8, 400), st.integers(1, 40), st.integers(0, 96), st.integers(0, 10**6),
-       st.integers(1, 6), characters())
+@given(st.integers(8, 400), st.integers(1, 40), st.sampled_from(range(24, 97, 8)),
+       st.integers(0, 10**6), st.integers(1, 6), characters())
 def test_packed_series_matches_horner_oracle(order, count, width, seed, weight, eps):
     rng, rng_oracle = random.Random(seed), random.Random(seed)
     got = qexp_hecke._packed_series(rng, count, width, order, weight, eps)
     assert got == horner_packed_series(rng_oracle, count, width, order, weight, eps)
     assert rng.getstate() == rng_oracle.getstate()
+
+
+@pytest.mark.parametrize("width", [0, 8, 16, 20, 23, 25, 30, 33])
+def test_packed_series_refuses_a_width_that_is_unaligned_or_too_narrow(width):
+    # every draw n * (L // d) has |n * (L // d)| <= 554400 < 2^20, so 24 is
+    # the narrowest byte-aligned width whose lanes hold it
+    assert qexp_hecke._SERIES_BOUND == 554400
+    with pytest.raises(ValueError, match=f"lane width {width} "):
+        qexp_hecke._packed_series(random.Random(0), 2, width, 8, 2, TRIVIAL_CHARACTER)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -412,11 +424,54 @@ def test_relation_suite_sides_are_z_linear(order, weight, eps, c, data):
                 assert on_cf == c * on_f
 
 
-@pytest.mark.parametrize("bound", [0, 1, 2, 3, 554400, 2**40 - 1, 2**40])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 31, 32, 554400, 2**38 - 1, 2**38, 2**40 - 1, 2**40])
 def test_lane_width_is_the_smallest_safe_width(bound):
+    # the smallest safe multiple of 8: _packed_series packs whole bytes
     w = qexp_hecke._lane_width(bound)
+    assert w % 8 == 0
     assert 2 * bound < 2 ** (w - 1)
-    assert w == 1 or 2 * bound >= 2 ** (w - 2)
+    assert w == 8 or 2 * bound >= 2 ** (w - 9)
+
+
+def _widths(monkeypatch, run) -> list:
+    """The lane width of every _first_failures call run makes, none drawn."""
+    widths = []
+
+    def record(sides, width, *args):
+        widths.append(width)
+        return [None] * len(sides)
+
+    monkeypatch.setattr(qexp_hecke, "_first_failures", record)
+    run()
+    return widths
+
+
+@pytest.mark.parametrize("order", [8, 30, 300, 20000])
+def test_cli_lane_widths_at_weight_2(capsys, monkeypatch, order):
+    # the relations at --order, then the identity at nmax 30, both in weight 2
+    argv = ["qexp", "verify-relations", "--order", str(order), "--trials", "1"]
+    assert _widths(monkeypatch, lambda: cli_main(argv)) == [32, 32]
+    capsys.readouterr()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(8, 400), st.integers(1, 6), characters())
+def test_every_lane_width_in_use_is_byte_aligned_and_safe(order, weight, eps):
+    cases = [(n, params, make) for n, pl, make in qexp_hecke._RELATION_SUITE for params in pl]
+    bounds = [
+        qexp_hecke._suite_bound(cases, order, weight),
+        qexp_hecke._SERIES_BOUND * max(qexp_hecke._hecke_norm(n, weight) for n in range(1, order + 1)),
+    ]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        widths = _widths(monkeypatch, lambda: (
+            verify_relations(order, 1, 0, weight, eps),
+            verify_coefficient_identity(order, order, 1, 1, weight, eps),
+        ))
+    for width, bound in zip(widths, bounds, strict=True):
+        assert width % 8 == 0
+        assert 2 * bound < 2 ** (width - 1)
+        assert qexp_hecke._SERIES_BOUND < 2 ** (width - 1)  # the lanes hold the draw
+        qexp_hecke._lane_table(width)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

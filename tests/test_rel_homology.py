@@ -22,23 +22,15 @@ from windsym.arith import factorize, rank
 from windsym.hecke_symbols import winding_image
 from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
-    Cusp,
     EchelonPresentation,
-    apply_mat_to_cusp,
-    bruteforce_cusp_equivalent,
     cusp_count_x0,
-    cusp_equivalent,
-    cusp_representatives,
     eager_permutations,
     fixed_point_shape,
-    gamma0_matrices,
     genus_x0,
     get_table,
-    hecke_cusp_action,
     orbit_graph_shape,
     prefix_ranks,
     prime_powers,
-    sigma1,
     smith_diagonal,
 )
 
@@ -375,61 +367,3 @@ def test_reduce_raises_when_an_edge_is_missing(monkeypatch):
     pres = H1Presentation(table)
     with pytest.raises(RuntimeError, match="2 edges outside the tree, but the counts give 3"):
         pres.reduce({0: 1})
-
-
-# -- cusps ------------------------------------------------------------------
-
-
-def test_cusp_normalization():
-    assert Cusp.of(2, 4) == Cusp(1, 2)
-    assert Cusp.of(-3, -6) == Cusp(1, 2)
-    assert Cusp.of(5, 0) == Cusp(1, 0)
-    assert Cusp.of(-7, 0) == Cusp(1, 0)
-    with pytest.raises(ValueError):
-        Cusp(2, 4)
-    assert str(Cusp(1, 0)) == "oo"
-
-
-@pytest.mark.parametrize("n_level", range(1, 201))
-def test_cusp_count_and_pairwise_inequivalence(n_level):
-    reps = cusp_representatives(n_level)
-    assert len(reps) == cusp_count_x0(n_level)
-    for i, x in enumerate(reps):
-        for y in reps[i + 1 :]:
-            assert not cusp_equivalent(x, y, n_level)
-        assert cusp_equivalent(x, x, n_level)
-
-
-@pytest.mark.parametrize("n_level", [11, 25, 27])
-def test_cusp_equivalence_certified_by_matrix_search(n_level):
-    mats = gamma0_matrices(n_level, amax=8, gmax=6, tmax=6)
-    reps = cusp_representatives(n_level)
-    # images under explicit matrices must test equivalent (and the brute
-    # search trivially confirms); distinct representatives must test
-    # inequivalent and the search must find no connecting matrix.
-    for x in reps:
-        for mat in mats[:: max(1, len(mats) // 40)]:
-            y = apply_mat_to_cusp(mat, x)
-            assert cusp_equivalent(x, y, n_level)
-    for i, x in enumerate(reps):
-        for y in reps[i + 1 :]:
-            assert not bruteforce_cusp_equivalent(x, y, mats)
-
-
-def test_hecke_cusp_action_examples():
-    zero, inf = Cusp.of(0, 1), Cusp.of(1, 0)
-    for r in (1, 2):
-        for cusp in (zero, inf):
-            classes = hecke_cusp_action(11, r, cusp)
-            assert len(classes) == 1
-            rep, count = classes[0]
-            assert cusp_equivalent(rep, cusp, 11)
-            assert count == sigma1(r)
-    with pytest.raises(ValueError):
-        hecke_cusp_action(11, 11, zero)
-
-
-def test_hecke_cusp_action_total_count():
-    for n_level, r in [(11, 6), (25, 4)]:
-        classes = hecke_cusp_action(n_level, r, Cusp.of(1, 5))
-        assert sum(c for _, c in classes) == sigma1(r)
