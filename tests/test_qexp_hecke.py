@@ -447,11 +447,10 @@ def _widths(monkeypatch, run) -> list:
 
 
 @pytest.mark.parametrize("order", [8, 30, 300, 20000])
-def test_cli_lane_widths_at_weight_2(capsys, monkeypatch, order):
+def test_cli_lane_widths_at_weight_2(monkeypatch, order):
     # the relations at --order, then the identity at nmax 30, both in weight 2
     argv = ["qexp", "verify-relations", "--order", str(order), "--trials", "1"]
     assert _widths(monkeypatch, lambda: cli_main(argv)) == [32, 32]
-    capsys.readouterr()
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
