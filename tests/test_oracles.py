@@ -1,7 +1,8 @@
 """Self-tests of the oracle code that only the tests run: the Gamma_0(N)
 cusp classes and the Hecke action T_r on them (tests/oracles.py), checked
-against the classical cusp count, explicit matrices of Gamma_0(N) and
-sigma_1."""
+against explicit matrices of Gamma_0(N) and sigma_1. The count of cusp
+classes against the classical formula, level by level, is
+test_cusp_count_and_pairwise_inequivalence in tests/test_rel_homology.py."""
 
 import pytest
 
@@ -9,7 +10,6 @@ from oracles import (
     Cusp,
     apply_mat_to_cusp,
     bruteforce_cusp_equivalent,
-    cusp_count_x0,
     cusp_equivalent,
     cusp_representatives,
     gamma0_matrices,
@@ -26,16 +26,6 @@ def test_cusp_normalization():
     with pytest.raises(ValueError):
         Cusp(2, 4)
     assert str(Cusp(1, 0)) == "oo"
-
-
-@pytest.mark.parametrize("n_level", range(1, 201))
-def test_cusp_count_and_pairwise_inequivalence(n_level):
-    reps = cusp_representatives(n_level)
-    assert len(reps) == cusp_count_x0(n_level)
-    for i, x in enumerate(reps):
-        for y in reps[i + 1 :]:
-            assert not cusp_equivalent(x, y, n_level)
-        assert cusp_equivalent(x, x, n_level)
 
 
 @pytest.mark.parametrize("n_level", [11, 25, 27])

@@ -24,6 +24,8 @@ from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
     EchelonPresentation,
     cusp_count_x0,
+    cusp_equivalent,
+    cusp_representatives,
     eager_permutations,
     fixed_point_shape,
     genus_x0,
@@ -367,3 +369,16 @@ def test_reduce_raises_when_an_edge_is_missing(monkeypatch):
     pres = H1Presentation(table)
     with pytest.raises(RuntimeError, match="2 edges outside the tree, but the counts give 3"):
         pres.reduce({0: 1})
+
+
+# -- cusps ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_level", range(1, 201))
+def test_cusp_count_and_pairwise_inequivalence(n_level):
+    reps = cusp_representatives(n_level)
+    assert len(reps) == cusp_count_x0(n_level)
+    for i, x in enumerate(reps):
+        for y in reps[i + 1 :]:
+            assert not cusp_equivalent(x, y, n_level)
+        assert cusp_equivalent(x, x, n_level)
