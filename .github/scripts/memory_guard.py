@@ -4,7 +4,8 @@ Runs each command of CASES as `python -m windsym ...` in its own child
 process and fails (exit 1) when a child's exit code is not 0, when its
 stdout's sha256 differs from the pinned digest, or when its peak resident
 set (ru_maxrss from os.wait4 on that child, KiB on Linux) exceeds the case's
-limit in MB.  Each case's wall time is printed beside its peak RSS, for
+limit in MB.  Each case's peak RSS is printed beside its limit, so a case
+near its limit shows in every log, and its wall time beside both, for
 information only: no time is a gate.
 
 The criterion limit sits between the peak of a table-free run and that of
@@ -156,7 +157,7 @@ def main() -> int:
         wall_s = time.perf_counter() - start
         name = " ".join(argv)
         print(f"{name}: exit {code}, stdout sha256 {digest}, "
-              f"wall {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB")
+              f"wall {wall_s:.2f} s, peak RSS {peak_mb:.1f} MB of {limit_mb} MB")
         if code != 0:
             failures.append(f"{name}: exit code {code}: {err.strip()}")
         if digest != want:

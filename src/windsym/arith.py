@@ -139,10 +139,7 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 def smallest_prime_excluding(p: int) -> int:
     """Smallest prime different from p."""
-    q = 2
-    while q == p or not is_prime(q):
-        q += 1
-    return q
+    return 3 if p == 2 else 2
 
 
 def kronecker(a: int, n: int) -> int:

@@ -367,7 +367,7 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[Optional[list[list[int]]]
     pivots = _pivots(table, tails, rows)
     if pivots:
         if imax == 2 and pp.p > 2 and pp.modulus >= regime_threshold(pp.p, imax):
-            half = (pp.modulus + 1) // 2  # the point 1/2, the tail of the one bridge
+            half = pivots[1]  # e_2 = [1/2 | -2] has its tail at the point 1/2
             if _walk_joins(table, half, heads[half], removed):
                 return None, rows
         if _all_joined(table, removed, pivots[1:], heads):  # e_1 is a loop

@@ -12,9 +12,10 @@ definition the running index is printed as np; it is read as nq here, i.e.
 U_q extracts every q-th coefficient, consistent with U_q B_q = id.)
 
 Truncation is an artifact of the implementation, so every series carries a
-reliable order R alongside its stored order T: B_d turns R into min(T, R*d),
-while t_p and U_q consume high coefficients and leave only floor(R/p).
-Comparisons beyond R are forbidden; the guarded accessor enforces that.
+reliable order R beside its stored order T, the number of coefficients it
+holds: B_d turns R into min(T, R*d), while t_p and U_q consume high
+coefficients and leave only floor(R/p).  Comparisons beyond R are
+forbidden; the guarded accessor enforces that.
 
 The operators act on the coefficient tuple by slices: U_q reads
 coeffs[q-1::q], B_d writes coeffs into every d-th slot of a zero list, and
@@ -24,22 +25,24 @@ verify_coefficient_identity run on L*f, L = lcm(1..12) the common
 denominator of the random series, in integer arithmetic: a relation holds
 on f exactly when it holds on L*f.
 
-Both checks run on one engine, _first_failures, which packs the trials
-f_0..f_{k-1} into byte-aligned lanes of W bits (W a multiple of 8),
-P = sum_i 2^{W(k-1-i)} L f_i, read from bytes: each drawn coefficient is
-looked up as its biased W-bit lane in a table built once per check, and
-each position's k lanes become one integer by one int.from_bytes
-(_packed_series); each side of a check, being Z-linear in f, maps P to the
-packing of its values on the trials.  When every coefficient of either
-side lies in [-B, B] on every trial and 2B < 2^{W-1}, two packings are
-equal exactly when every lane agrees, so one comparison on P checks all k
-trials.  A block packs at most max(1, _LANE_BUDGET // order) trials, which
-keeps memory O(order) whatever the number of trials; a block whose packed
-sides differ is replayed one trial at a time to name each failing check's
-first trial, and no block is drawn once every check has failed.  The draw
-is most of the cost: about two thirds (0.61-0.70 over 20 seeds) of an
-order-300, 100-trial `qexp verify-relations` run, and the rng's _randbelow
-calls are about nine tenths of the draw.
+Both checks run on one engine, _first_failures, which draws the trials at
+the relations' order, or at nmax for the identity (the only order
+a_1(T_n f) reads), and packs f_0..f_{k-1} into byte-aligned lanes of W bits
+(W a multiple of 8), P = sum_i 2^{W(k-1-i)} L f_i, read from bytes: each
+drawn coefficient is looked up as its biased W-bit lane in a table built
+once per check, and each position's k lanes become one integer by one
+int.from_bytes (_packed_series); each side of a check, being Z-linear in
+f, maps P to the packing of its values on the trials.  When every
+coefficient of either side lies in [-B, B] on every trial and
+2B < 2^{W-1}, two packings are equal exactly when every lane agrees, so
+one comparison on P checks all k trials.  A block packs at most
+max(1, _LANE_BUDGET // order) trials, which keeps memory O(order) whatever
+the number of trials; a block whose packed sides differ is replayed one
+trial at a time to name each failing check's first trial, and no block is
+drawn once every check has failed.  The draw is most of the cost: about
+two thirds (0.61-0.70 over 20 seeds) of an order-300, 100-trial
+`qexp verify-relations` run, and the rng's _randbelow calls are about nine
+tenths of the draw.
 
 Composite operators follow T_{p^{k+1}} = T_p T_{p^k} - eps(p) p^{lambda-1}
 T_{p^{k-1}} on prime powers and multiplicativity across coprime factors,
@@ -214,10 +217,6 @@ class DirichletCharacter:
             raise ValueError(f"|disc| = {abs(disc)} does not divide the modulus {self.modulus}")
 
     @classmethod
-    def trivial(cls, modulus: int = 1) -> "DirichletCharacter":
-        return cls(modulus, 1)
-
-    @classmethod
     def quadratic(cls, disc: int) -> "DirichletCharacter":
         return cls(abs(disc), disc)
 
@@ -229,7 +228,7 @@ class DirichletCharacter:
         return kronecker(self.disc, n)
 
 
-TRIVIAL_CHARACTER = DirichletCharacter.trivial(1)
+TRIVIAL_CHARACTER = DirichletCharacter(1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +246,18 @@ class QExpansion:
     """
 
     coeffs: tuple
-    order: int
     reliable: int
     weight: int = 2
     eps: DirichletCharacter = TRIVIAL_CHARACTER
 
     def __post_init__(self):
-        if len(self.coeffs) != self.order:
-            raise ValueError("need exactly `order` coefficients a_1..a_T")
         if not 0 <= self.reliable <= self.order:
             raise ValueError("reliable order must satisfy 0 <= R <= T")
+
+    @property
+    def order(self) -> int:
+        """The stored order T, the number of coefficients a_1..a_T."""
+        return len(self.coeffs)
 
     def raw(self, n: int):
         """Stored coefficient a_n, 0 outside 1..T.  No reliability guard;
@@ -286,7 +287,6 @@ class QExpansion:
         self._compatible(other)
         return QExpansion(
             tuple(map(op, self.coeffs, other.coeffs)),
-            self.order,
             min(self.reliable, other.reliable),
             self.weight,
             self.eps,
@@ -300,11 +300,7 @@ class QExpansion:
 
     def __rmul__(self, scalar):
         return QExpansion(
-            tuple(scalar * x for x in self.coeffs),
-            self.order,
-            self.reliable,
-            self.weight,
-            self.eps,
+            tuple(scalar * x for x in self.coeffs), self.reliable, self.weight, self.eps
         )
 
 
@@ -316,7 +312,7 @@ def make_qexp(coeffs, order=None, weight=2, eps=TRIVIAL_CHARACTER, reliable=None
     coeffs = coeffs[:order] + [0] * (order - len(coeffs))
     if reliable is None:
         reliable = order
-    return QExpansion(tuple(coeffs), order, reliable, weight, eps)
+    return QExpansion(tuple(coeffs), reliable, weight, eps)
 
 
 def first_disagreement(f: QExpansion, g: QExpansion):
@@ -342,9 +338,7 @@ def op_B(d: int, f: QExpansion) -> QExpansion:
         raise ValueError("d must be >= 1")
     out = [0] * f.order
     out[d - 1 :: d] = f.coeffs[: f.order // d]
-    return QExpansion(
-        tuple(out), f.order, min(f.order, f.reliable * d), f.weight, f.eps
-    )
+    return QExpansion(tuple(out), min(f.order, f.reliable * d), f.weight, f.eps)
 
 
 def op_t(p: int, f: QExpansion) -> QExpansion:
@@ -356,16 +350,14 @@ def op_t(p: int, f: QExpansion) -> QExpansion:
     if fac:
         # a zero a_j leaves v as it is: v + 0 would copy a big int
         out[p - 1 :: p] = [v if a == 0 else v + fac * a for v, a in zip(out[p - 1 :: p], f.coeffs)]
-    return QExpansion(tuple(out), f.order, f.reliable // p, f.weight, f.eps)
+    return QExpansion(tuple(out), f.reliable // p, f.weight, f.eps)
 
 
 def op_U(q: int, f: QExpansion) -> QExpansion:
     """U_q: a_n -> a_{nq}; reliable order R//q."""
     if not is_prime(q):
         raise ValueError(f"U_q needs q prime, got {q}")
-    return QExpansion(
-        tuple(_every(q, f)), f.order, f.reliable // q, f.weight, f.eps
-    )
+    return QExpansion(tuple(_every(q, f)), f.reliable // q, f.weight, f.eps)
 
 
 def _every(q: int, f: QExpansion) -> list:
@@ -405,7 +397,7 @@ def _op_T_prime_power(p: int, e: int, f: QExpansion) -> QExpansion:
 # lcm(1..12): the denominator d of every drawn coefficient n/d divides it.
 SERIES_DENOMINATOR_LCM = 27720
 
-# |n| <= 20 for _integral_series's numerators, so |a_n(L f)| <= _SERIES_BOUND.
+# |n| <= 20 for _packed_series's numerators, so |a_n(L f)| <= _SERIES_BOUND.
 _SERIES_BOUND = 20 * SERIES_DENOMINATOR_LCM
 
 
@@ -431,7 +423,10 @@ def _packed_series(
     rng: random.Random, count: int, width: int, order: int, weight: int, eps, table=None
 ) -> QExpansion:
     """sum_i 2^{width(count-1-i)} L f_i for the count trials f_i drawn in
-    turn (see _integral_series), packed from bytes: each draw reads its
+    turn, packed from bytes.  A trial f has coefficients n/d, n and d drawn
+    uniformly from -20..20 and 1..12, n first, so L f has the integers
+    n * (L // d), L = SERIES_DENOMINATOR_LCM; count 1 at width 24, the
+    narrowest that holds the draw, gives L f alone.  Each draw reads its
     biased lane from table (_lane_table(width) unless the caller built it
     once for many blocks), the block is drawn trial-major into one list,
     and the count lanes of position j, joined (a one-trial block's draw is
@@ -451,17 +446,7 @@ def _packed_series(
     columns = draws if count == 1 else [b"".join(draws[j::order]) for j in range(order)]
     zeros = int.from_bytes(table[20][0] * count, "big")  # count lanes of n = 0
     lanes = tuple([v - zeros for v in map(int.from_bytes, columns, repeat("big"))])
-    return QExpansion(lanes, order, order, weight, eps)
-
-
-def _integral_series(
-    rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
-) -> QExpansion:
-    """Integer coefficients n * (L // d), L = SERIES_DENOMINATOR_LCM, for
-    n and d drawn uniformly from -20..20 and 1..12, n first: L times the
-    series whose coefficients are the fractions n/d.  The one-lane call of
-    _packed_series at the narrowest width that holds the draw, 24 bits."""
-    return _packed_series(rng, 1, 24, order, weight, eps)
+    return QExpansion(lanes, order, weight, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +480,6 @@ class RelationReport:
     trials: int
     seed: int
     checks: list
-    witness_params: str = ""
     witness_found: bool = False
 
     @property
@@ -510,7 +494,7 @@ class RelationReport:
             "seed": self.seed,
             "checks": [c.to_json() for c in self.checks],
             "coprimality_witness": {
-                "params": self.witness_params,
+                "params": "t_3 B_3 vs B_3 t_3 on f = x",
                 "inequality_witnessed": self.witness_found,
             },
             "pass": self.all_passed,
@@ -595,11 +579,11 @@ def _first_failures(sides, width: int, order: int, trials: int, seed: int, weigh
     """For each side function f -> (lhs, rhs), the first failing trial as
     (i, first_disagreement(lhs, rhs)), or None when every trial agrees.
 
-    The trials are the series _integral_series(random.Random(seed), ...)
-    draws in turn, packed in blocks as the module docstring describes.
-    Only the cases that have not failed yet run on a block.  A case whose
-    packed sides differ on a block where no single trial fails it is not
-    Z-linear, and RuntimeError is raised.
+    The trials are the series L f of order coefficients that
+    _packed_series draws from random.Random(seed) in turn, packed in blocks
+    as the module docstring describes.  Only the cases that have not failed
+    yet run on a block.  A case whose packed sides differ on a block where
+    no single trial fails it is not Z-linear, and RuntimeError is raised.
     """
     rng = random.Random(seed)
     table = _lane_table(width)
@@ -647,7 +631,7 @@ def verify_relations(
     first coefficient already for f = x).
 
     The series f have coefficients n/d drawn from random.Random(seed), and
-    _integral_series draws them scaled by L = lcm(1..12) to integers: the
+    _packed_series draws them scaled by L = lcm(1..12) to integers: the
     operators are Q-linear, so a relation holds on f exactly when it holds
     on L*f, and a failure prints the coefficients divided back by L.
 
@@ -688,19 +672,11 @@ def verify_relations(
         op_t(3, op_B(3, make_qexp([1], order=order, weight=weight, eps=eps))),
         op_B(3, op_t(3, make_qexp([1], order=order, weight=weight, eps=eps))),
     )
-    return RelationReport(
-        order,
-        trials,
-        seed,
-        checks,
-        witness_params="t_3 B_3 vs B_3 t_3 on f = x",
-        witness_found=witness is not None,
-    )
+    return RelationReport(order, trials, seed, checks, witness is not None)
 
 
 def verify_coefficient_identity(
     nmax: int = 30,
-    order: int | None = None,
     trials: int = 10,
     seed: int = 1,
     weight: int = 2,
@@ -712,11 +688,10 @@ def verify_coefficient_identity(
     The identity is one case whose two sides are the order-nmax series
     (a_1(T_n f))_n and (a_n(f))_n, so the first disagreement names the n a
     failing trial fails at.  a_1(T_n f) reads only a_1..a_n, so the trials
-    are drawn at order nmax unless an order is given, and T_n runs on the
-    head a_1..a_nmax of each series, where coeff(1) still refuses a
-    coefficient past the reliable order.  The lane width comes from the
-    Hecke-recursion norm N(T_n), a bound on the sum of absolute entries in
-    any row of T_n for any character with values in {-1, 0, 1}: with
+    are drawn at order nmax, and coeff(1) still refuses a coefficient past
+    the reliable order.  The lane width comes from the Hecke-recursion norm
+    N(T_n), a bound on the sum of absolute entries in any row of T_n for
+    any character with values in {-1, 0, 1}: with
     q = p^{lambda-1}, N(T_p) = 1 + q,
     N(T_{p^{k+1}}) <= (1 + q) N(T_{p^k}) + q N(T_{p^{k-1}}),
     and N is submultiplicative over the coprime factors T_n composes.  So
@@ -724,10 +699,6 @@ def verify_coefficient_identity(
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    if order is None:
-        order = nmax
-    if order < nmax:
-        raise ValueError("order must be >= nmax")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     width = _lane_width(
@@ -735,10 +706,9 @@ def verify_coefficient_identity(
     )
 
     def sides(f):
-        head = QExpansion(f.coeffs[:nmax], nmax, nmax, weight, eps)
-        return make_qexp([op_T(n, head).coeff(1) for n in range(1, nmax + 1)]), make_qexp(head.coeffs)
+        return make_qexp([op_T(n, f).coeff(1) for n in range(1, nmax + 1)]), f
 
-    (first,) = _first_failures([sides], width, order, trials, seed, weight, eps)
+    (first,) = _first_failures([sides], width, nmax, trials, seed, weight, eps)
     failure = "" if first is None else f"trial {first[0]}: n={first[1][0]}"
     return RelationCheck(
         "a_1(T_n f) = a_n(f)", f"n <= {nmax}", trials, first is None, failure

@@ -225,12 +225,8 @@ class H1Presentation:
         return [g[x] - pi[h] + pi[t] for x, h, t in zip(*free)]
 
 
-def build_presentation(table: P1Table) -> H1Presentation:
-    """The presentation of H_1(X_0(p^n), cusps) on table.
-
-    Kept for the traced replay and the tests' second route (ROADMAP item 8).
-    """
-    return H1Presentation(table)
+# Kept for the traced replay and the tests' second route (ROADMAP item 8).
+build_presentation = H1Presentation
 
 
 def reduce_vector(v, pres: H1Presentation) -> list[int]:

@@ -49,7 +49,7 @@ from windsym.qexp_hecke import (
     QExpansion,
     RelationCheck,
     RelationReport,
-    _integral_series,
+    _packed_series,
     make_qexp,
 )
 from windsym.hecke_symbols import SigmaRSet, winding_image
@@ -830,9 +830,7 @@ def coeffwise_op_B(d: int, f: QExpansion) -> QExpansion:
     if d < 1:
         raise ValueError("d must be >= 1")
     out = [f.raw(n // d) if n % d == 0 else 0 for n in range(1, f.order + 1)]
-    return QExpansion(
-        tuple(out), f.order, min(f.order, f.reliable * d), f.weight, f.eps
-    )
+    return QExpansion(tuple(out), min(f.order, f.reliable * d), f.weight, f.eps)
 
 
 def coeffwise_op_t(p: int, f: QExpansion) -> QExpansion:
@@ -846,7 +844,7 @@ def coeffwise_op_t(p: int, f: QExpansion) -> QExpansion:
         if fac and n % p == 0:
             v = v + fac * f.raw(n // p)
         out.append(v)
-    return QExpansion(tuple(out), f.order, f.reliable // p, f.weight, f.eps)
+    return QExpansion(tuple(out), f.reliable // p, f.weight, f.eps)
 
 
 def coeffwise_op_U(q: int, f: QExpansion) -> QExpansion:
@@ -854,7 +852,7 @@ def coeffwise_op_U(q: int, f: QExpansion) -> QExpansion:
     if not is_prime(q):
         raise ValueError(f"U_q needs q prime, got {q}")
     out = [f.raw(n * q) for n in range(1, f.order + 1)]
-    return QExpansion(tuple(out), f.order, f.reliable // q, f.weight, f.eps)
+    return QExpansion(tuple(out), f.reliable // q, f.weight, f.eps)
 
 
 def hecke_T_formula(n: int, f: QExpansion, m: int):
@@ -870,10 +868,11 @@ def random_series(
     rng: random.Random, order: int, weight: int = 2, eps=TRIVIAL_CHARACTER
 ) -> QExpansion:
     """Coefficients n/d, n and d drawn by rng.randint from -20..20 and
-    1..12, n first: the series qexp_hecke._integral_series draws times L,
-    by the rule it is meant to keep, with the same rng state afterwards."""
+    1..12, n first: the one-trial series qexp_hecke._packed_series draws
+    (count 1, width 24) divided by L, by the rule it is meant to keep, with
+    the same rng state afterwards."""
     coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(order)]
-    return QExpansion(tuple(coeffs), order, order, weight, eps)
+    return QExpansion(tuple(coeffs), order, weight, eps)
 
 
 def fraction_verify_relations(
@@ -906,14 +905,7 @@ def fraction_verify_relations(
         coeffwise_op_t(3, coeffwise_op_B(3, make_qexp([1], order=order, weight=weight, eps=eps))),
         coeffwise_op_B(3, coeffwise_op_t(3, make_qexp([1], order=order, weight=weight, eps=eps))),
     )
-    return RelationReport(
-        order,
-        trials,
-        seed,
-        checks,
-        witness_params="t_3 B_3 vs B_3 t_3 on f = x",
-        witness_found=witness is not None,
-    )
+    return RelationReport(order, trials, seed, checks, witness is not None)
 
 
 def horner_packed_series(
@@ -927,28 +919,26 @@ def horner_packed_series(
     for _ in range(count):
         f = random_series(rng, order, weight, eps)
         acc = [(a << width) + int(c * SERIES_DENOMINATOR_LCM) for a, c in zip(acc, f.coeffs)]
-    return QExpansion(tuple(acc), order, order, weight, eps)
+    return QExpansion(tuple(acc), order, weight, eps)
 
 
 def per_trial_coefficient_identity(
     nmax: int = 30,
-    order: int = 200,
     trials: int = 10,
     seed: int = 1,
     weight: int = 2,
     eps: DirichletCharacter = TRIVIAL_CHARACTER,
 ) -> RelationCheck:
-    """a_1(T_n f) = a_n(f) for all n <= nmax, one integer series L*f at a
-    time, as verify_coefficient_identity ran before lane packing.  Reads
-    qexp_hecke.op_T at call time, so a planted fault reaches both."""
-    if order < nmax:
-        raise ValueError("order must be >= nmax")
+    """a_1(T_n f) = a_n(f) for all n <= nmax, one integer series L*f of
+    order nmax at a time, as verify_coefficient_identity ran before lane
+    packing.  Reads qexp_hecke.op_T at call time, so a planted fault
+    reaches both."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     failure = ""
     for i in range(trials):
-        f = _integral_series(rng, order, weight, eps)
+        f = _packed_series(rng, 1, 24, nmax, weight, eps)
         for n in range(1, nmax + 1):
             if qexp_hecke.op_T(n, f).coeff(1) != f.raw(n):
                 failure = f"trial {i}: n={n}"
@@ -1077,4 +1067,4 @@ def formal_eigenform(
         else:
             fac = eps(p) * p ** (weight - 1)
             a[n] = a[p] * a[pk // p] - fac * a[pk // (p * p)]
-    return QExpansion(tuple(a[1:]), order, order, weight, eps)
+    return QExpansion(tuple(a[1:]), order, weight, eps)

@@ -171,7 +171,7 @@ def test_criterion_6_operator_relations():
         failed = [c for c in report.checks if not c.passed]
         assert report.all_passed, failed
         assert report.witness_found
-        ident = verify_coefficient_identity(nmax=30, order=200, trials=5, seed=2024)
+        ident = verify_coefficient_identity(nmax=30, trials=5, seed=2024)
         assert ident.passed, ident.failure
 
 

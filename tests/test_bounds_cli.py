@@ -151,6 +151,25 @@ def test_cli_criterion_all_l(capsys):
     assert json.loads(out) == {"schema": 1, "reports": [json.loads(single)]}
 
 
+# (p, n, d): the ten d = 1 levels below 3000 whose cut rows are built
+# (2, 5 connected, the rest split), a pivot search at d = 2 and at d = 3,
+# and a d = 1 level past the threshold 4160, decided by the walk
+ALL_L_LEVELS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1), (2, 3, 1), (3, 2, 1),
+                (13, 1, 1), (2, 4, 1), (5, 2, 1), (2003, 1, 2), (2999, 1, 3), (10007, 1, 1)]
+
+
+def test_cli_criterion_all_l_is_the_per_l_runs(capsys):
+    # --all-l-up-to prints the per-l payloads, byte for byte once encoded,
+    # in l order, and exits with the worst of their codes
+    for p, n, d in ALL_L_LEVELS:
+        level = ["criterion", "--p", str(p), "--n", str(n), "--d", str(d)]
+        rc, out = run_cli(capsys, *level, "--all-l-up-to", "13")
+        single = [run_cli(capsys, *level, "--l", str(l)) for l in (2, 3, 5, 7, 11, 13)]
+        assert [json.dumps(r) for r in json.loads(out)["reports"]] == [
+            json.dumps(json.loads(o)) for _, o in single], level
+        assert rc == max(code for code, _ in single), level
+
+
 def test_cli_paths_json(capsys):
     rc, out = run_cli(capsys, "paths", "--p", "101", "--n", "1", "--r", "2")
     assert rc == 0
@@ -967,10 +986,10 @@ def test_criterion_proves_each_input_once(capsys, monkeypatch):
 
     for module in (arith, bounds, bounds_cli, hecke_symbols, residue_p1):
         monkeypatch.setattr(module, "is_prime", counted)
-    # p by PrimePower and by criterion_threshold, s = 2 by the one search
-    # for the smallest prime other than p, and l by hecke_span_rank
+    # p by PrimePower and by criterion_threshold, and l by hecke_span_rank;
+    # s = 2, the smallest prime other than p, needs no proof
     rc, _ = run_cli(capsys, "criterion", "--p", "11", "--l", "3")
-    assert rc == 0 and calls == [11, 11, 2, 3]
+    assert rc == 0 and calls == [11, 11, 3]
 
 
 @pytest.mark.parametrize("argv, flag, low", [

@@ -18,7 +18,7 @@ from windsym.qexp_hecke import (
     DirichletCharacter,
     QExpansion,
     Quad,
-    _integral_series,
+    _packed_series,
     build_Up_matrix,
     charpoly,
     first_disagreement,
@@ -113,7 +113,7 @@ def test_polyq_arithmetic():
 
 
 def test_dirichlet_characters():
-    triv = DirichletCharacter.trivial(6)
+    triv = DirichletCharacter(6)
     assert [triv(n) for n in range(1, 7)] == [1, 0, 0, 0, 1, 0]
     chi = DirichletCharacter.quadratic(-4)
     values = [chi(n) for n in range(1, 9)]
@@ -217,7 +217,7 @@ def test_relation_checks_need_a_trial(trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         verify_relations(order=20, trials=trials)
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        verify_coefficient_identity(order=40, trials=trials)
+        verify_coefficient_identity(trials=trials)
 
 
 # -- slice kernels and the integer relation suite against their oracles ---------
@@ -229,7 +229,7 @@ QUADRATIC_DISCS = [-8, -7, -4, -3, 5, 8, 12, 13]
 
 def characters():
     return st.one_of(
-        st.integers(1, 12).map(DirichletCharacter.trivial),
+        st.integers(1, 12).map(DirichletCharacter),
         st.sampled_from(QUADRATIC_DISCS).map(DirichletCharacter.quadratic),
     )
 
@@ -255,7 +255,7 @@ def qexpansions(draw, max_order=40):
     order = draw(st.integers(1, max_order))
     coeffs = draw(st.lists(coefficients(ring, disc), min_size=order, max_size=order))
     reliable = draw(st.integers(0, order - 1))
-    return QExpansion(tuple(coeffs), order, reliable, draw(st.integers(1, 6)), draw(characters()))
+    return QExpansion(tuple(coeffs), reliable, draw(st.integers(1, 6)), draw(characters()))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -282,7 +282,7 @@ def test_first_disagreement_matches_coeffwise_oracle(f, data):
     changed = data.draw(st.sets(st.integers(1, f.order), max_size=3))
     g = QExpansion(
         tuple(c + 1 if n in changed else c for n, c in enumerate(f.coeffs, 1)),
-        f.order, data.draw(st.integers(0, f.order)), f.weight, f.eps,
+        data.draw(st.integers(0, f.order)), f.weight, f.eps,
     )
     assert first_disagreement(f, g) == coeffwise_first_disagreement(f, g)
     assert first_disagreement(g, f) == coeffwise_first_disagreement(g, f)
@@ -295,7 +295,7 @@ def test_first_disagreement_matches_coeffwise_oracle(f, data):
 def test_integral_series_is_lcm_times_random_series(order, seed, weight, eps):
     assert SERIES_DENOMINATOR_LCM == lcm(*range(1, 13))
     rng_int, rng_frac = random.Random(seed), random.Random(seed)
-    f = _integral_series(rng_int, order, weight, eps)
+    f = _packed_series(rng_int, 1, 24, order, weight, eps)
     assert all(type(c) is int for c in f.coeffs)
     assert f == SERIES_DENOMINATOR_LCM * random_series(rng_frac, order, weight, eps)
     # a failing block's trials are redrawn from the rng state it started from,
@@ -304,9 +304,9 @@ def test_integral_series_is_lcm_times_random_series(order, seed, weight, eps):
     assert rng_int.random() == rng_frac.random()  # the same draws were consumed
 
 
-# sha256 of ",".join(map(str, coeffs)) for _integral_series(Random(seed), order),
-# and the next rng.random() after the draw, pinned from the randint draw and
-# checked on CPython 3.10-3.13.  The randint oracle above moves with CPython's
+# sha256 of ",".join(map(str, coeffs)) for the one-trial draw
+# _packed_series(Random(seed), 1, 24, order, ...), and the next rng.random()
+# after the draw, pinned from the randint draw and checked on CPython 3.10-3.13.  The randint oracle above moves with CPython's
 # _randbelow, as the draw does; these figures do not.
 SERIES_DIGESTS = [
     (0, 8, "3baaf125bacfcece7c92779fe6b9bd373ef46fc8c2358d738dacd621b4a35ea5", 0.7558042041572239),
@@ -321,7 +321,7 @@ SERIES_DIGESTS = [
                          ids=[f"seed{seed}-order{order}" for seed, order, *_ in SERIES_DIGESTS])
 def test_integral_series_draw_is_pinned(seed, order, digest, after):
     rng = random.Random(seed)
-    coeffs = _integral_series(rng, order).coeffs
+    coeffs = _packed_series(rng, 1, 24, order, 2, TRIVIAL_CHARACTER).coeffs
     assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == digest
     assert rng.random() == after
 
@@ -380,7 +380,8 @@ def vanishing_functional(seed, order, count):
     of trials 0..count-1 at this seed, then of f: Z-linear in f, zero on those
     trials (at any scale) and, generically, on no later one."""
     rng = random.Random(seed)
-    rows = [list(_integral_series(rng, order).coeffs[: count + 1]) for _ in range(count)]
+    rows = [list(_packed_series(rng, 1, 24, order, 2, TRIVIAL_CHARACTER).coeffs[: count + 1])
+            for _ in range(count)]
     cof = [(-1) ** (count + j) * int(_det([r[:j] + r[j + 1 :] for r in rows]))
            for j in range(count + 1)]
     return lambda f: sum(c * a for c, a in zip(cof, f.coeffs))
@@ -414,7 +415,7 @@ def test_planted_false_relations_fail_like_the_oracle(monkeypatch):
 @given(st.integers(1, 60), st.integers(1, 6), characters(), st.integers(-50, 50), st.data())
 def test_relation_suite_sides_are_z_linear(order, weight, eps, c, data):
     ints = st.lists(st.integers(-10**6, 10**6), min_size=order, max_size=order)
-    f, g = (QExpansion(tuple(data.draw(ints)), order, order, weight, eps) for _ in range(2))
+    f, g = (QExpansion(tuple(data.draw(ints)), order, weight, eps) for _ in range(2))
     for _, param_list, make in qexp_hecke._RELATION_SUITE:
         for params in param_list:
             sides = zip(make(*params, f + g), make(*params, f), make(*params, g),
@@ -464,7 +465,7 @@ def test_every_lane_width_in_use_is_byte_aligned_and_safe(order, weight, eps):
     with pytest.MonkeyPatch.context() as monkeypatch:
         widths = _widths(monkeypatch, lambda: (
             verify_relations(order, 1, 0, weight, eps),
-            verify_coefficient_identity(order, order, 1, 1, weight, eps),
+            verify_coefficient_identity(order, 1, 1, weight, eps),
         ))
     for width, bound in zip(widths, bounds, strict=True):
         assert width % 8 == 0
@@ -478,7 +479,7 @@ def test_every_lane_width_in_use_is_byte_aligned_and_safe(order, weight, eps):
 def test_lane_bounds_dominate_every_side(order, weight, eps, data):
     m = qexp_hecke._SERIES_BOUND
     signs = st.lists(st.sampled_from([-m, 0, m]), min_size=order, max_size=order)
-    f = QExpansion(tuple(data.draw(signs)), order, order, weight, eps)
+    f = QExpansion(tuple(data.draw(signs)), order, weight, eps)
     cases = [(n, params, make) for n, pl, make in qexp_hecke._RELATION_SUITE for params in pl]
     bound = qexp_hecke._suite_bound(cases, order, weight)
     for _, params, make in cases:
@@ -531,7 +532,7 @@ def test_op_T_identity_and_examples():
 
 
 def test_op_T_with_level_character():
-    eps = DirichletCharacter.trivial(6)
+    eps = DirichletCharacter(6)
     rng = random.Random(23)
     f = random_series(rng, 60, weight=2, eps=eps)
     # eps(2) = 0, so T_2 degenerates to U_2
@@ -541,7 +542,7 @@ def test_op_T_with_level_character():
 
 
 def test_coefficient_identity_report():
-    rep = verify_coefficient_identity(nmax=30, order=200, trials=3, seed=5)
+    rep = verify_coefficient_identity(nmax=30, trials=3, seed=5)
     assert rep.passed, rep.failure
 
 
@@ -549,22 +550,21 @@ def test_coefficient_identity_refuses_an_empty_range():
     # nmax below 1 compares no coefficient, so it is no pass
     for nmax in (0, -3):
         with pytest.raises(ValueError, match="nmax must be >= 1"):
-            verify_coefficient_identity(nmax=nmax, order=40, trials=2)
-    assert verify_coefficient_identity(nmax=1, order=40, trials=2).passed
+            verify_coefficient_identity(nmax=nmax, trials=2)
+    assert verify_coefficient_identity(nmax=1, trials=2).passed
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
-@given(st.integers(1, 40), st.integers(0, 40), st.integers(1, 12), st.integers(0, 10**6),
+@given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 10**6),
        st.integers(1, 6), characters(), st.integers(1, 4))
-def test_coefficient_identity_matches_per_trial_oracle(nmax, extra, trials, seed, weight, eps, size):
-    order = nmax + extra
-    with mock.patch.object(qexp_hecke, "_LANE_BUDGET", size * order):
-        got = verify_coefficient_identity(nmax, order, trials, seed, weight, eps)
-    assert got == per_trial_coefficient_identity(nmax, order, trials, seed, weight, eps)
+def test_coefficient_identity_matches_per_trial_oracle(nmax, trials, seed, weight, eps, size):
+    with mock.patch.object(qexp_hecke, "_LANE_BUDGET", size * nmax):
+        got = verify_coefficient_identity(nmax, trials, seed, weight, eps)
+    assert got == per_trial_coefficient_identity(nmax, trials, seed, weight, eps)
 
 
 def test_planted_hecke_fault_fails_like_the_oracle(monkeypatch):
-    order, trials, seed = 40, 8, 11
+    order, trials, seed = 30, 8, 11  # the identity draws at nmax = 30
     monkeypatch.setattr(qexp_hecke, "_LANE_BUDGET", 3 * order)  # blocks 0-2, 3-5, 6-7
     phi = vanishing_functional(seed, order, count=4)  # zero on trials 0-3
     exact = qexp_hecke.op_T
@@ -574,8 +574,8 @@ def test_planted_hecke_fault_fails_like_the_oracle(monkeypatch):
         return g + phi(f) * make_qexp([1], order=f.order, weight=f.weight, eps=f.eps) if n == 7 else g
 
     monkeypatch.setattr(qexp_hecke, "op_T", faulty)
-    got = verify_coefficient_identity(nmax=30, order=order, trials=trials, seed=seed)
-    assert got == per_trial_coefficient_identity(nmax=30, order=order, trials=trials, seed=seed)
+    got = verify_coefficient_identity(nmax=order, trials=trials, seed=seed)
+    assert got == per_trial_coefficient_identity(nmax=order, trials=trials, seed=seed)
     assert got.failure == "trial 4: n=7"
 
 
@@ -588,9 +588,9 @@ def test_op_T_that_is_not_z_linear_is_refused(monkeypatch):
         return g + (abs(f.raw(1)) >> 40) * make_qexp([1], order=f.order, weight=f.weight, eps=f.eps)
 
     monkeypatch.setattr(qexp_hecke, "op_T", nonlinear)
-    assert per_trial_coefficient_identity(nmax=30, order=40, trials=6, seed=3).passed
+    assert per_trial_coefficient_identity(nmax=30, trials=6, seed=3).passed
     with pytest.raises(RuntimeError, match="not Z-linear"):
-        verify_coefficient_identity(nmax=30, order=40, trials=6, seed=3)
+        verify_coefficient_identity(nmax=30, trials=6, seed=3)
 
 
 def _count_draws(monkeypatch) -> list:
@@ -620,7 +620,7 @@ def test_no_block_is_drawn_once_every_relation_has_failed(monkeypatch):
 
 
 def test_no_block_is_drawn_once_the_coefficient_identity_has_failed(monkeypatch):
-    order, trials, seed = 40, 30, 11
+    order, trials, seed = 30, 30, 11  # the identity draws at nmax = 30
     monkeypatch.setattr(qexp_hecke, "_LANE_BUDGET", 3 * order)  # blocks of 3 trials
     phi = vanishing_functional(seed, order, count=4)  # zero on trials 0-3
     exact = qexp_hecke.op_T
@@ -631,7 +631,7 @@ def test_no_block_is_drawn_once_the_coefficient_identity_has_failed(monkeypatch)
 
     monkeypatch.setattr(qexp_hecke, "op_T", faulty)
     counts = _count_draws(monkeypatch)
-    got = verify_coefficient_identity(nmax=30, order=order, trials=trials, seed=seed)
+    got = verify_coefficient_identity(nmax=order, trials=trials, seed=seed)
     assert got.failure == "trial 4: n=7"
     assert counts == [3, 3, 1, 1, 1]  # blocks 0 and 1 and the replay of block 1
 
@@ -871,7 +871,7 @@ def test_kernel_vector_check_refuses_an_empty_order():
 
 
 def test_kernel_vector_needs_unit_eps():
-    eps = DirichletCharacter.trivial(2)
+    eps = DirichletCharacter(2)
     f = formal_eigenform(60, {2: F(1)}, eps=eps)
     with pytest.raises(ValueError):
         kernel_vector_check(f, 2, order=10)
@@ -943,7 +943,7 @@ def test_oldclass_blocks_match_series_coprime_case():
 def test_oldclass_blocks_match_series_divides_case():
     # eigen-series with eps(2) = 0 behaves like a form whose level the
     # prime divides: U_2 f = a_2 f
-    eps = DirichletCharacter.trivial(2)
+    eps = DirichletCharacter(2)
     f = formal_eigenform(360, {2: F(1), 3: F(-2)}, eps=eps)
     assert first_disagreement(op_U(2, f), F(1) * f) is None
     _check_blocks_on_series(2, oldclass_blocks(2, 12, F(1), CASE_DIVIDES, eps_q=0), f)
