@@ -164,19 +164,6 @@ def _parse_prime_power(value: int):
     return PrimePower(*found)
 
 
-def _is_bijection(perm, size: int) -> bool:
-    """Whether perm takes every index below size exactly once, checked
-    with one byte of marks per index."""
-    if len(perm) != size:
-        return False
-    hit = bytearray(size)
-    for v in perm:
-        if not 0 <= v < size or hit[v]:
-            return False
-        hit[v] = 1
-    return True
-
-
 def _cmd_p1(args) -> int:
     from .residue_p1 import P1Table, PrimePower
 
@@ -193,13 +180,16 @@ def _cmd_p1(args) -> int:
     }
     rc = 0
     if args.verify:
-        sigma, tau = table.sigma_perm, table.tau_perm
-        sigma_ok = all(sigma[sigma[i]] == i for i in range(table.size))
-        tau_ok = all(tau[tau[tau[i]]] == i for i in range(table.size))
+        size, sigma, tau = table.size, table.sigma_perm, table.tau_perm
+        # entries are read as indices only once a table is in range; an
+        # in-range involution, or map of order 3, is then a bijection
+        sigma_in, tau_in = (len(t) == size and min(t) >= 0 and max(t) < size for t in (sigma, tau))
+        sigma_ok = sigma_in and all(sigma[sigma[i]] == i for i in range(size))
+        tau_ok = tau_in and all(tau[tau[tau[i]]] == i for i in range(size))
         # tau_perm is sliced out of sigma_perm, so this check reads tau point
         # by point instead: it then compares two independent routes
         shift_ok = all(sigma[table.tau(a)] == (a + 1) % pp.modulus for a in range(pp.modulus))
-        bijective = _is_bijection(sigma, table.size) and _is_bijection(tau, table.size)
+        bijective = sigma_ok and tau_ok
         report["checks"] = {
             "sigma_involution": sigma_ok,
             "tau_order_3": tau_ok,
@@ -238,8 +228,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
-    from .hecke_symbols import check_kamienny_condition3
-    from .residue_p1 import MAX_ALL_L
+    from .hecke_symbols import MAX_ALL_L, check_kamienny_condition3
 
     if args.all_l_up_to is not None:
         _check_min("--all-l-up-to", args.all_l_up_to, 2)
@@ -295,7 +284,8 @@ def _chain_reports(pp, r_min, r_max, d):
 
 
 def _cmd_paths(args) -> int:
-    from .residue_p1 import MAX_HECKE_R, PrimePower
+    from .hecke_symbols import MAX_HECKE_R
+    from .residue_p1 import PrimePower
 
     _check_min("--d", args.d, 1)  # D = r applies only when --d is not given
     if args.p is None or args.r is None:
@@ -312,7 +302,7 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_paths_sweep(args) -> int:
-    from .residue_p1 import MAX_HECKE_R
+    from .hecke_symbols import MAX_HECKE_R
 
     # None unless given before sweep, whose --d and --out have own dests
     _flags_apply(args, dict.fromkeys(("p", "n", "r", "d", "out")), (),

@@ -29,15 +29,17 @@ with i < r touches e_r.  This is checked on the images: among the prime
 powers below 3000 with d <= 3 it fails at 36 pairs (p^n, d), each with
 p^n < sd(sd + 1), the largest 64 at d = 3.  When the two ends of each
 pivot edge are joined in G minus S, the rank is sd over Q and over every
-F_l, with no elimination.  So the rank takes one of two routes.  Where the
-rows are triangular on the pivots, one bidirectional search of e_2..e_sd
-(e_1 is a loop), all of S removed, looks for those joins: it crosses each
-graph edge by one P1Table.cross call and stops once both ends reach the
-region already joined, in 1,075 crossings at 2^13 (d = 1), 10,872 at
-p = 266261 (d = 2), 26,761 at p = 1000003 (d = 2) and 49,929 at
-p = 3032641 (d = 3).  Where a pivot splits, or the rows are not
-triangular, the components of the ends of S are labelled exactly and the
-rank is eliminated once per field.
+F_l, with no elimination.  span_decision decides each level once, by one
+of three routes, and records the route beside the rows, so every field
+reads its rank off one SpanDecision.  Route "pivots": where the rows are
+triangular on the pivots, one bidirectional search of e_2..e_sd (e_1 is a
+loop), all of S removed, looks for those joins: it crosses each graph edge
+by one P1Table.cross call and stops once both ends reach the region
+already joined, in 1,075 crossings at 2^13 (d = 1), 10,872 at p = 266261
+(d = 2), 26,761 at p = 1000003 (d = 2) and 49,929 at p = 3032641 (d = 3).
+Route "labels": where a pivot splits, or the rows are not triangular, the
+components of the ends of S are labelled exactly and the rank is
+eliminated once per field.  Route "walk" is the d = 1 shortcut below.
 
 At d = 1 with p odd (imax = 2) S is always the same two edges, read off
 the images rather than searched for: T_1 and T_2 touch only the points 0
@@ -78,7 +80,25 @@ from typing import Iterator, Optional
 
 from .arith import is_prime, rank
 from .bounds import criterion_threshold, regime_threshold
-from .residue_p1 import MAX_HECKE_R, P1Table, PrimePower
+from .residue_p1 import P1Table, PrimePower
+
+# Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and
+# s*d for `criterion` (T_1..T_sd{0,oo}).  Listing them costs O(r^4) at any
+# level: `paths --p 101 --r 200` and `criterion --p 11 --d 100` each take
+# 5-7 s on a 2-vCPU host.  `paths sweep` grows Sigma_r by T_r alone, so it
+# too costs O(r^4) per level for r up to --r-max: `--pn 101 --r-max 200`
+# takes 5.3-5.7 s (it took 223-242 s while each r listed Sigma_r afresh).
+MAX_HECKE_R = 200
+
+# Largest L of `criterion --all-l-up-to L`.  Each prime l <= L costs one full
+# criterion run (the images and the walk or graph search are redone per l),
+# and there are 168 of them below 1000.  At d = 1 past the threshold the walk
+# decides each l in under a millisecond: `criterion --p 1000003 --d 1
+# --all-l-up-to 1000` takes 0.15 s in a child process on a 2-vCPU host.  The
+# limit bounds the repeated d >= 2 search: at p = 266261 with d = 2,
+# `--all-l-up-to 100` takes 0.8 s against 0.12 s for `--l 3`, and all 168
+# primes 6.7 s; at p = 3032641 with d = 3, about 0.22 s per l, about 37 s.
+MAX_ALL_L = 1000
 
 
 @dataclass
@@ -333,25 +353,64 @@ def _pivots(table: P1Table, tails: list[int], rows: list[list[int]]) -> Optional
     return out
 
 
-def _span_matrices(pp: PrimePower, imax: int) -> tuple[Optional[list[list[int]]], list[list[int]]]:
-    """(cut rows, image rows) of T_1..T_imax{0,oo} over the edges S that
-    the images touch, one column per edge in tail order (see
-    hecke_span_rank).  The cut rows are None when the pivot edges decide
-    the rank, which is then imax over every field, else one row for each of
-    the k components of G minus S but the last.
+@dataclass(frozen=True)
+class SpanDecision:
+    """How span_decision decided the rank of T_1..T_imax{0,oo} at one level.
 
-    Two routes.  When _pivots finds the rows triangular with +-1 pivots, a
-    pivot edge whose ends are joined in G minus S meets no cut row, so when
-    every one is joined the pivot columns alone give rank imax.  At
-    imax = 2 (d = 1) with p > 2 (there is no point 1/2 at p = 2), in the
-    guaranteed regime p^n >= C^2 imax^6, the walk of _walk_joins from 1/2
-    tries the one pivot that is not a loop first (see the module
-    docstring); otherwise one _all_joined searches the pivots, with all of
-    S removed.  When a pivot is left split, or the rows are not triangular,
-    the components are labelled and the cut rows built.  The integers
-    serve every field.  A level past MAX_P1_SIZE is refused before any
+    rows are the images over the edges S they touch, one column per edge in
+    tail order; pivots the tails of e_1..e_imax, or None when the rows are
+    not triangular on them (see _pivots); route the one that decided,
+    "walk", "pivots" or "labels"; cuts the rows of all components of G
+    minus S but the last, None unless the labels ran.  The integers serve
+    every field.
+    """
+
+    rows: list[list[int]]
+    pivots: Optional[list[int]]
+    route: str
+    cuts: Optional[list[list[int]]] = None
+
+    def rank(self, l: int) -> int:
+        """The rank over F_l (l prime), or over Q when l = 0: imax where
+        every pivot edge was joined, else one elimination."""
+        if self.cuts is None:
+            return len(self.rows)
+        return rank(self.cuts + self.rows, l) - len(self.cuts)
+
+
+def span_decision(pp: PrimePower, imax: int) -> SpanDecision:
+    """The rank of {T_i{0,oo} : 1 <= i <= imax} in H_1(X_0(p^n), cusps),
+    decided on the few edges S the images touch, and the route that did it.
+
+    A P^1-vector c is the edge vector g[x] = c[sigma x] - c[x] on the graph
+    G whose vertices are the tau orbits and whose edges are the sigma
+    2-orbits {x, sigma x}, named by the tail x < sigma x; it vanishes in
+    H_1 exactly when g is the gradient of vertex potentials.  A gradient
+    that vanishes off S has its potential constant on each component of G
+    minus S, so on S the gradients are spanned by one cut row per component
+    C: +1 on the edges with their head in C, -1 on those with their tail in
+    C.  They are the incidence rows of the connected graph of the k
+    components and S, so they sum to zero and any k - 1 are independent
+    over every field: the rank is rank(k - 1 cut rows + image rows) -
+    (k - 1), over |S| columns.
+
+    A cut row is zero on an edge whose ends lie in one component, so when
+    _pivots finds the rows triangular with +-1 pivots and the ends of every
+    pivot edge are joined in G minus S, the rank is imax over Q and every
+    F_l, and no cut row is built.  At imax = 2 (d = 1) with p > 2 (there is
+    no point 1/2 at p = 2), in the guaranteed regime p^n >= C^2 imax^6, the
+    walk of _walk_joins from 1/2 tries the one pivot that is not a loop
+    first (route "walk", see the module docstring); otherwise one
+    _all_joined searches the pivots, with all of S removed (route
+    "pivots").  When a pivot is left split, or the rows are not
+    triangular, _component_labels labels the components of the ends of S
+    and the cut rows are built (route "labels").  The search and the
+    labels cross each graph edge by one O(1) P1Table.cross call and read no
+    dense permutation.  A level past MAX_P1_SIZE is refused before any
     image or search.
     """
+    if imax < 0:
+        raise ValueError("imax must be >= 0")
     table = P1Table(pp)
     table.check_size_limit()
     images = [winding_image(i, table).coeffs for i in range(1, imax + 1)]
@@ -365,62 +424,28 @@ def _span_matrices(pp: PrimePower, imax: int) -> tuple[Optional[list[list[int]]]
     rows = [[c.get(heads[x], 0) - c.get(x, 0) for x in tails] for c in images]
     removed = set(tails)
     pivots = _pivots(table, tails, rows)
-    if pivots:
+    if pivots is not None:
         if imax == 2 and pp.p > 2 and pp.modulus >= regime_threshold(pp.p, imax):
             half = pivots[1]  # e_2 = [1/2 | -2] has its tail at the point 1/2
             if _walk_joins(table, half, heads[half], removed):
-                return None, rows
+                return SpanDecision(rows, pivots, "walk")
         if _all_joined(table, removed, pivots[1:], heads):  # e_1 is a loop
-            return None, rows
+            return SpanDecision(rows, pivots, "pivots")
     label = _component_labels(table, removed, [e for x in tails for e in (x, heads[x])])
     cuts = [
         [(h == k) - (t == k) for t, h in zip(label[0::2], label[1::2])]
         for k in range(max(label))
     ]
-    return cuts, rows
+    return SpanDecision(rows, pivots, "labels", cuts)
 
 
 def hecke_span_rank(pp: PrimePower, imax: int, l: int) -> int:
     """Rank of {T_i{0,oo} : 1 <= i <= imax} in H_1(X_0(p^n), cusps) over F_l,
-    or over Q when l = 0, decided on the few edges the images touch.
-
-    A P^1-vector c is the edge vector g[x] = c[sigma x] - c[x] on the graph
-    G whose vertices are the tau orbits and whose edges are the sigma
-    2-orbits {x, sigma x}, named by the tail x < sigma x; it vanishes in
-    H_1 exactly when g is the gradient of vertex potentials.  Let S be the
-    edges through the images' supports.  A gradient that vanishes off S has
-    its potential constant on each component of G minus S, so on S the
-    gradients are spanned by one cut row per component C: +1 on the edges
-    with their head in C, -1 on those with their tail in C.  They are the
-    incidence rows of the connected graph of the k components and S, so
-    they sum to zero and any k - 1 are independent over every field: the
-    rank is rank(k - 1 cut rows + image rows) - (k - 1), over |S| columns.
-
-    The paper's proof gives each T_r a pivot edge e_r of S on which it has
-    coefficient +-1 and no T_i with i < r has any (see _pivots).  A cut row
-    is zero on an edge whose ends lie in one component, so when the ends of
-    every pivot edge are joined in G minus S the image rows are triangular
-    with unit diagonal on columns no cut row touches: the rank is imax over
-    Q and every F_l, and no cut row is built and no elimination runs.  One
-    bidirectional search of _all_joined decides it, or at d = 1 with p odd,
-    in the guaranteed regime, a walk of O(log p^n) sigma and tau steps (see
-    _span_matrices).  Otherwise, where a pivot splits or the rows are not
-    triangular on the pivots, _component_labels labels the components of
-    the ends of S exactly, and the rank comes from one elimination per
-    field.  The search and the labels cross each graph edge by one O(1)
-    P1Table.cross call (one modular inversion), which names the vertex
-    beyond and lists its other edges, and read no dense permutation.
-    """
+    or over Q when l = 0: span_decision(pp, imax).rank(l), with an l that is
+    not prime refused before any image is listed."""
     if l and not is_prime(l):
         raise ValueError(f"{l} is not prime")
-    if imax < 0:
-        raise ValueError("imax must be >= 0")
-    if imax == 0:
-        return 0
-    cuts, rows = _span_matrices(pp, imax)
-    if cuts is None:
-        return imax
-    return rank(cuts + rows, l) - len(cuts)
+    return span_decision(pp, imax).rank(l)
 
 
 @dataclass
@@ -491,13 +516,17 @@ def check_kamienny_condition3(p: int, n: int, d: int, l: int) -> CriterionReport
 
 
 __all__ = [
+    "MAX_HECKE_R",
+    "MAX_ALL_L",
     "SymbolVector",
     "SigmaRSet",
+    "SpanDecision",
     "CriterionReport",
     "admissible_pairs",
     "winding_image",
     "sigma_r_set",
     "sigma_r_sets",
+    "span_decision",
     "hecke_span_rank",
     "check_kamienny_condition3",
 ]

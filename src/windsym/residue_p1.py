@@ -48,24 +48,6 @@ from .arith import is_prime
 # counted from the elliptic points, so it runs at any level.
 MAX_P1_SIZE = 10**7
 
-# Largest r whose Hecke images are enumerated: the r of `paths` (Sigma_r) and
-# s*d for `criterion` (T_1..T_sd{0,oo}).  Listing them costs O(r^4) at any
-# level: `paths --p 101 --r 200` and `criterion --p 11 --d 100` each take
-# 5-7 s on a 2-vCPU host.  `paths sweep` grows Sigma_r by T_r alone, so it
-# too costs O(r^4) per level for r up to --r-max: `--pn 101 --r-max 200`
-# takes 5.3-5.7 s (it took 223-242 s while each r listed Sigma_r afresh).
-MAX_HECKE_R = 200
-
-# Largest L of `criterion --all-l-up-to L`.  Each prime l <= L costs one full
-# criterion run (the images and the walk or graph search are redone per l),
-# and there are 168 of them below 1000.  At d = 1 past the threshold the walk
-# decides each l in under a millisecond: `criterion --p 1000003 --d 1
-# --all-l-up-to 1000` takes 0.15 s in a child process on a 2-vCPU host.  The
-# limit bounds the repeated d >= 2 search: at p = 266261 with d = 2,
-# `--all-l-up-to 100` takes 0.8 s against 0.12 s for `--l 3`, and all 168
-# primes 6.7 s; at p = 3032641 with d = 3, about 0.22 s per l, about 37 s.
-MAX_ALL_L = 1000
-
 
 @dataclass(frozen=True)
 class PrimePower:
@@ -245,8 +227,6 @@ class P1Table:
 
 __all__ = [
     "MAX_P1_SIZE",
-    "MAX_HECKE_R",
-    "MAX_ALL_L",
     "PrimePower",
     "P1Table",
 ]

@@ -189,7 +189,7 @@ def test_cli_paths_sweep_csv(capsys):
 
 def test_cli_paths_lists_each_image_once_per_level(capsys, monkeypatch):
     from windsym import hecke_symbols, residue_p1
-    from windsym.residue_p1 import MAX_HECKE_R
+    from windsym.hecke_symbols import MAX_HECKE_R
 
     listed, built = [], []
     image, table_class = hecke_symbols.winding_image, residue_p1.P1Table
@@ -479,6 +479,31 @@ def test_cli_p1_verify_catches_a_repeated_entry(capsys, monkeypatch):
     assert json.loads(out)["checks"]["bijections"] is False
 
 
+@pytest.mark.parametrize("planted", [12, -1], ids=["size", "minus-one"])
+def test_cli_p1_verify_range_checks_before_indexing(capsys, monkeypatch, planted):
+    # an entry outside 0..|P^1| - 1 is reported, not read as an index: at
+    # p = 11, |P^1| = 12 once raised IndexError out of cli_main, and -1
+    # passed for the last index
+    from array import array
+    from functools import cached_property
+
+    from windsym import residue_p1
+    from windsym.residue_p1 import P1Table
+
+    class OutOfRange(P1Table):
+        @cached_property
+        def sigma_perm(self):
+            perm = array("i", P1Table.sigma_perm.func(self))
+            perm[3] = planted
+            return perm
+
+    monkeypatch.setattr(residue_p1, "P1Table", OutOfRange)
+    rc, out = run_cli(capsys, "p1", "--p", "11", "--verify")
+    assert rc == 1
+    checks = json.loads(out)["checks"]
+    assert checks["bijections"] is False and checks["sigma_involution"] is False
+
+
 def _one_wrong_entry(perm):
     perm[1] = 3  # sigma(1) = -1 = 10 at p = 11
 
@@ -604,8 +629,8 @@ def test_cli_refuses_criterion_past_the_size_limit_before_any_search(capsys, mon
 
 
 def test_cli_refuses_oversized_r_before_enumerating(capsys, monkeypatch):
-    from windsym import hecke_symbols, residue_p1
-    from windsym.residue_p1 import MAX_HECKE_R
+    from windsym import hecke_symbols
+    from windsym.hecke_symbols import MAX_HECKE_R
 
     big = str(MAX_HECKE_R + 1)
     # s = 2 for p != 2 and s = 3 for p = 2: s*d just past the limit
@@ -626,7 +651,6 @@ def test_cli_refuses_oversized_r_before_enumerating(capsys, monkeypatch):
     monkeypatch.undo()
 
     # the limit is inclusive: with it lowered, r and s*d at the limit still run
-    monkeypatch.setattr(residue_p1, "MAX_HECKE_R", 6)
     monkeypatch.setattr(hecke_symbols, "MAX_HECKE_R", 6)
     assert cli_main(["paths", "--p", "101", "--r", "6"]) == 0
     assert cli_main(["paths", "sweep", "--pn", "101", "--r-max", "6"]) == 0
@@ -755,8 +779,8 @@ def test_cli_paths_sweep_reads_a_large_prime_power_quickly(capsys):
 
 
 def test_cli_refuses_oversized_all_l_before_any_work(capsys, monkeypatch):
-    from windsym import bounds_cli, hecke_symbols, residue_p1
-    from windsym.residue_p1 import MAX_ALL_L
+    from windsym import bounds_cli, hecke_symbols
+    from windsym.hecke_symbols import MAX_ALL_L
 
     def no_work(*args):
         raise AssertionError("swept or checked an l past the limit")
@@ -769,7 +793,7 @@ def test_cli_refuses_oversized_all_l_before_any_work(capsys, monkeypatch):
     monkeypatch.undo()
 
     # the limit is inclusive: with it lowered, L at the limit still runs
-    monkeypatch.setattr(residue_p1, "MAX_ALL_L", 7)
+    monkeypatch.setattr(hecke_symbols, "MAX_ALL_L", 7)
     assert cli_main(["criterion", "--p", "11", "--all-l-up-to", "7"]) == 0
     assert [r["l"] for r in json.loads(capsys.readouterr().out)["reports"]] == [2, 3, 5, 7]
     assert cli_main(["criterion", "--p", "11", "--all-l-up-to", "8"]) == 2

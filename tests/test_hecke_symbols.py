@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import random
@@ -16,11 +15,13 @@ from windsym.hecke_symbols import (
     hecke_span_rank,
     sigma_r_set,
     sigma_r_sets,
+    span_decision,
     winding_image,
 )
 from windsym.rel_homology import H1Presentation
 from windsym.residue_p1 import P1Table, PrimePower
 from oracles import (
+    DIFFERENTIAL_LEVELS,
     get_table,
     pointwise_cross,
     pointwise_sigma,
@@ -184,76 +185,58 @@ def _forest_ranks(pp: PrimePower, imax: int) -> dict[int, list[int]]:
 PRIMES_BELOW_100 = [l for l in range(100) if is_prime(l)]
 
 
-def _labels_route(span_matrices, pp: PrimePower, imax: int):
-    """span_matrices(pp, imax) with the pivot structure ignored: the
+def _labels_route(pp: PrimePower, imax: int) -> hecke_symbols.SpanDecision:
+    """span_decision(pp, imax) with the pivot structure ignored: the
     component labels and their cut rows, with no search or walk."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hecke_symbols, "_pivots", lambda *args: None)
-        return span_matrices(pp, imax)
+        return span_decision(pp, imax)
 
 
-def _share_and_record_search(monkeypatch) -> dict[str, set]:
-    """Share each level's search across the fields, and record the (p^n, d)
-    by the route that decided them: every pivot edge joined ("pivots"), or
-    the component labels, which find G minus S connected ("connected", no
-    cut row) or split ("split"), and those whose rows are not triangular
-    on the pivots ("no pivots").  _all_joined is only ever given the pivot
-    tails e_2..e_sd of the level being decided.  Wherever the pivots
-    decide, the labels route must give rank(cuts + rows) - #cuts = sd over
+def _census() -> dict[str, set]:
+    """Levels (p^n, d) by the route that decided them, as the record names
+    it ("walk" or "pivots"), or the component labels, which find G minus S
+    connected ("connected", no cut row) or split ("split"); and those
+    whose rows are not triangular on the pivots ("no pivots")."""
+    return {name: set() for name in ("walk", "pivots", "connected", "split", "no pivots")}
+
+
+def _check_against_forest(pp: PrimePower, ds, runs: dict[str, set]) -> None:
+    """Each level's decision, read over every field of CHARS, against the
+    forest route, recorded in runs (see _census).  Wherever every pivot is
+    joined, the labels route must give rank(cuts + rows) - #cuts = sd over
     Q and every prime l < 100, on the same image rows."""
-    runs = {"pivots": set(), "connected": set(), "split": set(), "no pivots": set()}
-    span, pivots, all_joined = hecke_symbols._span_matrices, hecke_symbols._pivots, hecke_symbols._all_joined
-    search = functools.lru_cache(maxsize=1)(span)
-    found = [None]  # what _pivots last returned
-
-    def pivots_spy(table, tails, rows):
-        found[0] = pivots(table, tails, rows)
-        if found[0] is None:
-            runs["no pivots"].add((table.pp.modulus, len(rows) // smallest_prime_excluding(table.pp.p)))
-        return found[0]
-
-    def all_joined_spy(table, removed, tails, heads):
-        assert found[0] is not None and tails == found[0][1:], table.pp
-        return all_joined(table, removed, tails, heads)
-
-    def span_matrices(pp, imax):
-        cuts, rows = search(pp, imax)
-        level = (pp.modulus, imax // smallest_prime_excluding(pp.p))
-        if cuts is None and level not in runs["pivots"]:
-            found[0] = None
-            all_cuts, all_rows = _labels_route(span, pp, imax)
-            assert all_rows == rows, level
-            for l in (0, *PRIMES_BELOW_100):
-                assert rank(all_cuts + rows, l) - len(all_cuts) == imax, (level, l)
-        runs["pivots" if cuts is None else "split" if cuts else "connected"].add(level)
-        return cuts, rows
-
-    monkeypatch.setattr(hecke_symbols, "_span_matrices", span_matrices)
-    monkeypatch.setattr(hecke_symbols, "_pivots", pivots_spy)
-    monkeypatch.setattr(hecke_symbols, "_all_joined", all_joined_spy)
-    return runs
-
-
-def _check_against_forest(pp: PrimePower, ds) -> None:
     s = smallest_prime_excluding(pp.p)
     ranks = _forest_ranks(pp, s * max(ds))
     for d in ds:
+        decision, level = span_decision(pp, s * d), (pp.modulus, d)
         for l in CHARS:
-            assert hecke_span_rank(pp, s * d, l) == ranks[l][s * d - 1], (pp, d, l)
+            assert decision.rank(l) == ranks[l][s * d - 1], (pp, d, l)
+        if decision.pivots is None:
+            runs["no pivots"].add(level)
+        cuts = decision.cuts
+        runs[decision.route if cuts is None else "split" if cuts else "connected"].add(level)
+        if cuts is None:
+            labels = _labels_route(pp, s * d)
+            assert labels.rows == decision.rows, level
+            for l in (0, *PRIMES_BELOW_100):
+                assert labels.rank(l) == s * d, (level, l)
 
 
-def test_span_rank_against_forest_route(monkeypatch):
-    runs = _share_and_record_search(monkeypatch)
+def test_span_rank_against_forest_route():
+    runs = _census()
     levels = [m for m in range(2, 3000) if len(factorize(m)) == 1]
     assert len(levels) == 466
     for m in levels:
         ((p, n),) = factorize(m).items()
-        _check_against_forest(PrimePower(p, n), (1, 2, 3))
+        _check_against_forest(PrimePower(p, n), (1, 2, 3), runs)
     routes = {
         name: {d: {m for m, e in decided if e == d} for d in (1, 2, 3)}
         for name, decided in runs.items()
     }
     split = routes["split"]
+    # the walk is tried only past the d = 1 threshold 4160
+    assert runs["walk"] == set()
     # G minus S splits only at small levels; removing more edges splits more.
     # 64 at d = 2 and 256 at d = 3 split, but no pivot edge does there
     assert split[1] == {3, 4, 7, 8, 9, 13, 16, 25}
@@ -275,19 +258,17 @@ def test_span_rank_against_forest_route(monkeypatch):
     for d in (1, 2, 3):
         assert routes["connected"][d] <= routes["no pivots"][d] <= split[d] | routes["connected"][d]
         assert routes["pivots"][d] == set(levels) - split[d] - routes["connected"][d]
-    # hecke_span_rank subtracts len(cuts): the k - 1 cut rows are independent
+    # SpanDecision.rank subtracts len(cuts): the k - 1 cut rows are independent
     for m, d in sorted(runs["split"]):
         ((p, n),) = factorize(m).items()
-        cuts, _ = hecke_symbols._span_matrices(PrimePower(p, n), smallest_prime_excluding(p) * d)
+        cuts = span_decision(PrimePower(p, n), smallest_prime_excluding(p) * d).cuts
         assert [rank(cuts, l) for l in (0, 2)] == [len(cuts)] * 2, (m, d)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(prime_powers(limit=2 * 10**5), st.sampled_from((1, 2, 3)))
 def test_span_rank_against_forest_route_random_levels(pp, d):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _share_and_record_search(monkeypatch)
-        _check_against_forest(pp, (d,))
+    _check_against_forest(pp, (d,), _census())
 
 
 # the benchmark ladder's levels, with its drawn primes at their least
@@ -297,7 +278,7 @@ SEARCH_LEVELS = [(2, 13, 1), (10007, 1, 1), (5, 6, 1), (3, 9, 1), (20011, 1, 1),
 
 
 def _record_crossings(cross, pp: PrimePower, imax: int):
-    """_span_matrices(pp, imax) with P1Table.cross replaced by cross, and
+    """span_decision(pp, imax) with P1Table.cross replaced by cross, and
     every call it made: (point, removed edges, result), in order."""
     trace = []
 
@@ -308,7 +289,7 @@ def _record_crossings(cross, pp: PrimePower, imax: int):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(P1Table, "cross", spy)
-        return hecke_symbols._span_matrices(pp, imax), trace
+        return span_decision(pp, imax), trace
 
 
 @pytest.mark.parametrize("p, n, d", SEARCH_LEVELS)
@@ -322,8 +303,9 @@ def test_search_matches_pointwise_route(p, n, d, monkeypatch):
     kernel = _record_crossings(P1Table.cross, pp, imax)
     pointwise = _record_crossings(pointwise_cross, pp, imax)
     assert kernel == pointwise
-    (cuts, _), trace = kernel
-    assert bool(cuts) == (p**n in (25, 121))
+    decision, trace = kernel
+    assert decision.route == ("labels" if p**n in (25, 121) else "pivots")
+    assert bool(decision.cuts) == (p**n in (25, 121))
     assert trace
 
 
@@ -346,8 +328,8 @@ def test_search_crosses_each_edge_once(monkeypatch):
     for p, n, d, crossings in [(266261, 1, 2, 10872), (2, 13, 1, 1075), (1000003, 1, 2, 26761),
                                (3032641, 1, 3, 49929)]:
         count[0] = 0
-        cuts, _ = hecke_symbols._span_matrices(PrimePower(p, n), smallest_prime_excluding(p) * d)
-        assert cuts is None and taken == []
+        decision = span_decision(PrimePower(p, n), smallest_prime_excluding(p) * d)
+        assert decision.route == "pivots" and taken == []
         assert count[0] == crossings, (p, n, d)
 
 
@@ -382,6 +364,41 @@ def test_pivots_decide_without_labels_or_elimination(capsys, monkeypatch):
             assert calls == ["_component_labels", "rank"], m
         else:
             assert calls == [("_all_joined", s - 1), "_component_labels", "rank"], m
+
+
+@pytest.mark.parametrize("p, n", DIFFERENTIAL_LEVELS)
+def test_route_names_what_decided(p, n, monkeypatch):
+    # the record's route is "walk" exactly when a walk closed, "pivots"
+    # exactly when the search, given the pivot tails e_2..e_sd, joined every
+    # pivot, and "labels" exactly when the components were labelled; only
+    # the labels build cut rows
+    calls = []
+    for name in ("_walk_joins", "_all_joined", "_component_labels"):
+        method = getattr(hecke_symbols, name)
+
+        def call(*args, name=name, method=method):
+            calls.append((name, args, method(*args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(hecke_symbols, name, call)
+    pp = PrimePower(p, n)
+    for d in (1, 2, 3):
+        calls.clear()
+        decision = span_decision(pp, smallest_prime_excluding(p) * d)
+        ran = {name: out for name, _, out in calls}
+        assert (decision.route == "walk") == (ran.get("_walk_joins") is True), d
+        assert (decision.route == "pivots") == (ran.get("_all_joined") is True), d
+        assert (decision.route == "labels") == ("_component_labels" in ran), d
+        assert (decision.cuts is not None) == (decision.route == "labels"), d
+        assert all(args[2] == decision.pivots[1:] for name, args, _ in calls if name == "_all_joined")
+
+
+def test_memory_guard_criterion_routes():
+    # the memory guard infers these routes from peak RSS: its limits fail
+    # when the walk stops closing or the pivots stop deciding
+    for p, imax, route in [(1000003, 2, "walk"), (9999991, 2, "walk"), (266261, 4, "pivots"),
+                           (3032641, 6, "pivots"), (1000003, 4, "pivots"), (9999991, 4, "pivots")]:
+        assert span_decision(PrimePower(p, 1), imax).route == route, (p, imax)
 
 
 def test_joined_verdict_does_not_depend_on_edge_order():
@@ -453,26 +470,24 @@ def _walks_taken(monkeypatch) -> list[bool]:
 
 
 def test_walk_matches_search(monkeypatch):
-    # the matrices, and so every rank, are those of the search alone: the
-    # pivots decide every level here, by the walk or by the search; the walk
-    # closes at every level past the threshold 4160 with p odd, and is not
-    # tried below it (4153, 4159) or at p = 2 (2^13..2^18): it is tried only
-    # at d = 1 with p odd
-    def matrices_and_ranks(mp, pp, imax):
-        span = functools.lru_cache(maxsize=1)(hecke_symbols._span_matrices)
-        mp.setattr(hecke_symbols, "_span_matrices", span)  # one run serves every field
-        return span(pp, imax), [hecke_span_rank(pp, imax, l) for l in (0, 2, 3, 5)]
-
+    # the rows and pivots, and so every rank, are those of the search alone:
+    # the pivots decide every level here, by the walk or by the search; the
+    # walk closes at every level past the threshold 4160 with p odd, and is
+    # not tried below it (4153, 4159) or at p = 2 (2^13..2^18): it is tried
+    # only at d = 1 with p odd
     for p, n in WALK_LEVELS + [(4153, 1), (4159, 1), (2, 17), (2, 18)]:
         pp, imax = PrimePower(p, n), smallest_prime_excluding(p)
+        closes = p > 2 and p**n >= 4160
         with pytest.MonkeyPatch.context() as mp:
             taken = _walks_taken(mp)
-            walked = matrices_and_ranks(mp, pp, imax)
-        assert taken == ([True] if p > 2 and p**n >= 4160 else []), (p, n)
-        assert walked[0][0] is None, (p, n)
+            walked = span_decision(pp, imax)
+        assert taken == ([True] if closes else []), (p, n)
+        assert walked.route == ("walk" if closes else "pivots"), (p, n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hecke_symbols, "_walk_joins", lambda *args: False)
-            assert matrices_and_ranks(mp, pp, imax) == walked, (p, n)
+            searched = span_decision(pp, imax)
+        assert (searched.route, searched.rows, searched.pivots) == ("pivots", walked.rows, walked.pivots)
+        assert [walked.rank(l) for l in (0, 2, 3, 5)] == [imax] * 4, (p, n)
 
 
 @pytest.mark.parametrize("p, n", [(5, 6), (3, 9), (20011, 1), (1000003, 1), (3, 13)])
@@ -499,7 +514,6 @@ def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
         monkeypatch.setattr(P1Table, name, call)
 
     monkeypatch.setattr(hecke_symbols, "_first_word", first_word_spy)
-    taken = _walks_taken(monkeypatch)
     table = P1Table(pp)
     heads = {}
     for z in chain(winding_image(1, table).coeffs, winding_image(2, table).coeffs):
@@ -508,8 +522,7 @@ def test_walk_steps_match_pointwise_oracle(p, n, monkeypatch):
             heads[min(y, z)] = max(y, z)
     spy("sigma", pointwise_sigma)
     spy("tau", pointwise_tau)
-    assert hecke_symbols._span_matrices(pp, 2)[0] is None  # the pivots decide
-    assert taken == [True]
+    assert span_decision(pp, 2).route == "walk"
     assert calls and all(out == want for _, out, want in calls)
     [word] = words
     x = (pp.modulus + 1) // 2  # the walk starts at 1/2
@@ -549,7 +562,8 @@ def test_walk_needs_few_table_calls(monkeypatch):
             return method(table, *args)
 
         monkeypatch.setattr(P1Table, name, call)
-    assert hecke_symbols._span_matrices(PrimePower(1000003, 1), 2) == (None, [[-1, 0], [-3, -1]])
+    decision = span_decision(PrimePower(1000003, 1), 2)
+    assert (decision.route, decision.rows) == ("walk", [[-1, 0], [-3, -1]])
     assert count[0] < 2000
 
 

@@ -292,7 +292,7 @@ def test_first_disagreement_matches_coeffwise_oracle(f, data):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.integers(1, 80) | st.sampled_from([1, 8, 37, 300]), st.integers(0, 10**6),
        st.integers(1, 6), characters())
-def test_integral_series_is_lcm_times_random_series(order, seed, weight, eps):
+def test_one_trial_draw_is_lcm_times_random_series(order, seed, weight, eps):
     assert SERIES_DENOMINATOR_LCM == lcm(*range(1, 13))
     rng_int, rng_frac = random.Random(seed), random.Random(seed)
     f = _packed_series(rng_int, 1, 24, order, weight, eps)
@@ -319,7 +319,7 @@ SERIES_DIGESTS = [
 
 @pytest.mark.parametrize("seed, order, digest, after", SERIES_DIGESTS,
                          ids=[f"seed{seed}-order{order}" for seed, order, *_ in SERIES_DIGESTS])
-def test_integral_series_draw_is_pinned(seed, order, digest, after):
+def test_one_trial_draw_is_pinned(seed, order, digest, after):
     rng = random.Random(seed)
     coeffs = _packed_series(rng, 1, 24, order, 2, TRIVIAL_CHARACTER).coeffs
     assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == digest
